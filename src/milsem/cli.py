@@ -8,7 +8,7 @@ program against the built-in interpreter over a corpus.
 Exit codes class outcomes, not commands: 0 success, 1 the search or
 query came up empty (no hypothesis, finite failure, violations), 2 bad
 input (unreadable file, parse or semantic error), 3 out of budget
-(learner timeout, depth exceeded).
+(learner timeout, depth exceeded in a query or in the learner's search).
 """
 
 import argparse
@@ -45,7 +45,8 @@ _VERDICT_TEXT = {
     Verdict.DEPTH_EXCEEDED: "DepthExceeded",
 }
 
-_STATUS_EXIT = {"found": EX_OK, "exhausted": EX_EMPTY, "timeout": EX_BUDGET}
+_STATUS_EXIT = {"found": EX_OK, "exhausted": EX_EMPTY,
+                "depth_exceeded": EX_BUDGET, "timeout": EX_BUDGET}
 
 
 class CliError(Exception):
@@ -146,6 +147,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     elif res.status == "exhausted":
         print(f"% {spec.name}: no hypothesis within "
               f"{spec.options.max_clauses} clauses", file=sys.stderr)
+    elif res.status == "depth_exceeded":
+        print(f"% {spec.name}: no hypothesis within "
+              f"{spec.options.max_clauses} clauses, but the depth limit "
+              f"{spec.options.depth_limit} cut the search", file=sys.stderr)
     else:
         print(f"% {spec.name}: timed out after "
               f"{res.stats.elapsed:.1f}s at size {res.stats.size_reached}",

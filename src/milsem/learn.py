@@ -1,14 +1,14 @@
 """Hypothesis search: meta-interpretive learning of rule programs.
 
-The learner proves the positive examples with a resolution engine that is
-allowed, where ordinary clause selection fails, to conjure a new clause by
-instantiating a metarule against the current goal and add it to the growing
-hypothesis.  Alternatives at a goal are tried in a fixed order: builtins,
-background clauses, hypothesis clauses already adopted, and only then fresh
-metarule instantiations.  A predicate metavariable in a rule body may be
-bound to a predicate that does not exist yet, which is how auxiliary
-``pred_<n>`` predicates are invented; the branch then has to define them or
-die.
+The learner proves the positive examples with the solver's own `Resolver`,
+given a clause source that may, where ordinary clause selection fails,
+conjure a new clause by instantiating a metarule against the current goal
+and add it to the growing hypothesis.  Alternatives at a goal are tried in
+a fixed order: builtins, background clauses, hypothesis clauses already
+adopted, and only then fresh metarule instantiations.  A predicate
+metavariable in a rule body may be bound to a predicate that does not
+exist yet, which is how auxiliary ``pred_<n>`` predicates are invented;
+the branch then has to define them or die.
 
 Minimality comes from iterative deepening on hypothesis size: `learn` tries
 caps 1, 2, ... up to ``max_clauses`` and returns the first hypothesis that
@@ -19,9 +19,12 @@ finitely fail and a non-terminating example must exhaust the depth budget,
 the latter being how a single tagged example can separate evaluation
 strategies that agree on all finite behaviour.
 
-Each example is proved under a fresh depth budget with the same accounting
-as the solver (one unit per clause application or builtin call), so a
-hypothesis found here proves its examples under `solve` as well.
+Each example is proved under a fresh depth budget.  The meta-proof is the
+solver's resolution with a different clause source, so budget, step count
+and taint work as in `solve`: a hypothesis found here proves its examples
+under `solve` as well, and when no hypothesis turns up but the depth bound
+cut the meta-proof, `learn` reports ``depth_exceeded`` rather than
+``exhausted``.
 """
 
 from __future__ import annotations
@@ -32,29 +35,25 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .metarules import (
-    CONST,
-    FUNC,
-    Metarule,
     Metasub,
     apply_metasub,
     enumerate_bindings,
     match_head,
     metasub_key,
+    pool_candidates,
 )
 from .objectlang import default_builtins
 from .scenario import Example, ScenarioSpec
-from .solver import BuiltinTable, Outcome, SolveConfig, Verdict, solve
+from .solver import BuiltinTable, Outcome, Resolver, SolveConfig, Verdict, solve
 from .terms import (
     Atom,
     Clause,
     FreshVars,
     Program,
-    Store,
     Symbol,
     _index_key,
     rename_apart,
     rename_atom,
-    symbol,
 )
 from .textio import print_clause
 
@@ -96,7 +95,7 @@ class LearnStats:
 
 @dataclass(slots=True)
 class LearnResult:
-    status: str  # found | exhausted | timeout
+    status: str  # found | exhausted | depth_exceeded | timeout
     hypothesis: Optional[Hypothesis]
     stats: LearnStats
 
@@ -147,17 +146,19 @@ def check_example(program: Program, example: Example, *,
 class _Engine:
     """One size-capped search for a hypothesis proving the given goals."""
 
-    __slots__ = ("bk", "builtins", "metarules", "pools", "head_preds",
-                 "size_cap", "depth_limit", "deadline", "trace", "store",
-                 "counter", "goals", "hypothesis", "hyp_keys", "invented",
-                 "invented_set", "invent_from", "stats", "_ticks")
+    __slots__ = ("resolver", "store", "counter", "background", "metarules",
+                 "pools", "head_preds", "size_cap", "depth_limit", "deadline",
+                 "trace", "goals", "hypothesis", "hyp_keys", "invented",
+                 "invented_set", "invent_from", "metasubs_tried", "_ticks")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Atom],
                  builtins: BuiltinTable, size_cap: int, depth_limit: int,
                  deadline: Optional[float], trace: Trace,
                  invent_from: int) -> None:
-        self.bk = Program(spec.bk)
-        self.builtins = builtins
+        self.counter = FreshVars()
+        self.resolver = Resolver(builtins, self.counter)
+        self.store = self.resolver.store
+        self.background = self.resolver.program_source(Program(spec.bk))
         self.metarules = spec.metarules
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
@@ -165,8 +166,6 @@ class _Engine:
         self.depth_limit = depth_limit
         self.deadline = deadline
         self.trace = trace
-        self.store = Store()
-        self.counter = FreshVars()
         # examples must not share variables with each other or the program
         self.goals = [rename_atom(g, {}, self.counter) for g in goals]
         self.hypothesis: list[tuple[Metasub, Clause]] = []
@@ -174,7 +173,7 @@ class _Engine:
         self.invented: list[Symbol] = []
         self.invented_set: set[Symbol] = set()
         self.invent_from = invent_from
-        self.stats = LearnStats(size_reached=size_cap)
+        self.metasubs_tried = 0
         self._ticks = 0
 
     # ---- bookkeeping ----
@@ -200,91 +199,20 @@ class _Engine:
         self.hyp_keys.discard(key)
         for _ in new_preds:
             self.invented_set.discard(self.invented.pop())
-        if self.trace:
-            self.trace("  - backtrack")
 
-    # ---- candidate clauses from metarules ----
+    # ---- the clause source ----
 
-    def _candidates_fn(self, m: Metarule, tentative: Optional[str]):
-        pools = self.pools
-
-        def candidates(d, _chosen) -> list:
-            if d.kind == CONST:
-                return list(pools.consts)
-            if d.kind == FUNC:
-                return [f for f in pools.funcs if f.arity == d.arity]
-            in_head = m.head_pred_meta == d.name
-            preds: list[Symbol] = [p for p in pools.body_preds
-                                   if p.arity == d.arity]
-            preds += [p for p in pools.head_preds if p.arity == d.arity]
-            preds += [p for p in self.invented if p.arity == d.arity]
-            if tentative is not None and not in_head:
-                preds.append(symbol(tentative, d.arity))
-            out: list[Symbol] = []
-            seen: set[Symbol] = set()
-            for p in preds:
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-            return out
-
-        return candidates
-
-    def _new_clauses(self, goal: Atom) -> Iterator[
-            tuple[Clause, Metasub, tuple, list[Symbol]]]:
-        room_to_define = len(self.hypothesis) + 1 < self.size_cap
-        tentative = (f"pred_{self.invent_from + len(self.invented) + 1}"
-                     if room_to_define else None)
-        for m in self.metarules:
-            restr = match_head(m, goal, self.store)
-            if restr is None:
-                continue
-            cands = self._candidates_fn(m, tentative)
-            for binding in enumerate_bindings(m, restr, cands):
-                msub = Metasub(m.name, tuple((d.name, binding[d.name])
-                                             for d in m.decls))
-                key = metasub_key(msub)
-                if key in self.hyp_keys:
-                    continue  # identical clause already adopted, reuse covers it
-                clause = apply_metasub(m, binding)
-                new_preds = [b for _n, b in msub.bindings
-                             if isinstance(b, Symbol) and tentative is not None
-                             and b.name == tentative]
-                yield clause, msub, key, new_preds
-
-    # ---- resolution ----
-
-    def _prove(self, goal: Atom, budget: int) -> Iterator[int]:
+    def clauses(self, goal: Atom) -> Iterator[Sequence[Atom]]:
+        """Alternatives for a goal: background clauses, then hypothesis
+        clauses already adopted, then fresh metarule instantiations, each
+        adopted into the hypothesis while its body is being proved."""
         self._tick()
+        yield from self.background(goal)
         pred = goal.pred
-        bfn = self.builtins.get(pred)
-        if bfn is not None:
-            if budget < 1:
-                return
-            self.stats.meta_steps += 1
-            mark = self.store.mark()
-            for _ in bfn(self.store, goal.args):
-                yield budget - 1
-                self.store.undo(mark)
-            self.store.undo(mark)
-            return
-        if budget < 1:
-            return
-        gkey = _index_key(self.store.walk(goal.args[0])) if goal.args else None
-
-        for _cid, clause, key in self.bk.clauses_for(pred):
-            if gkey is not None and key is not None and key != gkey:
-                continue
-            renamed = rename_apart(clause, self.counter)
-            mark = self.store.mark()
-            if self.store.unify_atoms(renamed.head, goal):
-                self.stats.meta_steps += 1
-                yield from self._prove_seq(renamed.body, budget - 1)
-            self.store.undo(mark)
-
         if pred not in self.head_preds and pred not in self.invented_set:
             return
-
+        store, counter = self.store, self.counter
+        gkey = _index_key(store.walk(goal.args[0])) if goal.args else None
         for _msub, clause in list(self.hypothesis):  # snapshot: later
             # additions belong to deeper choice points, not this one
             if clause.head.pred != pred:
@@ -292,41 +220,53 @@ class _Engine:
             ckey = _index_key(clause.head.args[0]) if clause.head.args else None
             if gkey is not None and ckey is not None and ckey != gkey:
                 continue
-            renamed = rename_apart(clause, self.counter)
-            mark = self.store.mark()
-            if self.store.unify_atoms(renamed.head, goal):
-                self.stats.meta_steps += 1
-                yield from self._prove_seq(renamed.body, budget - 1)
-            self.store.undo(mark)
+            renamed = rename_apart(clause, counter)
+            mark = store.mark()
+            if store.unify_atoms(renamed.head, goal):
+                yield renamed.body
+            store.undo(mark)
 
         if len(self.hypothesis) >= self.size_cap:
             return
-        for clause, msub, key, new_preds in self._new_clauses(goal):
-            renamed = rename_apart(clause, self.counter)
-            mark = self.store.mark()
-            if self.store.unify_atoms(renamed.head, goal):
-                self.stats.metasubs_tried += 1
-                self.stats.meta_steps += 1
-                self._push(msub, clause, key, new_preds)
-                yield from self._prove_seq(renamed.body, budget - 1)
-                self._pop(key, new_preds)
-            self.store.undo(mark)
-
-    def _prove_seq(self, goals: Sequence[Atom], budget: int) -> Iterator[int]:
-        if not goals:
-            yield budget
-            return
-        head, rest = goals[0], goals[1:]
-        for left in self._prove(head, budget):
-            yield from self._prove_seq(rest, left)
+        tentative = (f"pred_{self.invent_from + len(self.invented) + 1}"
+                     if len(self.hypothesis) + 1 < self.size_cap else None)
+        for m in self.metarules:
+            restr = match_head(m, goal, store)
+            if restr is None:
+                continue
+            cands = pool_candidates(m, self.pools, self.invented, tentative)
+            for binding in enumerate_bindings(m, restr, cands):
+                msub = Metasub(m.name, tuple((d.name, binding[d.name])
+                                             for d in m.decls))
+                key = metasub_key(msub)
+                if key in self.hyp_keys:
+                    continue  # identical clause already adopted, reuse covers it
+                clause = apply_metasub(m, binding)
+                renamed = rename_apart(clause, counter)
+                mark = store.mark()
+                if store.unify_atoms(renamed.head, goal):
+                    new_preds = [b for _n, b in msub.bindings
+                                 if isinstance(b, Symbol) and b.name == tentative]
+                    self.metasubs_tried += 1
+                    self._push(msub, clause, key, new_preds)
+                    try:
+                        yield renamed.body
+                        if self.trace:
+                            self.trace("  - backtrack")
+                    finally:
+                        # also when the resolver only probed for a clause
+                        self._pop(key, new_preds)
+                store.undo(mark)
 
     def prove_goals(self, idx: int = 0) -> Iterator[None]:
-        """Prove the goals in order, backtracking across them; yields once
-        per way of proving them all under some hypothesis."""
+        """Prove the goals in order, each under a fresh depth budget,
+        backtracking across them; yields once per way of proving them all
+        under some hypothesis."""
         if idx == len(self.goals):
             yield None
             return
-        for _ in self._prove(self.goals[idx], self.depth_limit):
+        for _ in self.resolver.run([self.goals[idx]], self.depth_limit,
+                                   self.clauses):
             yield from self.prove_goals(idx + 1)
 
     def snapshot(self) -> Hypothesis:
@@ -339,21 +279,14 @@ class _Engine:
 # ============================================================
 
 
-@dataclass(frozen=True, slots=True)
-class ProofState:
-    """Hypothesis in force at the moment a meta-proof succeeded."""
-
-    metasubs: tuple[Metasub, ...]
-    clauses: tuple[Clause, ...]
-
-
 def meta_prove(spec: ScenarioSpec, goals: Union[Atom, Sequence[Atom]], *,
                size_cap: Optional[int] = None,
                depth_limit: Optional[int] = None,
                builtins: Optional[BuiltinTable] = None,
-               ) -> Iterator[ProofState]:
+               ) -> Iterator[Hypothesis]:
     """Meta-prove goals against a scenario's background, growing a
-    hypothesis as needed; one state per complete proof, in search order."""
+    hypothesis as needed; the hypothesis in force at each complete proof,
+    in search order."""
     if isinstance(goals, Atom):
         goals = [goals]
     engine = _Engine(
@@ -363,8 +296,7 @@ def meta_prove(spec: ScenarioSpec, goals: Union[Atom, Sequence[Atom]], *,
         depth_limit if depth_limit is not None else spec.options.depth_limit,
         None, None, invented_base(spec.bk))
     for _ in engine.prove_goals():
-        yield ProofState(tuple(ms for ms, _ in engine.hypothesis),
-                         tuple(c for _, c in engine.hypothesis))
+        yield engine.snapshot()
 
 
 def learn(spec: ScenarioSpec, *,
@@ -398,9 +330,13 @@ def learn(spec: ScenarioSpec, *,
     base = invented_base(spec.bk)
     pos_goals = [e.goal for e in spec.positives()]
 
+    cut = False  # whether the depth bound cut the meta-proof at some cap
+
     def merge(engine: _Engine) -> None:
-        total.meta_steps += engine.stats.meta_steps
-        total.metasubs_tried += engine.stats.metasubs_tried
+        nonlocal cut
+        total.meta_steps += engine.resolver.steps
+        total.metasubs_tried += engine.metasubs_tried
+        cut = cut or engine.resolver.tainted
 
     try:
         for n in range(1, max_clauses + 1):
@@ -437,7 +373,7 @@ def learn(spec: ScenarioSpec, *,
         total.elapsed = time.monotonic() - started
         return LearnResult("timeout", None, total)
     total.elapsed = time.monotonic() - started
-    return LearnResult("exhausted", None, total)
+    return LearnResult("depth_exceeded" if cut else "exhausted", None, total)
 
 
 @dataclass(slots=True)

@@ -13,11 +13,13 @@ Metavariables are declared alongside the template with a kind and arity:
 * ``func(H/2)``  function symbol inside a term;
 * ``const(C)``   an arity-0 symbol or an integer literal.
 
-Instantiation is goal-directed: `instantiate_metarule` first matches the
-head template against the current goal, which pins down most metavariables
-(a function metavariable over a goal subterm ``pair(a,b)`` can only become
-``pair``), then enumerates pool candidates for whatever is left, in pool
-order.  Only instantiations whose head unifies with the goal are produced.
+Instantiation is goal-directed.  `match_head` lays the head template over
+the current goal, which pins down most metavariables (a function
+metavariable over a goal subterm ``pair(a,b)`` can only become ``pair``).
+`enumerate_bindings` then fills in whatever is left from the candidates
+`pool_candidates` offers, in pool order, and `apply_metasub` builds the
+clause.  The learner's clause source keeps only instantiations whose head
+unifies with the goal.
 """
 
 from __future__ import annotations
@@ -29,15 +31,12 @@ from .terms import (
     Atom,
     Clause,
     Compound,
-    FreshVars,
     Int,
     Store,
     Symbol,
     Term,
     Var,
-    rename_apart,
     symbol,
-    term_vars,
 )
 
 PRED = "pred"
@@ -85,9 +84,6 @@ class Metasub:
 
     rule: str
     bindings: tuple[tuple[str, Binding], ...]
-
-    def binding_map(self) -> dict[str, Binding]:
-        return dict(self.bindings)
 
 
 def _binding_key(b: Binding) -> tuple:
@@ -287,10 +283,11 @@ def apply_metasub(m: Metarule, bindings: Mapping[str, Binding]) -> Clause:
 class Pools:
     """Candidate symbols for metavariable kinds.
 
-    ``head_preds`` fills predicate positions in heads, ``body_preds`` those
-    in bodies; a predicate metavariable occurring in both draws from the
-    intersection.  ``funcs`` holds function symbols of any arity and
-    ``consts`` arity-0 symbols plus integer literals.
+    ``head_preds`` are the predicates a hypothesis may define and
+    ``body_preds`` the auxiliary ones it may only call; `pool_candidates`
+    offers both for any predicate position.  ``funcs`` holds function
+    symbols of any arity and ``consts`` arity-0 symbols plus integer
+    literals.
     """
 
     head_preds: tuple[Symbol, ...]
@@ -299,28 +296,30 @@ class Pools:
     consts: tuple[Binding, ...]
 
 
-def _positions(m: Metarule, name: str) -> tuple[bool, bool]:
-    """(occurs as head predicate, occurs as body predicate)."""
-    in_head = isinstance(m.head.pred, MetaVar) and m.head.pred.name == name
-    in_body = any(isinstance(a.pred, MetaVar) and a.pred.name == name for a in m.body)
-    return in_head, in_body
+def pool_candidates(m: Metarule, pools: Pools,
+                    invented: Sequence[Symbol] = (),
+                    tentative: Optional[str] = None,
+                    ) -> Callable[[Decl, dict], list[Binding]]:
+    """The candidates for each metavariable of ``m``, in enumeration order.
 
+    Constants come from the const pool and function symbols from the
+    function pool, by arity.  A predicate metavariable takes any body, head
+    or ``invented`` predicate of its arity, in that order and without
+    repeats; outside the head it may also take ``tentative``, the name of a
+    predicate not invented yet.
+    """
 
-def static_candidates(m: Metarule, pools: Pools) -> Callable[[Decl, dict], list[Binding]]:
-    def candidates(d: Decl, chosen: dict) -> list[Binding]:
+    def candidates(d: Decl, _chosen: dict) -> list[Binding]:
         if d.kind == CONST:
-            return [c for c in pools.consts
-                    if isinstance(c, int) or c.arity == 0]
+            return list(pools.consts)
         if d.kind == FUNC:
             return [f for f in pools.funcs if f.arity == d.arity]
-        in_head, in_body = _positions(m, d.name)
-        cands: list[Symbol] = []
-        if in_head:
-            cands = [p for p in pools.head_preds if p.arity == d.arity]
-        if in_body:
-            body = [p for p in pools.body_preds if p.arity == d.arity]
-            cands = [p for p in cands if p in body] if in_head else body
-        return list(cands)
+        preds = [p for p in (*pools.body_preds, *pools.head_preds, *invented)
+                 if p.arity == d.arity]
+        if tentative is not None and m.head_pred_meta != d.name:
+            preds.append(symbol(tentative, d.arity))
+        return list(dict.fromkeys(preds))
+
     return candidates
 
 
@@ -346,33 +345,3 @@ def enumerate_bindings(m: Metarule, restr: dict[str, object],
             del chosen[d.name]
 
     return rec(0, {})
-
-
-def instantiate_metarule(m: Metarule, goal: Atom, pools: Pools,
-                         store: Optional[Store] = None,
-                         ) -> Iterator[tuple[Clause, Metasub]]:
-    """Ground the metavariables of ``m`` against ``goal``.
-
-    Yields (clause, metasub) pairs whose head unifies with the goal under
-    the store's current bindings, in deterministic pool order.  The store
-    is left untouched; callers rename the clause apart before resolving
-    against it.
-    """
-    st = store if store is not None else Store()
-    restr = match_head(m, goal, st)
-    if restr is None:
-        return
-    # start renaming below every id already in play so the probe cannot
-    # conflate a template variable with one of the goal's
-    lowest = min((vid for vid in st.bindings if vid < 0), default=0)
-    for t in goal.args:
-        for vid in term_vars(t):
-            lowest = min(lowest, vid)
-    scratch_counter = FreshVars(start=-lowest)
-    for binding in enumerate_bindings(m, restr, static_candidates(m, pools)):
-        clause = apply_metasub(m, binding)
-        probe = Store(st.bindings)
-        renamed = rename_apart(clause, scratch_counter)
-        if probe.unify_atoms(renamed.head, goal):
-            msub = Metasub(m.name, tuple((d.name, binding[d.name]) for d in m.decls))
-            yield clause, msub

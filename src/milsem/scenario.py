@@ -79,9 +79,6 @@ class ScenarioSpec:
     def positives(self) -> list[Example]:
         return [e for e in self.examples if e.tag == "pos"]
 
-    def negatives(self) -> list[Example]:
-        return [e for e in self.examples if e.tag == "neg"]
-
     def nonterminating(self) -> list[Example]:
         return [e for e in self.examples if e.tag == "nonterm"]
 
@@ -112,9 +109,6 @@ class ScenarioSpec:
             funcs=self.func_pool(),
             consts=self.const_pool(),
         )
-
-    def with_examples(self, examples: Iterable[Example]) -> "ScenarioSpec":
-        return replace(self, examples=tuple(examples))
 
 
 def _term_functors(t: Term) -> list[Symbol]:

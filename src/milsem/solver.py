@@ -15,6 +15,15 @@ taints the result when some clause head actually unifies with the goal the
 budget could not pay for.  Builtin calls taint conservatively at budget
 zero since their behaviour cannot be probed without running them.
 
+One `Resolver` does all resolution in the package.  It keeps the goal
+continuation as a linked list and its choice points on an explicit stack,
+so derivation depth costs heap, not Python frames.  Clauses come from a
+*clause source*: a function from a goal to a generator that renames a
+clause apart, unifies its head with the goal, yields the body, and undoes
+those bindings when resumed.  `solve` and `solve_all` use the program's
+first-argument index as the source; the learner adds its hypothesis and
+metarule instantiations behind the background program.
+
 Builtins receive the store plus the unresolved goal arguments and yield
 once per solution, making any bindings through the store so backtracking
 undoes them.  A builtin whose arguments are too uninstantiated to ever
@@ -25,7 +34,6 @@ a program bug rather than a failed branch.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -41,7 +49,6 @@ from .terms import (
     atom_vars,
     rename_apart,
     restrict,
-    term_vars,
 )
 
 
@@ -59,6 +66,7 @@ class BuiltinError(Exception):
 
 
 BuiltinFn = Callable[[Store, tuple[Term, ...]], Iterator[None]]
+ClauseSource = Callable[[Atom], Iterator[Sequence[Atom]]]
 
 
 class BuiltinTable:
@@ -73,24 +81,14 @@ class BuiltinTable:
     def get(self, sym: Symbol) -> Optional[BuiltinFn]:
         return self._fns.get(sym)
 
-    def __contains__(self, sym: Symbol) -> bool:
-        return sym in self._fns
-
     def predicates(self) -> frozenset[Symbol]:
         return frozenset(self._fns)
-
-    def copy(self) -> "BuiltinTable":
-        t = BuiltinTable()
-        t._fns = dict(self._fns)
-        return t
 
 
 @dataclass(frozen=True, slots=True)
 class SolveConfig:
     depth_limit: int = 300
-    occurs_check: bool = False
     max_solutions: Optional[int] = None
-    trace: Optional[Callable[[str], None]] = None
 
 
 @dataclass(slots=True)
@@ -112,111 +110,101 @@ class Answers:
     steps: int
 
 
-class _Search:
-    __slots__ = ("program", "builtins", "config", "store", "counter",
-                 "tainted", "steps", "trace")
+def _builtin_alternatives(fn: BuiltinFn, store: Store,
+                          args: tuple[Term, ...]) -> Iterator[tuple]:
+    mark = store.mark()
+    for _ in fn(store, args):
+        yield ()
+        # roll back this solution before asking for the next
+        store.undo(mark)
+    store.undo(mark)
 
-    def __init__(self, program: Program, builtins: Optional[BuiltinTable],
-                 config: SolveConfig, lowest_goal_var: int) -> None:
-        self.program = program
+
+class Resolver:
+    """Iterative SLD resolution with a step count and the taint flag.
+
+    ``steps`` counts clause applications and builtin calls; ``tainted``
+    records whether the budget cut some branch whose goal could have
+    continued.  Both accumulate over every `run` on the same resolver.
+    """
+
+    __slots__ = ("builtins", "store", "counter", "steps", "tainted")
+
+    def __init__(self, builtins: Optional[BuiltinTable],
+                 counter: FreshVars) -> None:
         self.builtins = builtins or BuiltinTable()
-        self.config = config
         self.store = Store()
-        self.counter = FreshVars(start=-lowest_goal_var)
-        self.tainted = False
+        self.counter = counter
         self.steps = 0
-        self.trace = config.trace
+        self.tainted = False
 
-    def solve_goal(self, goal: Atom, budget: int, level: int) -> Iterator[int]:
-        trace = self.trace
-        if trace:
-            trace("  " * level + f"call {self._fmt(goal)} [budget {budget}]")
-        bfn = self.builtins.get(goal.pred)
-        if bfn is not None:
-            if budget < 1:
-                self.tainted = True
-                if trace:
-                    trace("  " * level + "cut: out of budget")
+    def program_source(self, program: Program) -> ClauseSource:
+        """The program's clauses for a goal, skipping those whose indexed
+        first argument cannot match the goal's."""
+        store, counter = self.store, self.counter
+
+        def clauses(goal: Atom) -> Iterator[Sequence[Atom]]:
+            gkey = _index_key(store.walk(goal.args[0])) if goal.args else None
+            for _cid, clause, key in program.clauses_for(goal.pred):
+                if gkey is not None and key is not None and key != gkey:
+                    continue
+                renamed = rename_apart(clause, counter)
+                mark = store.mark()
+                if store.unify_atoms(renamed.head, goal):
+                    yield renamed.body
+                store.undo(mark)
+
+        return clauses
+
+    def run(self, goals: Sequence[Atom], budget: int,
+            source: ClauseSource) -> Iterator[int]:
+        """Prove the conjunction; yields the unspent budget once per proof,
+        with the answer bindings in the store until resumed."""
+        store, builtins = self.store, self.builtins
+        cont = None  # goals still to prove, as nested (goal, rest) pairs
+        for g in reversed(goals):
+            cont = (g, cont)
+        # choice points: (alternatives, continuation after the goal,
+        # budget left for the body, steps charged per alternative)
+        stack: list[tuple[Iterator[Sequence[Atom]], object, int, int]] = []
+        while True:
+            if cont is None:
+                yield budget
+            else:
+                goal, rest = cont
+                fn = builtins.get(goal.pred)
+                if fn is not None:
+                    if budget < 1:
+                        self.tainted = True
+                    else:
+                        self.steps += 1
+                        stack.append((_builtin_alternatives(fn, store, goal.args),
+                                      rest, budget - 1, 0))
+                elif budget >= 1:
+                    stack.append((source(goal), rest, budget - 1, 1))
+                elif not self.tainted:
+                    self.tainted = self._applies(source(goal))
+            # resume the newest choice point that has an alternative left
+            while stack:
+                alternatives, rest, budget, cost = stack[-1]
+                body = next(alternatives, None)
+                if body is not None:
+                    break
+                stack.pop()
+            else:
                 return
-            self.steps += 1
-            mark = self.store.mark()
-            for _ in bfn(self.store, goal.args):
-                if trace:
-                    trace("  " * level + f"exit {self._fmt(goal)}")
-                yield budget - 1
-                # roll back this solution before asking for the next
-                self.store.undo(mark)
-            self.store.undo(mark)
-            if trace:
-                trace("  " * level + f"fail {self._fmt(goal)}")
-            return
+            self.steps += cost
+            cont = rest
+            for g in reversed(body):
+                cont = (g, cont)
 
-        gkey = _index_key(self.store.walk(goal.args[0])) if goal.args else None
-        for _cid, clause, key in self.program.clauses_for(goal.pred):
-            if gkey is not None and key is not None and key != gkey:
-                continue
-            if budget < 1:
-                if not self.tainted and self._head_applies(clause, goal):
-                    self.tainted = True
-                    if trace:
-                        trace("  " * level + "cut: out of budget")
-                continue
-            renamed = rename_apart(clause, self.counter)
-            mark = self.store.mark()
-            if self.store.unify_atoms(renamed.head, goal,
-                                      occurs_check=self.config.occurs_check):
-                self.steps += 1
-                yield from self.solve_goals(renamed.body, budget - 1, level + 1)
-            self.store.undo(mark)
-        if trace:
-            trace("  " * level + f"fail {self._fmt(goal)}")
-
-    def solve_goals(self, goals: Sequence[Atom], budget: int,
-                    level: int) -> Iterator[int]:
-        if not goals:
-            yield budget
-            return
-        head, rest = goals[0], goals[1:]
-        for left in self.solve_goal(head, budget, level):
-            yield from self.solve_goals(rest, left, level)
-
-    def _head_applies(self, clause, goal: Atom) -> bool:
-        renamed = rename_apart(clause, self.counter)
+    def _applies(self, alternatives: Iterator[Sequence[Atom]]) -> bool:
+        """Whether the source has any clause for the goal, bindings undone."""
         mark = self.store.mark()
-        ok = self.store.unify_atoms(renamed.head, goal, occurs_check=False)
+        found = next(alternatives, None) is not None
+        alternatives.close()
         self.store.undo(mark)
-        return ok
-
-    def _fmt(self, goal: Atom) -> str:
-        from .terms import apply_subst_atom
-        from .textio import print_atom
-
-        return print_atom(apply_subst_atom(self.store.bindings, goal))
-
-
-def _as_goal_list(query: Union[Atom, Sequence[Atom]]) -> list[Atom]:
-    if isinstance(query, Atom):
-        return [query]
-    return list(query)
-
-
-def _query_vars(goals: Sequence[Atom]) -> list[int]:
-    seen: list[int] = []
-    for g in goals:
-        for v in atom_vars(g):
-            if v not in seen:
-                seen.append(v)
-    return seen
-
-
-def _lowest_var(goals: Sequence[Atom]) -> int:
-    lo = 0
-    for g in goals:
-        for t in g.args:
-            for v in term_vars(t):
-                if v < lo:
-                    lo = v
-    return lo
+        return found
 
 
 def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
@@ -228,42 +216,43 @@ def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
         raise ValueError(f"predicates defined both by clauses and builtins: {names}")
 
 
-def _ensure_stack() -> None:
-    # deep conjunction chains nest generators, one frame per budget unit
-    if sys.getrecursionlimit() < 100_000:
-        sys.setrecursionlimit(100_000)
+def _start(program: Program, query: Union[Atom, Sequence[Atom]],
+           config: SolveConfig, builtins: Optional[BuiltinTable],
+           ) -> tuple[Resolver, Iterator[int], list[int]]:
+    _check_disjoint(program, builtins)
+    goals = [query] if isinstance(query, Atom) else list(query)
+    qvars = list(dict.fromkeys(v for g in goals for v in atom_vars(g)))
+    # renamed clause variables must not collide with negative query ids
+    resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
+    proofs = resolver.run(goals, config.depth_limit,
+                          resolver.program_source(program))
+    return resolver, proofs, qvars
 
 
 def solve(program: Program, query: Union[Atom, Sequence[Atom]],
           config: SolveConfig = SolveConfig(),
           builtins: Optional[BuiltinTable] = None) -> Outcome:
     """Run a query to its first proof."""
-    _check_disjoint(program, builtins)
-    _ensure_stack()
-    goals = _as_goal_list(query)
-    search = _Search(program, builtins, config, _lowest_var(goals))
-    qvars = _query_vars(goals)
-    for remaining in search.solve_goals(goals, config.depth_limit, 0):
-        answer = restrict(search.store.bindings, qvars)
-        return Outcome(Verdict.PROVED, answer, search.steps,
+    resolver, proofs, qvars = _start(program, query, config, builtins)
+    for remaining in proofs:
+        answer = restrict(resolver.store.bindings, qvars)
+        return Outcome(Verdict.PROVED, answer, resolver.steps,
                        config.depth_limit - remaining)
-    verdict = Verdict.DEPTH_EXCEEDED if search.tainted else Verdict.FINITE_FAILURE
-    return Outcome(verdict, None, search.steps, None)
+    verdict = (Verdict.DEPTH_EXCEEDED if resolver.tainted
+               else Verdict.FINITE_FAILURE)
+    return Outcome(verdict, None, resolver.steps, None)
 
 
 def solve_all(program: Program, query: Union[Atom, Sequence[Atom]],
               config: SolveConfig = SolveConfig(),
               builtins: Optional[BuiltinTable] = None) -> Answers:
     """Collect every answer reachable within the depth budget."""
-    _check_disjoint(program, builtins)
-    _ensure_stack()
-    goals = _as_goal_list(query)
-    search = _Search(program, builtins, config, _lowest_var(goals))
-    qvars = _query_vars(goals)
+    resolver, proofs, qvars = _start(program, query, config, builtins)
     answers: list[Subst] = []
-    for _remaining in search.solve_goals(goals, config.depth_limit, 0):
-        answers.append(restrict(search.store.bindings, qvars))
+    for _remaining in proofs:
+        answers.append(restrict(resolver.store.bindings, qvars))
         if (config.max_solutions is not None
                 and len(answers) >= config.max_solutions):
-            return Answers(answers, complete=False, steps=search.steps)
-    return Answers(answers, complete=not search.tainted, steps=search.steps)
+            return Answers(answers, complete=False, steps=resolver.steps)
+    return Answers(answers, complete=not resolver.tainted,
+                   steps=resolver.steps)

@@ -371,10 +371,6 @@ def apply_subst(s: Mapping[int, Term], t: Term) -> Term:
     return _resolve(s, t, ())
 
 
-def apply_subst_atom(s: Mapping[int, Term], a: Atom) -> Atom:
-    return Atom(a.pred, tuple(_resolve(s, t, ()) for t in a.args))
-
-
 def restrict(s: Mapping[int, Term], vids: Iterable[int]) -> Subst:
     """The substitution narrowed to the given variables, fully resolved."""
     return {vid: _resolve(s, Var(vid), ()) for vid in vids if vid in s}

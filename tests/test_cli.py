@@ -6,6 +6,8 @@ the documented output contract.
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,6 +99,22 @@ def test_learn_timeout_exits_3(capsys):
     assert payload["exit"] == 3
 
 
+def test_learn_cut_by_depth_exits_3(capsys):
+    # the depth bound, not the size cap, stops the search here
+    assert main(["learn", "pairs", "--depth", "4", "--json"]) == 3
+    payload = _json_payload(capsys)
+    assert payload["status"] == "depth_exceeded"
+    assert payload["exit"] == 3
+    assert payload["clauses"] == []
+
+
+def test_learn_cut_by_depth_says_so(capsys):
+    assert main(["learn", "pairs", "--depth", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "no hypothesis within 8 clauses" in err
+    assert "depth limit 4 cut the search" in err
+
+
 def test_learn_unknown_scenario_exits_2(capsys):
     assert main(["learn", "missing.pls"]) == 2
     err = capsys.readouterr().err
@@ -127,6 +145,17 @@ def test_run_finite_failure_exits_1(capsys):
 def test_run_depth_exceeded_exits_3(capsys):
     assert main(["run", OMEGA, "--depth", "80"]) == 3
     assert capsys.readouterr().out.strip() == "DepthExceeded"
+
+
+def test_run_very_deep_loop_exits_3():
+    # a derivation 100k steps deep must be reported, not crash the process
+    code = ("import sys; from milsem.cli import main; "
+            "sys.exit(main(['run', '--depth', '100000', sys.argv[1]]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, OMEGA], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stdout.strip() == "DepthExceeded"
 
 
 def test_run_json(capsys):

@@ -163,6 +163,18 @@ def test_learn_exhausts_on_impossible_examples():
     assert res.stats.size_reached == 2
 
 
+def test_learn_reports_a_search_cut_by_depth():
+    # at depth 1 the selector's body goal left(a,b,a) has a clause but no
+    # budget left, so the search was cut rather than exhausted
+    res = learn(_spec(SELECTOR, "toy"), depth_limit=1)
+    assert res.status == "depth_exceeded"
+    assert res.hypothesis is None and not res.ok
+    # the cut is exact: no clause head fits left(a,b,c) or right(a,b,c), so
+    # running out of budget there cut nothing
+    impossible = SELECTOR.replace("pos(step(sel(a,b),a)).", "pos(step(sel(a,b),c)).")
+    assert learn(_spec(impossible, "imp"), depth_limit=1).status == "exhausted"
+
+
 def test_learn_reports_timeout():
     res = learn(builtin_scenario("conditionals"), timeout=0.001)
     assert res.status == "timeout"

@@ -6,10 +6,9 @@ from milsem.metarules import (
     Pools,
     apply_metasub,
     enumerate_bindings,
-    instantiate_metarule,
     match_head,
     metasub_key,
-    static_candidates,
+    pool_candidates,
 )
 from milsem.terms import Int, Store, atom, const, mk, symbol, var
 from milsem.textio import parse_atom, parse_clause, parse_metarule, print_clause
@@ -97,67 +96,32 @@ def test_apply_metasub_const_as_int():
 def test_enumerate_in_pool_order():
     restr = {}
     out = list(enumerate_bindings(STEP2L, restr,
-                                  static_candidates(STEP2L, POOLS)))
+                                  pool_candidates(STEP2L, POOLS)))
     assert [b["H"] for b in out] == [symbol("pair", 2)]  # only arity-2 func
 
 
 def test_enumerate_respects_restriction():
     restr = {"Q": {symbol("right", 3)}}
     out = list(enumerate_bindings(UNPACK2, restr,
-                                  static_candidates(UNPACK2, POOLS)))
+                                  pool_candidates(UNPACK2, POOLS)))
     assert out  # P x H x Q combinations survive
     assert all(b["Q"] == symbol("right", 3) for b in out)
 
 
 def test_head_pred_candidates_come_from_head_pool():
     outs = list(enumerate_bindings(UNPACK2, {},
-                                   static_candidates(UNPACK2, POOLS)))
+                                   pool_candidates(UNPACK2, POOLS)))
     assert {b["P"] for b in outs} == {symbol("step", 2)}
     assert {b["Q"] for b in outs} == {symbol("left", 3), symbol("right", 3)}
 
 
 def test_const_candidates_include_ints():
     outs = list(enumerate_bindings(VALUE0, {},
-                                   static_candidates(VALUE0, POOLS)))
+                                   pool_candidates(VALUE0, POOLS)))
     assert [b["C"] for b in outs] == [symbol("true", 0), 7]
 
 
-# ---- goal-directed instantiation ----
-
-def test_instantiate_yields_unifying_clauses():
-    goal = parse_atom("step(pair(lit(1),lit(2)),Out)")
-    got = list(instantiate_metarule(STEP2L, goal, POOLS))
-    assert len(got) == 1
-    clause, msub = got[0]
-    assert msub.rule == "step2l"
-    assert dict(msub.bindings) == {"H": symbol("pair", 2)}
-    assert print_clause(clause) == "step(pair(A,B),pair(C,B)) :- step(A,C)."
-
-
-def test_instantiate_filters_nonunifiable():
-    # head template step([H,A,B],[H,C,B]) cannot unify when the goal's
-    # result position is already a different functor
-    store = Store()
-    goal = parse_atom("step(pair(lit(1),lit(2)),fst(X))")
-    got = list(instantiate_metarule(STEP2L, goal, POOLS, store))
-    assert got == []
-
-
-def test_instantiate_leaves_store_untouched():
-    store = Store()
-    goal = parse_atom("step(pair(lit(1),lit(2)),Out2)")
-    before = dict(store.bindings)
-    list(instantiate_metarule(STEP2L, goal, POOLS, store))
-    assert dict(store.bindings) == before
-
-
-def test_instantiate_unpack2_enumerates_selectors():
-    goal = parse_atom("step(fst(pair(var(a),var(b))),Out)")
-    # arity mismatch for step2l, fine for stepselnest-like templates;
-    # unpack2 on pred step/2 with H=fst/1 does not fit (H is binary)
-    got = list(instantiate_metarule(UNPACK2, goal, POOLS))
-    assert got == []
-
+# ---- metasub keys ----
 
 def test_metasub_key_orders_by_rule_then_bindings():
     a = Metasub("step2l", (("H", symbol("pair", 2)),))

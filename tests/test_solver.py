@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -334,6 +335,7 @@ def test_builtin_duplicate_registration_rejected():
 def test_deep_chain_does_not_hit_python_limit():
     # linear recursion a few thousand frames deep; the term is built
     # directly because the recursive-descent parser has its own limits
+    limit = sys.getrecursionlimit()
     p = parse_program(
         "count(z).\ncount(s(N)) :- count(N).")
     t = const("z")
@@ -342,3 +344,5 @@ def test_deep_chain_does_not_hit_python_limit():
     out = solve(p, Atom(symbol("count", 1), (t,)),
                 SolveConfig(depth_limit=5000))
     assert out.proved
+    # the resolver keeps its own stack instead of raising Python's limit
+    assert sys.getrecursionlimit() == limit
