@@ -20,7 +20,7 @@ from typing import Optional
 
 from .corpus import builtin_corpus, builtin_corpus_names, load_corpus
 from .learn import LearnResult, learn, learn_seq
-from .objectlang import STRATEGIES, base_clauses, conformance_check, default_builtins
+from .objectlang import CORES, STRATEGIES, base_clauses, conformance_check, default_builtins
 from .scenario import (
     Options,
     ScenarioError,
@@ -308,8 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", "--program", dest="programs", action="append",
                    default=[], metavar="FILE",
                    help="clause file to load; repeatable")
-    p.add_argument("--base", choices=["full", "lazy", "eager", "none"],
-                   default="full",
+    p.add_argument("--base", choices=[*CORES, "none"], default="full",
                    help="built-in rules to include (default full)")
     common(p)
     p.set_defaults(fn=cmd_run)
@@ -331,8 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="interpreter strategy (default lazy)")
     p.add_argument("--fuel", type=int, default=1000, metavar="N",
                    help="interpreter step budget per term")
-    p.add_argument("--base", choices=["full", "lazy", "eager", "none"],
-                   default="none",
+    p.add_argument("--base", choices=[*CORES, "none"], default="none",
                    help="built-in rules to prepend (default none)")
     common(p)
     p.set_defaults(fn=cmd_check)

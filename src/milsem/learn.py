@@ -301,7 +301,6 @@ def meta_prove(spec: ScenarioSpec, goals: Union[Atom, Sequence[Atom]], *,
 
 def learn(spec: ScenarioSpec, *,
           builtins: Optional[BuiltinTable] = None,
-          prune: bool = True,
           depth_limit: Optional[int] = None,
           max_clauses: Optional[int] = None,
           timeout: Optional[float] = None,
@@ -309,9 +308,8 @@ def learn(spec: ScenarioSpec, *,
     """Search for the smallest hypothesis consistent with every example.
 
     Deepens on hypothesis size, so the result is minimal in clause count.
-    ``prune`` skips re-validating a candidate clause set already seen under
-    a different derivation order; it never changes which hypothesis is
-    found, only how much checking happens on the way.
+    A candidate clause set already checked, reached again under a
+    different derivation order or at a larger size cap, is skipped.
     """
     if builtins is None:
         builtins = default_builtins()
@@ -348,10 +346,9 @@ def learn(spec: ScenarioSpec, *,
             for _ in engine.prove_goals():
                 candidate = engine.snapshot()
                 key = frozenset(metasub_key(ms) for ms in candidate.metasubs)
-                if prune:
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                if key in seen:
+                    continue
+                seen.add(key)
                 total.candidates += 1
                 program = Program(tuple(spec.bk) + candidate.clauses)
                 good = all(
@@ -392,7 +389,6 @@ class SeqResult:
 
 def learn_seq(specs: Sequence[ScenarioSpec], *,
               builtins: Optional[BuiltinTable] = None,
-              prune: bool = True,
               trace: Trace = None) -> SeqResult:
     """Learn scenarios in order, feeding each hypothesis to the next task
     as background.  The combined program is the first scenario's background
@@ -404,7 +400,7 @@ def learn_seq(specs: Sequence[ScenarioSpec], *,
         grown = replace(spec, bk=spec.bk + tuple(induced))
         if trace:
             trace(f"task {spec.name}")
-        res = learn(grown, builtins=builtins, prune=prune, trace=trace)
+        res = learn(grown, builtins=builtins, trace=trace)
         results.append((spec.name, res))
         if not res.ok:
             break

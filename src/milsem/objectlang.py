@@ -16,6 +16,9 @@ Three independent views of evaluation live here:
   * `reference_eval`, a direct recursive interpreter used for checking
     rule programs against ground truth.  It is written from the semantics
     alone and shares nothing with ``solve`` except `substitute`.
+
+Beside the core lives `metarule_library`, the metarules every bundled
+scenario learns with.  Scenario files include both rather than copy them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
+from .metarules import Metarule
 from .solver import (
     BuiltinError,
     BuiltinTable,
@@ -45,7 +49,7 @@ from .terms import (
     term_vars,
     var,
 )
-from .textio import parse_clauses, print_term
+from .textio import parse_clauses, parse_metarules, print_term
 
 S_VAR = symbol("var", 1)
 S_LAM = symbol("lam", 2)
@@ -73,6 +77,7 @@ S_LEFT = symbol("left", 3)
 S_RIGHT = symbol("right", 3)
 
 STRATEGIES = ("lazy", "eager")
+CORES = ("full", *STRATEGIES)
 
 
 def _c(f, *args: Term) -> Compound:
@@ -215,7 +220,7 @@ def default_builtins() -> BuiltinTable:
 
 
 # ============================================================
-# The fixed rule core
+# The fixed rule core and the metarule library
 # ============================================================
 
 BASE_BK_SRC = """\
@@ -245,7 +250,7 @@ def base_clauses(strategy: str = "full") -> tuple[Clause, ...]:
     """The core rules.  'full' keeps the call-by-name application rules;
     'lazy' and 'eager' leave application behaviour to be learned and are
     otherwise identical."""
-    if strategy not in ("full", "lazy", "eager"):
+    if strategy not in CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
     clauses = tuple(parse_clauses(BASE_BK_SRC))
     if strategy == "full":
@@ -253,8 +258,23 @@ def base_clauses(strategy: str = "full") -> tuple[Clause, ...]:
     return tuple(c for c in clauses if not _is_app_step(c))
 
 
-def base_bk(strategy: str = "full") -> Program:
-    return Program(base_clauses(strategy))
+METARULES_SRC = """\
+metarule(step2l, [func(H/2)], ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).
+metarule(step2r, [func(H/2)], ([step,[H,V,B],[H,V,C]] :- [[value,V],[step,B,C]])).
+metarule(stepselnest, [func(F/1),func(G/2),pred(P/3)], ([step,[F,[G,A,B]],C] :- [[P,A,B,C]])).
+metarule(stepsel1, [func(F/1),pred(P/2)], ([step,[F,A],B] :- [[P,A,B]])).
+metarule(casec, [pred(P/3),const(C),pred(Q/2)], ([P,[C],A,B] :- [[Q,A,B]])).
+metarule(unpack2, [pred(P/2),func(H/2),pred(Q/3)], ([P,[H,A,B],C] :- [[Q,A,B,C]])).
+metarule(value2, [func(H/2)], ([value,[H,A,B]] :- [[value,A],[value,B]])).
+metarule(value0, [const(C)], ([value,[C]] :- [])).
+metarule(betalazy, [func(F/2),func(G/2)], ([step,[F,[G,X,B],A],T] :- [[substitute,A,X,B,T]])).
+metarule(betaeager, [func(F/2),func(G/2)], ([step,[F,[G,X,B],A],T] :- [[value,A],[substitute,A,X,B,T]])).
+"""
+
+
+def metarule_library() -> tuple[Metarule, ...]:
+    """The metarules every bundled scenario learns with."""
+    return tuple(parse_metarules(METARULES_SRC))
 
 
 # ============================================================

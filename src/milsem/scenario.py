@@ -16,21 +16,26 @@ The function pool is the declared set plus any functor that occurs in an
 example goal but nowhere in the background program, so files only need to
 spell out constructors the examples cannot reveal.  Arity-0 functions
 double as constants; integer literals in examples join the constant pool.
+
+Two directives, expanded in place, pull in what every scenario shares
+from `milsem.objectlang`: ``include(core(S)).`` in ``background`` stands
+for ``base_clauses(S)``, S being full, lazy or eager, and
+``include(library).`` in ``metarules`` for ``metarule_library()``.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .metarules import Metarule, Pools
+from .objectlang import CORES, base_clauses, metarule_library
 from .terms import Atom, Clause, Compound, Int, Symbol, Term, symbol
 from .textio import (
     ParseError,
     _Parser,
-    parse_clauses,
-    parse_metarules,
     print_atom,
     print_clause,
     print_metarule,
@@ -186,6 +191,34 @@ def _split_sections(text: str) -> dict[str, str]:
     return sections
 
 
+_INCLUDES = {
+    "background": {f"include(core({s}))": partial(base_clauses, s)
+                   for s in CORES},
+    "metarules": {"include(library)": metarule_library},
+}
+
+
+def _parse_items(sections: dict[str, str], section: str,
+                 parse_one: Callable[[_Parser], object]) -> tuple:
+    """Parse the items of a section, expanding include directives in place."""
+    includes = _INCLUDES[section]
+    p = _Parser(sections[section])
+    out: list = []
+    while not p.at("EOF"):
+        tok = p.peek()
+        if tok.text != "include":
+            out.append(parse_one(p))
+            continue
+        directive = print_atom(p.atom())
+        p.expect("DOT", ".")
+        if directive not in includes:
+            raise ScenarioError(
+                f"{directive}. at line {tok.line}: the {section} section "
+                f"takes only {', '.join(includes)}")
+        out.extend(includes[directive]())
+    return tuple(out)
+
+
 def _parse_examples(text: str) -> list[Example]:
     p = _Parser(text)
     out: list[Example] = []
@@ -220,12 +253,8 @@ def _parse_options(text: str) -> Options:
             if not isinstance(arg, Int) or arg.value <= 0:
                 raise ScenarioError(
                     f"{name} at line {tok.line} needs a positive integer")
-            if name == "depth_limit":
-                opts = replace(opts, depth_limit=arg.value)
-            elif name == "max_clauses":
-                opts = replace(opts, max_clauses=arg.value)
-            else:
-                opts = replace(opts, timeout=float(arg.value))
+            value = float(arg.value) if name == "timeout" else arg.value
+            opts = replace(opts, **{name: value})
         elif name == "neg_depth_policy":
             if not (isinstance(arg, Compound) and arg.functor.arity == 0
                     and arg.functor.name in ("reject", "accept")):
@@ -251,8 +280,8 @@ def _parse_symbol_list(text: str, *, what: str) -> tuple[Symbol, ...]:
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
     sections = _split_sections(text)
-    bk = tuple(parse_clauses(sections["background"]))
-    metarules = tuple(parse_metarules(sections["metarules"]))
+    bk = _parse_items(sections, "background", _Parser.clause)
+    metarules = _parse_items(sections, "metarules", _Parser.metarule)
     if not metarules:
         raise ScenarioError("metarules section is empty")
     head = _parse_symbol_list(sections["head"], what="head predicate")
@@ -309,34 +338,22 @@ def load_scenario(path: str, name: Optional[str] = None) -> ScenarioSpec:
 
 
 def print_scenario(spec: ScenarioSpec) -> str:
-    out: list[str] = []
-    out.append("%% background")
-    out.extend(print_clause(c) for c in spec.bk)
-    out.append("")
-    out.append("%% metarules")
-    out.extend(print_metarule(m) for m in spec.metarules)
-    out.append("")
-    out.append("%% head")
-    out.extend(print_symbol(s) for s in spec.head_preds)
-    if spec.body_preds:
-        out.append("")
-        out.append("%% body")
-        out.extend(print_symbol(s) for s in spec.body_preds)
-    if spec.func_decls:
-        out.append("")
-        out.append("%% functions")
-        out.extend(print_symbol(s) for s in spec.func_decls)
-    out.append("")
-    out.append("%% examples")
-    out.extend(str(e) for e in spec.examples)
     o = spec.options
-    out.append("")
-    out.append("%% options")
-    out.append(f"depth_limit({o.depth_limit}).")
-    out.append(f"max_clauses({o.max_clauses}).")
-    out.append(f"neg_depth_policy({o.neg_depth_policy}).")
-    out.append(f"timeout({int(o.timeout)}).")
-    return "\n".join(out) + "\n"
+    sections = (
+        ("background", [print_clause(c) for c in spec.bk]),
+        ("metarules", [print_metarule(m) for m in spec.metarules]),
+        ("head", [print_symbol(s) for s in spec.head_preds]),
+        ("body", [print_symbol(s) for s in spec.body_preds]),
+        ("functions", [print_symbol(s) for s in spec.func_decls]),
+        ("examples", [str(e) for e in spec.examples]),
+        ("options", [f"depth_limit({o.depth_limit}).",
+                     f"max_clauses({o.max_clauses}).",
+                     f"neg_depth_policy({o.neg_depth_policy}).",
+                     f"timeout({int(o.timeout)})."]),
+    )
+    return "\n\n".join("\n".join((f"%% {name}", *lines))
+                       for name, lines in sections
+                       if lines or name not in ("body", "functions")) + "\n"
 
 
 def builtin_scenario_names() -> list[str]:

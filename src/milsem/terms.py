@@ -476,14 +476,8 @@ class Program:
     def clauses_for(self, pred: Symbol) -> list[tuple[int, Clause, object]]:
         return self._index.get(pred, [])
 
-    def defines(self, pred: Symbol) -> bool:
-        return pred in self._index
-
     def predicates(self) -> tuple[Symbol, ...]:
         return tuple(self._index.keys())
-
-    def extended(self, more: Iterable[Clause]) -> "Program":
-        return Program(self.clauses + tuple(more))
 
     def __len__(self) -> int:
         return len(self.clauses)

@@ -86,6 +86,36 @@ def test_learn_scenario_file(tmp_path, capsys):
     assert "step(sel(A,B),C) :- left(A,B,C)." in capsys.readouterr().out
 
 
+def test_learn_copy_of_bundled_file_learns_the_same(tmp_path, capsys):
+    bundled = ROOT / "src" / "milsem" / "data" / "scenarios" / "pairs.pls"
+    path = tmp_path / "mypairs.pls"
+    path.write_text(bundled.read_text())
+    assert main(["learn", "pairs"]) == 0
+    expected = capsys.readouterr().out.splitlines()[1:]
+    assert main(["learn", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("% mypairs: 5 clauses")
+    assert out[1:] == expected
+
+
+@pytest.mark.parametrize("section,bad", [
+    ("background", "include(core(normal))."),
+    ("background", "include(library)."),
+    ("background", "include(rules)."),
+    ("metarules", "include(other)."),
+    ("metarules", "include(core(full))."),
+])
+def test_learn_bad_include_exits_2(tmp_path, capsys, section, bad):
+    text = TOY_SCENARIO.replace(f"%% {section}\n", f"%% {section}\n{bad}\n")
+    path = tmp_path / "bad.pls"
+    path.write_text(text)
+    assert main(["learn", str(path)]) == 2
+    err = capsys.readouterr().err
+    lineno = text.splitlines().index(bad) + 1
+    assert err.startswith(f"error: {path}: ")
+    assert f"at line {lineno}" in err
+
+
 def test_learn_exhausted_exits_1(capsys):
     assert main(["learn", "pairs", "--max-clauses", "1"]) == 1
     err = capsys.readouterr().err

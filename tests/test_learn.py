@@ -242,15 +242,10 @@ def test_learn_pairs_scenario():
     ])
 
 
-def test_learn_lists_scenario_prune_is_transparent():
-    spec = builtin_scenario("lists")
-    pruned = learn(spec, prune=True)
-    unpruned = learn(spec, prune=False)
-    assert pruned.ok and unpruned.ok
-    assert [print_clause(c) for c in pruned.hypothesis.clauses] \
-        == [print_clause(c) for c in unpruned.hypothesis.clauses]
-    assert pruned.stats.candidates <= unpruned.stats.candidates
-    assert sorted(print_clause(c) for c in pruned.hypothesis.clauses) == sorted([
+def test_learn_lists_scenario():
+    res = learn(builtin_scenario("lists"))
+    assert res.ok
+    assert sorted(print_clause(c) for c in res.hypothesis.clauses) == sorted([
         "step(head(cons(A,B)),C) :- left(A,B,C).",
         "step(tail(cons(A,B)),C) :- right(A,B,C).",
         "step(cons(A,B),cons(C,B)) :- step(A,C).",

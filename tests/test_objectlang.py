@@ -18,7 +18,6 @@ from milsem.objectlang import (
     OracleConfig,
     StuckTermError,
     alpha_equal,
-    base_bk,
     base_clauses,
     check_step_determinism,
     conformance_check,

@@ -1,5 +1,8 @@
+import importlib.resources
+
 import pytest
 
+from milsem.objectlang import BASE_BK_SRC, base_clauses, metarule_library
 from milsem.scenario import (
     Options,
     ScenarioError,
@@ -9,7 +12,8 @@ from milsem.scenario import (
     parse_scenario,
     print_scenario,
 )
-from milsem.terms import symbol
+from milsem.terms import symbol, variant
+from milsem.textio import print_clause, print_metarule
 
 GOOD = """\
 %% background
@@ -148,6 +152,24 @@ def test_pools_are_ordered_tuples():
     assert p.head_preds == (symbol("value", 1),)
 
 
+# ---- include directives ----
+
+def test_includes_expand_in_place():
+    text = GOOD.replace(
+        "value(var(_)).\n",
+        "value(var(_)).\ninclude(core(eager)).\n").replace(
+        "metarule(value0, [const(C)], ([value,[C]] :- [])).",
+        "metarule(mine, [const(C)], ([value,[C]] :- [])).\ninclude(library).")
+    s = parse_scenario(text)
+    core = base_clauses("eager")
+    assert len(s.bk) == len(core) + 2
+    assert print_clause(s.bk[0]).startswith("value(var(")
+    assert all(variant(a, b) for a, b in zip(s.bk[1:], core))
+    assert print_clause(s.bk[-1]) == "eval(E1,E1) :- value(E1)."
+    assert [m.name for m in s.metarules] \
+        == ["mine"] + [m.name for m in metarule_library()]
+
+
 # ---- round trip and bundled files ----
 
 def test_print_parse_round_trip():
@@ -169,11 +191,32 @@ def test_bundled_scenarios_all_parse():
         assert s.metarules, name
 
 
-def test_bundled_scenarios_share_metarules():
-    rules = {name: [m.name for m in builtin_scenario(name).metarules]
-             for name in builtin_scenario_names()}
-    first = next(iter(rules.values()))
-    assert all(r == first for r in rules.values())
+BUNDLED_CORES = {"conditionals": "full", "lazy_eager": "lazy",
+                 "lists": "full", "pairs": "full"}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_CORES))
+def test_bundled_scenario_includes_the_one_core_and_library(name):
+    spec = builtin_scenario(name)
+    core = base_clauses(BUNDLED_CORES[name])
+    assert len(spec.bk) == len(core)
+    assert all(variant(a, b) for a, b in zip(spec.bk, core))
+    library = [print_metarule(m) for m in metarule_library()]
+    assert [print_metarule(m) for m in spec.metarules] == library
+
+    again = parse_scenario(print_scenario(spec), name)
+    assert again.bk == spec.bk
+    assert [print_metarule(m) for m in again.metarules] == library
+    assert again.pools() == spec.pools()
+    assert again.examples == spec.examples
+    assert again.options == spec.options
+
+    # the shared definitions are not copied back into the file
+    text = (importlib.resources.files("milsem") / "data" / "scenarios"
+            / f"{name}.pls").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    assert not [ln for ln in lines if ln.startswith("metarule(")]
+    assert not set(lines) & set(BASE_BK_SRC.splitlines())
 
 
 def test_unknown_builtin():

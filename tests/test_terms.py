@@ -211,16 +211,3 @@ def test_program_first_arg_index():
     ))
     fs = [key for _, _, key in p.clauses_for(symbol("p", 1))]
     assert fs == [symbol("f", 1), symbol("g", 1), None]
-
-
-def test_program_defines():
-    p = Program((fact(atom("p", Int(1))),))
-    assert p.defines(symbol("p", 1))
-    assert not p.defines(symbol("q", 1))
-
-
-def test_program_extended_preserves_order():
-    c1 = fact(atom("p", Int(1)))
-    c2 = fact(atom("p", Int(2)))
-    p = Program((c1,)).extended([c2])
-    assert p.clauses == (c1, c2)
