@@ -123,6 +123,7 @@ def _learn_payload(name: str, res: LearnResult) -> dict:
             "meta_steps": res.stats.meta_steps,
             "metasubs_tried": res.stats.metasubs_tried,
             "candidates": res.stats.candidates,
+            "pruned": res.stats.pruned,
             "elapsed": round(res.stats.elapsed, 3),
         },
     }

@@ -25,6 +25,22 @@ and taint work as in `solve`: a hypothesis found here proves its examples
 under `solve` as well, and when no hypothesis turns up but the depth bound
 cut the meta-proof, `learn` reports ``depth_exceeded`` rather than
 ``exhausted``.
+
+Definite programs are monotone: a clause set that proves a goal within the
+depth budget still proves it with clauses added.  So when a candidate is
+rejected because it *proves* a negative example, `learn` shrinks it to a
+*negative core*, a subset that still proves that example and from which
+no single clause can be dropped, and from then on the meta-proof, at this
+size cap and every later one, never adopts the metasub that would
+complete a core: every hypothesis containing one is rejected anyway, so
+the first hypothesis accepted is the one the unpruned search accepts.
+Only a negative example that is ``PROVED`` yields a core, and the core
+is shrunk by asking whether it still proves that goal.  A positive that
+is not proved, or a non-terminating example that fails finitely, may be
+mended by adding clauses, so those rejections say nothing about larger
+hypotheses.  A negative cut by the depth bound under ``reject``, and a
+non-terminating example that is proved, would stay rejected with clauses
+added too, but they record no core.
 """
 
 from __future__ import annotations
@@ -90,6 +106,7 @@ class LearnStats:
     meta_steps: int = 0
     metasubs_tried: int = 0
     candidates: int = 0
+    pruned: int = 0  # instantiations skipped because they completed a core
     elapsed: float = 0.0
 
 
@@ -138,6 +155,23 @@ def check_example(program: Program, example: Example, *,
     return out.verdict is Verdict.DEPTH_EXCEEDED, out
 
 
+def _negative_core(bk: Sequence[Clause], candidate: Hypothesis, goal: Atom,
+                   depth_limit: int, builtins: BuiltinTable,
+                   ) -> list[tuple[Metasub, Clause]]:
+    """A subset of a candidate that still proves a negative example's goal,
+    found by dropping each clause in turn for good when the rest still
+    prove it.  By monotonicity no single clause of the result can be
+    dropped: a subset of a set that failed to prove the goal fails too."""
+    core = list(zip(candidate.metasubs, candidate.clauses))
+    config = SolveConfig(depth_limit=depth_limit)
+    for pair in list(core):
+        rest = [p for p in core if p is not pair]
+        program = Program(tuple(bk) + tuple(c for _, c in rest))
+        if solve(program, goal, config, builtins).proved:
+            core = rest
+    return core
+
+
 # ============================================================
 # The engine
 # ============================================================
@@ -149,12 +183,13 @@ class _Engine:
     __slots__ = ("resolver", "store", "counter", "background", "metarules",
                  "pools", "head_preds", "size_cap", "depth_limit", "deadline",
                  "trace", "goals", "hypothesis", "hyp_keys", "invented",
-                 "invented_set", "invent_from", "metasubs_tried", "_ticks")
+                 "invented_set", "invent_from", "cores", "metasubs_tried",
+                 "pruned", "_ticks")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Atom],
                  builtins: BuiltinTable, size_cap: int, depth_limit: int,
                  deadline: Optional[float], trace: Trace,
-                 invent_from: int) -> None:
+                 invent_from: int, cores: dict) -> None:
         self.counter = FreshVars()
         self.resolver = Resolver(builtins, self.counter)
         self.store = self.resolver.store
@@ -173,7 +208,10 @@ class _Engine:
         self.invented: list[Symbol] = []
         self.invented_set: set[Symbol] = set()
         self.invent_from = invent_from
+        # metasub key -> the rest of each negative core holding it
+        self.cores = cores
         self.metasubs_tried = 0
+        self.pruned = 0
         self._ticks = 0
 
     # ---- bookkeeping ----
@@ -241,6 +279,9 @@ class _Engine:
                 key = metasub_key(msub)
                 if key in self.hyp_keys:
                     continue  # identical clause already adopted, reuse covers it
+                if any(rest <= self.hyp_keys for rest in self.cores.get(key, ())):
+                    self.pruned += 1  # would complete a negative core
+                    continue
                 clause = apply_metasub(m, binding)
                 renamed = rename_apart(clause, counter)
                 mark = store.mark()
@@ -294,7 +335,7 @@ def meta_prove(spec: ScenarioSpec, goals: Union[Atom, Sequence[Atom]], *,
         builtins if builtins is not None else default_builtins(),
         size_cap if size_cap is not None else spec.options.max_clauses,
         depth_limit if depth_limit is not None else spec.options.depth_limit,
-        None, None, invented_base(spec.bk))
+        None, None, invented_base(spec.bk), {})
     for _ in engine.prove_goals():
         yield engine.snapshot()
 
@@ -309,7 +350,8 @@ def learn(spec: ScenarioSpec, *,
 
     Deepens on hypothesis size, so the result is minimal in clause count.
     A candidate clause set already checked, reached again under a
-    different derivation order or at a larger size cap, is skipped.
+    different derivation order or at a larger size cap, is skipped, and so
+    is every partial hypothesis that contains a negative core.
     """
     if builtins is None:
         builtins = default_builtins()
@@ -325,6 +367,8 @@ def learn(spec: ScenarioSpec, *,
     started = time.monotonic()
     total = LearnStats()
     seen: set[frozenset] = set()
+    recorded: set[frozenset] = set()  # negative cores, as metasub keys
+    cores: dict[tuple, list[frozenset]] = {}  # the same, by member key
     base = invented_base(spec.bk)
     pos_goals = [e.goal for e in spec.positives()]
 
@@ -334,6 +378,7 @@ def learn(spec: ScenarioSpec, *,
         nonlocal cut
         total.meta_steps += engine.resolver.steps
         total.metasubs_tried += engine.metasubs_tried
+        total.pruned += engine.pruned
         cut = cut or engine.resolver.tainted
 
     try:
@@ -342,7 +387,7 @@ def learn(spec: ScenarioSpec, *,
             if trace:
                 trace(f"size cap {n}")
             engine = _Engine(spec, pos_goals, builtins, n, depth_limit,
-                             deadline, trace, base)
+                             deadline, trace, base, cores)
             for _ in engine.prove_goals():
                 candidate = engine.snapshot()
                 key = frozenset(metasub_key(ms) for ms in candidate.metasubs)
@@ -351,17 +396,30 @@ def learn(spec: ScenarioSpec, *,
                 seen.add(key)
                 total.candidates += 1
                 program = Program(tuple(spec.bk) + candidate.clauses)
-                good = all(
-                    check_example(program, e, depth_limit=depth_limit,
-                                  neg_depth_policy=opts.neg_depth_policy,
-                                  builtins=builtins)[0]
-                    for e in spec.examples)
-                if good:
+                for i, e in enumerate(spec.examples):
+                    ok, out = check_example(
+                        program, e, depth_limit=depth_limit,
+                        neg_depth_policy=opts.neg_depth_policy,
+                        builtins=builtins)
+                    if not ok:
+                        break
+                else:
                     merge(engine)
                     total.elapsed = time.monotonic() - started
                     if trace:
                         trace(f"found at size {candidate.size}")
                     return LearnResult("found", candidate, total)
+                if e.tag == "neg" and out.verdict is Verdict.PROVED:
+                    core = _negative_core(spec.bk, candidate, e.goal,
+                                          depth_limit, builtins)
+                    ckey = frozenset(metasub_key(ms) for ms, _ in core)
+                    if ckey and ckey not in recorded:
+                        recorded.add(ckey)
+                        for k in ckey:
+                            cores.setdefault(k, []).append(ckey - {k})
+                        if trace:
+                            trace(f"  core from example {i} ({e.tag}): "
+                                  + " ".join(print_clause(c) for _, c in core))
                 if trace:
                     trace("  rejected by examples")
             merge(engine)

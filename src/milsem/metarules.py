@@ -169,6 +169,17 @@ class Metarule:
     def decl(self, name: str) -> Decl:
         return self._decl_by_name[name]
 
+    def _identity(self) -> tuple:
+        return (self.name, self.decls, self.head, self.body)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Metarule):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
     def __repr__(self) -> str:
         return f"Metarule({self.name})"
 

@@ -329,7 +329,7 @@ def load_scenario(path: str, name: Optional[str] = None) -> ScenarioSpec:
     try:
         return parse_scenario(text, name=name)
     except (ParseError, ScenarioError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 # ============================================================

@@ -25,7 +25,18 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-from .metarules import CONST, FUNC, PRED, Decl, MetaVar, Metarule, TAtom, TComp, TTerm
+from .metarules import (
+    CONST,
+    FUNC,
+    PRED,
+    Decl,
+    MetaVar,
+    Metarule,
+    MetaruleError,
+    TAtom,
+    TComp,
+    TTerm,
+)
 from .terms import (
     Atom,
     Clause,
@@ -241,7 +252,10 @@ class _Parser:
         self.expect("RP", ")")
         self.expect("RP", ")")
         self.expect("DOT", ".")
-        return Metarule(name, decls, head, body)
+        try:
+            return Metarule(name, decls, head, body)
+        except MetaruleError as exc:
+            raise ParseError(str(exc), kw.line, kw.col) from None
 
     def _decl_list(self) -> list[Decl]:
         self.expect("LB", "[")

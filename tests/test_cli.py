@@ -77,6 +77,8 @@ def test_learn_json(capsys):
     assert len(payload["clauses"]) == 5
     assert payload["exit"] == 0
     assert payload["stats"]["candidates"] >= 1
+    # pairs accepts its first candidate, so no negative core prunes anything
+    assert payload["stats"]["pruned"] == 0
 
 
 def test_learn_scenario_file(tmp_path, capsys):
@@ -113,6 +115,19 @@ def test_learn_bad_include_exits_2(tmp_path, capsys, section, bad):
     err = capsys.readouterr().err
     lineno = text.splitlines().index(bad) + 1
     assert err.startswith(f"error: {path}: ")
+    assert f"at line {lineno}" in err
+
+
+def test_learn_bad_metarule_exits_2(tmp_path, capsys):
+    # P is declared pred/2 but used with one argument in the body
+    bad = "metarule(bad, [pred(P/2)], ([P,A,B] :- [[P,A]]))."
+    text = TOY_SCENARIO.replace("%% metarules\n", f"%% metarules\n{bad}\n")
+    path = tmp_path / "bad.pls"
+    path.write_text(text)
+    assert main(["learn", str(path)]) == 2
+    err = capsys.readouterr().err
+    lineno = text.splitlines().index(bad) + 1
+    assert err.startswith(f"error: {path}: metarule bad: ")
     assert f"at line {lineno}" in err
 
 

@@ -13,7 +13,14 @@ from milsem.learn import (
     learn_seq,
     meta_prove,
 )
-from milsem.scenario import Example, builtin_scenario, parse_scenario
+from milsem.metarules import metasub_key
+from milsem.scenario import (
+    Example,
+    builtin_scenario,
+    builtin_scenario_names,
+    parse_scenario,
+)
+from milsem.solver import SolveConfig, Verdict, solve
 from milsem.terms import Program
 from milsem.textio import parse_atom, parse_clauses, print_clause
 
@@ -253,3 +260,138 @@ def test_learn_lists_scenario():
         "step(cons(V,B),cons(V,C)) :- value(V), step(B,C).",
         "value(nil).",
     ])
+
+
+# ---- negative cores ----
+
+CORE_MARK = "  core from example "
+
+
+def _cores(lines):
+    """(example index, core clauses) of every core the trace reports."""
+    out = []
+    for line in lines:
+        if line.startswith(CORE_MARK):
+            head, _, clauses = line[len(CORE_MARK):].partition(": ")
+            out.append((int(head.split()[0]), parse_clauses(clauses)))
+    return out
+
+
+def _proves(spec, clauses, goal):
+    program = Program(tuple(spec.bk) + tuple(clauses))
+    config = SolveConfig(depth_limit=spec.options.depth_limit)
+    return solve(program, goal, config).verdict is Verdict.PROVED
+
+
+def test_conditionals_prunes_by_negative_cores():
+    spec = builtin_scenario("conditionals")
+    lines = []
+    res = learn(spec, trace=lines.append)
+    assert res.ok
+    assert [print_clause(c) for c in res.hypothesis.clauses] == [
+        "step(if(A,B),C) :- pred_1(A,B,C).",
+        "pred_1(true,A,B) :- step(A,B).",
+        "step(thenelse(A,B),C) :- left(A,B,C).",
+        "pred_1(false,A,B) :- pred_2(A,B).",
+        "pred_2(thenelse(A,B),C) :- right(A,B,C).",
+        "step(if(A,B),if(C,B)) :- step(A,C).",
+        "value(true).",
+        "value(false).",
+    ]
+    # without pruning: 26 candidates and 67,615 meta-steps
+    assert res.stats.candidates < 26
+    assert res.stats.meta_steps < 67_615
+    assert res.stats.pruned > 0
+    cores = _cores(lines)
+    assert cores
+    for index, core in cores:
+        example = spec.examples[index]
+        assert example.tag == "neg"
+        assert _proves(spec, core, example.goal)
+        for size in range(len(core)):
+            for subset in itertools.combinations(core, size):
+                assert not _proves(spec, subset, example.goal), subset
+
+
+def test_nonterm_rejections_record_no_core():
+    lines = []
+    res = learn(builtin_scenario("lazy_eager"), trace=lines.append)
+    assert res.ok
+    assert res.stats.candidates == 13
+    assert res.stats.pruned == 0
+    assert _cores(lines) == []
+
+
+LOOPING = """\
+%% background
+good(a).
+loop(a).
+loop(X) :- loop(X).
+
+%% metarules
+metarule(wrap, [pred(P/1),pred(Q/1)], ([P,A] :- [[Q,A]])).
+
+%% head
+ok/1.
+
+%% body
+loop/1.
+good/1.
+
+%% examples
+pos(ok(a)).
+neg(ok(b)).
+
+%% options
+max_clauses(1).
+depth_limit(20).
+"""
+
+
+def test_negative_cut_by_depth_records_no_core():
+    # ok(A) :- loop(A) runs out of depth on ok(b), which the default
+    # reject policy counts as a rejection; only a proof gives a core
+    lines = []
+    res = learn(_spec(LOOPING, "looping"), trace=lines.append)
+    assert [print_clause(c) for c in res.hypothesis.clauses] \
+        == ["ok(A) :- good(A)."]
+    assert res.stats.candidates == 2
+    assert _cores(lines) == []
+    # the same rejection by a proof does record one
+    proving = LOOPING.replace("loop(a).", "loop(a).\nloop(b).")
+    lines = []
+    res = learn(_spec(proving, "proving"), trace=lines.append)
+    assert [print_clause(c) for c in res.hypothesis.clauses] \
+        == ["ok(A) :- good(A)."]
+    assert [(i, [print_clause(c) for c in core]) for i, core in _cores(lines)] \
+        == [(1, ["ok(A) :- loop(A)."])]
+
+
+def _first_accepted_unpruned(spec):
+    """The first candidate, in `meta_prove` order cap by cap, that treats
+    every example as its tag demands."""
+    opts = spec.options
+    goals = [e.goal for e in spec.positives()]
+    seen = set()
+    for cap in range(1, opts.max_clauses + 1):
+        for cand in meta_prove(spec, goals, size_cap=cap):
+            key = frozenset(metasub_key(ms) for ms in cand.metasubs)
+            if key in seen:
+                continue
+            seen.add(key)
+            program = cand.program(spec.bk)
+            if all(check_example(program, e, depth_limit=opts.depth_limit,
+                                 neg_depth_policy=opts.neg_depth_policy)[0]
+                   for e in spec.examples):
+                return cand
+    return None
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_learn_agrees_with_the_unpruned_search(name):
+    spec = builtin_scenario(name)
+    expected = _first_accepted_unpruned(spec)
+    res = learn(spec)
+    assert expected is not None and res.ok
+    assert res.hypothesis.metasubs == expected.metasubs
+    assert res.hypothesis.clauses == expected.clauses

@@ -1,4 +1,5 @@
 import importlib.resources
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +13,8 @@ from milsem.scenario import (
     parse_scenario,
     print_scenario,
 )
-from milsem.terms import symbol, variant
-from milsem.textio import print_clause, print_metarule
+from milsem.terms import Clause, symbol, variant
+from milsem.textio import print_clause
 
 GOOD = """\
 %% background
@@ -201,12 +202,11 @@ def test_bundled_scenario_includes_the_one_core_and_library(name):
     core = base_clauses(BUNDLED_CORES[name])
     assert len(spec.bk) == len(core)
     assert all(variant(a, b) for a, b in zip(spec.bk, core))
-    library = [print_metarule(m) for m in metarule_library()]
-    assert [print_metarule(m) for m in spec.metarules] == library
+    assert spec.metarules == metarule_library()
 
     again = parse_scenario(print_scenario(spec), name)
     assert again.bk == spec.bk
-    assert [print_metarule(m) for m in again.metarules] == library
+    assert again.metarules == spec.metarules
     assert again.pools() == spec.pools()
     assert again.examples == spec.examples
     assert again.options == spec.options
@@ -217,6 +217,21 @@ def test_bundled_scenario_includes_the_one_core_and_library(name):
     lines = text.splitlines()
     assert not [ln for ln in lines if ln.startswith("metarule(")]
     assert not set(lines) & set(BASE_BK_SRC.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_CORES))
+def test_two_loads_of_a_bundled_scenario_compare_equal(name):
+    a, b = builtin_scenario(name), builtin_scenario(name)
+    assert a.metarules == b.metarules
+    assert hash(a.metarules) == hash(b.metarules)
+    assert replace(a, bk=(), examples=()) == replace(b, bk=(), examples=())
+    # anonymous variables, as in the core's value(var(_)), are fresh on
+    # every parse, so clauses and example goals compare as variants
+    assert len(a.bk) == len(b.bk)
+    assert all(variant(x, y) for x, y in zip(a.bk, b.bk))
+    assert [e.tag for e in a.examples] == [e.tag for e in b.examples]
+    assert all(variant(Clause(x.goal, ()), Clause(y.goal, ()))
+               for x, y in zip(a.examples, b.examples))
 
 
 def test_unknown_builtin():
