@@ -29,8 +29,8 @@ from .scenario import (
     builtin_scenario_names,
     load_scenario,
 )
-from .solver import BuiltinError, SolveConfig, Verdict, solve
-from .terms import Atom, Program, anon_var, symbol
+from .solver import DEFAULT_DEPTH, BuiltinError, SolveConfig, Verdict, solve
+from .terms import Atom, FreshVars, Program, symbol
 from .textio import ParseError, parse_clauses, parse_term, print_clause, print_term
 
 EX_OK = 0
@@ -172,12 +172,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         term = parse_term(text)
     except ParseError as exc:
         raise CliError(f"term: {exc}") from exc
-    result = anon_var()
+    result = FreshVars().next_var()  # a negative id: no parsed term has it
     goal = Atom(symbol("eval", 2), (term, result))
     try:
         out = solve(Program(tuple(clauses)), goal,
                     SolveConfig(depth_limit=args.depth
-                                if args.depth is not None else 300),
+                                if args.depth is not None else DEFAULT_DEPTH),
                     default_builtins())
     except BuiltinError as exc:
         raise CliError(str(exc)) from exc
@@ -258,7 +258,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = conformance_check(
         Program(tuple(clauses)), terms,
         strategy=args.strategy,
-        depth_limit=args.depth if args.depth is not None else 300,
+        depth_limit=args.depth if args.depth is not None else DEFAULT_DEPTH,
         fuel=args.fuel)
     empty = report.total == 0
     code = EX_OK if (report.ok or empty) else EX_EMPTY

@@ -4,11 +4,12 @@ The learner proves the positive examples with the solver's own `Resolver`,
 given a clause source that may, where ordinary clause selection fails,
 conjure a new clause by instantiating a metarule against the current goal
 and add it to the growing hypothesis.  Alternatives at a goal are tried in
-a fixed order: builtins, background clauses, hypothesis clauses already
-adopted, and only then fresh metarule instantiations.  A predicate
-metavariable in a rule body may be bound to a predicate that does not
-exist yet, which is how auxiliary ``pred_<n>`` predicates are invented;
-the branch then has to define them or die.
+a fixed order: builtins, background clauses, then hypothesis clauses
+already adopted (both from one first-argument index, through the solver's
+`program_source`), and only then fresh metarule instantiations.  A
+predicate metavariable in a rule body may be bound to a predicate that
+does not exist yet, which is how auxiliary ``pred_<n>`` predicates are
+invented; the branch then has to define them or die.
 
 Minimality comes from iterative deepening on hypothesis size: `learn` tries
 caps 1, 2, ... up to ``max_clauses`` and returns the first hypothesis that
@@ -55,19 +56,27 @@ from .metarules import (
     apply_metasub,
     enumerate_bindings,
     match_head,
-    metasub_key,
     pool_candidates,
 )
 from .objectlang import default_builtins
 from .scenario import Example, ScenarioSpec
-from .solver import BuiltinTable, Outcome, Resolver, SolveConfig, Verdict, solve
+from .solver import (
+    DEFAULT_DEPTH,
+    BuiltinTable,
+    Outcome,
+    Resolver,
+    SolveConfig,
+    Verdict,
+    solve,
+)
 from .terms import (
     Atom,
     Clause,
     FreshVars,
+    IndexEntry,
     Program,
     Symbol,
-    _index_key,
+    index_entry,
     rename_apart,
     rename_atom,
 )
@@ -133,7 +142,7 @@ def invented_base(clauses: Sequence[Clause]) -> int:
 
 
 def check_example(program: Program, example: Example, *,
-                  depth_limit: int = 300,
+                  depth_limit: int = DEFAULT_DEPTH,
                   neg_depth_policy: str = "reject",
                   builtins: Optional[BuiltinTable] = None,
                   ) -> tuple[bool, Outcome]:
@@ -180,35 +189,36 @@ def _negative_core(bk: Sequence[Clause], candidate: Hypothesis, goal: Atom,
 class _Engine:
     """One size-capped search for a hypothesis proving the given goals."""
 
-    __slots__ = ("resolver", "store", "counter", "background", "metarules",
-                 "pools", "head_preds", "size_cap", "depth_limit", "deadline",
-                 "trace", "goals", "hypothesis", "hyp_keys", "invented",
-                 "invented_set", "invent_from", "cores", "metasubs_tried",
+    __slots__ = ("resolver", "store", "counter", "background", "known",
+                 "metarules", "pools", "head_preds", "size_cap", "depth_limit",
+                 "deadline", "trace", "goals", "hypothesis", "adopted",
+                 "invented", "invent_from", "cores", "metasubs_tried",
                  "pruned", "_ticks")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Atom],
-                 builtins: BuiltinTable, size_cap: int, depth_limit: int,
+                 builtins: BuiltinTable, size_cap: int,
                  deadline: Optional[float], trace: Trace,
                  invent_from: int, cores: dict) -> None:
         self.counter = FreshVars()
         self.resolver = Resolver(builtins, self.counter)
         self.store = self.resolver.store
-        self.background = self.resolver.program_source(Program(spec.bk))
+        self.background = Program(spec.bk).clauses_for
+        self.known = self.resolver.program_source(self.clauses_for)
         self.metarules = spec.metarules
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
         self.size_cap = size_cap
-        self.depth_limit = depth_limit
+        self.depth_limit = spec.options.depth_limit
         self.deadline = deadline
         self.trace = trace
         # examples must not share variables with each other or the program
         self.goals = [rename_atom(g, {}, self.counter) for g in goals]
-        self.hypothesis: list[tuple[Metasub, Clause]] = []
-        self.hyp_keys: set = set()
-        self.invented: list[Symbol] = []
-        self.invented_set: set[Symbol] = set()
+        self.hypothesis: dict[Metasub, Clause] = {}
+        # index entries of the adopted clauses, by head predicate
+        self.adopted: dict[Symbol, list[IndexEntry]] = {}
+        self.invented: dict[Symbol, None] = {}
         self.invent_from = invent_from
-        # metasub key -> the rest of each negative core holding it
+        # metasub -> the rest of each negative core holding it
         self.cores = cores
         self.metasubs_tried = 0
         self.pruned = 0
@@ -222,50 +232,41 @@ class _Engine:
             if time.monotonic() > self.deadline:
                 raise _SearchTimeout
 
-    def _push(self, msub: Metasub, clause: Clause, key: tuple,
-              new_preds: list[Symbol]) -> None:
-        self.hypothesis.append((msub, clause))
-        self.hyp_keys.add(key)
-        for p in new_preds:
-            self.invented.append(p)
-            self.invented_set.add(p)
+    def _push(self, msub: Metasub, clause: Clause,
+              new_preds: Sequence[Symbol]) -> None:
+        self.hypothesis[msub] = clause
+        self.adopted.setdefault(clause.head.pred, []).append(index_entry(clause))
+        self.invented.update(dict.fromkeys(new_preds))
         if self.trace:
             self.trace("  + " + print_clause(clause))
 
-    def _pop(self, key: tuple, new_preds: list[Symbol]) -> None:
-        self.hypothesis.pop()
-        self.hyp_keys.discard(key)
-        for _ in new_preds:
-            self.invented_set.discard(self.invented.pop())
+    def _pop(self, new_preds: Sequence[Symbol]) -> None:
+        _msub, clause = self.hypothesis.popitem()
+        self.adopted[clause.head.pred].pop()
+        for p in new_preds:
+            del self.invented[p]
 
     # ---- the clause source ----
 
+    def clauses_for(self, pred: Symbol) -> Sequence[IndexEntry]:
+        """The background's index entries for a predicate, then those of
+        the clauses adopted so far, in adoption order."""
+        adopted = self.adopted.get(pred)
+        if adopted:
+            return self.background(pred) + adopted
+        return self.background(pred)
+
     def clauses(self, goal: Atom) -> Iterator[Sequence[Atom]]:
-        """Alternatives for a goal: background clauses, then hypothesis
-        clauses already adopted, then fresh metarule instantiations, each
-        adopted into the hypothesis while its body is being proved."""
+        """Alternatives for a goal: background and adopted clauses, then
+        fresh metarule instantiations, each adopted into the hypothesis
+        while its body is being proved."""
         self._tick()
-        yield from self.background(goal)
+        yield from self.known(goal)
         pred = goal.pred
-        if pred not in self.head_preds and pred not in self.invented_set:
+        if (len(self.hypothesis) >= self.size_cap
+                or pred not in self.head_preds and pred not in self.invented):
             return
         store, counter = self.store, self.counter
-        gkey = _index_key(store.walk(goal.args[0])) if goal.args else None
-        for _msub, clause in list(self.hypothesis):  # snapshot: later
-            # additions belong to deeper choice points, not this one
-            if clause.head.pred != pred:
-                continue
-            ckey = _index_key(clause.head.args[0]) if clause.head.args else None
-            if gkey is not None and ckey is not None and ckey != gkey:
-                continue
-            renamed = rename_apart(clause, counter)
-            mark = store.mark()
-            if store.unify_atoms(renamed.head, goal):
-                yield renamed.body
-            store.undo(mark)
-
-        if len(self.hypothesis) >= self.size_cap:
-            return
         tentative = (f"pred_{self.invent_from + len(self.invented) + 1}"
                      if len(self.hypothesis) + 1 < self.size_cap else None)
         for m in self.metarules:
@@ -276,27 +277,28 @@ class _Engine:
             for binding in enumerate_bindings(m, restr, cands):
                 msub = Metasub(m.name, tuple((d.name, binding[d.name])
                                              for d in m.decls))
-                key = metasub_key(msub)
-                if key in self.hyp_keys:
+                if msub in self.hypothesis:
                     continue  # identical clause already adopted, reuse covers it
-                if any(rest <= self.hyp_keys for rest in self.cores.get(key, ())):
+                if any(rest <= self.hypothesis.keys()
+                       for rest in self.cores.get(msub, ())):
                     self.pruned += 1  # would complete a negative core
                     continue
                 clause = apply_metasub(m, binding)
                 renamed = rename_apart(clause, counter)
                 mark = store.mark()
                 if store.unify_atoms(renamed.head, goal):
-                    new_preds = [b for _n, b in msub.bindings
-                                 if isinstance(b, Symbol) and b.name == tentative]
+                    new_preds = tuple(dict.fromkeys(
+                        b for _n, b in msub.bindings
+                        if isinstance(b, Symbol) and b.name == tentative))
                     self.metasubs_tried += 1
-                    self._push(msub, clause, key, new_preds)
+                    self._push(msub, clause, new_preds)
                     try:
                         yield renamed.body
                         if self.trace:
                             self.trace("  - backtrack")
                     finally:
                         # also when the resolver only probed for a clause
-                        self._pop(key, new_preds)
+                        self._pop(new_preds)
                 store.undo(mark)
 
     def prove_goals(self, idx: int = 0) -> Iterator[None]:
@@ -311,8 +313,8 @@ class _Engine:
             yield from self.prove_goals(idx + 1)
 
     def snapshot(self) -> Hypothesis:
-        return Hypothesis(tuple(ms for ms, _ in self.hypothesis),
-                          tuple(c for _, c in self.hypothesis))
+        return Hypothesis(tuple(self.hypothesis),
+                          tuple(self.hypothesis.values()))
 
 
 # ============================================================
@@ -321,54 +323,39 @@ class _Engine:
 
 
 def meta_prove(spec: ScenarioSpec, goals: Union[Atom, Sequence[Atom]], *,
-               size_cap: Optional[int] = None,
-               depth_limit: Optional[int] = None,
-               builtins: Optional[BuiltinTable] = None,
-               ) -> Iterator[Hypothesis]:
+               size_cap: Optional[int] = None) -> Iterator[Hypothesis]:
     """Meta-prove goals against a scenario's background, growing a
     hypothesis as needed; the hypothesis in force at each complete proof,
     in search order."""
     if isinstance(goals, Atom):
         goals = [goals]
     engine = _Engine(
-        spec, list(goals),
-        builtins if builtins is not None else default_builtins(),
+        spec, list(goals), default_builtins(),
         size_cap if size_cap is not None else spec.options.max_clauses,
-        depth_limit if depth_limit is not None else spec.options.depth_limit,
         None, None, invented_base(spec.bk), {})
     for _ in engine.prove_goals():
         yield engine.snapshot()
 
 
-def learn(spec: ScenarioSpec, *,
-          builtins: Optional[BuiltinTable] = None,
-          depth_limit: Optional[int] = None,
-          max_clauses: Optional[int] = None,
-          timeout: Optional[float] = None,
-          trace: Trace = None) -> LearnResult:
-    """Search for the smallest hypothesis consistent with every example.
+def learn(spec: ScenarioSpec, *, trace: Trace = None) -> LearnResult:
+    """Search for the smallest hypothesis consistent with every example,
+    within the limits of ``spec.options``.
 
     Deepens on hypothesis size, so the result is minimal in clause count.
     A candidate clause set already checked, reached again under a
     different derivation order or at a larger size cap, is skipped, and so
     is every partial hypothesis that contains a negative core.
     """
-    if builtins is None:
-        builtins = default_builtins()
+    builtins = default_builtins()
     opts = spec.options
-    if depth_limit is None:
-        depth_limit = opts.depth_limit
-    if max_clauses is None:
-        max_clauses = opts.max_clauses
-    if timeout is None:
-        timeout = opts.timeout
-    deadline = time.monotonic() + timeout if timeout > 0 else None
+    deadline = (time.monotonic() + opts.timeout if opts.timeout > 0
+                else None)
 
     started = time.monotonic()
     total = LearnStats()
-    seen: set[frozenset] = set()
-    recorded: set[frozenset] = set()  # negative cores, as metasub keys
-    cores: dict[tuple, list[frozenset]] = {}  # the same, by member key
+    seen: set[frozenset[Metasub]] = set()
+    recorded: set[frozenset[Metasub]] = set()  # negative cores
+    cores: dict[Metasub, list[frozenset[Metasub]]] = {}  # the same, by member
     base = invented_base(spec.bk)
     pos_goals = [e.goal for e in spec.positives()]
 
@@ -382,23 +369,23 @@ def learn(spec: ScenarioSpec, *,
         cut = cut or engine.resolver.tainted
 
     try:
-        for n in range(1, max_clauses + 1):
+        for n in range(1, opts.max_clauses + 1):
             total.size_reached = n
             if trace:
                 trace(f"size cap {n}")
-            engine = _Engine(spec, pos_goals, builtins, n, depth_limit,
-                             deadline, trace, base, cores)
+            engine = _Engine(spec, pos_goals, builtins, n, deadline, trace,
+                             base, cores)
             for _ in engine.prove_goals():
                 candidate = engine.snapshot()
-                key = frozenset(metasub_key(ms) for ms in candidate.metasubs)
+                key = frozenset(candidate.metasubs)
                 if key in seen:
                     continue
                 seen.add(key)
                 total.candidates += 1
-                program = Program(tuple(spec.bk) + candidate.clauses)
+                program = candidate.program(spec.bk)
                 for i, e in enumerate(spec.examples):
                     ok, out = check_example(
-                        program, e, depth_limit=depth_limit,
+                        program, e, depth_limit=opts.depth_limit,
                         neg_depth_policy=opts.neg_depth_policy,
                         builtins=builtins)
                     if not ok:
@@ -411,12 +398,12 @@ def learn(spec: ScenarioSpec, *,
                     return LearnResult("found", candidate, total)
                 if e.tag == "neg" and out.verdict is Verdict.PROVED:
                     core = _negative_core(spec.bk, candidate, e.goal,
-                                          depth_limit, builtins)
-                    ckey = frozenset(metasub_key(ms) for ms, _ in core)
+                                          opts.depth_limit, builtins)
+                    ckey = frozenset(ms for ms, _ in core)
                     if ckey and ckey not in recorded:
                         recorded.add(ckey)
-                        for k in ckey:
-                            cores.setdefault(k, []).append(ckey - {k})
+                        for ms in ckey:
+                            cores.setdefault(ms, []).append(ckey - {ms})
                         if trace:
                             trace(f"  core from example {i} ({e.tag}): "
                                   + " ".join(print_clause(c) for _, c in core))
@@ -446,7 +433,6 @@ class SeqResult:
 
 
 def learn_seq(specs: Sequence[ScenarioSpec], *,
-              builtins: Optional[BuiltinTable] = None,
               trace: Trace = None) -> SeqResult:
     """Learn scenarios in order, feeding each hypothesis to the next task
     as background.  The combined program is the first scenario's background
@@ -458,7 +444,7 @@ def learn_seq(specs: Sequence[ScenarioSpec], *,
         grown = replace(spec, bk=spec.bk + tuple(induced))
         if trace:
             trace(f"task {spec.name}")
-        res = learn(grown, builtins=builtins, trace=trace)
+        res = learn(grown, trace=trace)
         results.append((spec.name, res))
         if not res.ok:
             break

@@ -80,21 +80,13 @@ Binding = Union[Symbol, int]
 
 @dataclass(frozen=True, slots=True)
 class Metasub:
-    """One metarule name with a full assignment of its metavariables."""
+    """One metarule name with a full assignment of its metavariables.
+
+    Equal metasubs give the same clause, so the learner keys its
+    hypothesis and its negative cores by metasub."""
 
     rule: str
     bindings: tuple[tuple[str, Binding], ...]
-
-
-def _binding_key(b: Binding) -> tuple:
-    if isinstance(b, Symbol):
-        return (0, b.name, b.arity)
-    return (1, "", b)
-
-
-def metasub_key(m: Metasub) -> tuple:
-    """Sort key giving the canonical (lexicographic) hypothesis order."""
-    return (m.rule, tuple((n, _binding_key(b)) for n, b in m.bindings))
 
 
 class MetaruleError(ValueError):

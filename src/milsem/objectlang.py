@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Union
 
 from .metarules import Metarule
 from .solver import (
+    DEFAULT_DEPTH,
     BuiltinError,
     BuiltinTable,
     SolveConfig,
@@ -459,23 +460,19 @@ def _eval_goal(t: Term, result: Term) -> Atom:
 
 def conformance_check(program: Program, terms: Iterable[Term], *,
                       strategy: str = "lazy",
-                      depth_limit: int = 300,
-                      fuel: int = 1000,
-                      builtins: Optional[BuiltinTable] = None,
-                      rng: Optional[random.Random] = None,
-                      distractors: int = 2) -> ConformanceReport:
+                      depth_limit: int = DEFAULT_DEPTH,
+                      fuel: int = 1000) -> ConformanceReport:
     """Check a rule program term by term against the interpreter.
 
     For a term the interpreter evaluates to a value, the program must prove
-    ``eval`` to an alpha-equal value and must not prove it to sampled wrong
-    values.  For a term the interpreter diverges on, the program must run
-    out of depth rather than prove or finitely fail.  For a stuck term the
-    program must finitely fail.
+    ``eval`` to an alpha-equal value and must not prove it to two wrong
+    values drawn, with a fixed seed, from the corpus's other values.  For
+    a term the interpreter diverges on, the program must run out of depth
+    rather than prove or finitely fail.  For a stuck term the program must
+    finitely fail.
     """
-    if builtins is None:
-        builtins = default_builtins()
-    if rng is None:
-        rng = random.Random(0)
+    builtins = default_builtins()
+    rng = random.Random(0)
     cfg = SolveConfig(depth_limit=depth_limit)
     ocfg = OracleConfig(strategy=strategy, fuel=fuel)
     terms = list(terms)
@@ -524,7 +521,7 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
         wrong = [w for w in value_pool if not alpha_equal(w, v)]
         rng.shuffle(wrong)
         bad = None
-        for w in wrong[:distractors]:
+        for w in wrong[:2]:
             check = solve(program, _eval_goal(t, w), cfg, builtins)
             if check.proved:
                 bad = w
@@ -540,7 +537,7 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
 
 def check_step_determinism(program: Program, t: Term, *,
                            strategy: str = "lazy",
-                           depth_limit: int = 300,
+                           depth_limit: int = DEFAULT_DEPTH,
                            fuel: int = 1000,
                            builtins: Optional[BuiltinTable] = None) -> Optional[str]:
     """Walk the interpreter's evaluation chain and confirm the program

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Optional
 
 from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, metarule_library
+from .solver import DEFAULT_DEPTH
 from .terms import Atom, Clause, Compound, Int, Symbol, Term, symbol
 from .textio import (
     ParseError,
@@ -64,7 +65,7 @@ class Example:
 
 @dataclass(frozen=True, slots=True)
 class Options:
-    depth_limit: int = 300
+    depth_limit: int = DEFAULT_DEPTH
     max_clauses: int = 10
     neg_depth_policy: str = "reject"  # reject | accept
     timeout: float = 120.0

@@ -20,9 +20,10 @@ continuation as a linked list and its choice points on an explicit stack,
 so derivation depth costs heap, not Python frames.  Clauses come from a
 *clause source*: a function from a goal to a generator that renames a
 clause apart, unifies its head with the goal, yields the body, and undoes
-those bindings when resumed.  `solve` and `solve_all` use the program's
-first-argument index as the source; the learner adds its hypothesis and
-metarule instantiations behind the background program.
+those bindings when resumed.  `Resolver.program_source` makes one from a
+first-argument index lookup: `solve` and `solve_all` give it the
+program's own, and the learner one that lists its adopted clauses after
+the background's, ahead of its metarule instantiations.
 
 Builtins receive the store plus the unresolved goal arguments and yield
 once per solution, making any bindings through the store so backtracking
@@ -40,6 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .terms import (
     Atom,
     FreshVars,
+    IndexEntry,
     Program,
     Store,
     Subst,
@@ -67,6 +69,9 @@ class BuiltinError(Exception):
 
 BuiltinFn = Callable[[Store, tuple[Term, ...]], Iterator[None]]
 ClauseSource = Callable[[Atom], Iterator[Sequence[Atom]]]
+ClauseIndex = Callable[[Symbol], Sequence[IndexEntry]]
+
+DEFAULT_DEPTH = 300  # wherever no depth bound is given, scenarios included
 
 
 class BuiltinTable:
@@ -87,7 +92,7 @@ class BuiltinTable:
 
 @dataclass(frozen=True, slots=True)
 class SolveConfig:
-    depth_limit: int = 300
+    depth_limit: int = DEFAULT_DEPTH
     max_solutions: Optional[int] = None
 
 
@@ -138,14 +143,14 @@ class Resolver:
         self.steps = 0
         self.tainted = False
 
-    def program_source(self, program: Program) -> ClauseSource:
-        """The program's clauses for a goal, skipping those whose indexed
-        first argument cannot match the goal's."""
+    def program_source(self, clauses_for: ClauseIndex) -> ClauseSource:
+        """The indexed clauses for a goal, in index order, skipping those
+        whose first argument cannot match the goal's."""
         store, counter = self.store, self.counter
 
         def clauses(goal: Atom) -> Iterator[Sequence[Atom]]:
             gkey = _index_key(store.walk(goal.args[0])) if goal.args else None
-            for _cid, clause, key in program.clauses_for(goal.pred):
+            for clause, key in clauses_for(goal.pred):
                 if gkey is not None and key is not None and key != gkey:
                     continue
                 renamed = rename_apart(clause, counter)
@@ -225,7 +230,7 @@ def _start(program: Program, query: Union[Atom, Sequence[Atom]],
     # renamed clause variables must not collide with negative query ids
     resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
     proofs = resolver.run(goals, config.depth_limit,
-                          resolver.program_source(program))
+                          resolver.program_source(program.clauses_for))
     return resolver, proofs, qvars
 
 

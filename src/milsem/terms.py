@@ -116,14 +116,6 @@ class _VarTable:
                     self._names[vid] = name
         return vid
 
-    def fresh_anonymous(self) -> int:
-        with self._lock:
-            vid = next(self._next)
-            name = f"_G{vid}"
-            self._ids[name] = vid
-            self._names[vid] = name
-        return vid
-
     def name_of(self, vid: int) -> str:
         if vid < 0:
             return f"_v{-vid}"
@@ -136,11 +128,6 @@ _VARS = _VarTable()
 def var(name: str) -> Var:
     """The named variable; the same name always maps to the same id."""
     return Var(_VARS.intern(name))
-
-
-def anon_var() -> Var:
-    """A fresh variable distinct from every other, as for ``_`` in input."""
-    return Var(_VARS.fresh_anonymous())
 
 
 def var_name(v: Var) -> str:
@@ -460,6 +447,14 @@ def _index_key(t: Term) -> object:
     return None
 
 
+IndexEntry = tuple[Clause, object]
+
+
+def index_entry(c: Clause) -> IndexEntry:
+    """A clause with the index key of its head's first argument."""
+    return c, _index_key(c.head.args[0]) if c.head.args else None
+
+
 class Program:
     """An ordered collection of definite clauses with a predicate index."""
 
@@ -467,13 +462,12 @@ class Program:
 
     def __init__(self, clauses: Iterable[Clause]) -> None:
         self.clauses: tuple[Clause, ...] = tuple(clauses)
-        index: dict[Symbol, list[tuple[int, Clause, object]]] = {}
-        for cid, c in enumerate(self.clauses):
-            key = _index_key(c.head.args[0]) if c.head.args else None
-            index.setdefault(c.head.pred, []).append((cid, c, key))
+        index: dict[Symbol, list[IndexEntry]] = {}
+        for c in self.clauses:
+            index.setdefault(c.head.pred, []).append(index_entry(c))
         self._index = index
 
-    def clauses_for(self, pred: Symbol) -> list[tuple[int, Clause, object]]:
+    def clauses_for(self, pred: Symbol) -> list[IndexEntry]:
         return self._index.get(pred, [])
 
     def predicates(self) -> tuple[Symbol, ...]:

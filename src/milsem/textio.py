@@ -2,9 +2,12 @@
 
 Concrete syntax follows logic-programming convention: a lowercase-leading
 name is a functor or predicate, an uppercase- or underscore-leading name is
-a variable, ``_`` on its own is anonymous (each occurrence is a distinct
-fresh variable), integers are literals, and ``%`` starts a comment that
-runs to the end of the line.  Clauses are ``head.`` or ``head :- b1,b2.``.
+a variable, ``_`` on its own is anonymous, integers are literals, and
+``%`` starts a comment that runs to the end of the line.  Clauses are
+``head.`` or ``head :- b1,b2.``.  The anonymous variables of one parse are
+named ``_G1``, ``_G2``, ... in order of occurrence, skipping any name the
+text itself writes, so each is distinct from every other variable in the
+text and the same text always parses to the same terms.
 
 Metarules use list encoding for template atoms so that predicate and
 function positions can hold metavariables:
@@ -17,8 +20,8 @@ are ``pred(P/2)``, ``func(H/2)`` and ``const(C)``; the arity may be left
 off and is then inferred from use.
 
 Printing is the inverse up to variable identity: output re-parses to an
-alpha-equivalent clause.  Variables minted by renaming print as ``_v<n>``
-and anonymous input variables as ``_G<n>``.
+alpha-equivalent clause, and to an equal one when every variable came from
+parsing.  Variables minted by renaming print as ``_v<n>``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    anon_var,
     symbol,
     var,
     var_name,
@@ -156,6 +158,15 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.toks = tokenize(text)
         self.pos = 0
+        self.written = {t.text for t in self.toks if t.kind == "VNAME"}
+        self.anonymous = 0
+
+    def fresh(self) -> Var:
+        """For the next ``_``: the next ``_G<n>`` the text does not write."""
+        self.anonymous += 1
+        while f"_G{self.anonymous}" in self.written:
+            self.anonymous += 1
+        return var(f"_G{self.anonymous}")
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -187,7 +198,7 @@ class _Parser:
         if t.kind == "VNAME":
             self.next()
             if t.text == "_":
-                return anon_var()
+                return self.fresh()
             return var(t.text)
         if t.kind == "INT":
             self.next()
@@ -339,7 +350,7 @@ class _Parser:
             if t.text in declared:
                 return MetaVar(t.text)
             if t.text == "_":
-                return anon_var()
+                return self.fresh()
             return var(t.text)
         if t.kind == "INT":
             self.next()

@@ -247,7 +247,8 @@ def test_criterion_5_minimality(scenarios, learned):
         for name, spec in scenarios.items():
             res, _ = learned[name]
             assert res.ok
-            below = learn(spec, max_clauses=res.hypothesis.size - 1)
+            below = learn(replace(spec, options=replace(
+                spec.options, max_clauses=res.hypothesis.size - 1)))
             assert below.status == "exhausted", (name, below.status)
             assert below.hypothesis is None
 

@@ -255,6 +255,16 @@ def test_chain_writes_combined_program(tmp_path, capsys):
     assert len(clauses) == 12 + 11  # full base plus everything induced
 
 
+def test_chain_out_file_is_the_same_on_every_run(tmp_path, capsys):
+    # the background's anonymous variables print under the same names
+    first, second = tmp_path / "first.pl", tmp_path / "second.pl"
+    assert main(["chain", "lazy_eager", "pairs", "--out", str(first)]) == 0
+    assert main(["chain", "lazy_eager", "pairs", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert "_G" in first.read_text()
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_chain_stdout_when_no_out_file(capsys):
     assert main(["chain", "pairs"]) == 0
     out = capsys.readouterr().out

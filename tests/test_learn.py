@@ -2,6 +2,7 @@
 tasks, and the bundled scenarios that are cheap enough to learn here."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,6 @@ from milsem.learn import (
     learn_seq,
     meta_prove,
 )
-from milsem.metarules import metasub_key
 from milsem.scenario import (
     Example,
     builtin_scenario,
@@ -149,7 +149,7 @@ def test_learn_two_functors_need_two_clauses():
     two = SELECTOR.replace("pos(step(sel(a,b),a)).",
                            "pos(step(sel(a,b),a)).\npos(step(les(a,b),b)).")
     spec = _spec(two, "two")
-    capped = learn(spec, max_clauses=1)
+    capped = learn(replace(spec, options=replace(spec.options, max_clauses=1)))
     assert capped.status == "exhausted"
     assert capped.hypothesis is None
     assert capped.stats.size_reached == 1
@@ -170,20 +170,25 @@ def test_learn_exhausts_on_impossible_examples():
     assert res.stats.size_reached == 2
 
 
+def _depth_1(spec):
+    return replace(spec, options=replace(spec.options, depth_limit=1))
+
+
 def test_learn_reports_a_search_cut_by_depth():
     # at depth 1 the selector's body goal left(a,b,a) has a clause but no
     # budget left, so the search was cut rather than exhausted
-    res = learn(_spec(SELECTOR, "toy"), depth_limit=1)
+    res = learn(_depth_1(_spec(SELECTOR, "toy")))
     assert res.status == "depth_exceeded"
     assert res.hypothesis is None and not res.ok
     # the cut is exact: no clause head fits left(a,b,c) or right(a,b,c), so
     # running out of budget there cut nothing
     impossible = SELECTOR.replace("pos(step(sel(a,b),a)).", "pos(step(sel(a,b),c)).")
-    assert learn(_spec(impossible, "imp"), depth_limit=1).status == "exhausted"
+    assert learn(_depth_1(_spec(impossible, "imp"))).status == "exhausted"
 
 
 def test_learn_reports_timeout():
-    res = learn(builtin_scenario("conditionals"), timeout=0.001)
+    spec = builtin_scenario("conditionals")
+    res = learn(replace(spec, options=replace(spec.options, timeout=0.001)))
     assert res.status == "timeout"
     assert res.hypothesis is None
     assert not res.ok
@@ -375,7 +380,7 @@ def _first_accepted_unpruned(spec):
     seen = set()
     for cap in range(1, opts.max_clauses + 1):
         for cand in meta_prove(spec, goals, size_cap=cap):
-            key = frozenset(metasub_key(ms) for ms in cand.metasubs)
+            key = frozenset(cand.metasubs)
             if key in seen:
                 continue
             seen.add(key)

@@ -2,12 +2,10 @@ import pytest
 
 from milsem.metarules import (
     ANY,
-    Metasub,
     Pools,
     apply_metasub,
     enumerate_bindings,
     match_head,
-    metasub_key,
     pool_candidates,
 )
 from milsem.terms import Int, Store, atom, const, mk, symbol, var
@@ -119,17 +117,6 @@ def test_const_candidates_include_ints():
     outs = list(enumerate_bindings(VALUE0, {},
                                    pool_candidates(VALUE0, POOLS)))
     assert [b["C"] for b in outs] == [symbol("true", 0), 7]
-
-
-# ---- metasub keys ----
-
-def test_metasub_key_orders_by_rule_then_bindings():
-    a = Metasub("step2l", (("H", symbol("pair", 2)),))
-    b = Metasub("step2l", (("H", symbol("fst", 1)),))
-    c = Metasub("casec", (("C", 7),))
-    keys = sorted([metasub_key(a), metasub_key(b), metasub_key(c)])
-    assert keys[0][0] == "casec"
-    assert keys[1] == metasub_key(b)
 
 
 def test_metarule_validation_rejects_unknown_metavar():

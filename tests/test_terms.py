@@ -209,5 +209,5 @@ def test_program_first_arg_index():
         Clause(atom("p", mk("g", var("X"))), ()),
         Clause(atom("p", var("Y")), ()),
     ))
-    fs = [key for _, _, key in p.clauses_for(symbol("p", 1))]
+    fs = [key for _, key in p.clauses_for(symbol("p", 1))]
     assert fs == [symbol("f", 1), symbol("g", 1), None]

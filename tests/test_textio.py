@@ -47,6 +47,16 @@ def test_parse_anonymous_vars_distinct():
     assert t.args[0] != t.args[1]
 
 
+def test_parse_anonymous_vars_are_numbered_per_parse():
+    text = "p(_,_G1) :- q(_G2,_)."
+    c = parse_clause(text)
+    vs = [c.head.args[0], c.head.args[1], c.body[0].args[0], c.body[0].args[1]]
+    assert all(isinstance(v, Var) for v in vs)
+    assert len(set(vs)) == 4  # no `_` takes a name the text writes
+    assert parse_clause(text) == c
+    assert parse_clause(print_clause(c)) == c
+
+
 def test_parse_negative_int():
     assert parse_term("lit(-42)") == mk("lit", Int(-42))
 
