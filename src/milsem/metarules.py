@@ -222,7 +222,7 @@ def _match_term(tt: TTerm, g: Term, store: Store, restr: dict[str, object]) -> b
         if not _restrict(restr, f.name, g.functor):
             return False
         return all(_match_term(a, b, store, restr) for a, b in zip(tt.args, g.args))
-    if not isinstance(g, Compound) or g.functor != f:
+    if not isinstance(g, Compound) or g.functor is not f:
         return False
     return all(_match_term(a, b, store, restr) for a, b in zip(tt.args, g.args))
 
@@ -234,7 +234,7 @@ def match_head(m: Metarule, goal: Atom, store: Store) -> Optional[dict[str, obje
     if isinstance(m.head.pred, MetaVar):
         if not _restrict(restr, m.head.pred.name, goal.pred):
             return None
-    elif m.head.pred != goal.pred:
+    elif m.head.pred is not goal.pred:
         return None
     if len(m.head.args) != len(goal.args):
         return None

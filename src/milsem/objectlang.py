@@ -151,32 +151,34 @@ def substitute(v: Term, x: str, t: Term) -> Term:
     return Compound(t.functor, tuple(substitute(v, x, a) for a in t.args))
 
 
+def alpha_key(t: Term) -> object:
+    """A canonical key for ``t`` modulo renaming of lam-bound object
+    variables: a bound ``var(x)`` becomes the level of its binder and the
+    binder's name is dropped.  Free variables and every other node keep
+    their structure, so alpha-equal terms and only those get equal keys."""
+    return _alpha_key(t, {}, 0)
+
+
+def _alpha_key(t: Term, env: dict[str, int], depth: int) -> object:
+    if not isinstance(t, Compound):
+        return t
+    f = t.functor
+    if not t.args:
+        return f
+    if f is S_VAR:
+        level = env.get(_atom_name(t.args[0]))
+        if level is not None:
+            return level
+    elif f is S_LAM:
+        name = _atom_name(t.args[0])
+        if name is not None:
+            return f, _alpha_key(t.args[1], {**env, name: depth}, depth + 1)
+    return (f, *[_alpha_key(a, env, depth) for a in t.args])
+
+
 def alpha_equal(a: Term, b: Term) -> bool:
     """Structural equality modulo renaming of lam-bound object variables."""
-
-    def go(x: Term, y: Term, ex: dict[str, int], ey: dict[str, int],
-           depth: int) -> bool:
-        if isinstance(x, Int) or isinstance(y, Int):
-            return x == y
-        if isinstance(x, Var) or isinstance(y, Var):
-            return x == y
-        if x.functor is not y.functor:
-            return False
-        if x.functor is S_VAR:
-            nx, ny = _atom_name(x.args[0]), _atom_name(y.args[0])
-            if nx is not None and ny is not None:
-                lx, ly = ex.get(nx), ey.get(ny)
-                if lx is None and ly is None:
-                    return nx == ny
-                return lx == ly
-        if x.functor is S_LAM:
-            nx, ny = _atom_name(x.args[0]), _atom_name(y.args[0])
-            if nx is not None and ny is not None:
-                return go(x.args[1], y.args[1],
-                          {**ex, nx: depth}, {**ey, ny: depth}, depth + 1)
-        return all(go(p, q, ex, ey, depth) for p, q in zip(x.args, y.args))
-
-    return go(a, b, {}, {}, 0)
+    return alpha_key(a) == alpha_key(b)
 
 
 # ============================================================
@@ -478,18 +480,25 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
     terms = list(terms)
     report = ConformanceReport()
 
-    expected: list[tuple[Term, Union[Term, _Bottom, None]]] = []
+    # Each value's alpha class is numbered once, so a term's distractors
+    # are one pass over the class ids.
+    classes: dict[object, int] = {}
+    expected: list[tuple[Term, Union[Term, _Bottom, None], Optional[int]]] = []
     value_pool: list[Term] = []
+    pool_cls: list[int] = []
     for t in terms:
         try:
             v = reference_eval(t, ocfg)
         except StuckTermError:
             v = None
-        expected.append((t, v))
+        cls = None
         if isinstance(v, (Compound, Int)):
+            cls = classes.setdefault(alpha_key(v), len(classes))
             value_pool.append(v)
+            pool_cls.append(cls)
+        expected.append((t, v, cls))
 
-    for t, v in expected:
+    for t, v, cls in expected:
         if v is BOTTOM:
             out = solve(program, _eval_goal(t, var("Result")), cfg, builtins)
             if out.verdict is Verdict.DEPTH_EXCEEDED:
@@ -512,13 +521,13 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             report.add_failure(f"{print_term(t)}: expected a value, got {out.verdict}")
             continue
         got = next(iter(out.answer.values()), None) if out.answer else None
-        if got is None or not alpha_equal(got, v):
+        if got is None or classes.get(alpha_key(got)) != cls:
             report.add_failure(
                 f"{print_term(t)}: evaluated to "
                 f"{print_term(got) if got is not None else '?'}, "
                 f"interpreter says {print_term(v)}")
             continue
-        wrong = [w for w in value_pool if not alpha_equal(w, v)]
+        wrong = [w for w, c in zip(value_pool, pool_cls) if c != cls]
         rng.shuffle(wrong)
         bad = None
         for w in wrong[:2]:

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional
 from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, metarule_library
 from .solver import DEFAULT_DEPTH
-from .terms import Atom, Clause, Compound, Int, Symbol, Term, symbol
+from .terms import Atom, Clause, Compound, Int, Symbol, Term
 from .textio import (
     ParseError,
     _Parser,

@@ -23,7 +23,6 @@ looping on such bindings by leaving the offending variable in place.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -33,9 +32,13 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 # ============================================================
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Symbol:
-    """A functor or predicate name paired with its arity."""
+    """A functor or predicate name paired with its arity.
+
+    Make symbols with `symbol` only: it interns them, so symbols compare
+    and hash by identity.
+    """
 
     name: str
     arity: int
@@ -45,16 +48,15 @@ class Symbol:
 
 
 _SYMBOLS: dict[tuple[str, int], Symbol] = {}
-_SYMBOLS_LOCK = threading.Lock()
 
 
 def symbol(name: str, arity: int) -> Symbol:
-    """Intern a symbol so equal symbols are usually the same object."""
+    """The interned symbol: the same name and arity always give the same
+    object."""
     key = (name, arity)
     sym = _SYMBOLS.get(key)
     if sym is None:
-        with _SYMBOLS_LOCK:
-            sym = _SYMBOLS.setdefault(key, Symbol(name, arity))
+        sym = _SYMBOLS[key] = Symbol(name, arity)
     return sym
 
 
@@ -103,17 +105,13 @@ class _VarTable:
         self._ids: dict[str, int] = {}
         self._names: dict[int, str] = {}
         self._next = itertools.count()
-        self._lock = threading.Lock()
 
     def intern(self, name: str) -> int:
         vid = self._ids.get(name)
         if vid is None:
-            with self._lock:
-                vid = self._ids.get(name)
-                if vid is None:
-                    vid = next(self._next)
-                    self._ids[name] = vid
-                    self._names[vid] = name
+            vid = next(self._next)
+            self._ids[name] = vid
+            self._names[vid] = name
         return vid
 
     def name_of(self, vid: int) -> str:
@@ -289,13 +287,13 @@ class Store:
                 return False
             if not isinstance(y, Compound):
                 return False
-            if x.functor is not y.functor and x.functor != y.functor:
+            if x.functor is not y.functor:
                 return False
             stack.extend(zip(x.args, y.args))
         return True
 
     def unify_atoms(self, a: Atom, b: Atom, occurs_check: bool = False) -> bool:
-        if a.pred is not b.pred and a.pred != b.pred:
+        if a.pred is not b.pred:
             return False
         for x, y in zip(a.args, b.args):
             if not self.unify(x, y, occurs_check):
@@ -410,13 +408,13 @@ def variant_terms(a: Term, b: Term, fwd: dict[int, int], bwd: dict[int, int]) ->
         return True
     if isinstance(a, Int):
         return isinstance(b, Int) and a.value == b.value
-    if not isinstance(b, Compound) or a.functor != b.functor:
+    if not isinstance(b, Compound) or a.functor is not b.functor:
         return False
     return all(variant_terms(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
 
 
 def variant_atoms(a: Atom, b: Atom, fwd: dict[int, int], bwd: dict[int, int]) -> bool:
-    if a.pred != b.pred:
+    if a.pred is not b.pred:
         return False
     return all(variant_terms(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
 

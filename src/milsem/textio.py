@@ -26,7 +26,7 @@ parsing.  Variables minted by renaming print as ``_v<n>``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .metarules import (
     CONST,

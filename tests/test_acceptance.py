@@ -29,7 +29,7 @@ from milsem.objectlang import (
 )
 from milsem.scenario import Example, builtin_scenario
 from milsem.solver import SolveConfig, Verdict, solve, solve_all
-from milsem.terms import Atom, Compound, Int, Program, const, mk, symbol, var
+from milsem.terms import Atom, Int, Program, const, mk, symbol, var
 from milsem.textio import parse_clauses, parse_term, print_term
 
 CHAIN_ORDER = ("lazy_eager", "pairs", "lists", "conditionals")

@@ -26,7 +26,7 @@ from milsem.objectlang import (
     eval_chain,
     reference_eval,
 )
-from milsem.terms import Compound, Int
+from milsem.terms import Int
 from milsem.textio import print_term
 
 EXPECTED_COUNTS = {

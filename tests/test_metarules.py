@@ -8,8 +8,8 @@ from milsem.metarules import (
     match_head,
     pool_candidates,
 )
-from milsem.terms import Int, Store, atom, const, mk, symbol, var
-from milsem.textio import parse_atom, parse_clause, parse_metarule, print_clause
+from milsem.terms import Int, Store, atom, mk, symbol, var
+from milsem.textio import parse_atom, parse_metarule, print_clause
 
 STEP2L = parse_metarule(
     "metarule(step2l, [func(H/2)], ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")

@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from milsem.solver import (
-    BuiltinError,
     BuiltinTable,
     SolveConfig,
     Verdict,
@@ -15,18 +14,15 @@ from milsem.solver import (
 from milsem.terms import (
     Atom,
     Clause,
-    Compound,
     Int,
     Program,
-    atom,
     clause_vars,
     const,
-    fact,
     mk,
     symbol,
     var,
 )
-from milsem.textio import parse_atom, parse_clauses, parse_program
+from milsem.textio import parse_atom, parse_program
 
 
 # ============================================================

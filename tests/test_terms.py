@@ -1,18 +1,20 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from milsem.corpus import CORPUS_KINDS, generate_corpus
+from milsem.objectlang import metarule_library
+from milsem.scenario import builtin_scenario, builtin_scenario_names
+
 from milsem.terms import (
-    Atom,
     Clause,
     Compound,
     FreshVars,
     Int,
     Program,
     Store,
-    Var,
+    Symbol,
     apply_subst,
     atom,
-    atom_vars,
     clause_vars,
     const,
     fact,
@@ -32,6 +34,37 @@ def test_symbol_interning():
     assert symbol("f", 2) is symbol("f", 2)
     assert symbol("f", 2) is not symbol("f", 3)
     assert symbol("f", 2) is not symbol("g", 2)
+
+
+def _symbols(x, out):
+    """Every Symbol reachable from x through containers and object slots."""
+    if isinstance(x, Symbol):
+        out.append(x)
+    elif isinstance(x, dict):
+        for y in (*x.keys(), *x.values()):
+            _symbols(y, out)
+    elif isinstance(x, (tuple, list)):
+        for y in x:
+            _symbols(y, out)
+    elif not isinstance(x, (str, int, float, type(None))):
+        for slot in type(x).__slots__:
+            _symbols(getattr(x, slot), out)
+    return out
+
+
+@pytest.mark.parametrize("source", [*builtin_scenario_names(), "metarule_library",
+                                    *CORPUS_KINDS])
+def test_every_reachable_symbol_is_the_interned_one(source):
+    if source in builtin_scenario_names():
+        root = builtin_scenario(source)
+    elif source == "metarule_library":
+        root = metarule_library()
+    else:
+        root = generate_corpus(source, 20, seed=3)
+    found = _symbols(root, [])
+    assert found
+    for s in found:
+        assert s is symbol(s.name, s.arity), s
 
 
 def test_named_vars_are_stable():

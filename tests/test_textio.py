@@ -5,7 +5,6 @@ from milsem.metarules import CONST, FUNC, PRED, MetaVar
 from milsem.terms import Clause, Compound, Int, Var, atom, const, mk, symbol, var
 from milsem.textio import (
     ParseError,
-    parse_atom,
     parse_clause,
     parse_clauses,
     parse_metarule,
@@ -13,7 +12,6 @@ from milsem.textio import (
     parse_program,
     parse_symbols,
     parse_term,
-    print_atom,
     print_clause,
     print_metarule,
     print_program,
