@@ -31,7 +31,14 @@ from .scenario import (
 )
 from .solver import DEFAULT_DEPTH, BuiltinError, SolveConfig, Verdict, solve
 from .terms import Atom, FreshVars, Program, symbol
-from .textio import ParseError, parse_clauses, parse_term, print_clause, print_term
+from .textio import (
+    ParseError,
+    parse_clauses,
+    parse_term,
+    print_clause,
+    print_program,
+    print_term,
+)
 
 EX_OK = 0
 EX_EMPTY = 1
@@ -47,6 +54,10 @@ _VERDICT_TEXT = {
 
 _STATUS_EXIT = {"found": EX_OK, "exhausted": EX_EMPTY,
                 "depth_exceeded": EX_BUDGET, "timeout": EX_BUDGET}
+
+# numeric flags that must be positive, as the scenario options they mirror,
+# and finite, so that none of them switches its limit off
+_LIMITS = ("depth", "max_clauses", "timeout", "fuel")
 
 
 class CliError(Exception):
@@ -215,8 +226,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     code = EX_OK if seq.ok else _STATUS_EXIT[seq.results[-1][1].status]
     combined_text = None
     if seq.combined is not None:
-        combined_text = "".join(print_clause(c) + "\n"
-                                for c in seq.combined.clauses)
+        combined_text = print_program(seq.combined)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(combined_text)
@@ -341,6 +351,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name in _LIMITS:
+            value = getattr(args, name, None)
+            if value is not None and not 0 < value < float("inf"):
+                raise CliError(f"--{name.replace('_', '-')} needs a finite "
+                               f"positive number, got {value:g}")
         return args.fn(args)
     except (CliError, ScenarioError, ParseError, BuiltinError) as exc:
         print(f"error: {exc}", file=sys.stderr)

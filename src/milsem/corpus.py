@@ -18,16 +18,9 @@ from __future__ import annotations
 
 import importlib.resources
 import random
-from typing import Callable, Optional
+from typing import Callable
 
-from .objectlang import (
-    BOTTOM,
-    OracleConfig,
-    StuckTermError,
-    alpha_equal,
-    eval_chain,
-    reference_eval,
-)
+from .objectlang import STRATEGIES, OracleConfig, alpha_equal, eval_chain, is_value
 from .terms import Compound, Int, Term, symbol
 from .textio import parse_term, print_term
 
@@ -135,18 +128,13 @@ class _Gen:
 
 
 def _acceptable(t: Term) -> bool:
-    try:
-        lazy = reference_eval(t, OracleConfig(strategy="lazy"))
-        eager = reference_eval(t, OracleConfig(strategy="eager"))
-    except StuckTermError:
+    # a chain that ends in a non-value got stuck or ran out of fuel
+    lazy, eager = (eval_chain(t, OracleConfig(strategy=s)) for s in STRATEGIES)
+    if not (is_value(lazy[-1]) and is_value(eager[-1])):
         return False
-    if lazy is BOTTOM or eager is BOTTOM:
-        return False
-    if not alpha_equal(lazy, eager):
+    if not alpha_equal(lazy[-1], eager[-1]):
         return False  # strategy-sensitive, would make corpora ambiguous
-    chain = max(len(eval_chain(t, OracleConfig(strategy=s)))
-                for s in ("lazy", "eager"))
-    return chain <= _MAX_CHAIN
+    return max(len(lazy), len(eager)) <= _MAX_CHAIN
 
 
 def generate_term(kind: str, rng: random.Random, max_depth: int = 4) -> Term:
@@ -161,11 +149,9 @@ def generate_term(kind: str, rng: random.Random, max_depth: int = 4) -> Term:
 
 
 def generate_corpus(kind: str, count: int, seed: int = 0,
-                    rng: Optional[random.Random] = None,
                     max_depth: int = 4) -> list[Term]:
     """``count`` distinct vetted terms, reproducible from the seed."""
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     out: list[Term] = []
     seen: set[str] = set()
     attempts = 0

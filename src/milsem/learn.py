@@ -56,7 +56,6 @@ from .metarules import (
     apply_metasub,
     enumerate_bindings,
     match_head,
-    pool_candidates,
 )
 from .objectlang import default_builtins
 from .scenario import Example, ScenarioSpec
@@ -273,8 +272,8 @@ class _Engine:
             restr = match_head(m, goal, store)
             if restr is None:
                 continue
-            cands = pool_candidates(m, self.pools, self.invented, tentative)
-            for binding in enumerate_bindings(m, restr, cands):
+            for binding in enumerate_bindings(m, restr, self.pools,
+                                              self.invented, tentative):
                 msub = Metasub(m.name, tuple((d.name, binding[d.name])
                                              for d in m.decls))
                 if msub in self.hypothesis:

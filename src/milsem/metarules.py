@@ -16,16 +16,16 @@ Metavariables are declared alongside the template with a kind and arity:
 Instantiation is goal-directed.  `match_head` lays the head template over
 the current goal, which pins down most metavariables (a function
 metavariable over a goal subterm ``pair(a,b)`` can only become ``pair``).
-`enumerate_bindings` then fills in whatever is left from the candidates
-`pool_candidates` offers, in pool order, and `apply_metasub` builds the
-clause.  The learner's clause source keeps only instantiations whose head
-unifies with the goal.
+`enumerate_bindings` then fills in whatever is left from the pools, in
+pool order, and `apply_metasub` builds the clause.  The learner's clause
+source keeps only instantiations whose head unifies with the goal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from itertools import product
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .terms import (
     Atom,
@@ -101,7 +101,7 @@ class Metarule:
     function symbol, and all its occurrences must agree on arity.
     """
 
-    __slots__ = ("name", "decls", "head", "body", "head_pred_meta", "_decl_by_name")
+    __slots__ = ("name", "decls", "head", "body", "head_pred_meta")
 
     def __init__(self, name: str, decls: Sequence[Decl], head: TAtom,
                  body: Sequence[TAtom]) -> None:
@@ -155,11 +155,7 @@ class Metarule:
             if n not in declared:
                 raise MetaruleError(f"metarule {name}: {n} is not declared")
         self.decls = tuple(resolved)
-        self._decl_by_name = {d.name: d for d in self.decls}
         self.head_pred_meta = head.pred.name if isinstance(head.pred, MetaVar) else None
-
-    def decl(self, name: str) -> Decl:
-        return self._decl_by_name[name]
 
     def _identity(self) -> tuple:
         return (self.name, self.decls, self.head, self.body)
@@ -180,25 +176,15 @@ class Metarule:
 # Instantiation
 # ============================================================
 
-ANY = object()  # restriction sentinel: no constraint from the goal
+def _restrict(restr: dict[str, Binding], name: str, value: Binding) -> bool:
+    """Pin a metavariable to a value, or check an earlier pin agrees."""
+    return restr.setdefault(name, value) == value
 
 
-def _restrict(restr: dict[str, object], name: str, value: Binding) -> bool:
-    cur = restr.get(name, ANY)
-    if cur is ANY:
-        restr[name] = {value}
-        return True
-    assert isinstance(cur, set)
-    if value in cur:
-        restr[name] = {value}
-        return True
-    return False
-
-
-def _match_term(tt: TTerm, g: Term, store: Store, restr: dict[str, object]) -> bool:
-    """Collect metavariable restrictions by laying the template over the
-    goal term.  Conservative: unconstrained where the goal is a variable;
-    the final head unification is still authoritative."""
+def _match_term(tt: TTerm, g: Term, store: Store, restr: dict[str, Binding]) -> bool:
+    """Pin metavariables by laying the template over the goal term.
+    Conservative: unconstrained where the goal is a variable; the final
+    head unification is still authoritative."""
     g = store.walk(g)
     if isinstance(tt, Var):
         return True
@@ -227,10 +213,11 @@ def _match_term(tt: TTerm, g: Term, store: Store, restr: dict[str, object]) -> b
     return all(_match_term(a, b, store, restr) for a, b in zip(tt.args, g.args))
 
 
-def match_head(m: Metarule, goal: Atom, store: Store) -> Optional[dict[str, object]]:
-    """Restrictions implied by matching the head template against the goal,
-    or None when the metarule cannot apply to this goal at all."""
-    restr: dict[str, object] = {}
+def match_head(m: Metarule, goal: Atom, store: Store) -> Optional[dict[str, Binding]]:
+    """The metavariables that matching the head template against the goal
+    pins, with their values, or None when the metarule cannot apply to
+    this goal at all."""
+    restr: dict[str, Binding] = {}
     if isinstance(m.head.pred, MetaVar):
         if not _restrict(restr, m.head.pred.name, goal.pred):
             return None
@@ -287,7 +274,7 @@ class Pools:
     """Candidate symbols for metavariable kinds.
 
     ``head_preds`` are the predicates a hypothesis may define and
-    ``body_preds`` the auxiliary ones it may only call; `pool_candidates`
+    ``body_preds`` the auxiliary ones it may only call; `enumerate_bindings`
     offers both for any predicate position.  ``funcs`` holds function
     symbols of any arity and ``consts`` arity-0 symbols plus integer
     literals.
@@ -299,11 +286,13 @@ class Pools:
     consts: tuple[Binding, ...]
 
 
-def pool_candidates(m: Metarule, pools: Pools,
-                    invented: Sequence[Symbol] = (),
-                    tentative: Optional[str] = None,
-                    ) -> Callable[[Decl, dict], list[Binding]]:
-    """The candidates for each metavariable of ``m``, in enumeration order.
+def enumerate_bindings(m: Metarule, restr: Mapping[str, Binding],
+                       pools: Pools, invented: Sequence[Symbol] = (),
+                       tentative: Optional[str] = None,
+                       ) -> Iterator[dict[str, Binding]]:
+    """All full metavariable assignments, decl by decl in declaration
+    order, each decl's candidates in pool order and kept only when they
+    agree with the value ``restr`` pins.
 
     Constants come from the const pool and function symbols from the
     function pool, by arity.  A predicate metavariable takes any body, head
@@ -311,40 +300,21 @@ def pool_candidates(m: Metarule, pools: Pools,
     repeats; outside the head it may also take ``tentative``, the name of a
     predicate not invented yet.
     """
-
-    def candidates(d: Decl, _chosen: dict) -> list[Binding]:
+    options: list[list[Binding]] = []
+    for d in m.decls:
         if d.kind == CONST:
-            return list(pools.consts)
-        if d.kind == FUNC:
-            return [f for f in pools.funcs if f.arity == d.arity]
-        preds = [p for p in (*pools.body_preds, *pools.head_preds, *invented)
-                 if p.arity == d.arity]
-        if tentative is not None and m.head_pred_meta != d.name:
-            preds.append(symbol(tentative, d.arity))
-        return list(dict.fromkeys(preds))
-
-    return candidates
-
-
-def enumerate_bindings(m: Metarule, restr: dict[str, object],
-                       candidates: Callable[[Decl, dict], list[Binding]],
-                       ) -> Iterator[dict[str, Binding]]:
-    """All full metavariable assignments, decl by decl in declaration
-    order, each filtered by the goal-derived restriction."""
-
-    decls = m.decls
-
-    def rec(i: int, chosen: dict[str, Binding]) -> Iterator[dict[str, Binding]]:
-        if i == len(decls):
-            yield dict(chosen)
-            return
-        d = decls[i]
-        allowed = restr.get(d.name, ANY)
-        for cand in candidates(d, chosen):
-            if allowed is not ANY and cand not in allowed:
-                continue
-            chosen[d.name] = cand
-            yield from rec(i + 1, chosen)
-            del chosen[d.name]
-
-    return rec(0, {})
+            cands: list[Binding] = list(pools.consts)
+        elif d.kind == FUNC:
+            cands = [f for f in pools.funcs if f.arity == d.arity]
+        else:
+            cands = [p for p in (*pools.body_preds, *pools.head_preds, *invented)
+                     if p.arity == d.arity]
+            if tentative is not None and m.head_pred_meta != d.name:
+                cands.append(symbol(tentative, d.arity))
+            cands = list(dict.fromkeys(cands))
+        if d.name in restr:
+            cands = [c for c in cands if c == restr[d.name]]
+        options.append(cands)
+    names = [d.name for d in m.decls]
+    for values in product(*options):
+        yield dict(zip(names, values))

@@ -31,7 +31,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .metarules import Metarule, Pools
-from .objectlang import CORES, base_clauses, metarule_library
+from .objectlang import CORES, base_clauses, default_builtins, metarule_library
 from .solver import DEFAULT_DEPTH
 from .terms import Atom, Clause, Compound, Int, Symbol, Term
 from .textio import (
@@ -308,6 +308,11 @@ def _validate(spec: ScenarioSpec) -> None:
             raise ScenarioError(f"head predicate {s.name} must take arguments")
     known = {c.head.pred for c in spec.bk}
     known.update(spec.head_preds)
+    clash = sorted(map(str, known & default_builtins().predicates()))
+    if clash:
+        raise ScenarioError(
+            f"{', '.join(clash)}: builtin, so neither the background nor "
+            f"the head section may define it")
     for e in spec.examples:
         if e.goal.pred not in known:
             raise ScenarioError(

@@ -64,7 +64,8 @@ class Verdict(enum.Enum):
 
 
 class BuiltinError(Exception):
-    """A builtin was called with arguments it can never handle."""
+    """A builtin was called with arguments it can never handle, or a
+    program defines a builtin predicate with clauses."""
 
 
 BuiltinFn = Callable[[Store, tuple[Term, ...]], Iterator[None]]
@@ -218,7 +219,7 @@ def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
     clash = builtins.predicates() & frozenset(program.predicates())
     if clash:
         names = ", ".join(f"{s.name}/{s.arity}" for s in sorted(clash, key=str))
-        raise ValueError(f"predicates defined both by clauses and builtins: {names}")
+        raise BuiltinError(f"predicates defined both by clauses and builtins: {names}")
 
 
 def _start(program: Program, query: Union[Atom, Sequence[Atom]],

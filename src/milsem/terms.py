@@ -7,15 +7,10 @@ their names kept in a module-level table, while variables minted by a
 renaming counter get negative ids and print as ``_v<n>``.  Keeping ids as
 plain ints makes renaming a clause apart a cheap dict-driven rebuild.
 
-Substitutions come in two flavours that share one unification algorithm:
-
-* a plain ``dict[int, Term]`` for the functional surface (`unify`,
-  `apply_subst`), convenient for tests and small manipulations;
-* a `Store` with a trail for the search engines, which bind destructively
-  and undo on backtracking instead of copying dicts.
-
-Stored substitutions may contain chains (X -> Y, Y -> t); `apply_subst`
-resolves chains fully.  Unification does not occurs-check by default, so a
+The search engines bind variables destructively through a `Store` and
+undo on backtracking with its trail, instead of copying substitution dicts.
+Stored bindings may contain chains (X -> Y, Y -> t); `Store.resolve` and
+`restrict` follow them fully.  Unification does not occurs-check, so a
 binding like X -> f(X) can exist in a store; deep resolution guards against
 looping on such bindings by leaving the offending variable in place.
 """
@@ -186,17 +181,10 @@ def term_vars(t: Term, into: Optional[list[int]] = None) -> list[int]:
     return out
 
 
-def atom_vars(a: Atom, into: Optional[list[int]] = None) -> list[int]:
-    out: list[int] = [] if into is None else into
+def atom_vars(a: Atom) -> list[int]:
+    out: list[int] = []
     for t in a.args:
         term_vars(t, out)
-    return out
-
-
-def clause_vars(c: Clause) -> list[int]:
-    out = atom_vars(c.head)
-    for b in c.body:
-        atom_vars(b, out)
     return out
 
 
@@ -215,8 +203,8 @@ class Store:
 
     __slots__ = ("bindings", "trail")
 
-    def __init__(self, seed: Optional[Mapping[int, Term]] = None) -> None:
-        self.bindings: dict[int, Term] = dict(seed) if seed else {}
+    def __init__(self) -> None:
+        self.bindings: dict[int, Term] = {}
         self.trail: list[int] = []
 
     def mark(self) -> int:
@@ -243,22 +231,11 @@ class Store:
         return t
 
     def resolve(self, t: Term) -> Term:
-        """Deep dereference.  Cyclic bindings (from unification without the
-        occurs check) are tolerated: the looping variable is left in place."""
+        """Deep dereference.  Cyclic bindings (unification has no occurs
+        check) are tolerated: the looping variable is left in place."""
         return _resolve(self.bindings, t, ())
 
-    def occurs(self, vid: int, t: Term) -> bool:
-        stack = [t]
-        while stack:
-            x = self.walk(stack.pop())
-            if isinstance(x, Var):
-                if x.id == vid:
-                    return True
-            elif isinstance(x, Compound):
-                stack.extend(x.args)
-        return False
-
-    def unify(self, a: Term, b: Term, occurs_check: bool = False) -> bool:
+    def unify(self, a: Term, b: Term) -> bool:
         stack = [(a, b)]
         while stack:
             x, y = stack.pop()
@@ -267,18 +244,11 @@ class Store:
             if x is y:
                 continue
             if isinstance(x, Var):
-                if isinstance(y, Var):
-                    if x.id == y.id:
-                        continue
-                    self.bind(x.id, y)
+                if isinstance(y, Var) and x.id == y.id:
                     continue
-                if occurs_check and self.occurs(x.id, y):
-                    return False
                 self.bind(x.id, y)
                 continue
             if isinstance(y, Var):
-                if occurs_check and self.occurs(y.id, x):
-                    return False
                 self.bind(y.id, x)
                 continue
             if isinstance(x, Int):
@@ -292,16 +262,13 @@ class Store:
             stack.extend(zip(x.args, y.args))
         return True
 
-    def unify_atoms(self, a: Atom, b: Atom, occurs_check: bool = False) -> bool:
+    def unify_atoms(self, a: Atom, b: Atom) -> bool:
         if a.pred is not b.pred:
             return False
         for x, y in zip(a.args, b.args):
-            if not self.unify(x, y, occurs_check):
+            if not self.unify(x, y):
                 return False
         return True
-
-    def export(self) -> dict[int, Term]:
-        return dict(self.bindings)
 
 
 def _resolve(bindings: Mapping[int, Term], t: Term, path: tuple[int, ...]) -> Term:
@@ -318,42 +285,7 @@ def _resolve(bindings: Mapping[int, Term], t: Term, path: tuple[int, ...]) -> Te
     return t
 
 
-# ============================================================
-# Functional substitution surface
-# ============================================================
-
 Subst = dict[int, Term]
-
-
-def unify(t1: Term, t2: Term, s: Optional[Mapping[int, Term]] = None,
-          occurs_check: bool = False) -> Optional[Subst]:
-    """Most general unifier extending ``s``, or None.
-
-    Without the occurs check (the default) a cycle-creating pair like
-    X and f(X) unifies and stores X -> f(X); with ``occurs_check=True``
-    it fails instead.
-    """
-    st = Store(s)
-    if st.unify(t1, t2, occurs_check):
-        return st.export()
-    return None
-
-
-def unify_atoms(a1: Atom, a2: Atom, s: Optional[Mapping[int, Term]] = None,
-                occurs_check: bool = False) -> Optional[Subst]:
-    st = Store(s)
-    if st.unify_atoms(a1, a2, occurs_check):
-        return st.export()
-    return None
-
-
-def apply_subst(s: Mapping[int, Term], t: Term) -> Term:
-    """Apply ``s`` to ``t``, resolving binding chains fully.
-
-    The result is idempotent: applying ``s`` again does not change it
-    (cyclic bindings excepted, where the cycle variable survives).
-    """
-    return _resolve(s, t, ())
 
 
 def restrict(s: Mapping[int, Term], vids: Iterable[int]) -> Subst:
@@ -388,46 +320,6 @@ def rename_apart(c: Clause, counter: FreshVars) -> Clause:
     head = rename_atom(c.head, mapping, counter)
     body = tuple(rename_atom(b, mapping, counter) for b in c.body)
     return Clause(head, body)
-
-
-# ------------------------------------------------------------
-# Alpha equivalence (variable renaming only)
-# ------------------------------------------------------------
-
-
-def variant_terms(a: Term, b: Term, fwd: dict[int, int], bwd: dict[int, int]) -> bool:
-    if isinstance(a, Var):
-        if not isinstance(b, Var):
-            return False
-        if a.id in fwd:
-            return fwd[a.id] == b.id
-        if b.id in bwd:
-            return False
-        fwd[a.id] = b.id
-        bwd[b.id] = a.id
-        return True
-    if isinstance(a, Int):
-        return isinstance(b, Int) and a.value == b.value
-    if not isinstance(b, Compound) or a.functor is not b.functor:
-        return False
-    return all(variant_terms(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
-
-
-def variant_atoms(a: Atom, b: Atom, fwd: dict[int, int], bwd: dict[int, int]) -> bool:
-    if a.pred is not b.pred:
-        return False
-    return all(variant_terms(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
-
-
-def variant(a: Clause, b: Clause) -> bool:
-    """True when the clauses are equal up to a bijective variable renaming."""
-    if len(a.body) != len(b.body):
-        return False
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    if not variant_atoms(a.head, b.head, fwd, bwd):
-        return False
-    return all(variant_atoms(x, y, fwd, bwd) for x, y in zip(a.body, b.body))
 
 
 # ============================================================

@@ -428,14 +428,6 @@ def parse_metarules(text: str) -> list[Metarule]:
     return out
 
 
-def parse_symbols(text: str) -> list[Symbol]:
-    p = _Parser(text)
-    out: list[Symbol] = []
-    while not p.at("EOF"):
-        out.append(p.symbol_decl())
-    return out
-
-
 # ============================================================
 # Printing
 # ============================================================

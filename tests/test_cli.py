@@ -131,6 +131,17 @@ def test_learn_bad_metarule_exits_2(tmp_path, capsys):
     assert f"at line {lineno}" in err
 
 
+def test_learn_background_defining_a_builtin_exits_2(tmp_path, capsys):
+    text = TOY_SCENARIO.replace("%% background\n",
+                                "%% background\nint_add(A,B,C).\n")
+    path = tmp_path / "clash.pls"
+    path.write_text(text)
+    assert main(["learn", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "int_add/3" in err
+
+
 def test_learn_exhausted_exits_1(capsys):
     assert main(["learn", "pairs", "--max-clauses", "1"]) == 1
     err = capsys.readouterr().err
@@ -234,6 +245,13 @@ def test_run_no_rules_is_an_input_error(capsys):
 def test_run_bad_term_exits_2(capsys):
     assert main(["run", "fst("]) == 2
     assert capsys.readouterr().err.startswith("error: term:")
+
+
+def test_run_program_defining_a_builtin_exits_2(tmp_path, capsys):
+    prog = tmp_path / "clash.pl"
+    prog.write_text("substitute(V,X,T,T).\n")
+    assert main(["run", "var(a)", "-p", str(prog)]) == 2
+    assert "substitute/4" in capsys.readouterr().err
 
 
 def test_run_missing_program_file_exits_2(capsys):
@@ -345,7 +363,38 @@ def test_check_empty_corpus_is_fine(tmp_path, capsys):
     assert main(["check", str(rules), str(corpus)]) == 0
 
 
+def test_check_program_defining_a_builtin_exits_2(tmp_path, capsys):
+    prog = tmp_path / "clash.pl"
+    prog.write_text("substitute(V,X,T,T).\n")
+    assert main(["check", str(prog), "pairs", "--base", "full"]) == 2
+    assert "substitute/4" in capsys.readouterr().err
+
+
 def test_check_unknown_corpus_exits_2(capsys):
     assert main(["check", "nope.pl", "pairs"]) == 2
     assert main(["learn", "pairs", "--json"]) == 0  # driver still healthy
     capsys.readouterr()
+
+
+# ---- limits ----
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "pairs", "--depth", "0"],
+    ["run", "var(a)", "--depth", "-3"],
+    ["chain", "pairs", "--max-clauses", "0"],
+    ["learn", "pairs", "--timeout", "0"],
+    ["learn", "pairs", "--timeout", "-1"],
+    ["learn", "pairs", "--timeout", "inf"],
+    ["learn", "pairs", "--timeout", "nan"],
+    ["check", "{prog}", "lazy_eager", "--base", "full", "--fuel", "0"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_positive_limit_exits_2(tmp_path, capsys, argv):
+    # as for a scenario's options, every limit is positive; and finite, so
+    # none can switch a budget off
+    prog = tmp_path / "empty.pl"
+    prog.write_text("")
+    argv = [a.format(prog=prog) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-2]} needs a finite positive number")

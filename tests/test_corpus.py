@@ -5,6 +5,7 @@ the same value, checked here directly against the reference interpreter
 rather than trusting the generator's own vetting.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -81,6 +82,24 @@ def test_generate_corpus_reproducible_and_distinct():
     assert len({print_term(t) for t in a}) == 12
     c = generate_corpus("pairs", 12, seed=6)
     assert [print_term(t) for t in a] != [print_term(t) for t in c]
+
+
+# sha256 of the printed terms of generate_corpus(kind, 20, seed=3), one
+# per line: generation draws the same terms, so seeded corpora such as the
+# benchmark's stay byte-identical
+PINNED_CORPUS_SHA256 = {
+    "pairs": "e1cad3fb4773949928015c07f1672c391b10db802ff68d96cb9f6441d246d2c0",
+    "lists": "a898650ec7fa0208dc522031f0a2bdec4272d3cff198f0ff07975ce3d95304f4",
+    "conditionals": "7fae6f056203613a4b09882d5fda55ec84c315203ca535c8baba1f95c1a0230b",
+    "lazy_eager": "c6b458634c837f3eb4bcf0267ae9b5ad3461eff938688a490359496811b31fc5",
+    "mixed": "dfbd3f4958b237850e931e206de644c250841638109e958ba5a7b804f770ab3a",
+}
+
+
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_generate_corpus_is_pinned(kind):
+    text = "".join(print_term(t) + "\n" for t in generate_corpus(kind, 20, seed=3))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CORPUS_SHA256[kind]
 
 
 def test_generate_rejects_unknown_kind():

@@ -1,12 +1,10 @@
 import pytest
 
 from milsem.metarules import (
-    ANY,
     Pools,
     apply_metasub,
     enumerate_bindings,
     match_head,
-    pool_candidates,
 )
 from milsem.terms import Int, Store, atom, mk, symbol, var
 from milsem.textio import parse_atom, parse_metarule, print_clause
@@ -34,7 +32,7 @@ POOLS = Pools(
 def test_match_head_pins_functor():
     goal = parse_atom("step(pair(lit(1),lit(2)),X)")
     restr = match_head(STEP2L, goal, Store())
-    assert restr == {"H": {symbol("pair", 2)}}
+    assert restr == {"H": symbol("pair", 2)}
 
 
 def test_match_head_wrong_shape():
@@ -46,14 +44,14 @@ def test_match_head_unbound_position_is_unrestricted():
     # nothing to pin H against: all candidates stay open
     goal = parse_atom("step(X,Y)")
     restr = match_head(STEP2L, goal, Store())
-    assert restr.get("H", ANY) is ANY or "H" not in restr
+    assert restr == {}
 
 
 def test_match_head_pred_metavar_takes_goal_pred():
     goal = parse_atom("helper(pair(X,Y),Z)")
     restr = match_head(UNPACK2, goal, Store())
-    assert restr["P"] == {symbol("helper", 2)}
-    assert restr["H"] == {symbol("pair", 2)}
+    assert restr["P"] == symbol("helper", 2)
+    assert restr["H"] == symbol("pair", 2)
 
 
 def test_match_head_respects_store_bindings():
@@ -61,13 +59,13 @@ def test_match_head_respects_store_bindings():
     store.unify(var("G"), mk("pair", Int(1), Int(2)))
     goal = atom("step", var("G"), var("Out"))
     restr = match_head(STEP2L, goal, store)
-    assert restr == {"H": {symbol("pair", 2)}}
+    assert restr == {"H": symbol("pair", 2)}
 
 
 def test_match_head_const_pins_to_goal():
     goal = parse_atom("branch(true,X,Y)")
     restr = match_head(CASEC, goal, Store())
-    assert restr["C"] == {symbol("true", 0)}
+    assert restr["C"] == symbol("true", 0)
 
 
 # ---- applying metasubs ----
@@ -93,29 +91,25 @@ def test_apply_metasub_const_as_int():
 
 def test_enumerate_in_pool_order():
     restr = {}
-    out = list(enumerate_bindings(STEP2L, restr,
-                                  pool_candidates(STEP2L, POOLS)))
+    out = list(enumerate_bindings(STEP2L, restr, POOLS))
     assert [b["H"] for b in out] == [symbol("pair", 2)]  # only arity-2 func
 
 
 def test_enumerate_respects_restriction():
-    restr = {"Q": {symbol("right", 3)}}
-    out = list(enumerate_bindings(UNPACK2, restr,
-                                  pool_candidates(UNPACK2, POOLS)))
+    restr = {"Q": symbol("right", 3)}
+    out = list(enumerate_bindings(UNPACK2, restr, POOLS))
     assert out  # P x H x Q combinations survive
     assert all(b["Q"] == symbol("right", 3) for b in out)
 
 
 def test_head_pred_candidates_come_from_head_pool():
-    outs = list(enumerate_bindings(UNPACK2, {},
-                                   pool_candidates(UNPACK2, POOLS)))
+    outs = list(enumerate_bindings(UNPACK2, {}, POOLS))
     assert {b["P"] for b in outs} == {symbol("step", 2)}
     assert {b["Q"] for b in outs} == {symbol("left", 3), symbol("right", 3)}
 
 
 def test_const_candidates_include_ints():
-    outs = list(enumerate_bindings(VALUE0, {},
-                                   pool_candidates(VALUE0, POOLS)))
+    outs = list(enumerate_bindings(VALUE0, {}, POOLS))
     assert [b["C"] for b in outs] == [symbol("true", 0), 7]
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from milsem.solver import (
+    BuiltinError,
     BuiltinTable,
     SolveConfig,
     Verdict,
@@ -16,7 +17,7 @@ from milsem.terms import (
     Clause,
     Int,
     Program,
-    clause_vars,
+    atom_vars,
     const,
     mk,
     symbol,
@@ -33,7 +34,8 @@ from milsem.textio import parse_atom, parse_program
 # what the resolution search proves.
 
 def ground_instances(clause, universe):
-    vids = clause_vars(clause)
+    vids = list(dict.fromkeys(v for a in (clause.head, *clause.body)
+                              for v in atom_vars(a)))
     for combo in itertools.product(universe, repeat=len(vids)):
         s = dict(zip(vids, combo))
 
@@ -313,7 +315,7 @@ def test_builtin_counts_against_budget():
 def test_builtin_clause_clash_rejected():
     t = _table(plus_3=_int_add)
     p = parse_program("plus(a,b,c).")
-    with pytest.raises(ValueError):
+    with pytest.raises(BuiltinError, match="plus/3"):
         solve(p, parse_atom("plus(a,b,C)"), builtins=t)
 
 

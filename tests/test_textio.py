@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from milsem.metarules import CONST, FUNC, PRED, MetaVar
+from milsem.metarules import CONST, FUNC, PRED, Decl, MetaVar
+from milsem.scenario import parse_scenario
 from milsem.terms import Clause, Compound, Int, Var, atom, const, mk, symbol, var
 from milsem.textio import (
     ParseError,
@@ -10,7 +11,6 @@ from milsem.textio import (
     parse_metarule,
     parse_metarules,
     parse_program,
-    parse_symbols,
     parse_term,
     print_clause,
     print_metarule,
@@ -124,14 +124,21 @@ def test_print_program_round_trip():
 
 # ---- symbol lists ----
 
+def _head_section(text: str):
+    """The symbols a scenario's head section declares."""
+    return parse_scenario("%% background\n%% metarules\ninclude(library).\n"
+                          "%% head\n" + text + "\n%% examples\n"
+                          "pos(step(a,b)).\n").head_preds
+
+
 def test_parse_symbols():
-    out = parse_symbols("step/2.\nvalue/1.\n")
-    assert out == [symbol("step", 2), symbol("value", 1)]
+    out = _head_section("step/2.\nvalue/1.\n")
+    assert out == (symbol("step", 2), symbol("value", 1))
 
 
 def test_parse_symbols_reject_bad_arity():
     with pytest.raises(ParseError):
-        parse_symbols("step/x.")
+        _head_section("step/x.")
 
 
 # ---- metarules ----
@@ -141,7 +148,7 @@ def test_parse_metarule_shape():
         "metarule(step2l, [func(H/2)], ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")
     assert m.name == "step2l"
     assert [d.kind for d in m.decls] == [FUNC]
-    assert m.decl("H").arity == 2
+    assert m.decls == (Decl("H", FUNC, 2),)
     assert m.head.pred == symbol("step", 2)
 
 
