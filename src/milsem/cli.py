@@ -7,11 +7,13 @@ program against the built-in interpreter over a corpus.
 
 Exit codes class outcomes, not commands: 0 success, 1 the search or
 query came up empty (no hypothesis, finite failure, violations), 2 bad
-input (unreadable file, parse or semantic error), 3 out of budget
+input (unreadable or non-UTF-8 file, parse or semantic error, a term
+nested past the recursion limit), 3 out of budget
 (learner timeout, depth exceeded in a query or in the learner's search).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -69,9 +71,25 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+@contextlib.contextmanager
+def _reading(name: str):
+    """Turn a file that cannot be read, decoded or parsed into bad input
+    that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"{name}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{name}: not UTF-8 text ({exc.reason} at byte "
+                       f"{exc.start})") from exc
+    except ParseError as exc:
+        raise CliError(f"{name}: {exc}") from exc
+
+
 def _read_scenario(ref: str) -> ScenarioSpec:
     if os.path.exists(ref):
-        return load_scenario(ref)
+        with _reading(ref):
+            return load_scenario(ref)
     if ref in builtin_scenario_names():
         return builtin_scenario(ref)
     raise CliError(f"{ref}: no such file or bundled scenario "
@@ -79,23 +97,15 @@ def _read_scenario(ref: str) -> ScenarioSpec:
 
 
 def _read_program_file(path: str):
-    try:
+    with _reading(path):
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        return parse_clauses(text)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+            return parse_clauses(fh.read())
 
 
 def _read_corpus(ref: str):
     if os.path.exists(ref):
-        try:
+        with _reading(ref):
             return load_corpus(ref)
-        except ParseError as exc:
-            raise CliError(f"{ref}: {exc}") from exc
     if ref in builtin_corpus_names():
         return builtin_corpus(ref)
     raise CliError(f"{ref}: no such file or bundled corpus "
@@ -178,11 +188,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         clauses.extend(_read_program_file(path))
     if not clauses:
         raise CliError("no rules: give program files or drop --base none")
-    text = sys.stdin.read() if args.term == "-" else args.term
-    try:
-        term = parse_term(text)
-    except ParseError as exc:
-        raise CliError(f"term: {exc}") from exc
+    with _reading("term"):
+        term = parse_term(sys.stdin.read() if args.term == "-" else args.term)
     result = FreshVars().next_var()  # a negative id: no parsed term has it
     goal = Atom(symbol("eval", 2), (term, result))
     try:
@@ -362,6 +369,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EX_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_INPUT
+    except RecursionError:
+        print("error: a term is nested too deeply for the recursion limit",
+              file=sys.stderr)
         return EX_INPUT
 
 

@@ -20,12 +20,14 @@ finitely fail and a non-terminating example must exhaust the depth budget,
 the latter being how a single tagged example can separate evaluation
 strategies that agree on all finite behaviour.
 
-Each example is proved under a fresh depth budget.  The meta-proof is the
-solver's resolution with a different clause source, so budget, step count
-and taint work as in `solve`: a hypothesis found here proves its examples
-under `solve` as well, and when no hypothesis turns up but the depth bound
-cut the meta-proof, `learn` reports ``depth_exceeded`` rather than
-``exhausted``.
+One engine serves a whole `learn` or `meta_prove` call and is re-run at
+each size cap; its resolver, renamed goals, statistics and negative cores
+carry over from cap to cap.  Each example is proved under a fresh depth
+budget.  The meta-proof is the solver's resolution with a different clause
+source, so budget, step count and taint work as in `solve`: a hypothesis
+found here proves its examples under `solve` as well, and when no
+hypothesis turns up but the depth bound cut the meta-proof, `learn`
+reports ``depth_exceeded`` rather than ``exhausted``.
 
 Definite programs are monotone: a clause set that proves a goal within the
 depth budget still proves it with clauses added.  So when a candidate is
@@ -49,7 +51,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .metarules import (
     Metasub,
@@ -186,41 +188,37 @@ def _negative_core(bk: Sequence[Clause], candidate: Hypothesis, goal: Atom,
 
 
 class _Engine:
-    """One size-capped search for a hypothesis proving the given goals."""
+    """The meta-proof of one `learn` or `meta_prove` call, built once and
+    re-run at each size cap."""
 
-    __slots__ = ("resolver", "store", "counter", "background", "known",
-                 "metarules", "pools", "head_preds", "size_cap", "depth_limit",
-                 "deadline", "trace", "goals", "hypothesis", "adopted",
-                 "invented", "invent_from", "cores", "metasubs_tried",
-                 "pruned", "_ticks")
+    __slots__ = ("spec", "resolver", "store", "background", "known",
+                 "pools", "head_preds", "goals", "deadline", "trace",
+                 "size_cap", "hypothesis", "adopted", "invented",
+                 "invent_from", "cores", "stats", "_ticks")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Atom],
-                 builtins: BuiltinTable, size_cap: int,
-                 deadline: Optional[float], trace: Trace,
-                 invent_from: int, cores: dict) -> None:
-        self.counter = FreshVars()
-        self.resolver = Resolver(builtins, self.counter)
+                 deadline: Optional[float] = None, trace: Trace = None) -> None:
+        self.spec = spec
+        self.resolver = Resolver(default_builtins(), FreshVars())
         self.store = self.resolver.store
         self.background = Program(spec.bk).clauses_for
         self.known = self.resolver.program_source(self.clauses_for)
-        self.metarules = spec.metarules
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
-        self.size_cap = size_cap
-        self.depth_limit = spec.options.depth_limit
+        # examples must not share variables with each other or the program
+        self.goals = [rename_atom(g, {}, self.resolver.counter) for g in goals]
         self.deadline = deadline
         self.trace = trace
-        # examples must not share variables with each other or the program
-        self.goals = [rename_atom(g, {}, self.counter) for g in goals]
+        self.size_cap = 0
         self.hypothesis: dict[Metasub, Clause] = {}
         # index entries of the adopted clauses, by head predicate
         self.adopted: dict[Symbol, list[IndexEntry]] = {}
         self.invented: dict[Symbol, None] = {}
-        self.invent_from = invent_from
+        self.invent_from = invented_base(spec.bk)
         # metasub -> the rest of each negative core holding it
-        self.cores = cores
-        self.metasubs_tried = 0
-        self.pruned = 0
+        self.cores: dict[Metasub, list[frozenset[Metasub]]] = {}
+        # meta_steps is the resolver's step count, read at the end
+        self.stats = LearnStats()
         self._ticks = 0
 
     # ---- bookkeeping ----
@@ -265,10 +263,10 @@ class _Engine:
         if (len(self.hypothesis) >= self.size_cap
                 or pred not in self.head_preds and pred not in self.invented):
             return
-        store, counter = self.store, self.counter
+        store, counter, stats = self.store, self.resolver.counter, self.stats
         tentative = (f"pred_{self.invent_from + len(self.invented) + 1}"
                      if len(self.hypothesis) + 1 < self.size_cap else None)
-        for m in self.metarules:
+        for m in self.spec.metarules:
             restr = match_head(m, goal, store)
             if restr is None:
                 continue
@@ -280,7 +278,7 @@ class _Engine:
                     continue  # identical clause already adopted, reuse covers it
                 if any(rest <= self.hypothesis.keys()
                        for rest in self.cores.get(msub, ())):
-                    self.pruned += 1  # would complete a negative core
+                    stats.pruned += 1  # would complete a negative core
                     continue
                 clause = apply_metasub(m, binding)
                 renamed = rename_apart(clause, counter)
@@ -289,7 +287,7 @@ class _Engine:
                     new_preds = tuple(dict.fromkeys(
                         b for _n, b in msub.bindings
                         if isinstance(b, Symbol) and b.name == tentative))
-                    self.metasubs_tried += 1
+                    stats.metasubs_tried += 1
                     self._push(msub, clause, new_preds)
                     try:
                         yield renamed.body
@@ -300,20 +298,63 @@ class _Engine:
                         self._pop(new_preds)
                 store.undo(mark)
 
-    def prove_goals(self, idx: int = 0) -> Iterator[None]:
-        """Prove the goals in order, each under a fresh depth budget,
-        backtracking across them; yields once per way of proving them all
-        under some hypothesis."""
-        if idx == len(self.goals):
-            yield None
-            return
-        for _ in self.resolver.run([self.goals[idx]], self.depth_limit,
-                                   self.clauses):
-            yield from self.prove_goals(idx + 1)
+    # ---- the search ----
 
-    def snapshot(self) -> Hypothesis:
-        return Hypothesis(tuple(self.hypothesis),
-                          tuple(self.hypothesis.values()))
+    def hypotheses(self, caps: Iterable[int]) -> Iterator[Hypothesis]:
+        """The hypothesis in force at each complete proof of the goals, cap
+        by cap, in search order.  Each goal is proved under a fresh depth
+        budget, backtracking across them."""
+        depth = self.spec.options.depth_limit
+
+        def prove(i: int) -> Iterator[Hypothesis]:
+            if i == len(self.goals):
+                yield Hypothesis(tuple(self.hypothesis),
+                                 tuple(self.hypothesis.values()))
+                return
+            for _ in self.resolver.run([self.goals[i]], depth, self.clauses):
+                yield from prove(i + 1)
+
+        # each cap probes for a depth cut afresh; after the last cap the
+        # resolver's flag says whether the bound cut any of them
+        cut = False
+        for n in caps:
+            self.size_cap = self.stats.size_reached = n
+            if self.trace:
+                self.trace(f"size cap {n}")
+            self.resolver.tainted = False
+            yield from prove(0)
+            cut = cut or self.resolver.tainted
+        self.resolver.tainted = cut
+
+    def accepts(self, candidate: Hypothesis) -> bool:
+        """Whether a candidate treats every example as its tag demands.  A
+        negative example that it proves leaves its core behind, when new."""
+        spec, opts = self.spec, self.spec.options
+        builtins = self.resolver.builtins
+        self.stats.candidates += 1
+        program = candidate.program(spec.bk)
+        for i, e in enumerate(spec.examples):
+            ok, out = check_example(program, e, depth_limit=opts.depth_limit,
+                                    neg_depth_policy=opts.neg_depth_policy,
+                                    builtins=builtins)
+            if not ok:
+                break
+        else:
+            return True
+        if e.tag == "neg" and out.verdict is Verdict.PROVED:
+            core = _negative_core(spec.bk, candidate, e.goal,
+                                  opts.depth_limit, builtins)
+            key = frozenset(ms for ms, _ in core)
+            if key and not any(key - {ms} in self.cores.get(ms, ())
+                               for ms in key):
+                for ms in key:
+                    self.cores.setdefault(ms, []).append(key - {ms})
+                if self.trace:
+                    self.trace(f"  core from example {i} ({e.tag}): "
+                               + " ".join(print_clause(c) for _, c in core))
+        if self.trace:
+            self.trace("  rejected by examples")
+        return False
 
 
 # ============================================================
@@ -326,14 +367,9 @@ def meta_prove(spec: ScenarioSpec, goals: Union[Atom, Sequence[Atom]], *,
     """Meta-prove goals against a scenario's background, growing a
     hypothesis as needed; the hypothesis in force at each complete proof,
     in search order."""
-    if isinstance(goals, Atom):
-        goals = [goals]
-    engine = _Engine(
-        spec, list(goals), default_builtins(),
-        size_cap if size_cap is not None else spec.options.max_clauses,
-        None, None, invented_base(spec.bk), {})
-    for _ in engine.prove_goals():
-        yield engine.snapshot()
+    engine = _Engine(spec, [goals] if isinstance(goals, Atom) else goals)
+    yield from engine.hypotheses(
+        [spec.options.max_clauses if size_cap is None else size_cap])
 
 
 def learn(spec: ScenarioSpec, *, trace: Trace = None) -> LearnResult:
@@ -345,76 +381,32 @@ def learn(spec: ScenarioSpec, *, trace: Trace = None) -> LearnResult:
     different derivation order or at a larger size cap, is skipped, and so
     is every partial hypothesis that contains a negative core.
     """
-    builtins = default_builtins()
     opts = spec.options
-    deadline = (time.monotonic() + opts.timeout if opts.timeout > 0
-                else None)
-
     started = time.monotonic()
-    total = LearnStats()
+    engine = _Engine(spec, [e.goal for e in spec.positives()],
+                     started + opts.timeout if opts.timeout > 0 else None,
+                     trace)
     seen: set[frozenset[Metasub]] = set()
-    recorded: set[frozenset[Metasub]] = set()  # negative cores
-    cores: dict[Metasub, list[frozenset[Metasub]]] = {}  # the same, by member
-    base = invented_base(spec.bk)
-    pos_goals = [e.goal for e in spec.positives()]
-
-    cut = False  # whether the depth bound cut the meta-proof at some cap
-
-    def merge(engine: _Engine) -> None:
-        nonlocal cut
-        total.meta_steps += engine.resolver.steps
-        total.metasubs_tried += engine.metasubs_tried
-        total.pruned += engine.pruned
-        cut = cut or engine.resolver.tainted
-
+    found: Optional[Hypothesis] = None
     try:
-        for n in range(1, opts.max_clauses + 1):
-            total.size_reached = n
-            if trace:
-                trace(f"size cap {n}")
-            engine = _Engine(spec, pos_goals, builtins, n, deadline, trace,
-                             base, cores)
-            for _ in engine.prove_goals():
-                candidate = engine.snapshot()
-                key = frozenset(candidate.metasubs)
-                if key in seen:
-                    continue
+        for candidate in engine.hypotheses(range(1, opts.max_clauses + 1)):
+            key = frozenset(candidate.metasubs)
+            if key not in seen:
                 seen.add(key)
-                total.candidates += 1
-                program = candidate.program(spec.bk)
-                for i, e in enumerate(spec.examples):
-                    ok, out = check_example(
-                        program, e, depth_limit=opts.depth_limit,
-                        neg_depth_policy=opts.neg_depth_policy,
-                        builtins=builtins)
-                    if not ok:
-                        break
-                else:
-                    merge(engine)
-                    total.elapsed = time.monotonic() - started
-                    if trace:
-                        trace(f"found at size {candidate.size}")
-                    return LearnResult("found", candidate, total)
-                if e.tag == "neg" and out.verdict is Verdict.PROVED:
-                    core = _negative_core(spec.bk, candidate, e.goal,
-                                          opts.depth_limit, builtins)
-                    ckey = frozenset(ms for ms, _ in core)
-                    if ckey and ckey not in recorded:
-                        recorded.add(ckey)
-                        for ms in ckey:
-                            cores.setdefault(ms, []).append(ckey - {ms})
-                        if trace:
-                            trace(f"  core from example {i} ({e.tag}): "
-                                  + " ".join(print_clause(c) for _, c in core))
-                if trace:
-                    trace("  rejected by examples")
-            merge(engine)
+                if engine.accepts(candidate):
+                    found = candidate
+                    break
+        status = ("found" if found is not None
+                  else "depth_exceeded" if engine.resolver.tainted
+                  else "exhausted")
     except _SearchTimeout:
-        merge(engine)
-        total.elapsed = time.monotonic() - started
-        return LearnResult("timeout", None, total)
-    total.elapsed = time.monotonic() - started
-    return LearnResult("depth_exceeded" if cut else "exhausted", None, total)
+        status = "timeout"
+    if found is not None and trace:
+        trace(f"found at size {found.size}")
+    stats = engine.stats
+    stats.meta_steps = engine.resolver.steps
+    stats.elapsed = time.monotonic() - started
+    return LearnResult(status, found, stats)
 
 
 @dataclass(slots=True)

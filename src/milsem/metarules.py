@@ -97,8 +97,8 @@ class Metarule:
     """A named clause template with declared metavariables.
 
     Construction validates that every declaration is used consistently:
-    the same metavariable may not appear both as a predicate and as a
-    function symbol, and all its occurrences must agree on arity.
+    a metavariable is declared once, it may not appear both as a predicate
+    and as a function symbol, and all its occurrences must agree on arity.
     """
 
     __slots__ = ("name", "decls", "head", "body", "head_pred_meta")
@@ -135,6 +135,8 @@ class Metarule:
 
         resolved: list[Decl] = []
         for d in decls:
+            if any(r.name == d.name for r in resolved):
+                raise MetaruleError(f"metarule {name}: {d.name} declared twice")
             used = usage.get(d.name)
             if used is None:
                 raise MetaruleError(f"metarule {name}: unused metavariable {d.name}")

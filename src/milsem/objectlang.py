@@ -499,24 +499,16 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
         expected.append((t, v, cls))
 
     for t, v, cls in expected:
-        if v is BOTTOM:
-            out = solve(program, _eval_goal(t, var("Result")), cfg, builtins)
-            if out.verdict is Verdict.DEPTH_EXCEEDED:
-                report.add_pass()
-            else:
-                report.add_failure(
-                    f"{print_term(t)}: diverges but program gave {out.verdict}")
-            continue
-        if v is None:
-            out = solve(program, _eval_goal(t, var("Result")), cfg, builtins)
-            if out.verdict is Verdict.FINITE_FAILURE:
-                report.add_pass()
-            else:
-                report.add_failure(
-                    f"{print_term(t)}: stuck but program gave {out.verdict}")
-            continue
-
         out = solve(program, _eval_goal(t, var("Result")), cfg, builtins)
+        if v is BOTTOM or v is None:
+            what, want = (("diverges", Verdict.DEPTH_EXCEEDED) if v is BOTTOM
+                          else ("stuck", Verdict.FINITE_FAILURE))
+            if out.verdict is want:
+                report.add_pass()
+            else:
+                report.add_failure(
+                    f"{print_term(t)}: {what} but program gave {out.verdict}")
+            continue
         if not out.proved:
             report.add_failure(f"{print_term(t)}: expected a value, got {out.verdict}")
             continue

@@ -131,6 +131,19 @@ def test_learn_bad_metarule_exits_2(tmp_path, capsys):
     assert f"at line {lineno}" in err
 
 
+def test_learn_metavariable_declared_twice_exits_2(tmp_path, capsys):
+    twice = ("metarule(twice, [func(H/2),func(H/2)],"
+             " ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")
+    text = TOY_SCENARIO.replace("%% metarules\n", f"%% metarules\n{twice}\n")
+    path = tmp_path / "twice.pls"
+    path.write_text(text)
+    assert main(["learn", str(path)]) == 2
+    err = capsys.readouterr().err
+    lineno = text.splitlines().index(twice) + 1
+    assert err.startswith(f"error: {path}: metarule twice: H declared twice")
+    assert f"at line {lineno}" in err
+
+
 def test_learn_background_defining_a_builtin_exits_2(tmp_path, capsys):
     text = TOY_SCENARIO.replace("%% background\n",
                                 "%% background\nint_add(A,B,C).\n")
@@ -398,3 +411,57 @@ def test_non_positive_limit_exits_2(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[-2]} needs a finite positive number")
+
+
+# ---- malformed input ----
+
+
+@pytest.mark.parametrize("role", ["learn", "run", "check program",
+                                  "check corpus"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, role):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"step(a,\xff).\n")
+    good = tmp_path / "good.pl"
+    good.write_text("value(lit(A)).\n")
+    argv = {"learn": ["learn", str(bad)],
+            "run": ["run", "lit(1)", "-p", str(bad)],
+            "check program": ["check", str(bad), "mixed"],
+            "check corpus": ["check", str(good), str(bad)]}[role]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: not UTF-8 text (invalid start byte at byte 7)")
+
+
+def test_run_non_decimal_digit_exits_2(capsys):
+    # '²' is a digit to str.isdigit but no integer to int()
+    assert main(["run", "lit(²)"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: term: unexpected character '²'")
+
+
+def test_run_decimal_digits_of_any_script_are_integers(capsys):
+    assert main(["run", "lit(٣)"]) == 0
+    assert capsys.readouterr().out == "lit(3)\n"
+
+
+def _nested(outer: str, depth: int, inner: str = "lit(0)") -> str:
+    for _ in range(depth):
+        inner = outer.format(inner)
+    return inner
+
+
+TOO_DEEP = "error: a term is nested too deeply for the recursion limit\n"
+
+
+def test_run_deeply_nested_answer_exits_2(tmp_path, capsys):
+    program = tmp_path / "pairs.pl"
+    assert main(["learn", "pairs"]) == 0
+    program.write_text(capsys.readouterr().out)
+    term = _nested("pair({},lit(0))", 400)
+    assert main(["run", "-p", str(program), "--depth", "2000", term]) == 2
+    assert capsys.readouterr().err == TOO_DEEP
+
+
+def test_run_deeply_nested_term_exits_2(capsys):
+    assert main(["run", _nested("fst({})", 1000)]) == 2
+    assert capsys.readouterr().err == TOO_DEEP

@@ -117,3 +117,10 @@ def test_metarule_validation_rejects_unknown_metavar():
     from milsem.textio import ParseError
     with pytest.raises((ParseError, ValueError)):
         parse_metarule("metarule(bad, [func(H/2)], ([step,[J,A,B],C] :- [])).")
+
+
+def test_metarule_rejects_a_metavariable_declared_twice():
+    from milsem.textio import ParseError
+    with pytest.raises(ParseError, match="H declared twice"):
+        parse_metarule("metarule(twice, [func(H/2),func(H/2)],"
+                       " ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")
