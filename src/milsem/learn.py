@@ -6,10 +6,13 @@ conjure a new clause by instantiating a metarule against the current goal
 and add it to the growing hypothesis.  Alternatives at a goal are tried in
 a fixed order: builtins, background clauses, then hypothesis clauses
 already adopted (both from one first-argument index, through the solver's
-`program_source`), and only then fresh metarule instantiations.  A
-predicate metavariable in a rule body may be bound to a predicate that
-does not exist yet, which is how auxiliary ``pred_<n>`` predicates are
-invented; the branch then has to define them or die.
+`program_source`), and only then fresh metarule instantiations.  An
+instantiation is tried like any clause: its unrenamed head is unified
+with the goal through a frame, and only when that succeeds is it adopted
+and its body renamed through the frame.  A probe for a depth cut adopts
+nothing.  A predicate metavariable in a rule body may be bound to a
+predicate that does not exist yet, which is how auxiliary ``pred_<n>``
+predicates are invented; the branch then has to define them or die.
 
 Minimality comes from iterative deepening on hypothesis size: `learn` tries
 caps 1, 2, ... up to ``max_clauses`` and returns the first hypothesis that
@@ -77,6 +80,7 @@ from .terms import (
     IndexEntry,
     Program,
     Symbol,
+    Term,
     index_entry,
     rename_apart,
     rename_atom,
@@ -229,19 +233,31 @@ class _Engine:
             if time.monotonic() > self.deadline:
                 raise _SearchTimeout
 
-    def _push(self, msub: Metasub, clause: Clause,
-              new_preds: Sequence[Symbol]) -> None:
+    def _adopt(self, msub: Metasub, clause: Clause, frame: dict[int, Term],
+               tentative: Optional[str]) -> Iterator[Sequence[Atom]]:
+        """The renamed body of a metarule instance whose head unified with
+        the goal, the instance adopted into the hypothesis while the body
+        is being proved."""
+        new_preds = tuple(dict.fromkeys(
+            b for _n, b in msub.bindings
+            if isinstance(b, Symbol) and b.name == tentative))
+        self.stats.metasubs_tried += 1
         self.hypothesis[msub] = clause
-        self.adopted.setdefault(clause.head.pred, []).append(index_entry(clause))
+        adopted = self.adopted.setdefault(clause.head.pred, [])
+        adopted.append(index_entry(clause))
         self.invented.update(dict.fromkeys(new_preds))
         if self.trace:
             self.trace("  + " + print_clause(clause))
-
-    def _pop(self, new_preds: Sequence[Symbol]) -> None:
-        _msub, clause = self.hypothesis.popitem()
-        self.adopted[clause.head.pred].pop()
-        for p in new_preds:
-            del self.invented[p]
+        try:
+            yield rename_apart(clause, frame, self.resolver.counter)
+            if self.trace:
+                self.trace("  - backtrack")
+        finally:
+            # also when the search is abandoned inside the body
+            self.hypothesis.popitem()
+            adopted.pop()
+            for p in new_preds:
+                del self.invented[p]
 
     # ---- the clause source ----
 
@@ -263,7 +279,8 @@ class _Engine:
         if (len(self.hypothesis) >= self.size_cap
                 or pred not in self.head_preds and pred not in self.invented):
             return
-        store, counter, stats = self.store, self.resolver.counter, self.stats
+        resolver, store, stats = self.resolver, self.store, self.stats
+        counter = resolver.counter
         tentative = (f"pred_{self.invent_from + len(self.invented) + 1}"
                      if len(self.hypothesis) + 1 < self.size_cap else None)
         for m in self.spec.metarules:
@@ -281,21 +298,16 @@ class _Engine:
                     stats.pruned += 1  # would complete a negative core
                     continue
                 clause = apply_metasub(m, binding)
-                renamed = rename_apart(clause, counter)
+                frame: dict[int, Term] = {}
                 mark = store.mark()
-                if store.unify_atoms(renamed.head, goal):
-                    new_preds = tuple(dict.fromkeys(
-                        b for _n, b in msub.bindings
-                        if isinstance(b, Symbol) and b.name == tentative))
-                    stats.metasubs_tried += 1
-                    self._push(msub, clause, new_preds)
-                    try:
-                        yield renamed.body
-                        if self.trace:
-                            self.trace("  - backtrack")
-                    finally:
-                        # also when the resolver only probed for a clause
-                        self._pop(new_preds)
+                if store.unify_atoms(clause.head, goal, frame, counter):
+                    if resolver.probing:
+                        # a depth probe asks only whether an instance
+                        # applies and never enters the body, so nothing is
+                        # adopted, counted or traced
+                        yield ()
+                    else:
+                        yield from self._adopt(msub, clause, frame, tentative)
                 store.undo(mark)
 
     # ---- the search ----

@@ -18,12 +18,16 @@ zero since their behaviour cannot be probed without running them.
 One `Resolver` does all resolution in the package.  It keeps the goal
 continuation as a linked list and its choice points on an explicit stack,
 so derivation depth costs heap, not Python frames.  Clauses come from a
-*clause source*: a function from a goal to a generator that renames a
-clause apart, unifies its head with the goal, yields the body, and undoes
-those bindings when resumed.  `Resolver.program_source` makes one from a
-first-argument index lookup: `solve` and `solve_all` give it the
-program's own, and the learner one that lists its adopted clauses after
-the background's, ahead of its metarule instantiations.
+*clause source*: a function from a goal to a generator that, for each
+clause, unifies the unrenamed head with the goal through a fresh frame
+(`Store.unify_atoms`), and when that succeeds yields the body renamed
+through the same frame (`rename_apart`), undoing the bindings when
+resumed.  `Resolver.program_source` makes one from a first-argument index
+lookup: `solve` and `solve_all` give it the program's own, and the
+learner one that lists its adopted clauses after the background's, ahead
+of its metarule instantiations.  While the resolver only probes a source
+for a depth cut, ``probing`` is set: the body yielded then is never
+entered.
 
 Builtins receive the store plus the unresolved goal arguments and yield
 once per solution, making any bindings through the store so backtracking
@@ -134,7 +138,8 @@ class Resolver:
     continued.  Both accumulate over every `run` on the same resolver.
     """
 
-    __slots__ = ("builtins", "store", "counter", "steps", "tainted")
+    __slots__ = ("builtins", "store", "counter", "steps", "tainted",
+                 "probing")
 
     def __init__(self, builtins: Optional[BuiltinTable],
                  counter: FreshVars) -> None:
@@ -143,6 +148,7 @@ class Resolver:
         self.counter = counter
         self.steps = 0
         self.tainted = False
+        self.probing = False
 
     def program_source(self, clauses_for: ClauseIndex) -> ClauseSource:
         """The indexed clauses for a goal, in index order, skipping those
@@ -154,10 +160,10 @@ class Resolver:
             for clause, key in clauses_for(goal.pred):
                 if gkey is not None and key is not None and key != gkey:
                     continue
-                renamed = rename_apart(clause, counter)
+                frame: dict[int, Term] = {}
                 mark = store.mark()
-                if store.unify_atoms(renamed.head, goal):
-                    yield renamed.body
+                if store.unify_atoms(clause.head, goal, frame, counter):
+                    yield rename_apart(clause, frame, counter)
                 store.undo(mark)
 
         return clauses
@@ -205,9 +211,15 @@ class Resolver:
                 cont = (g, cont)
 
     def _applies(self, alternatives: Iterator[Sequence[Atom]]) -> bool:
-        """Whether the source has any clause for the goal, bindings undone."""
+        """Whether the source has any clause for the goal, bindings undone.
+        ``probing`` is set while the source looks, since the body it
+        yields is never entered."""
         mark = self.store.mark()
-        found = next(alternatives, None) is not None
+        self.probing = True
+        try:
+            found = next(alternatives, None) is not None
+        finally:
+            self.probing = False
         alternatives.close()
         self.store.undo(mark)
         return found

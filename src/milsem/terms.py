@@ -4,8 +4,15 @@ Terms are immutable and safe to share: a term is a variable, an integer
 literal, or a compound with an interned functor symbol.  Variables are
 identified by interned integers; parsed variables get non-negative ids with
 their names kept in a module-level table, while variables minted by a
-renaming counter get negative ids and print as ``_v<n>``.  Keeping ids as
-plain ints makes renaming a clause apart a cheap dict-driven rebuild.
+renaming counter get negative ids and print as ``_v<n>``.
+
+A clause is renamed apart while its head is unified with a goal, not
+before.  `Store.unify_atoms` walks the unrenamed head against the goal and
+records in a *frame* the goal subterm each head variable first meets;
+only a head compound that meets an unbound goal variable is copied, with
+fresh variables.  `rename_apart` then copies the body through that frame.
+So a clause try builds no renamed head, and a variable that occurs only
+in the head is never bound or trailed.
 
 The search engines bind variables destructively through a `Store` and
 undo on backtracking with its trail, instead of copying substitution dicts.
@@ -262,12 +269,47 @@ class Store:
             stack.extend(zip(x.args, y.args))
         return True
 
-    def unify_atoms(self, a: Atom, b: Atom) -> bool:
-        if a.pred is not b.pred:
+    def unify_atoms(self, head: Atom, goal: Atom, frame: dict[int, Term],
+                    counter: FreshVars) -> bool:
+        """Unify an unrenamed clause head with a goal, renaming on the way.
+
+        A head variable's first occurrence goes into ``frame`` as the goal
+        subterm it meets, and a later one unifies with what the frame
+        holds, so no renamed head is built and no head-only variable is
+        bound.  A head compound that meets an unbound goal variable is
+        renamed through the frame, with fresh variables from ``counter``,
+        and bound to it.  `rename_apart` then renames the body through the
+        same frame.
+        """
+        if head.pred is not goal.pred:
             return False
-        for x, y in zip(a.args, b.args):
-            if not self.unify(x, y):
+        bindings = self.bindings
+        # argument pairs in the order `unify` would meet them, leftmost first
+        stack = list(zip(reversed(head.args), reversed(goal.args)))
+        while stack:
+            h, g = stack.pop()
+            while isinstance(g, Var):
+                nxt = bindings.get(g.id)
+                if nxt is None:
+                    break
+                g = nxt
+            if isinstance(h, Var):
+                t = frame.get(h.id)
+                if t is None:
+                    frame[h.id] = g
+                elif not self.unify(t, g):
+                    return False
+                continue
+            if isinstance(g, Var):
+                self.bind(g.id, rename_term(h, frame, counter))
+                continue
+            if isinstance(h, Int):
+                if isinstance(g, Int) and h.value == g.value:
+                    continue
                 return False
+            if not isinstance(g, Compound) or h.functor is not g.functor:
+                return False
+            stack.extend(zip(h.args, g.args))
         return True
 
 
@@ -298,28 +340,30 @@ def restrict(s: Mapping[int, Term], vids: Iterable[int]) -> Subst:
 # ------------------------------------------------------------
 
 
-def rename_term(t: Term, mapping: dict[int, Var], counter: FreshVars) -> Term:
+def rename_term(t: Term, mapping: dict[int, Term], counter: FreshVars) -> Term:
+    """``t`` with each variable replaced by its image in ``mapping``; a
+    variable without one gets a fresh variable, recorded there."""
     if isinstance(t, Var):
         v = mapping.get(t.id)
         if v is None:
-            v = counter.next_var()
-            mapping[t.id] = v
+            v = mapping[t.id] = counter.next_var()
         return v
     if isinstance(t, Compound) and t.args:
-        return Compound(t.functor, tuple(rename_term(a, mapping, counter) for a in t.args))
+        return Compound(t.functor, tuple([rename_term(a, mapping, counter)
+                                          for a in t.args]))
     return t
 
 
-def rename_atom(a: Atom, mapping: dict[int, Var], counter: FreshVars) -> Atom:
-    return Atom(a.pred, tuple(rename_term(t, mapping, counter) for t in a.args))
+def rename_atom(a: Atom, mapping: dict[int, Term], counter: FreshVars) -> Atom:
+    return Atom(a.pred, tuple([rename_term(t, mapping, counter) for t in a.args]))
 
 
-def rename_apart(c: Clause, counter: FreshVars) -> Clause:
-    """A copy of ``c`` whose variables are fresh for this counter."""
-    mapping: dict[int, Var] = {}
-    head = rename_atom(c.head, mapping, counter)
-    body = tuple(rename_atom(b, mapping, counter) for b in c.body)
-    return Clause(head, body)
+def rename_apart(c: Clause, frame: dict[int, Term],
+                 counter: FreshVars) -> tuple[Atom, ...]:
+    """The body of ``c`` renamed through the frame `Store.unify_atoms`
+    filled from its head: head variables stand for what they met in the
+    goal, and body-only variables are fresh for this counter."""
+    return tuple([rename_atom(b, frame, counter) for b in c.body])
 
 
 # ============================================================

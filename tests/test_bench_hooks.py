@@ -45,3 +45,25 @@ def test_tracer_sees_every_layer_of_a_learn_run(capsys):
         assert getattr(learn_mod, name) is fn
     assert solver_mod.rename_apart is sys.modules["milsem.terms"].rename_apart
     assert milsem.cli.solve is solver_mod.solve
+
+
+def test_tracer_sees_the_solver_of_a_check_run(capsys):
+    # no learner here: every renaming and head unification is the solver's
+    patched = [(milsem.cli, "conformance_check"),
+               (sys.modules["milsem.objectlang"], "solve"),
+               (sys.modules["milsem.solver"], "rename_apart"),
+               (sys.modules["milsem.terms"].Store, "unify_atoms")]
+    originals = [getattr(owner, name) for owner, name in patched]
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert main(["check", str(ROOT / "bench" / "expected" / "chain.pl"),
+                     "pairs", "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+    counts = tracer.counts
+    assert counts["terms.unify_calls"] > 0
+    assert 0 < counts["terms.rename_calls"] <= counts["terms.unify_calls"]
+    assert counts["solver.solve_calls"] > 0
+    assert [getattr(owner, name) for owner, name in patched] == originals

@@ -184,6 +184,21 @@ def test_learn_cut_by_depth_says_so(capsys):
     assert "depth limit 4 cut the search" in err
 
 
+@pytest.mark.parametrize("depth", ["1", "3", "6"])
+@pytest.mark.parametrize("scenario",
+                         ["pairs", "lists", "conditionals", "lazy_eager"])
+def test_learn_depth_probe_adopts_nothing(scenario, depth, capsys):
+    # a search that finds nothing backtracks out of every clause it
+    # adopted; the probe for a depth cut enters no body, so it adopts none
+    assert main(["learn", scenario, "--depth", depth, "--trace",
+                 "--json"]) == 3
+    captured = capsys.readouterr()
+    tried = json.loads(captured.out)["stats"]["metasubs_tried"]
+    lines = captured.err.splitlines()
+    adopted = sum(line.startswith("  + ") for line in lines)
+    assert adopted == lines.count("  - backtrack") == tried
+
+
 def test_learn_unknown_scenario_exits_2(capsys):
     assert main(["learn", "missing.pls"]) == 2
     err = capsys.readouterr().err

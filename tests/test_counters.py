@@ -1,0 +1,106 @@
+"""Pinned work counts of the solver and the learner.
+
+Resolution steps, meta-steps, metasubs tried, candidates and pruned
+instantiations are deterministic.  A change that only makes resolution
+cheaper must leave every one of them where it is; these pins turn that
+into a test.  The numbers were recorded before the head unifier started
+renaming the clause as it goes.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from milsem import objectlang
+from milsem.cli import main
+from milsem.corpus import CORPUS_KINDS, generate_corpus
+from milsem.terms import Program
+from milsem.textio import parse_clauses
+
+ROOT = Path(__file__).resolve().parents[1]
+CHAIN_PROGRAM = ROOT / "bench" / "expected" / "chain.pl"
+
+LOOP = "app(lam(x,app(var(x),var(x))),lam(x,app(var(x),var(x))))"
+
+
+def _add_chain(n: int) -> str:
+    """A left-nested sum of ``n`` literals, as the benchmark builds it."""
+    text = "lit(1)"
+    for i in range(2, n + 1):
+        text = f"add({text},lit({i % 10}))"
+    return text
+
+
+def _json(argv, capsys):
+    code = main([*argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv,code,verdict,value,steps", [
+    (["run", "--depth", "8000", LOOP], 3, "depth_exceeded", None, 13_334),
+    (["run", "--depth", "10000", _add_chain(120)], 0, "proved", "lit(540)",
+     7_499),
+], ids=["loop", "add_chain"])
+def test_run_steps(argv, code, verdict, value, steps, capsys):
+    got, out = _json(argv, capsys)
+    assert (got, out["verdict"], out["value"], out["steps"]) == (
+        code, verdict, value, steps)
+
+
+# summed solver steps of one conformance check, by corpus kind; the chain
+# program takes the same steps under either strategy on these corpora
+CONFORMANCE_STEPS = {"pairs": 1888, "lists": 2098, "conditionals": 2268,
+                     "lazy_eager": 947, "mixed": 1616}
+
+
+@pytest.mark.parametrize("strategy", ["lazy", "eager"])
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_conformance_steps(kind, strategy, monkeypatch):
+    assert set(CONFORMANCE_STEPS) == set(CORPUS_KINDS)
+    steps = []
+    solve = objectlang.solve
+
+    def counting(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        steps.append(out.steps)
+        return out
+
+    monkeypatch.setattr(objectlang, "solve", counting)
+    program = Program(parse_clauses(CHAIN_PROGRAM.read_text()))
+    report = objectlang.conformance_check(
+        program, generate_corpus(kind, 40, seed=5), strategy=strategy)
+    assert (report.passed, report.total) == (40, 40)
+    assert sum(steps) == CONFORMANCE_STEPS[kind]
+
+
+STATS = ("meta_steps", "metasubs_tried", "candidates", "pruned")
+
+LEARN_STATS = {
+    "pairs": (644, 151, 1, 0),
+    "lists": (951, 246, 1, 0),
+    "conditionals": (6139, 1408, 4, 93),
+    "lazy_eager": (1023, 168, 13, 0),
+}
+
+# the README chain: each task learns against the inductions before it
+CHAIN_STATS = {
+    "lazy_eager": (1023, 168, 13, 0),
+    "pairs": (13249, 2380, 1, 0),
+    "lists": (1380, 272, 1, 0),
+    "conditionals": (6139, 1408, 4, 93),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(LEARN_STATS))
+def test_learn_stats(scenario, capsys):
+    code, out = _json(["learn", scenario], capsys)
+    assert code == 0
+    assert tuple(out["stats"][s] for s in STATS) == LEARN_STATS[scenario]
+
+
+def test_chain_stats(capsys):
+    code, out = _json(["chain", *CHAIN_STATS], capsys)
+    assert code == 0
+    assert {t["scenario"]: tuple(t["stats"][s] for s in STATS)
+            for t in out["tasks"]} == CHAIN_STATS

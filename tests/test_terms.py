@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 
 from milsem.corpus import CORPUS_KINDS, generate_corpus
 from milsem.objectlang import metarule_library
 from milsem.scenario import builtin_scenario, builtin_scenario_names
 
 from milsem.terms import (
+    Atom,
     Clause,
     Compound,
     FreshVars,
@@ -17,9 +18,9 @@ from milsem.terms import (
     atom,
     atom_vars,
     const,
-    fact,
     mk,
     rename_apart,
+    rename_atom,
     restrict,
     symbol,
     term_vars,
@@ -82,10 +83,6 @@ def test_term_vars_first_occurrence_order():
     assert term_vars(t) == [var("B").id, var("A").id, var("C").id]
 
 
-def _clause_vars(c: Clause) -> list[int]:
-    return list(dict.fromkeys(v for a in (c.head, *c.body) for v in atom_vars(a)))
-
-
 # ---- unification ----
 
 def test_unify_binds_both_ways():
@@ -119,10 +116,27 @@ def test_unify_occurs_check_off_by_default():
 
 
 def test_unify_atoms_requires_same_predicate():
-    assert not Store().unify_atoms(atom("p", var("X")), atom("q", Int(1)))
-    store = Store()
-    assert store.unify_atoms(atom("p", var("X")), atom("p", Int(1)))
-    assert store.bindings[var("X").id] == Int(1)
+    store, frame = Store(), {}
+    assert not store.unify_atoms(atom("p", var("X")), atom("q", Int(1)),
+                                 frame, FreshVars())
+    assert frame == {} and store.bindings == {}
+    # the head variable stands for what it met; nothing is bound for it
+    assert store.unify_atoms(atom("p", var("X")), atom("p", Int(1)),
+                             frame, FreshVars())
+    assert frame == {var("X").id: Int(1)}
+    assert store.bindings == {}
+
+
+def test_unify_atoms_binds_goal_variables_to_renamed_head_terms():
+    store, frame = Store(), {}
+    head = atom("p", mk("f", var("X")), var("X"))
+    assert store.unify_atoms(head, atom("p", var("G"), Int(2)), frame,
+                             FreshVars())
+    # G got f(X) renamed, and the second occurrence of X bound its copy
+    fresh = frame[var("X").id]
+    assert isinstance(fresh, Var) and fresh.id < 0
+    assert store.resolve(var("G")) == mk("f", Int(2))
+    assert set(store.bindings) == {var("G").id, fresh.id}
 
 
 # random ground-ish terms for unification properties
@@ -215,21 +229,124 @@ def test_restrict_resolves_chains():
 # ---- renaming ----
 
 def test_rename_apart_fresh_and_consistent():
-    c = Clause(atom("p", var("X"), var("X")), (atom("q", var("X"), var("Y")),))
-    counter = FreshVars()
-    r = rename_apart(c, counter)
-    xs = _clause_vars(r)
+    c = Clause(atom("p", mk("f", var("X")), var("X")),
+               (atom("q", var("X"), var("Y")),))
+    store, frame, counter = Store(), {}, FreshVars()
+    assert store.unify_atoms(c.head, atom("p", var("A"), var("B")), frame,
+                             counter)
+    body = rename_apart(c, frame, counter)
+    xs = list(dict.fromkeys(v for a in body for v in atom_vars(a)))
     assert all(v < 0 for v in xs)
-    assert r.head.args[0] == r.head.args[1] == r.body[0].args[0]
-    assert r.body[0].args[1] != r.head.args[0]
+    # every X is one variable, shared with the goal's A = f(X) and B
+    x, y = body[0].args
+    assert store.resolve(var("A")) == mk("f", store.resolve(x))
+    assert store.resolve(var("B")) == store.resolve(x)
+    assert y != x and store.walk(y) == y
 
 
 def test_rename_apart_twice_disjoint():
-    c = fact(atom("p", var("X")))
-    counter = FreshVars()
-    r1 = rename_apart(c, counter)
-    r2 = rename_apart(c, counter)
-    assert _clause_vars(r1) != _clause_vars(r2)
+    c = Clause(atom("p", mk("f", var("X"))), (atom("q", var("X"), var("Y")),))
+    store, counter = Store(), FreshVars()
+    fresh = []
+    for goal_var in ("A", "B"):
+        frame = {}
+        assert store.unify_atoms(c.head, atom("p", var(goal_var)), frame,
+                                 counter)
+        body = rename_apart(c, frame, counter)
+        fresh.append(set(atom_vars(body[0])))
+    assert fresh[0] and fresh[1] and not fresh[0] & fresh[1]
+
+
+# The head unifier renames as it goes; the reference renames the whole
+# clause first and then unifies argument by argument.  They must agree.
+_head_leaves = st.sampled_from(
+    [var("X"), var("Y"), var("Z"), Int(0), Int(1), const("a")])
+# goals share the names X and Y with heads, and lean to variables so that
+# most draws unify
+_goal_leaves = st.sampled_from(
+    [var("X"), var("Y"), var("A"), var("B"), var("A"), var("B"),
+     Int(0), Int(1), const("a")])
+
+
+def _compounds(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.tuples(st.sampled_from(["f", "g"]),
+                               st.lists(kids, min_size=1, max_size=2)).map(
+            lambda p: Compound(symbol(p[0], len(p[1])), tuple(p[1]))),
+        max_leaves=4)
+
+
+_head_terms = _compounds(_head_leaves)
+_goal_terms = _compounds(_goal_leaves)
+# a body may also hold W, a variable the head does not have
+_body_atoms = st.tuples(_compounds(st.one_of(_head_leaves, st.just(var("W")))),
+                        _compounds(_head_leaves)).map(
+    lambda args: Atom(symbol("q", 2), args))
+
+
+@st.composite
+def _clause_goal_and_bindings(draw):
+    arity = draw(st.integers(1, 3))
+    head = Atom(symbol("p", arity),
+                tuple(draw(_head_terms) for _ in range(arity)))
+    body = tuple(draw(st.lists(_body_atoms, max_size=2)))
+    goal = Atom(symbol(draw(st.sampled_from(["p"] * 4 + ["r"])), arity),
+                tuple(draw(_goal_terms) for _ in range(arity)))
+    bound = draw(st.lists(st.tuples(st.sampled_from(["X", "A", "B"]),
+                                    _goal_terms), max_size=2))
+    return Clause(head, body), goal, bound
+
+
+def _bound_store(bound) -> Store:
+    store = Store()
+    for name, t in bound:
+        assume(store.unify(var(name), t))
+    assume(not _cyclic(store))
+    return store
+
+
+def _variant(xs, ys) -> bool:
+    """Whether two term lists differ only by a one-to-one renaming of
+    fresh (negative) variables; every other variable must be the same."""
+    fwd, bwd = {}, {}
+    stack = list(zip(xs, ys))
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Var) and isinstance(y, Var) and x.id < 0 and y.id < 0:
+            if fwd.setdefault(x.id, y.id) != y.id or bwd.setdefault(y.id, x.id) != x.id:
+                return False
+        elif isinstance(x, Compound) and isinstance(y, Compound):
+            if x.functor is not y.functor:
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif x != y:
+            return False
+    return True
+
+
+@given(_clause_goal_and_bindings())
+def test_unify_atoms_agrees_with_rename_then_unify(drawn):
+    clause, goal, bound = drawn
+    ref, ref_counter, mapping = _bound_store(bound), FreshVars(), {}
+    head = rename_atom(clause.head, mapping, ref_counter)
+    ref_ok = head.pred is goal.pred and all(
+        ref.unify(h, g) for h, g in zip(head.args, goal.args))
+    store, counter, frame = _bound_store(bound), FreshVars(), {}
+    ok = store.unify_atoms(clause.head, goal, frame, counter)
+    event(f"unified: {ok}")
+    assert ok == ref_ok
+    if not ok:
+        return
+    assume(not _cyclic(ref) and not _cyclic(store))
+    ref_body = tuple(rename_atom(b, mapping, ref_counter) for b in clause.body)
+    body = rename_apart(clause, frame, counter)
+    assert [a.pred for a in body] == [a.pred for a in ref_body]
+
+    def resolved(s, atoms):
+        return [s.resolve(t) for a in (goal, *atoms) for t in a.args]
+
+    assert _variant(resolved(store, body), resolved(ref, ref_body))
 
 
 # ---- program indexing ----
