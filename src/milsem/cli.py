@@ -32,7 +32,7 @@ from .scenario import (
     load_scenario,
 )
 from .solver import DEFAULT_DEPTH, BuiltinError, SolveConfig, Verdict, solve
-from .terms import Atom, FreshVars, Program, symbol
+from .terms import Atom, Clause, FreshVars, Program, rename_atom, symbol
 from .textio import (
     ParseError,
     parse_clauses,
@@ -180,12 +180,32 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return _STATUS_EXIT[res.status]
 
 
+def _variant_key(c: Clause) -> tuple[Atom, ...]:
+    """The clause's literals with its variables renamed in order of first
+    occurrence: equal for two clauses exactly when they are variants."""
+    mapping: dict = {}
+    counter = FreshVars()
+    return tuple(rename_atom(a, mapping, counter) for a in (c.head, *c.body))
+
+
+def _with_base(base: str, clauses: list[Clause]) -> list[Clause]:
+    """The built-in core's clauses, then the program's.  A program clause
+    that is a variant of a core clause is dropped, with a note: kept, it
+    would double the branching of every derivation that uses it."""
+    if base == "none":
+        return clauses
+    core = base_clauses(base)
+    known = {_variant_key(c) for c in core}
+    kept = [c for c in clauses if _variant_key(c) not in known]
+    if len(kept) < len(clauses):
+        print(f"note: dropped {len(clauses) - len(kept)} program clauses "
+              f"already in the {base} core", file=sys.stderr)
+    return [*core, *kept]
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    clauses = []
-    if args.base != "none":
-        clauses.extend(base_clauses(args.base))
-    for path in args.programs:
-        clauses.extend(_read_program_file(path))
+    clauses = _with_base(args.base, [c for path in args.programs
+                                     for c in _read_program_file(path)])
     if not clauses:
         raise CliError("no rules: give program files or drop --base none")
     with _reading("term"):
@@ -267,10 +287,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    clauses = []
-    if args.base != "none":
-        clauses.extend(base_clauses(args.base))
-    clauses.extend(_read_program_file(args.program))
+    clauses = _with_base(args.base, _read_program_file(args.program))
     terms = _read_corpus(args.corpus)
     report = conformance_check(
         Program(tuple(clauses)), terms,

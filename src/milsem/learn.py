@@ -5,14 +5,18 @@ given a clause source that may, where ordinary clause selection fails,
 conjure a new clause by instantiating a metarule against the current goal
 and add it to the growing hypothesis.  Alternatives at a goal are tried in
 a fixed order: builtins, background clauses, then hypothesis clauses
-already adopted (both from one first-argument index, through the solver's
-`program_source`), and only then fresh metarule instantiations.  An
-instantiation is tried like any clause: its unrenamed head is unified
-with the goal through a frame, and only when that succeeds is it adopted
-and its body renamed through the frame.  A probe for a depth cut adopts
-nothing.  A predicate metavariable in a rule body may be bound to a
-predicate that does not exist yet, which is how auxiliary ``pred_<n>``
-predicates are invented; the branch then has to define them or die.
+already adopted, and only then fresh metarule instantiations.  The clause
+source returns them as the solver's ``(bucket, tail)`` pair: the bucket
+is the background's first-argument bucket for the goal followed by the
+adopted clauses whose first-argument key matches, and the resolver tries
+their heads itself; the tail is a generator of metarule instances, or
+None where no metarule may apply.  An instantiation is tried like any
+clause: its unrenamed head is unified with the goal through a frame, and
+only when that succeeds is it adopted and its body renamed through the
+frame.  A probe for a depth cut adopts nothing.  A predicate
+metavariable in a rule body may be bound to a predicate that does not
+exist yet, which is how auxiliary ``pred_<n>`` predicates are invented;
+the branch then has to define them or die.
 
 Minimality comes from iterative deepening on hypothesis size: `learn` tries
 caps 1, 2, ... up to ``max_clauses`` and returns the first hypothesis that
@@ -82,6 +86,7 @@ from .terms import (
     Symbol,
     Term,
     index_entry,
+    index_key,
     rename_apart,
     rename_atom,
 )
@@ -195,7 +200,7 @@ class _Engine:
     """The meta-proof of one `learn` or `meta_prove` call, built once and
     re-run at each size cap."""
 
-    __slots__ = ("spec", "resolver", "store", "background", "known",
+    __slots__ = ("spec", "resolver", "store", "background",
                  "pools", "head_preds", "goals", "deadline", "trace",
                  "size_cap", "hypothesis", "adopted", "invented",
                  "invent_from", "cores", "stats", "_ticks")
@@ -205,8 +210,7 @@ class _Engine:
         self.spec = spec
         self.resolver = Resolver(default_builtins(), FreshVars())
         self.store = self.resolver.store
-        self.background = Program(spec.bk).clauses_for
-        self.known = self.resolver.program_source(self.clauses_for)
+        self.background = Program(spec.bk).bucket
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
         # examples must not share variables with each other or the program
@@ -261,24 +265,27 @@ class _Engine:
 
     # ---- the clause source ----
 
-    def clauses_for(self, pred: Symbol) -> Sequence[IndexEntry]:
-        """The background's index entries for a predicate, then those of
-        the clauses adopted so far, in adoption order."""
+    def clauses(self, goal: Atom) -> tuple[Sequence[Clause],
+                                           Optional[Iterator[Sequence[Atom]]]]:
+        """Alternatives for a goal: the bucket of background and adopted
+        clauses, and the tail of fresh metarule instantiations, each
+        adopted into the hypothesis while its body is being proved."""
+        self._tick()
+        pred = goal.pred
+        key = index_key(self.store.walk(goal.args[0])) if goal.args else None
+        bucket = self.background(pred, key)
         adopted = self.adopted.get(pred)
         if adopted:
-            return self.background(pred) + adopted
-        return self.background(pred)
-
-    def clauses(self, goal: Atom) -> Iterator[Sequence[Atom]]:
-        """Alternatives for a goal: background and adopted clauses, then
-        fresh metarule instantiations, each adopted into the hypothesis
-        while its body is being proved."""
-        self._tick()
-        yield from self.known(goal)
-        pred = goal.pred
+            bucket = bucket + tuple([c for c, k in adopted
+                                     if k is None or key is None or k == key])
         if (len(self.hypothesis) >= self.size_cap
                 or pred not in self.head_preds and pred not in self.invented):
-            return
+            return bucket, None
+        return bucket, self._instances(goal)
+
+    def _instances(self, goal: Atom) -> Iterator[Sequence[Atom]]:
+        """The renamed bodies of the metarule instances whose heads unify
+        with the goal, each adopted while it is being proved."""
         resolver, store, stats = self.resolver, self.store, self.stats
         counter = resolver.counter
         tentative = (f"pred_{self.invent_from + len(self.invented) + 1}"

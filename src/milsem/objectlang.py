@@ -194,25 +194,22 @@ def _resolved_ground(store: Store, t: Term, who: str, what: str) -> Term:
     return r
 
 
-def substitute_builtin(store: Store, args: tuple[Term, ...]):
+def substitute_builtin(store: Store, args: tuple[Term, ...]) -> bool:
     v = _resolved_ground(store, args[0], "substitute/4", "value")
     x = _resolved_ground(store, args[1], "substitute/4", "name")
     t1 = _resolved_ground(store, args[2], "substitute/4", "term")
     name = _atom_name(x)
     if name is None:
-        return  # not a variable name, nothing to substitute into
-    out = substitute(v, name, t1)
-    if store.unify(args[3], out):
-        yield None
+        return False  # not a variable name, nothing to substitute into
+    return store.unify(args[3], substitute(v, name, t1))
 
 
-def int_add_builtin(store: Store, args: tuple[Term, ...]):
+def int_add_builtin(store: Store, args: tuple[Term, ...]) -> bool:
     a = _resolved_ground(store, args[0], "int_add/3", "left")
     b = _resolved_ground(store, args[1], "int_add/3", "right")
     if not (isinstance(a, Int) and isinstance(b, Int)):
-        return
-    if store.unify(args[2], Int(a.value + b.value)):
-        yield None
+        return False
+    return store.unify(args[2], Int(a.value + b.value))
 
 
 def default_builtins() -> BuiltinTable:

@@ -18,22 +18,36 @@ zero since their behaviour cannot be probed without running them.
 One `Resolver` does all resolution in the package.  It keeps the goal
 continuation as a linked list and its choice points on an explicit stack,
 so derivation depth costs heap, not Python frames.  Clauses come from a
-*clause source*: a function from a goal to a generator that, for each
-clause, unifies the unrenamed head with the goal through a fresh frame
-(`Store.unify_atoms`), and when that succeeds yields the body renamed
-through the same frame (`rename_apart`), undoing the bindings when
-resumed.  `Resolver.program_source` makes one from a first-argument index
-lookup: `solve` and `solve_all` give it the program's own, and the
-learner one that lists its adopted clauses after the background's, ahead
-of its metarule instantiations.  While the resolver only probes a source
-for a depth cut, ``probing`` is set: the body yielded then is never
-entered.
+*clause source*: a function from a goal to a pair ``(bucket, tail)``.
+The bucket is a sequence of clauses, the program's first-argument bucket
+for the goal (`Program.bucket`); the resolver tries their heads itself,
+in order, unifying each unrenamed head with the goal through a fresh
+frame (`Store.unify_atoms`) and renaming the body of the one that
+unifies through the same frame (`rename_apart`).  The tail is None or an
+iterator of further bodies, already renamed, drawn once the bucket is
+spent and resumed with the bindings of the previous one undone.  `solve`
+and `solve_all` use `Resolver.program_source`, whose tail is always
+None; the learner's tail instantiates metarules.  While the resolver
+only probes a tail for a depth cut, ``probing`` is set: the body it
+yields then is never entered.
 
-Builtins receive the store plus the unresolved goal arguments and yield
-once per solution, making any bindings through the store so backtracking
-undoes them.  A builtin whose arguments are too uninstantiated to ever
-make sense should raise BuiltinError; that aborts the whole query, it is
-a program bug rather than a failed branch.
+A choice point is a record, a tuple: the goal, its bucket, the index of
+the next bucket clause, the tail, the continuation after the goal, the
+budget left for the body, the steps charged per alternative, and the
+trail mark to undo to before the next alternative.  It is popped as soon
+as the alternative taken is its last, that is when no bucket clause is
+left and there is no tail, so a derivation in which the first argument
+picks one clause at each step holds no choice point at all.
+
+Builtins receive the store plus the unresolved goal arguments and make
+their bindings through the store, so backtracking undoes them.  A
+deterministic builtin returns a bool: True when it succeeded, with its
+bindings made, and False when it failed; it leaves no choice point.  A
+builtin with several solutions returns an iterator instead and yields
+once per solution, its bindings undone before it is resumed.  A builtin
+whose arguments are too uninstantiated to ever make sense should raise
+BuiltinError; that aborts the whole query, it is a program bug rather
+than a failed branch.
 """
 
 from __future__ import annotations
@@ -44,15 +58,15 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .terms import (
     Atom,
+    Clause,
     FreshVars,
-    IndexEntry,
     Program,
     Store,
     Subst,
     Symbol,
     Term,
-    _index_key,
     atom_vars,
+    index_key,
     rename_apart,
     restrict,
 )
@@ -72,9 +86,9 @@ class BuiltinError(Exception):
     program defines a builtin predicate with clauses."""
 
 
-BuiltinFn = Callable[[Store, tuple[Term, ...]], Iterator[None]]
-ClauseSource = Callable[[Atom], Iterator[Sequence[Atom]]]
-ClauseIndex = Callable[[Symbol], Sequence[IndexEntry]]
+BuiltinFn = Callable[[Store, tuple[Term, ...]], Union[bool, Iterator[None]]]
+Bucket = Sequence[Clause]
+ClauseSource = Callable[[Atom], tuple[Bucket, Optional[Iterator[Sequence[Atom]]]]]
 
 DEFAULT_DEPTH = 300  # wherever no depth bound is given, scenarios included
 
@@ -120,16 +134,6 @@ class Answers:
     steps: int
 
 
-def _builtin_alternatives(fn: BuiltinFn, store: Store,
-                          args: tuple[Term, ...]) -> Iterator[tuple]:
-    mark = store.mark()
-    for _ in fn(store, args):
-        yield ()
-        # roll back this solution before asking for the next
-        store.undo(mark)
-    store.undo(mark)
-
-
 class Resolver:
     """Iterative SLD resolution with a step count and the taint flag.
 
@@ -150,35 +154,29 @@ class Resolver:
         self.tainted = False
         self.probing = False
 
-    def program_source(self, clauses_for: ClauseIndex) -> ClauseSource:
-        """The indexed clauses for a goal, in index order, skipping those
-        whose first argument cannot match the goal's."""
-        store, counter = self.store, self.counter
+    def program_source(self, program: Program) -> ClauseSource:
+        """The program's bucket for each goal's first argument, no tail."""
+        walk, bucket = self.store.walk, program.bucket
 
-        def clauses(goal: Atom) -> Iterator[Sequence[Atom]]:
-            gkey = _index_key(store.walk(goal.args[0])) if goal.args else None
-            for clause, key in clauses_for(goal.pred):
-                if gkey is not None and key is not None and key != gkey:
-                    continue
-                frame: dict[int, Term] = {}
-                mark = store.mark()
-                if store.unify_atoms(clause.head, goal, frame, counter):
-                    yield rename_apart(clause, frame, counter)
-                store.undo(mark)
+        def clauses(goal: Atom) -> tuple[Bucket, None]:
+            key = index_key(walk(goal.args[0])) if goal.args else None
+            return bucket(goal.pred, key), None
 
         return clauses
 
     def run(self, goals: Sequence[Atom], budget: int,
             source: ClauseSource) -> Iterator[int]:
         """Prove the conjunction; yields the unspent budget once per proof,
-        with the answer bindings in the store until resumed."""
-        store, builtins = self.store, self.builtins
+        with the answer bindings in the store until resumed.  Once
+        exhausted, it leaves the store as it found it."""
+        store, builtins, counter = self.store, self.builtins, self.counter
+        entry = store.mark()
         cont = None  # goals still to prove, as nested (goal, rest) pairs
         for g in reversed(goals):
             cont = (g, cont)
-        # choice points: (alternatives, continuation after the goal,
-        # budget left for the body, steps charged per alternative)
-        stack: list[tuple[Iterator[Sequence[Atom]], object, int, int]] = []
+        # choice points: (goal, bucket, next bucket index, tail, rest,
+        # budget for the body, steps per alternative, trail mark)
+        stack: list[tuple] = []
         while True:
             if cont is None:
                 yield budget
@@ -190,38 +188,74 @@ class Resolver:
                         self.tainted = True
                     else:
                         self.steps += 1
-                        stack.append((_builtin_alternatives(fn, store, goal.args),
-                                      rest, budget - 1, 0))
+                        mark = store.mark()
+                        solved = fn(store, goal.args)
+                        if solved is True:
+                            cont = rest
+                            budget -= 1
+                            continue
+                        if solved is not False:
+                            stack.append((goal, (), 0, (() for _ in solved),
+                                          rest, budget - 1, 0, mark))
                 elif budget >= 1:
-                    stack.append((source(goal), rest, budget - 1, 1))
+                    bucket, tail = source(goal)
+                    stack.append((goal, bucket, 0, tail, rest, budget - 1, 1,
+                                  store.mark()))
                 elif not self.tainted:
-                    self.tainted = self._applies(source(goal))
+                    self.tainted = self._applies(goal, *source(goal))
             # resume the newest choice point that has an alternative left
             while stack:
-                alternatives, rest, budget, cost = stack[-1]
-                body = next(alternatives, None)
-                if body is not None:
-                    break
-                stack.pop()
+                goal, bucket, i, tail, rest, budget, cost, mark = stack[-1]
+                store.undo(mark)
+                n = len(bucket)
+                while i < n:
+                    clause = bucket[i]
+                    i += 1
+                    frame: dict[int, Term] = {}
+                    if store.unify_atoms(clause.head, goal, frame, counter):
+                        body = rename_apart(clause, frame, counter)
+                        break
+                    store.undo(mark)
+                else:
+                    body = None if tail is None else next(tail, None)
+                    if body is None:
+                        stack.pop()
+                        continue
+                if i < n or tail is not None:
+                    stack[-1] = (goal, bucket, i, tail, rest, budget, cost,
+                                 mark)
+                else:
+                    stack.pop()  # that was the last alternative
+                break
             else:
+                store.undo(entry)
                 return
             self.steps += cost
             cont = rest
             for g in reversed(body):
                 cont = (g, cont)
 
-    def _applies(self, alternatives: Iterator[Sequence[Atom]]) -> bool:
-        """Whether the source has any clause for the goal, bindings undone.
-        ``probing`` is set while the source looks, since the body it
-        yields is never entered."""
-        mark = self.store.mark()
+    def _applies(self, goal: Atom, bucket: Bucket,
+                 tail: Optional[Iterator[Sequence[Atom]]]) -> bool:
+        """Whether any bucket clause or tail alternative applies to the
+        goal, bindings undone.  ``probing`` is set while the tail looks,
+        since the body it yields is never entered."""
+        store = self.store
+        mark = store.mark()
+        for clause in bucket:
+            found = store.unify_atoms(clause.head, goal, {}, self.counter)
+            store.undo(mark)
+            if found:
+                return True
+        if tail is None:
+            return False
         self.probing = True
         try:
-            found = next(alternatives, None) is not None
+            found = next(tail, None) is not None
         finally:
             self.probing = False
-        alternatives.close()
-        self.store.undo(mark)
+        tail.close()
+        store.undo(mark)
         return found
 
 
@@ -243,7 +277,7 @@ def _start(program: Program, query: Union[Atom, Sequence[Atom]],
     # renamed clause variables must not collide with negative query ids
     resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
     proofs = resolver.run(goals, config.depth_limit,
-                          resolver.program_source(program.clauses_for))
+                          resolver.program_source(program))
     return resolver, proofs, qvars
 
 

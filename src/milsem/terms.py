@@ -371,7 +371,7 @@ def rename_apart(c: Clause, frame: dict[int, Term],
 # ============================================================
 
 
-def _index_key(t: Term) -> object:
+def index_key(t: Term) -> object:
     """First-argument index key: compounds by functor, ints by value,
     variables as None (matches anything)."""
     if isinstance(t, Compound):
@@ -386,26 +386,52 @@ IndexEntry = tuple[Clause, object]
 
 def index_entry(c: Clause) -> IndexEntry:
     """A clause with the index key of its head's first argument."""
-    return c, _index_key(c.head.args[0]) if c.head.args else None
+    return c, index_key(c.head.args[0]) if c.head.args else None
+
+
+# bucket-table key for a goal key that no clause head of the predicate has
+_OTHER = object()
+
+
+def _bucket_table(entries: list[IndexEntry]) -> dict[object, tuple[Clause, ...]]:
+    """One predicate's buckets: for each head key, the clauses whose key is
+    that key or a variable; for an unbound goal argument (None), every
+    clause; for any other key (`_OTHER`), the variable-keyed clauses.  All
+    in program order."""
+    table = {None: tuple(c for c, _ in entries),
+             _OTHER: tuple(c for c, k in entries if k is None)}
+    for _, key in entries:
+        if key is not None and key not in table:
+            table[key] = tuple(c for c, k in entries if k is None or k == key)
+    return table
 
 
 class Program:
-    """An ordered collection of definite clauses with a predicate index."""
+    """An ordered collection of definite clauses with first-argument
+    buckets, built once per predicate."""
 
-    __slots__ = ("clauses", "_index")
+    __slots__ = ("clauses", "_buckets")
 
     def __init__(self, clauses: Iterable[Clause]) -> None:
         self.clauses: tuple[Clause, ...] = tuple(clauses)
-        index: dict[Symbol, list[IndexEntry]] = {}
+        entries: dict[Symbol, list[IndexEntry]] = {}
         for c in self.clauses:
-            index.setdefault(c.head.pred, []).append(index_entry(c))
-        self._index = index
+            entries.setdefault(c.head.pred, []).append(index_entry(c))
+        self._buckets = {pred: _bucket_table(es)
+                         for pred, es in entries.items()}
 
-    def clauses_for(self, pred: Symbol) -> list[IndexEntry]:
-        return self._index.get(pred, [])
+    def bucket(self, pred: Symbol, key: object) -> tuple[Clause, ...]:
+        """The clauses for ``pred`` whose head's first argument can match
+        a goal argument with index key ``key``, in program order: the
+        first-argument index of `index_key`, precomputed."""
+        table = self._buckets.get(pred)
+        if table is None:
+            return ()
+        found = table.get(key)
+        return table[_OTHER] if found is None else found
 
     def predicates(self) -> tuple[Symbol, ...]:
-        return tuple(self._index.keys())
+        return tuple(self._buckets.keys())
 
     def __len__(self) -> int:
         return len(self.clauses)

@@ -232,14 +232,50 @@ def test_run_depth_exceeded_exits_3(capsys):
 
 
 def test_run_very_deep_loop_exits_3():
-    # a derivation 100k steps deep must be reported, not crash the process
-    code = ("import sys; from milsem.cli import main; "
-            "sys.exit(main(['run', '--depth', '100000', sys.argv[1]]))")
+    # a derivation 100k steps deep must be reported, not crash the process,
+    # and its choice points must fit in memory
+    code = ("import resource, sys; from milsem.cli import main; "
+            "code = main(['run', '--depth', '100000', sys.argv[1]]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+            "file=sys.stderr); sys.exit(code)")
     proc = subprocess.run(
         [sys.executable, "-c", code, OMEGA], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=300)
     assert proc.returncode == 3
     assert proc.stdout.strip() == "DepthExceeded"
+    # ru_maxrss is in kilobytes on Linux, in bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 1024
+    assert int(proc.stderr.split()[-1]) * unit < 100 * 2**20
+
+
+@pytest.mark.parametrize("strategy", ["lazy", "eager"])
+def test_check_drops_program_clauses_already_in_the_base(strategy):
+    # the chain program holds the full core; kept twice, every core clause
+    # would double the branching of each diverging term's search
+    proc = subprocess.run(
+        [sys.executable, "-m", "milsem.cli", "check",
+         str(ROOT / "bench" / "expected" / "chain.pl"), "pairs",
+         "--base", "full", "--strategy", strategy, "--json"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] == payload["total"] == 24
+    assert proc.stderr.splitlines() == [
+        "note: dropped 11 program clauses already in the full core"]
+
+
+def test_run_keeps_program_clauses_new_to_the_base(tmp_path, capsys):
+    rules = tmp_path / "rules.pl"
+    rules.write_text("value(E) :- value(E).\nvalue(var(_)).\n"
+                     "eval(A,A) :- value(A).\n")
+    assert main(["run", "var(a)", "-p", str(rules)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "var(a)"
+    assert captured.err == ("note: dropped 2 program clauses already in "
+                            "the full core\n")
+    assert main(["run", "var(a)", "-p", str(rules), "--base", "none"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_json(capsys):

@@ -1,12 +1,14 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from milsem.solver import (
     BuiltinError,
     BuiltinTable,
+    Resolver,
     SolveConfig,
     Verdict,
     solve,
@@ -15,6 +17,7 @@ from milsem.solver import (
 from milsem.terms import (
     Atom,
     Clause,
+    FreshVars,
     Int,
     Program,
     atom_vars,
@@ -310,6 +313,106 @@ def test_builtin_counts_against_budget():
     out = solve(p, parse_atom("ok(X)"), SolveConfig(depth_limit=2),
                 builtins=t)
     assert out.proved
+
+
+def _plus(store, args):
+    # deterministic builtin: a bool, no choice point
+    a, b = store.resolve(args[0]), store.resolve(args[1])
+    if isinstance(a, Int) and isinstance(b, Int):
+        return store.unify(args[2], Int(a.value + b.value))
+    if a == const("boom"):
+        raise BuiltinError("plus/3: boom")
+    return False
+
+
+def test_bool_builtin_call():
+    t = _table(plus_3=_plus)
+    p = parse_program("double(X,Y) :- plus(X,X,Y).")
+    out = solve(p, parse_atom("double(4,Y)"), builtins=t)
+    assert out.answer == {var("Y").id: Int(8)}
+    assert out.steps == 2
+
+
+def test_bool_builtin_false_fails_finitely():
+    t = _table(plus_3=_plus)
+    p = parse_program("bad(Y) :- plus(a,b,Y).\nbad(Y) :- plus(1,c,Y).")
+    out = solve(p, parse_atom("bad(Y)"), builtins=t)
+    assert out.verdict is Verdict.FINITE_FAILURE
+    assert out.steps == 4
+
+
+def test_bool_builtin_error_aborts():
+    t = _table(plus_3=_plus)
+    p = parse_program("bad(Y) :- plus(1,1,X), plus(boom,X,Y).\nbad(2).")
+    with pytest.raises(BuiltinError, match="boom"):
+        solve(p, parse_atom("bad(Y)"), builtins=t)
+
+
+def test_bool_builtin_bindings_undone_on_backtracking():
+    # the first pick binds Y through the builtin, then fails on ok/1;
+    # the second must see Y unbound again
+    t = _table(plus_3=_plus)
+    p = parse_program("pick(1).\npick(2).\nok(4).\n"
+                      "t(Y) :- pick(X), plus(X,X,Y), ok(Y).")
+    outs = solve_all(p, parse_atom("t(Y)"), builtins=t)
+    assert [a[var("Y").id] for a in outs.answers] == [Int(4)]
+    assert outs.complete
+
+
+def test_bool_builtin_taints_at_budget_zero_only():
+    t = _table(plus_3=_plus)
+    p = parse_program("p(Y) :- plus(1,2,Y).\nq(Y) :- plus(a,2,Y).")
+    assert solve(p, parse_atom("p(Y)"), SolveConfig(depth_limit=1),
+                 builtins=t).verdict is Verdict.DEPTH_EXCEEDED
+    out = solve(p, parse_atom("p(Y)"), SolveConfig(depth_limit=2), builtins=t)
+    assert out.proved and out.depth_used == 2
+    assert solve(p, parse_atom("q(Y)"), SolveConfig(depth_limit=2),
+                 builtins=t).verdict is Verdict.FINITE_FAILURE
+
+
+def _resolver(program, builtins=None):
+    resolver = Resolver(builtins, FreshVars())
+    return resolver, resolver.program_source(program)
+
+
+def test_taint_is_exact_for_a_last_bucket_clause():
+    # p's only clause is its bucket's last, so p leaves no choice point;
+    # at budget 0 the probe must still find q's last clause, and only it
+    p = parse_program("p(X) :- q(X).\nq(f(b)).\nq(f(a)).")
+    for query, tainted in (("p(f(a))", True), ("p(f(c))", False),
+                           ("p(g(a))", False)):
+        resolver, source = _resolver(p)
+        assert list(resolver.run([parse_atom(query)], 1, source)) == []
+        assert resolver.tainted is tainted, query
+        assert resolver.steps == 1
+
+
+def test_store_is_empty_after_run_is_exhausted():
+    t = _table(plus_3=_plus)
+    p = parse_program("pick(1).\npick(2).\nok(3).\nok(4).\n"
+                      "t(Z) :- pick(X), plus(X,X,Y), ok(Y), plus(Y,1,Z).")
+    resolver, source = _resolver(p, t)
+    store = resolver.store
+    assert list(resolver.run([parse_atom("t(Z)")], 20, source)) == [15]
+    assert store.bindings == {} and store.trail == []
+
+
+def test_deterministic_derivation_holds_no_choice_points():
+    # the first argument picks one clause at each of 20,000 steps, so
+    # each goal takes its last alternative and leaves nothing behind
+    p = parse_program("count(z).\ncount(s(N)) :- count(N).")
+    t = const("z")
+    for _ in range(20000):
+        t = mk("s", t)
+    goal = Atom(symbol("count", 1), (t,))
+    tracemalloc.start()
+    try:
+        out = solve(p, goal, SolveConfig(depth_limit=30000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.proved and out.steps == 20001
+    assert peak < 1_000_000
 
 
 def test_builtin_clause_clash_rejected():

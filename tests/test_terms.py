@@ -18,6 +18,7 @@ from milsem.terms import (
     atom,
     atom_vars,
     const,
+    index_key,
     mk,
     rename_apart,
     rename_atom,
@@ -352,10 +353,51 @@ def test_unify_atoms_agrees_with_rename_then_unify(drawn):
 # ---- program indexing ----
 
 def test_program_first_arg_index():
-    p = Program((
-        Clause(atom("p", mk("f", var("X"))), ()),
-        Clause(atom("p", mk("g", var("X"))), ()),
-        Clause(atom("p", var("Y")), ()),
-    ))
-    fs = [key for _, key in p.clauses_for(symbol("p", 1))]
-    assert fs == [symbol("f", 1), symbol("g", 1), None]
+    cf = Clause(atom("p", mk("f", var("X"))), ())
+    cg = Clause(atom("p", mk("g", var("X"))), ())
+    cy = Clause(atom("p", var("Y")), ())
+    p = Program((cf, cg, cy))
+    pred = symbol("p", 1)
+    # each key's bucket: its clauses and the variable-keyed ones, in order
+    assert p.bucket(pred, symbol("f", 1)) == (cf, cy)
+    assert p.bucket(pred, symbol("g", 1)) == (cg, cy)
+    assert p.bucket(pred, None) == (cf, cg, cy)
+    assert p.bucket(pred, symbol("h", 0)) == (cy,)
+
+
+# the first arguments heads and goals draw from: variables, constants,
+# compounds and ints, and for goals keys that no head has
+_HEAD_FIRST = [var("X"), const("a"), const("b"), mk("f", var("Y")),
+               mk("f", const("a")), Int(1), Int(2)]
+_GOAL_FIRST = _HEAD_FIRST + [const("c"), mk("g", var("Z")), Int(3)]
+_PREDS = [symbol("p", 0), symbol("p", 1), symbol("q", 2)]
+
+
+def _scan_key(t):
+    """The key the per-goal scan compared: a variable matches anything."""
+    if isinstance(t, Compound):
+        return t.functor
+    if isinstance(t, Int):
+        return ("int", t.value)
+    return None
+
+
+def _literal(pred, first):
+    return Atom(pred, ((first,) + (const("z"),) * (pred.arity - 1)
+                       if pred.arity else ()))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_PREDS),
+                          st.sampled_from(_HEAD_FIRST)), max_size=10),
+       st.sampled_from(_PREDS + [symbol("r", 1)]),
+       st.sampled_from(_GOAL_FIRST))
+def test_bucket_equals_the_key_filter_scan(heads, pred, first):
+    clauses = [Clause(_literal(p, f), ()) for p, f in heads]
+    goal = _literal(pred, first)
+    gkey = _scan_key(goal.args[0]) if goal.args else None
+    scan = [c for c in clauses if c.head.pred is pred
+            and (gkey is None or not c.head.args
+                 or _scan_key(c.head.args[0]) in (None, gkey))]
+    key = index_key(goal.args[0]) if goal.args else None
+    bucket = Program(clauses).bucket(pred, key)
+    assert [id(c) for c in bucket] == [id(c) for c in scan]

@@ -108,7 +108,7 @@ def test_parse_clauses_multiple():
 
 def test_parse_program_indexes():
     p = parse_program("p(f(a)).\np(b).\n")
-    assert len(p.clauses_for(symbol("p", 1))) == 2
+    assert len(p.bucket(symbol("p", 1), None)) == 2
 
 
 def test_print_clause_fact_and_rule():
