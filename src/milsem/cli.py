@@ -32,7 +32,7 @@ from .scenario import (
     load_scenario,
 )
 from .solver import DEFAULT_DEPTH, BuiltinError, SolveConfig, Verdict, solve
-from .terms import Atom, Clause, FreshVars, Program, rename_atom, symbol
+from .terms import Clause, Compound, FreshVars, Program, mk, rename_term
 from .textio import (
     ParseError,
     parse_clauses,
@@ -180,12 +180,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return _STATUS_EXIT[res.status]
 
 
-def _variant_key(c: Clause) -> tuple[Atom, ...]:
+def _variant_key(c: Clause) -> tuple[Compound, ...]:
     """The clause's literals with its variables renamed in order of first
     occurrence: equal for two clauses exactly when they are variants."""
     mapping: dict = {}
     counter = FreshVars()
-    return tuple(rename_atom(a, mapping, counter) for a in (c.head, *c.body))
+    return tuple(rename_term(a, mapping, counter) for a in (c.head, *c.body))
 
 
 def _with_base(base: str, clauses: list[Clause]) -> list[Clause]:
@@ -211,7 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _reading("term"):
         term = parse_term(sys.stdin.read() if args.term == "-" else args.term)
     result = FreshVars().next_var()  # a negative id: no parsed term has it
-    goal = Atom(symbol("eval", 2), (term, result))
+    goal = mk("eval", term, result)
     try:
         out = solve(Program(tuple(clauses)), goal,
                     SolveConfig(depth_limit=args.depth

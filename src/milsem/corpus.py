@@ -11,7 +11,8 @@ the two strategies must agree on it up to alpha, and the evaluation chain
 must be short enough to fit comfortably inside the default proof depth.
 Rejected candidates are simply redrawn.
 
-A corpus lives in a ``.terms`` file, one term per line, ``%`` comments.
+A corpus lives in a ``.terms`` file, one ground term per line, ``%``
+comments.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import random
 from typing import Callable
 
 from .objectlang import STRATEGIES, OracleConfig, alpha_equal, eval_chain, is_value
-from .terms import Compound, Int, Term, symbol
-from .textio import parse_term, print_term
+from .terms import Compound, Int, Term, mk
+from .textio import ParseError, _Parser, print_term
 
 CORPUS_KINDS = ("pairs", "lists", "conditionals", "lazy_eager", "mixed")
 
@@ -30,12 +31,8 @@ _NAMES = ("a", "b", "c", "x", "y", "z")
 _MAX_CHAIN = 30
 
 
-def _c(name: str, *args: Term) -> Compound:
-    return Compound(symbol(name, len(args)), tuple(args))
-
-
 def _v(name: str) -> Compound:
-    return _c("var", _c(name))
+    return mk("var", mk(name))
 
 
 class _Gen:
@@ -50,41 +47,41 @@ class _Gen:
         if bound:
             picks.append(lambda: _v(rng.choice(bound)))
         if self.kind in ("lazy_eager", "mixed", "pairs", "lists"):
-            picks.append(lambda: _c("lit", Int(rng.randrange(10))))
+            picks.append(lambda: mk("lit", Int(rng.randrange(10))))
         if self.kind in ("conditionals", "mixed"):
-            picks.append(lambda: _c(rng.choice(("true", "false"))))
+            picks.append(lambda: mk(rng.choice(("true", "false"))))
         if self.kind in ("lists", "mixed"):
-            picks.append(lambda: _c("nil"))
+            picks.append(lambda: mk("nil"))
         return rng.choice(picks)()
 
     def bool_expr(self, d: int) -> Term:
         rng = self.rng
         if d <= 0 or rng.random() < 0.5:
-            return _c(rng.choice(("true", "false")))
-        return _c("if", self.bool_expr(d - 1),
-                  _c("thenelse", self.bool_expr(d - 1), self.bool_expr(d - 1)))
+            return mk(rng.choice(("true", "false")))
+        return mk("if", self.bool_expr(d - 1),
+                  mk("thenelse", self.bool_expr(d - 1), self.bool_expr(d - 1)))
 
     def int_expr(self, d: int) -> Term:
         rng = self.rng
         if d <= 0 or rng.random() < 0.5:
-            return _c("lit", Int(rng.randrange(10)))
-        return _c("add", self.int_expr(d - 1), self.int_expr(d - 1))
+            return mk("lit", Int(rng.randrange(10)))
+        return mk("add", self.int_expr(d - 1), self.int_expr(d - 1))
 
     def lam(self, d: int, bound: tuple[str, ...]) -> Term:
         x = self.rng.choice(_NAMES)
-        return _c("lam", _c(x), self.expr(d, bound + (x,)))
+        return mk("lam", mk(x), self.expr(d, bound + (x,)))
 
     def application(self, d: int, bound: tuple[str, ...]) -> Term:
         # function position: a lambda, or a curried redex producing one
         rng = self.rng
         if d >= 2 and rng.random() < 0.3:
             x, y = rng.sample(_NAMES, 2)
-            fun = _c("app",
-                     _c("lam", _c(x),
-                        _c("lam", _c(y), self.expr(d - 2, bound + (x, y)))),
+            fun = mk("app",
+                     mk("lam", mk(x),
+                        mk("lam", mk(y), self.expr(d - 2, bound + (x, y)))),
                      self.expr(d - 2, bound))
-            return _c("app", fun, self.expr(d - 2, bound))
-        return _c("app", self.lam(d - 1, bound), self.expr(d - 1, bound))
+            return mk("app", fun, self.expr(d - 2, bound))
+        return mk("app", self.lam(d - 1, bound), self.expr(d - 1, bound))
 
     def expr(self, d: int, bound: tuple[str, ...] = ()) -> Term:
         rng = self.rng
@@ -94,26 +91,26 @@ class _Gen:
         choices: list[Callable[[], Term]] = [lambda: self.leaf(bound)]
         if kind in ("pairs", "mixed"):
             choices += [
-                lambda: _c("pair", self.expr(d - 1, bound), self.expr(d - 1, bound)),
-                lambda: _c("fst", _c("pair", self.expr(d - 1, bound),
+                lambda: mk("pair", self.expr(d - 1, bound), self.expr(d - 1, bound)),
+                lambda: mk("fst", mk("pair", self.expr(d - 1, bound),
                                      self.expr(d - 1, bound))),
-                lambda: _c("snd", _c("pair", self.expr(d - 1, bound),
+                lambda: mk("snd", mk("pair", self.expr(d - 1, bound),
                                      self.expr(d - 1, bound))),
                 lambda: self.application(d, bound),
             ]
         if kind in ("lists", "mixed"):
             choices += [
-                lambda: _c("cons", self.expr(d - 1, bound), self.expr(d - 1, bound)),
-                lambda: _c("head", _c("cons", self.expr(d - 1, bound),
+                lambda: mk("cons", self.expr(d - 1, bound), self.expr(d - 1, bound)),
+                lambda: mk("head", mk("cons", self.expr(d - 1, bound),
                                       self.expr(d - 1, bound))),
-                lambda: _c("tail", _c("cons", self.expr(d - 1, bound),
+                lambda: mk("tail", mk("cons", self.expr(d - 1, bound),
                                       self.expr(d - 1, bound))),
                 lambda: self.application(d, bound),
             ]
         if kind in ("conditionals", "mixed"):
             choices += [
-                lambda: _c("if", self.bool_expr(d - 1),
-                           _c("thenelse", self.expr(d - 1, bound),
+                lambda: mk("if", self.bool_expr(d - 1),
+                           mk("thenelse", self.expr(d - 1, bound),
                               self.expr(d - 1, bound))),
                 lambda: self.bool_expr(d),
                 lambda: self.application(d, bound),
@@ -188,12 +185,22 @@ def load_corpus(path: str) -> list[Term]:
 
 
 def parse_corpus(text: str) -> list[Term]:
+    """The terms of a corpus, one a line.  A line that does not parse, or
+    that writes a variable, is a `ParseError` naming that line."""
     out: list[Term] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("%"):
+    for n, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
             continue
-        out.append(parse_term(line))
+        p = _Parser(line, n)
+        t = p.term()
+        p.accept("DOT")
+        p.end()
+        if p.written:
+            tok = next(tok for tok in p.toks if tok.kind == "VNAME")
+            raise ParseError(f"variable {tok.text} in a corpus term",
+                             tok.line, tok.col)
+        out.append(t)
     return out
 
 

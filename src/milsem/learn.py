@@ -74,12 +74,13 @@ from .solver import (
     Outcome,
     Resolver,
     SolveConfig,
+    Tail,
     Verdict,
     solve,
 )
 from .terms import (
-    Atom,
     Clause,
+    Compound,
     FreshVars,
     IndexEntry,
     Program,
@@ -88,7 +89,7 @@ from .terms import (
     index_entry,
     index_key,
     rename_apart,
-    rename_atom,
+    rename_term,
 )
 from .textio import print_clause
 
@@ -145,7 +146,7 @@ def invented_base(clauses: Sequence[Clause]) -> int:
     hi = 0
     for c in clauses:
         for a in (c.head, *c.body):
-            m = _INVENTED.match(a.pred.name)
+            m = _INVENTED.match(a.functor.name)
             if m:
                 hi = max(hi, int(m.group(1)))
     return hi
@@ -174,7 +175,7 @@ def check_example(program: Program, example: Example, *,
     return out.verdict is Verdict.DEPTH_EXCEEDED, out
 
 
-def _negative_core(bk: Sequence[Clause], candidate: Hypothesis, goal: Atom,
+def _negative_core(bk: Sequence[Clause], candidate: Hypothesis, goal: Compound,
                    depth_limit: int, builtins: BuiltinTable,
                    ) -> list[tuple[Metasub, Clause]]:
     """A subset of a candidate that still proves a negative example's goal,
@@ -205,7 +206,7 @@ class _Engine:
                  "size_cap", "hypothesis", "adopted", "invented",
                  "invent_from", "cores", "stats", "_ticks")
 
-    def __init__(self, spec: ScenarioSpec, goals: Sequence[Atom],
+    def __init__(self, spec: ScenarioSpec, goals: Sequence[Compound],
                  deadline: Optional[float] = None, trace: Trace = None) -> None:
         self.spec = spec
         self.resolver = Resolver(default_builtins(), FreshVars())
@@ -214,7 +215,7 @@ class _Engine:
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
         # examples must not share variables with each other or the program
-        self.goals = [rename_atom(g, {}, self.resolver.counter) for g in goals]
+        self.goals = [rename_term(g, {}, self.resolver.counter) for g in goals]
         self.deadline = deadline
         self.trace = trace
         self.size_cap = 0
@@ -238,7 +239,7 @@ class _Engine:
                 raise _SearchTimeout
 
     def _adopt(self, msub: Metasub, clause: Clause, frame: dict[int, Term],
-               tentative: Optional[str]) -> Iterator[Sequence[Atom]]:
+               tentative: Optional[str]) -> Iterator[Sequence[Compound]]:
         """The renamed body of a metarule instance whose head unified with
         the goal, the instance adopted into the hypothesis while the body
         is being proved."""
@@ -247,7 +248,7 @@ class _Engine:
             if isinstance(b, Symbol) and b.name == tentative))
         self.stats.metasubs_tried += 1
         self.hypothesis[msub] = clause
-        adopted = self.adopted.setdefault(clause.head.pred, [])
+        adopted = self.adopted.setdefault(clause.head.functor, [])
         adopted.append(index_entry(clause))
         self.invented.update(dict.fromkeys(new_preds))
         if self.trace:
@@ -265,13 +266,12 @@ class _Engine:
 
     # ---- the clause source ----
 
-    def clauses(self, goal: Atom) -> tuple[Sequence[Clause],
-                                           Optional[Iterator[Sequence[Atom]]]]:
+    def clauses(self, goal: Compound) -> tuple[Sequence[Clause], Tail]:
         """Alternatives for a goal: the bucket of background and adopted
         clauses, and the tail of fresh metarule instantiations, each
         adopted into the hypothesis while its body is being proved."""
         self._tick()
-        pred = goal.pred
+        pred = goal.functor
         key = index_key(self.store.walk(goal.args[0])) if goal.args else None
         bucket = self.background(pred, key)
         adopted = self.adopted.get(pred)
@@ -283,7 +283,7 @@ class _Engine:
             return bucket, None
         return bucket, self._instances(goal)
 
-    def _instances(self, goal: Atom) -> Iterator[Sequence[Atom]]:
+    def _instances(self, goal: Compound) -> Iterator[Sequence[Compound]]:
         """The renamed bodies of the metarule instances whose heads unify
         with the goal, each adopted while it is being proved."""
         resolver, store, stats = self.resolver, self.store, self.stats
@@ -381,12 +381,13 @@ class _Engine:
 # ============================================================
 
 
-def meta_prove(spec: ScenarioSpec, goals: Union[Atom, Sequence[Atom]], *,
+def meta_prove(spec: ScenarioSpec,
+               goals: Union[Compound, Sequence[Compound]], *,
                size_cap: Optional[int] = None) -> Iterator[Hypothesis]:
     """Meta-prove goals against a scenario's background, growing a
     hypothesis as needed; the hypothesis in force at each complete proof,
     in search order."""
-    engine = _Engine(spec, [goals] if isinstance(goals, Atom) else goals)
+    engine = _Engine(spec, [goals] if isinstance(goals, Compound) else goals)
     yield from engine.hypotheses(
         [spec.options.max_clauses if size_cap is None else size_cap])
 

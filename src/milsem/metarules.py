@@ -1,11 +1,14 @@
 """Metarules: second-order clause templates and their instantiation.
 
-A metarule is a clause template whose atoms are written in list encoding,
-``[p, t1, ..., tn]``, so that predicate and function positions can hold
-metavariables.  Binding every metavariable to a symbol (or an integer, for
-constants) turns the template into an ordinary first-order clause; the
-record of those bindings is a `Metasub`, and a learned hypothesis is a set
-of metasubs.
+A metarule is a clause template whose literals are written in list
+encoding, ``[p, t1, ..., tn]``, so that predicate and function positions
+can hold metavariables.  A template literal and a template term are one
+node type, `TComp`: a compound whose functor is a symbol or a
+metavariable, a predicate metavariable at literal level and a function
+metavariable below it.  Binding every metavariable to a symbol (or an
+integer, for constants) turns the template into an ordinary first-order
+clause; the record of those bindings is a `Metasub`, and a learned
+hypothesis is a set of metasubs.
 
 Metavariables are declared alongside the template with a kind and arity:
 
@@ -28,7 +31,6 @@ from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .terms import (
-    Atom,
     Clause,
     Compound,
     Int,
@@ -68,13 +70,6 @@ class TComp:
 
 TTerm = Union[Var, Int, MetaVar, TComp]
 
-
-@dataclass(frozen=True, slots=True)
-class TAtom:
-    pred: Union[Symbol, MetaVar]
-    args: tuple[TTerm, ...]
-
-
 Binding = Union[Symbol, int]
 
 
@@ -103,8 +98,8 @@ class Metarule:
 
     __slots__ = ("name", "decls", "head", "body", "head_pred_meta")
 
-    def __init__(self, name: str, decls: Sequence[Decl], head: TAtom,
-                 body: Sequence[TAtom]) -> None:
+    def __init__(self, name: str, decls: Sequence[Decl], head: TComp,
+                 body: Sequence[TComp]) -> None:
         self.name = name
         self.head = head
         self.body = tuple(body)
@@ -128,8 +123,8 @@ class Metarule:
                     walk_term(a)
 
         for a in (head, *self.body):
-            if isinstance(a.pred, MetaVar):
-                see(a.pred, PRED, len(a.args))
+            if isinstance(a.functor, MetaVar):
+                see(a.functor, PRED, len(a.args))
             for t in a.args:
                 walk_term(t)
 
@@ -157,7 +152,8 @@ class Metarule:
             if n not in declared:
                 raise MetaruleError(f"metarule {name}: {n} is not declared")
         self.decls = tuple(resolved)
-        self.head_pred_meta = head.pred.name if isinstance(head.pred, MetaVar) else None
+        self.head_pred_meta = (head.functor.name
+                               if isinstance(head.functor, MetaVar) else None)
 
     def _identity(self) -> tuple:
         return (self.name, self.decls, self.head, self.body)
@@ -215,19 +211,21 @@ def _match_term(tt: TTerm, g: Term, store: Store, restr: dict[str, Binding]) -> 
     return all(_match_term(a, b, store, restr) for a, b in zip(tt.args, g.args))
 
 
-def match_head(m: Metarule, goal: Atom, store: Store) -> Optional[dict[str, Binding]]:
+def match_head(m: Metarule, goal: Compound,
+               store: Store) -> Optional[dict[str, Binding]]:
     """The metavariables that matching the head template against the goal
     pins, with their values, or None when the metarule cannot apply to
     this goal at all."""
     restr: dict[str, Binding] = {}
-    if isinstance(m.head.pred, MetaVar):
-        if not _restrict(restr, m.head.pred.name, goal.pred):
+    head = m.head
+    if isinstance(head.functor, MetaVar):
+        if not _restrict(restr, head.functor.name, goal.functor):
             return None
-    elif m.head.pred is not goal.pred:
+    elif head.functor is not goal.functor:
         return None
-    if len(m.head.args) != len(goal.args):
+    if len(head.args) != len(goal.args):
         return None
-    for tt, g in zip(m.head.args, goal.args):
+    for tt, g in zip(head.args, goal.args):
         if not _match_term(tt, g, store, restr):
             return None
     return restr
@@ -254,20 +252,10 @@ def _inst_term(t: TTerm, b: Mapping[str, Binding]) -> Term:
     return Compound(f, args)
 
 
-def _inst_atom(a: TAtom, b: Mapping[str, Binding]) -> Atom:
-    p = a.pred
-    if isinstance(p, MetaVar):
-        v = b[p.name]
-        if not isinstance(v, Symbol):
-            raise MetaruleError(f"predicate metavariable {p.name} bound to integer")
-        p = symbol(v.name, len(a.args))
-    return Atom(p, tuple(_inst_term(t, b) for t in a.args))
-
-
 def apply_metasub(m: Metarule, bindings: Mapping[str, Binding]) -> Clause:
     """The first-order clause obtained by filling every metavariable."""
-    head = _inst_atom(m.head, bindings)
-    body = tuple(_inst_atom(a, bindings) for a in m.body)
+    head = _inst_term(m.head, bindings)
+    body = tuple(_inst_term(a, bindings) for a in m.body)
     return Clause(head, body)
 
 

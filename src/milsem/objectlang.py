@@ -38,7 +38,6 @@ from .solver import (
     solve_all,
 )
 from .terms import (
-    Atom,
     Clause,
     Compound,
     Int,
@@ -46,6 +45,7 @@ from .terms import (
     Store,
     Term,
     Var,
+    const,
     symbol,
     term_vars,
     var,
@@ -79,10 +79,6 @@ S_RIGHT = symbol("right", 3)
 
 STRATEGIES = ("lazy", "eager")
 CORES = ("full", *STRATEGIES)
-
-
-def _c(f, *args: Term) -> Compound:
-    return Compound(f, tuple(args))
 
 
 def _atom_name(t: Term) -> Optional[str]:
@@ -143,9 +139,10 @@ def substitute(v: Term, x: str, t: Term) -> Term:
             body = t.args[1]
             if name in free_vars(v) and x in free_vars(body):
                 z = fresh_name(name, free_vars(v) | free_vars(body) | {x})
-                body = substitute(_c(S_VAR, _c(symbol(z, 0))), name, body)
-                return _c(S_LAM, _c(symbol(z, 0)), substitute(v, x, body))
-            return _c(S_LAM, t.args[0], substitute(v, x, body))
+                fresh = const(z)
+                body = substitute(Compound(S_VAR, (fresh,)), name, body)
+                return Compound(S_LAM, (fresh, substitute(v, x, body)))
+            return Compound(S_LAM, (t.args[0], substitute(v, x, body)))
     if not t.args:
         return t
     return Compound(t.functor, tuple(substitute(v, x, a) for a in t.args))
@@ -240,7 +237,7 @@ right(_,B,B).
 
 
 def _is_app_step(c: Clause) -> bool:
-    if c.head.pred is not S_STEP:
+    if c.head.functor is not S_STEP:
         return False
     first = c.head.args[0]
     return isinstance(first, Compound) and first.functor is S_APP
@@ -334,14 +331,14 @@ def step_once(t: Term, strategy: str = "lazy") -> Optional[Term]:
                 if name is not None:
                     return substitute(arg, name, fun.args[1])
             fun2 = step_once(fun, strategy)
-            return _c(S_APP, fun2, arg) if fun2 is not None else None
+            return Compound(S_APP, (fun2, arg)) if fun2 is not None else None
         # eager: function first, then the argument, then contract
         if not is_value(fun):
             fun2 = step_once(fun, strategy)
-            return _c(S_APP, fun2, arg) if fun2 is not None else None
+            return Compound(S_APP, (fun2, arg)) if fun2 is not None else None
         if not is_value(arg):
             arg2 = step_once(arg, strategy)
-            return _c(S_APP, fun, arg2) if arg2 is not None else None
+            return Compound(S_APP, (fun, arg2)) if arg2 is not None else None
         if fun.functor is S_LAM:
             name = _atom_name(fun.args[0])
             if name is not None:
@@ -369,28 +366,28 @@ def step_once(t: Term, strategy: str = "lazy") -> Optional[Term]:
         if isinstance(cond, Compound) and cond.functor is S_FALSE:
             return branches.args[1]
         cond2 = step_once(cond, strategy)
-        return _c(S_IF, cond2, branches) if cond2 is not None else None
+        return Compound(S_IF, (cond2, branches)) if cond2 is not None else None
 
     if f is S_ADD:
         a, b = t.args
         if (isinstance(a, Compound) and a.functor is S_LIT
                 and isinstance(b, Compound) and b.functor is S_LIT
                 and isinstance(a.args[0], Int) and isinstance(b.args[0], Int)):
-            return _c(S_LIT, Int(a.args[0].value + b.args[0].value))
+            return Compound(S_LIT, (Int(a.args[0].value + b.args[0].value),))
         if not is_value(a):
             a2 = step_once(a, strategy)
-            return _c(S_ADD, a2, b) if a2 is not None else None
+            return Compound(S_ADD, (a2, b)) if a2 is not None else None
         b2 = step_once(b, strategy)
-        return _c(S_ADD, a, b2) if b2 is not None else None
+        return Compound(S_ADD, (a, b2)) if b2 is not None else None
 
     if f in (S_PAIR, S_CONS):
         a, b = t.args
         if not is_value(a):
             a2 = step_once(a, strategy)
-            return _c(f, a2, b) if a2 is not None else None
+            return Compound(f, (a2, b)) if a2 is not None else None
         if not is_value(b):
             b2 = step_once(b, strategy)
-            return _c(f, a, b2) if b2 is not None else None
+            return Compound(f, (a, b2)) if b2 is not None else None
         return None
 
     return None
@@ -453,8 +450,8 @@ class ConformanceReport:
         self.failures.append(reason)
 
 
-def _eval_goal(t: Term, result: Term) -> Atom:
-    return Atom(S_EVAL, (t, result))
+def _eval_goal(t: Term, result: Term) -> Compound:
+    return Compound(S_EVAL, (t, result))
 
 
 def conformance_check(program: Program, terms: Iterable[Term], *,
@@ -545,7 +542,7 @@ def check_step_determinism(program: Program, t: Term, *,
         builtins = default_builtins()
     cfg = SolveConfig(depth_limit=depth_limit, max_solutions=8)
     for u in eval_chain(t, OracleConfig(strategy=strategy, fuel=fuel)):
-        res = solve_all(program, Atom(S_STEP, (u, var("Next"))), cfg, builtins)
+        res = solve_all(program, Compound(S_STEP, (u, var("Next"))), cfg, builtins)
         distinct: list[Term] = []
         for ans in res.answers:
             nxt = next(iter(ans.values()), None)

@@ -33,14 +33,14 @@ from typing import Callable, Iterable, Optional
 from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, default_builtins, metarule_library
 from .solver import DEFAULT_DEPTH
-from .terms import Atom, Clause, Compound, Int, Symbol, Term
+from .terms import Clause, Compound, Int, Symbol, Term
 from .textio import (
     ParseError,
     _Parser,
-    print_atom,
     print_clause,
     print_metarule,
     print_symbol,
+    print_term,
 )
 
 EXAMPLE_TAGS = ("pos", "neg", "nonterm")
@@ -57,10 +57,10 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Example:
     tag: str  # pos | neg | nonterm
-    goal: Atom
+    goal: Compound
 
     def __str__(self) -> str:
-        return f"{self.tag}({print_atom(self.goal)})."
+        return f"{self.tag}({print_term(self.goal)})."
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,7 +210,7 @@ def _parse_items(sections: dict[str, str], section: str,
         if tok.text != "include":
             out.append(parse_one(p))
             continue
-        directive = print_atom(p.atom())
+        directive = print_term(p.literal())
         p.expect("DOT", ".")
         if directive not in includes:
             raise ScenarioError(
@@ -225,17 +225,17 @@ def _parse_examples(text: str) -> list[Example]:
     out: list[Example] = []
     while not p.at("EOF"):
         tok = p.peek()
-        a = p.atom()
+        a = p.literal()
         p.expect("DOT", ".")
-        if a.pred.name not in EXAMPLE_TAGS or a.pred.arity != 1:
+        if a.functor.name not in EXAMPLE_TAGS or a.functor.arity != 1:
             raise ScenarioError(
                 f"example at line {tok.line} must be pos(G), neg(G) or "
-                f"nonterm(G), got {a.pred.name}/{a.pred.arity}")
-        inner = a.args[0]
-        if not isinstance(inner, Compound) or inner.functor.arity == 0:
+                f"nonterm(G), got {a.functor}")
+        goal = a.args[0]
+        if not isinstance(goal, Compound) or goal.functor.arity == 0:
             raise ScenarioError(
                 f"example goal at line {tok.line} must be a compound atom")
-        out.append(Example(a.pred.name, Atom(inner.functor, inner.args)))
+        out.append(Example(a.functor.name, goal))
     return out
 
 
@@ -244,12 +244,12 @@ def _parse_options(text: str) -> Options:
     opts = Options()
     while not p.at("EOF"):
         tok = p.peek()
-        a = p.atom()
+        a = p.literal()
         p.expect("DOT", ".")
-        if a.pred.arity != 1:
+        if a.functor.arity != 1:
             raise ScenarioError(f"malformed option at line {tok.line}")
         arg = a.args[0]
-        name = a.pred.name
+        name = a.functor.name
         if name in ("depth_limit", "max_clauses", "timeout"):
             if not isinstance(arg, Int) or arg.value <= 0:
                 raise ScenarioError(
@@ -306,7 +306,7 @@ def _validate(spec: ScenarioSpec) -> None:
     for s in spec.head_preds:
         if s.arity == 0:
             raise ScenarioError(f"head predicate {s.name} must take arguments")
-    known = {c.head.pred for c in spec.bk}
+    known = {c.head.functor for c in spec.bk}
     known.update(spec.head_preds)
     clash = sorted(map(str, known & default_builtins().predicates()))
     if clash:
@@ -314,9 +314,9 @@ def _validate(spec: ScenarioSpec) -> None:
             f"{', '.join(clash)}: builtin, so neither the background nor "
             f"the head section may define it")
     for e in spec.examples:
-        if e.goal.pred not in known:
+        if e.goal.functor not in known:
             raise ScenarioError(
-                f"example goal predicate {e.goal.pred.name}/{e.goal.pred.arity} "
+                f"example goal predicate {e.goal.functor} "
                 f"is neither defined in the background nor learnable")
     seen_rules: set[str] = set()
     for m in spec.metarules:

@@ -33,42 +33,42 @@ yields then is never entered.
 
 A choice point is a record, a tuple: the goal, its bucket, the index of
 the next bucket clause, the tail, the continuation after the goal, the
-budget left for the body, the steps charged per alternative, and the
-trail mark to undo to before the next alternative.  It is popped as soon
-as the alternative taken is its last, that is when no bucket clause is
-left and there is no tail, so a derivation in which the first argument
-picks one clause at each step holds no choice point at all.
+budget left for the body, and the trail mark to undo to before the next
+alternative.  Taking an alternative costs one step, whichever it is.  A
+choice point is popped as soon as the alternative taken is its last, that
+is when no bucket clause is left and there is no tail, so a derivation in
+which the first argument picks one clause at each step holds no choice
+point at all.
 
-Builtins receive the store plus the unresolved goal arguments and make
-their bindings through the store, so backtracking undoes them.  A
-deterministic builtin returns a bool: True when it succeeded, with its
-bindings made, and False when it failed; it leaves no choice point.  A
-builtin with several solutions returns an iterator instead and yields
-once per solution, its bindings undone before it is resumed.  A builtin
-whose arguments are too uninstantiated to ever make sense should raise
-BuiltinError; that aborts the whole query, it is a program bug rather
-than a failed branch.
+Builtins are deterministic.  One receives the store plus the unresolved
+goal arguments, makes its bindings through the store, so backtracking
+undoes them, and returns a bool: True when it succeeded, with its
+bindings made, and False when it failed.  It leaves no choice point.  A
+builtin whose arguments are too uninstantiated to ever make sense should
+raise BuiltinError; that aborts the whole query, it is a program bug
+rather than a failed branch.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .terms import (
-    Atom,
     Clause,
+    Compound,
     FreshVars,
     Program,
     Store,
     Subst,
     Symbol,
     Term,
-    atom_vars,
     index_key,
     rename_apart,
     restrict,
+    term_vars,
 )
 
 
@@ -86,9 +86,10 @@ class BuiltinError(Exception):
     program defines a builtin predicate with clauses."""
 
 
-BuiltinFn = Callable[[Store, tuple[Term, ...]], Union[bool, Iterator[None]]]
+BuiltinFn = Callable[[Store, tuple[Term, ...]], bool]
 Bucket = Sequence[Clause]
-ClauseSource = Callable[[Atom], tuple[Bucket, Optional[Iterator[Sequence[Atom]]]]]
+Tail = Optional[Iterator[Sequence[Compound]]]
+ClauseSource = Callable[[Compound], tuple[Bucket, Tail]]
 
 DEFAULT_DEPTH = 300  # wherever no depth bound is given, scenarios included
 
@@ -100,6 +101,9 @@ class BuiltinTable:
     def register(self, sym: Symbol, fn: BuiltinFn) -> None:
         if sym in self._fns:
             raise ValueError(f"builtin {sym.name}/{sym.arity} already registered")
+        if inspect.isgeneratorfunction(fn):
+            # its generator would be truthy and pass as a success unrun
+            raise ValueError(f"builtin {sym}: a builtin returns a bool")
         self._fns[sym] = fn
 
     def get(self, sym: Symbol) -> Optional[BuiltinFn]:
@@ -158,13 +162,13 @@ class Resolver:
         """The program's bucket for each goal's first argument, no tail."""
         walk, bucket = self.store.walk, program.bucket
 
-        def clauses(goal: Atom) -> tuple[Bucket, None]:
+        def clauses(goal: Compound) -> tuple[Bucket, None]:
             key = index_key(walk(goal.args[0])) if goal.args else None
-            return bucket(goal.pred, key), None
+            return bucket(goal.functor, key), None
 
         return clauses
 
-    def run(self, goals: Sequence[Atom], budget: int,
+    def run(self, goals: Sequence[Compound], budget: int,
             source: ClauseSource) -> Iterator[int]:
         """Prove the conjunction; yields the unspent budget once per proof,
         with the answer bindings in the store until resumed.  Once
@@ -175,37 +179,32 @@ class Resolver:
         for g in reversed(goals):
             cont = (g, cont)
         # choice points: (goal, bucket, next bucket index, tail, rest,
-        # budget for the body, steps per alternative, trail mark)
+        # budget for the body, trail mark)
         stack: list[tuple] = []
         while True:
             if cont is None:
                 yield budget
             else:
                 goal, rest = cont
-                fn = builtins.get(goal.pred)
+                fn = builtins.get(goal.functor)
                 if fn is not None:
                     if budget < 1:
                         self.tainted = True
                     else:
                         self.steps += 1
-                        mark = store.mark()
-                        solved = fn(store, goal.args)
-                        if solved is True:
+                        if fn(store, goal.args):
                             cont = rest
                             budget -= 1
                             continue
-                        if solved is not False:
-                            stack.append((goal, (), 0, (() for _ in solved),
-                                          rest, budget - 1, 0, mark))
                 elif budget >= 1:
                     bucket, tail = source(goal)
-                    stack.append((goal, bucket, 0, tail, rest, budget - 1, 1,
+                    stack.append((goal, bucket, 0, tail, rest, budget - 1,
                                   store.mark()))
                 elif not self.tainted:
                     self.tainted = self._applies(goal, *source(goal))
             # resume the newest choice point that has an alternative left
             while stack:
-                goal, bucket, i, tail, rest, budget, cost, mark = stack[-1]
+                goal, bucket, i, tail, rest, budget, mark = stack[-1]
                 store.undo(mark)
                 n = len(bucket)
                 while i < n:
@@ -222,21 +221,19 @@ class Resolver:
                         stack.pop()
                         continue
                 if i < n or tail is not None:
-                    stack[-1] = (goal, bucket, i, tail, rest, budget, cost,
-                                 mark)
+                    stack[-1] = (goal, bucket, i, tail, rest, budget, mark)
                 else:
                     stack.pop()  # that was the last alternative
                 break
             else:
                 store.undo(entry)
                 return
-            self.steps += cost
+            self.steps += 1
             cont = rest
             for g in reversed(body):
                 cont = (g, cont)
 
-    def _applies(self, goal: Atom, bucket: Bucket,
-                 tail: Optional[Iterator[Sequence[Atom]]]) -> bool:
+    def _applies(self, goal: Compound, bucket: Bucket, tail: Tail) -> bool:
         """Whether any bucket clause or tail alternative applies to the
         goal, bindings undone.  ``probing`` is set while the tail looks,
         since the body it yields is never entered."""
@@ -268,12 +265,12 @@ def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
         raise BuiltinError(f"predicates defined both by clauses and builtins: {names}")
 
 
-def _start(program: Program, query: Union[Atom, Sequence[Atom]],
+def _start(program: Program, query: Union[Compound, Sequence[Compound]],
            config: SolveConfig, builtins: Optional[BuiltinTable],
            ) -> tuple[Resolver, Iterator[int], list[int]]:
     _check_disjoint(program, builtins)
-    goals = [query] if isinstance(query, Atom) else list(query)
-    qvars = list(dict.fromkeys(v for g in goals for v in atom_vars(g)))
+    goals = [query] if isinstance(query, Compound) else list(query)
+    qvars = list(dict.fromkeys(v for g in goals for v in term_vars(g)))
     # renamed clause variables must not collide with negative query ids
     resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
     proofs = resolver.run(goals, config.depth_limit,
@@ -281,7 +278,7 @@ def _start(program: Program, query: Union[Atom, Sequence[Atom]],
     return resolver, proofs, qvars
 
 
-def solve(program: Program, query: Union[Atom, Sequence[Atom]],
+def solve(program: Program, query: Union[Compound, Sequence[Compound]],
           config: SolveConfig = SolveConfig(),
           builtins: Optional[BuiltinTable] = None) -> Outcome:
     """Run a query to its first proof."""
@@ -295,7 +292,7 @@ def solve(program: Program, query: Union[Atom, Sequence[Atom]],
     return Outcome(verdict, None, resolver.steps, None)
 
 
-def solve_all(program: Program, query: Union[Atom, Sequence[Atom]],
+def solve_all(program: Program, query: Union[Compound, Sequence[Compound]],
               config: SolveConfig = SolveConfig(),
               builtins: Optional[BuiltinTable] = None) -> Answers:
     """Collect every answer reachable within the depth budget."""

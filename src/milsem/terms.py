@@ -1,10 +1,12 @@
 """First-order terms, substitutions, unification and clause machinery.
 
 Terms are immutable and safe to share: a term is a variable, an integer
-literal, or a compound with an interned functor symbol.  Variables are
-identified by interned integers; parsed variables get non-negative ids with
-their names kept in a module-level table, while variables minted by a
-renaming counter get negative ids and print as ``_v<n>``.
+literal, or a compound with an interned functor symbol.  A goal or clause
+literal is a compound too, its functor the predicate symbol, so one set of
+operations serves terms and literals alike.  Variables are identified by
+interned integers; parsed variables get non-negative ids with their names
+kept in a module-level table, while variables minted by a renaming counter
+get negative ids and print as ``_v<n>``.
 
 A clause is renamed apart while its head is unified with a goal, not
 before.  `Store.unify_atoms` walks the unrenamed head against the goal and
@@ -82,17 +84,9 @@ Term = Union[Var, Int, Compound]
 
 
 @dataclass(frozen=True, slots=True)
-class Atom:
-    """A goal or clause-head literal: predicate symbol applied to terms."""
-
-    pred: Symbol
-    args: tuple[Term, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class Clause:
-    head: Atom
-    body: tuple[Atom, ...]
+    head: Compound
+    body: tuple[Compound, ...]
 
 
 # ------------------------------------------------------------
@@ -164,11 +158,7 @@ def const(name: str) -> Compound:
     return Compound(symbol(name, 0), ())
 
 
-def atom(name: str, *args: Term) -> Atom:
-    return Atom(symbol(name, len(args)), tuple(args))
-
-
-def fact(head: Atom) -> Clause:
+def fact(head: Compound) -> Clause:
     return Clause(head, ())
 
 
@@ -185,13 +175,6 @@ def term_vars(t: Term, into: Optional[list[int]] = None) -> list[int]:
                 out.append(x.id)
         elif isinstance(x, Compound):
             stack.extend(reversed(x.args))
-    return out
-
-
-def atom_vars(a: Atom) -> list[int]:
-    out: list[int] = []
-    for t in a.args:
-        term_vars(t, out)
     return out
 
 
@@ -269,8 +252,8 @@ class Store:
             stack.extend(zip(x.args, y.args))
         return True
 
-    def unify_atoms(self, head: Atom, goal: Atom, frame: dict[int, Term],
-                    counter: FreshVars) -> bool:
+    def unify_atoms(self, head: Compound, goal: Compound,
+                    frame: dict[int, Term], counter: FreshVars) -> bool:
         """Unify an unrenamed clause head with a goal, renaming on the way.
 
         A head variable's first occurrence goes into ``frame`` as the goal
@@ -281,7 +264,7 @@ class Store:
         and bound to it.  `rename_apart` then renames the body through the
         same frame.
         """
-        if head.pred is not goal.pred:
+        if head.functor is not goal.functor:
             return False
         bindings = self.bindings
         # argument pairs in the order `unify` would meet them, leftmost first
@@ -354,16 +337,14 @@ def rename_term(t: Term, mapping: dict[int, Term], counter: FreshVars) -> Term:
     return t
 
 
-def rename_atom(a: Atom, mapping: dict[int, Term], counter: FreshVars) -> Atom:
-    return Atom(a.pred, tuple([rename_term(t, mapping, counter) for t in a.args]))
-
-
 def rename_apart(c: Clause, frame: dict[int, Term],
-                 counter: FreshVars) -> tuple[Atom, ...]:
+                 counter: FreshVars) -> tuple[Compound, ...]:
     """The body of ``c`` renamed through the frame `Store.unify_atoms`
     filled from its head: head variables stand for what they met in the
     goal, and body-only variables are fresh for this counter."""
-    return tuple([rename_atom(b, frame, counter) for b in c.body])
+    return tuple([Compound(b.functor, tuple([rename_term(t, frame, counter)
+                                             for t in b.args]))
+                  for b in c.body])
 
 
 # ============================================================
@@ -416,7 +397,7 @@ class Program:
         self.clauses: tuple[Clause, ...] = tuple(clauses)
         entries: dict[Symbol, list[IndexEntry]] = {}
         for c in self.clauses:
-            entries.setdefault(c.head.pred, []).append(index_entry(c))
+            entries.setdefault(c.head.functor, []).append(index_entry(c))
         self._buckets = {pred: _bucket_table(es)
                          for pred, es in entries.items()}
 

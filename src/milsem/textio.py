@@ -4,15 +4,20 @@ Concrete syntax follows logic-programming convention: a lowercase-leading
 name is a functor or predicate, an uppercase- or underscore-leading name is
 a variable, ``_`` on its own is anonymous, integers are literals, and
 ``%`` starts a comment that runs to the end of the line.  Clauses are
-``head.`` or ``head :- b1,b2.``.  The anonymous variables of one parse are
-named ``_G1``, ``_G2``, ... in order of occurrence, skipping any name the
-text itself writes, so each is distinct from every other variable in the
-text and the same text always parses to the same terms.
+``head.`` or ``head :- b1,b2.``, each literal a compound term (or a bare
+name) whose functor is its predicate.  The anonymous variables of one
+parse are named ``_G1``, ``_G2``, ... in order of occurrence, skipping any
+name the text itself writes, so each is distinct from every other variable
+in the text and the same text always parses to the same terms.
 
-Metarules use list encoding for template atoms so that predicate and
+Metarules use list encoding for template literals so that predicate and
 function positions can hold metavariables:
 
     metarule(step2l, [func(H/2)], ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).
+
+A list ``[f, t1, ..., tn]`` is one template compound wherever it occurs,
+its functor ``f`` a name or a declared metavariable; a literal is always
+written so, a term also as ``f(t1, ..., tn)`` when ``f`` is a name.
 
 Inside a template, an uppercase name is a metavariable exactly when it is
 declared; otherwise it is an ordinary first-order variable.  Declarations
@@ -36,12 +41,10 @@ from .metarules import (
     MetaVar,
     Metarule,
     MetaruleError,
-    TAtom,
     TComp,
     TTerm,
 )
 from .terms import (
-    Atom,
     Clause,
     Compound,
     Int,
@@ -92,10 +95,10 @@ def _is_name_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, line: int = 1) -> list[Token]:
+    """The tokens of ``text``, whose first line is numbered ``line``."""
     toks: list[Token] = []
     i = 0
-    line = 1
     col = 1
     n = len(text)
     while i < n:
@@ -155,8 +158,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str) -> None:
-        self.toks = tokenize(text)
+    def __init__(self, text: str, line: int = 1) -> None:
+        self.toks = tokenize(text, line)
         self.pos = 0
         self.written = {t.text for t in self.toks if t.kind == "VNAME"}
         self.anonymous = 0
@@ -215,23 +218,19 @@ class _Parser:
         raise ParseError(f"found {t.text!r}" if t.text else "unexpected end of input",
                          t.line, t.col, ("a term",))
 
-    def atom(self) -> Atom:
-        t = self.expect("NAME", "a predicate name")
-        args: list[Term] = []
-        if self.accept("LP"):
-            args.append(self.term())
-            while self.accept("COMMA"):
-                args.append(self.term())
-            self.expect("RP", ")")
-        return Atom(symbol(t.text, len(args)), tuple(args))
+    def literal(self) -> Compound:
+        """A literal: a compound or bare name, its functor the predicate."""
+        if not self.at("NAME"):
+            self.expect("NAME", "a predicate name")
+        return self.term()
 
     def clause(self) -> Clause:
-        head = self.atom()
-        body: list[Atom] = []
+        head = self.literal()
+        body: list[Compound] = []
         if self.accept("IMPL"):
-            body.append(self.atom())
+            body.append(self.literal())
             while self.accept("COMMA"):
-                body.append(self.atom())
+                body.append(self.literal())
         self.expect("DOT", ".")
         return Clause(head, tuple(body))
 
@@ -257,9 +256,15 @@ class _Parser:
         declared = {d.name for d in decls}
         self.expect("COMMA", ",")
         self.expect("LP", "(")
-        head = self._template_atom(declared)
+        head = self._template_list(declared)
         self.expect("IMPL", ":-")
-        body = self._template_atom_list(declared)
+        self.expect("LB", "[")
+        body: list[TComp] = []
+        if not self.at("RB"):
+            body.append(self._template_list(declared))
+            while self.accept("COMMA"):
+                body.append(self._template_list(declared))
+        self.expect("RB", "]")
         self.expect("RP", ")")
         self.expect("RP", ")")
         self.expect("DOT", ".")
@@ -293,58 +298,27 @@ class _Parser:
             arity = 0
         return Decl(name, kw.text, arity)
 
-    def _template_atom_list(self, declared: set[str]) -> list[TAtom]:
+    def _template_list(self, declared: set[str]) -> TComp:
+        """``[f, t1, ..., tn]``, a template literal or term: ``f`` is a
+        name or a declared metavariable."""
         self.expect("LB", "[")
-        atoms: list[TAtom] = []
-        if not self.at("RB"):
-            atoms.append(self._template_atom(declared))
-            while self.accept("COMMA"):
-                atoms.append(self._template_atom(declared))
-        self.expect("RB", "]")
-        return atoms
-
-    def _template_atom(self, declared: set[str]) -> TAtom:
-        self.expect("LB", "[")
-        t = self.peek()
-        if t.kind == "NAME":
-            self.next()
-            is_meta = False
-        elif t.kind == "VNAME" and t.text in declared:
-            self.next()
-            is_meta = True
-        else:
-            raise ParseError(f"found {t.text!r}", t.line, t.col,
-                             ("a predicate name", "a declared metavariable"))
+        f = self.peek()
+        if not (f.kind == "NAME" or f.kind == "VNAME" and f.text in declared):
+            raise ParseError(f"found {f.text!r}", f.line, f.col,
+                             ("a name", "a declared metavariable"))
+        self.next()
         args: list[TTerm] = []
         while self.accept("COMMA"):
             args.append(self._template_term(declared))
         self.expect("RB", "]")
-        if is_meta:
-            return TAtom(MetaVar(t.text), tuple(args))
-        return TAtom(symbol(t.text, len(args)), tuple(args))
+        if f.kind == "VNAME":
+            return TComp(MetaVar(f.text), tuple(args))
+        return TComp(symbol(f.text, len(args)), tuple(args))
 
     def _template_term(self, declared: set[str]) -> TTerm:
         t = self.peek()
         if t.kind == "LB":
-            self.next()
-            f = self.peek()
-            if f.kind == "NAME":
-                self.next()
-                functor: Union[Symbol, MetaVar, None] = f.text
-                is_meta = False
-            elif f.kind == "VNAME" and f.text in declared:
-                self.next()
-                is_meta = True
-            else:
-                raise ParseError(f"found {f.text!r}", f.line, f.col,
-                                 ("a functor", "a declared metavariable"))
-            args: list[TTerm] = []
-            while self.accept("COMMA"):
-                args.append(self._template_term(declared))
-            self.expect("RB", "]")
-            if is_meta:
-                return TComp(MetaVar(f.text), tuple(args))
-            return TComp(symbol(f.text, len(args)), tuple(args))
+            return self._template_list(declared)
         if t.kind == "VNAME":
             self.next()
             if t.text in declared:
@@ -386,9 +360,9 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def parse_atom(text: str) -> Atom:
+def parse_atom(text: str) -> Compound:
     p = _Parser(text)
-    a = p.atom()
+    a = p.literal()
     p.accept("DOT")
     p.end()
     return a
@@ -443,20 +417,14 @@ def print_term(t: Term) -> str:
     return t.functor.name + "(" + ",".join(print_term(a) for a in t.args) + ")"
 
 
-def print_atom(a: Atom) -> str:
-    if not a.args:
-        return a.pred.name
-    return a.pred.name + "(" + ",".join(print_term(t) for t in a.args) + ")"
-
-
 _WRAP_AT = 100
 
 
 def print_clause(c: Clause) -> str:
-    head = print_atom(c.head)
+    head = print_term(c.head)
     if not c.body:
         return head + "."
-    body = [print_atom(b) for b in c.body]
+    body = [print_term(b) for b in c.body]
     flat = head + " :- " + ", ".join(body) + "."
     if len(flat) <= _WRAP_AT:
         return flat
@@ -480,15 +448,14 @@ def _print_template_term(t: TTerm) -> str:
         return t.name
     assert isinstance(t, TComp)
     if isinstance(t.functor, MetaVar):
-        inner = [t.functor.name] + [_print_template_term(a) for a in t.args]
-        return "[" + ",".join(inner) + "]"
+        return _print_template_list(t)
     if not t.args:
         return t.functor.name
     return t.functor.name + "(" + ",".join(_print_template_term(a) for a in t.args) + ")"
 
 
-def _print_template_atom(a: TAtom) -> str:
-    return "[" + ",".join([a.pred.name] + [_print_template_term(t) for t in a.args]) + "]"
+def _print_template_list(t: TComp) -> str:
+    return "[" + ",".join([t.functor.name] + [_print_template_term(a) for a in t.args]) + "]"
 
 
 def _print_decl(d: Decl) -> str:
@@ -499,6 +466,6 @@ def _print_decl(d: Decl) -> str:
 
 def print_metarule(m: Metarule) -> str:
     decls = ",".join(_print_decl(d) for d in m.decls)
-    head = _print_template_atom(m.head)
-    body = "[" + ",".join(_print_template_atom(a) for a in m.body) + "]"
+    head = _print_template_list(m.head)
+    body = "[" + ",".join(_print_template_list(a) for a in m.body) + "]"
     return f"metarule({m.name}, [{decls}], ({head} :- {body}))."

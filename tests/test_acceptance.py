@@ -29,7 +29,7 @@ from milsem.objectlang import (
 )
 from milsem.scenario import Example, builtin_scenario
 from milsem.solver import SolveConfig, Verdict, solve, solve_all
-from milsem.terms import Atom, Int, Program, const, mk, symbol, var
+from milsem.terms import Compound, Int, Program, const, mk, symbol, var
 from milsem.textio import parse_clauses, parse_term, print_term
 
 CHAIN_ORDER = ("lazy_eager", "pairs", "lists", "conditionals")
@@ -93,19 +93,19 @@ def _reachable(terms, strategy="lazy"):
 
 
 def _step_answers(program, u, builtins, depth=300):
-    res = solve_all(program, Atom(S_STEP, (u, var("R"))),
+    res = solve_all(program, Compound(S_STEP, (u, var("R"))),
                     SolveConfig(depth_limit=depth, max_solutions=16), builtins)
     return frozenset(print_term(v) for ans in res.answers for v in ans.values())
 
 
 def _eval_answers(program, u, builtins, depth=300):
-    res = solve_all(program, Atom(S_EVAL, (u, var("R"))),
+    res = solve_all(program, Compound(S_EVAL, (u, var("R"))),
                     SolveConfig(depth_limit=depth, max_solutions=8), builtins)
     return frozenset(print_term(v) for ans in res.answers for v in ans.values())
 
 
 def _proves_value(program, u, builtins, depth=300):
-    return solve(program, Atom(S_VALUE, (u,)),
+    return solve(program, Compound(S_VALUE, (u,)),
                  SolveConfig(depth_limit=depth), builtins).proved
 
 
@@ -200,13 +200,13 @@ def test_criterion_3_evaluation_order(scenarios):
             eager_spec,
             name="lazy_variant",
             examples=tuple(e for e in eager_spec.examples if e.tag != "nonterm")
-            + (Example("pos", Atom(S_EVAL, (probe, parse_term("var(y)")))),))
+            + (Example("pos", Compound(S_EVAL, (probe, parse_term("var(y)")))),))
         lazy = learn(retagged)
         assert lazy.ok
 
         cfg = SolveConfig(depth_limit=300)
         builtins = default_builtins()
-        goal = Atom(S_EVAL, (probe, var("R")))
+        goal = Compound(S_EVAL, (probe, var("R")))
         out = solve(_program(eager_spec, eager.hypothesis), goal, cfg, builtins)
         assert out.verdict is Verdict.DEPTH_EXCEEDED, out.verdict
         out = solve(_program(retagged, lazy.hypothesis), goal, cfg, builtins)
@@ -284,7 +284,7 @@ def test_criterion_6_solver_suite(chain):
                 if key in seen:
                     continue
                 seen.add(key)
-                out = solve(chain.combined, Atom(S_EVAL, (v, v)), cfg, builtins)
+                out = solve(chain.combined, Compound(S_EVAL, (v, v)), cfg, builtins)
                 assert out.proved, key
         assert len(seen) >= 20
 

@@ -434,6 +434,31 @@ def test_check_program_defining_a_builtin_exits_2(tmp_path, capsys):
     assert "substitute/4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,name", [("pair(X,var(a))", "X"),
+                                       ("lam(x,X)", "X"),
+                                       ("  fst(pair(lit(1),_))", "_")])
+def test_check_corpus_term_with_a_variable_exits_2(tmp_path, capsys, line,
+                                                   name):
+    # a corpus term must be ground: the interpreter cannot judge pair(X,..)
+    # and would pass lam(x,X) as a value
+    corpus = tmp_path / "bad.terms"
+    corpus.write_text(f"% header\nvar(a)\n{line}\n")
+    program = ROOT / "bench" / "expected" / "chain.pl"
+    assert main(["check", str(program), str(corpus)]) == 2
+    err = capsys.readouterr().err
+    col = line.index(name) + 1
+    assert err == (f"error: {corpus}: variable {name} in a corpus term "
+                   f"at line 3, column {col}\n")
+
+
+def test_check_corpus_parse_error_names_its_line(tmp_path, capsys):
+    corpus = tmp_path / "bad.terms"
+    corpus.write_text("var(a)\n\nlit(1\n")
+    assert main(["check", str(ROOT / "bench" / "expected" / "chain.pl"),
+                 str(corpus)]) == 2
+    assert "at line 3, column 6" in capsys.readouterr().err
+
+
 def test_check_unknown_corpus_exits_2(capsys):
     assert main(["check", "nope.pl", "pairs"]) == 2
     assert main(["learn", "pairs", "--json"]) == 0  # driver still healthy

@@ -6,7 +6,7 @@ from milsem.metarules import (
     enumerate_bindings,
     match_head,
 )
-from milsem.terms import Int, Store, atom, mk, symbol, var
+from milsem.terms import Int, Store, mk, symbol, var
 from milsem.textio import parse_atom, parse_metarule, print_clause
 
 STEP2L = parse_metarule(
@@ -57,7 +57,7 @@ def test_match_head_pred_metavar_takes_goal_pred():
 def test_match_head_respects_store_bindings():
     store = Store()
     store.unify(var("G"), mk("pair", Int(1), Int(2)))
-    goal = atom("step", var("G"), var("Out"))
+    goal = mk("step", var("G"), var("Out"))
     restr = match_head(STEP2L, goal, store)
     assert restr == {"H": symbol("pair", 2)}
 

@@ -452,7 +452,7 @@ def test_base_clauses_strategies():
     assert lazy == eager
     assert len(lazy) == 10
     dropped = [c for c in full if c not in lazy]
-    assert all(c.head.pred.name == "step" for c in dropped)
+    assert all(c.head.functor.name == "step" for c in dropped)
     assert all(c.head.args[0].functor.name == "app" for c in dropped)
     with pytest.raises(ValueError):
         base_clauses("normal")

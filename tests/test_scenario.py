@@ -77,7 +77,7 @@ def test_example_tags():
     text = GOOD + "\n%% options\ndepth_limit(50).\n"
     s = parse_scenario(text)
     assert s.options.depth_limit == 50
-    assert s.positives()[0].goal.pred is symbol("eval", 2)
+    assert s.positives()[0].goal.functor is symbol("eval", 2)
 
 
 def test_bad_example_tag():

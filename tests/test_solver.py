@@ -15,15 +15,15 @@ from milsem.solver import (
     solve_all,
 )
 from milsem.terms import (
-    Atom,
     Clause,
+    Compound,
     FreshVars,
     Int,
     Program,
-    atom_vars,
     const,
     mk,
     symbol,
+    term_vars,
     var,
 )
 from milsem.textio import parse_atom, parse_program
@@ -38,15 +38,15 @@ from milsem.textio import parse_atom, parse_program
 
 def ground_instances(clause, universe):
     vids = list(dict.fromkeys(v for a in (clause.head, *clause.body)
-                              for v in atom_vars(a)))
+                              for v in term_vars(a)))
     for combo in itertools.product(universe, repeat=len(vids)):
         s = dict(zip(vids, combo))
 
         def g(t):
             return s.get(t.id, t) if hasattr(t, "id") else t
 
-        head = Atom(clause.head.pred, tuple(g(t) for t in clause.head.args))
-        body = tuple(Atom(b.pred, tuple(g(t) for t in b.args))
+        head = Compound(clause.head.functor, tuple(g(t) for t in clause.head.args))
+        body = tuple(Compound(b.functor, tuple(g(t) for t in b.args))
                      for b in clause.body)
         yield head, body
 
@@ -79,7 +79,7 @@ def random_program(rng):
     def rand_atom(allow_vars=True):
         pred = rng.choice(preds)
         pool = universe + (vs if allow_vars else [])
-        return Atom(pred, tuple(rng.choice(pool)
+        return Compound(pred, tuple(rng.choice(pool)
                                 for _ in range(pred.arity)))
 
     clauses = []
@@ -93,7 +93,7 @@ def random_program(rng):
 def herbrand_base(preds, universe):
     for pred in preds:
         for combo in itertools.product(universe, repeat=pred.arity):
-            yield Atom(pred, tuple(combo))
+            yield Compound(pred, tuple(combo))
 
 
 def check_against_oracle(rng, rounds):
@@ -263,16 +263,8 @@ def _int_add(store, args):
     a, b, c = args
     a, b = store.resolve(a), store.resolve(b)
     if not (isinstance(a, Int) and isinstance(b, Int)):
-        return
-    if store.unify(c, Int(a.value + b.value)):
-        yield
-
-
-def _choice(store, args):
-    # nondeterministic builtin: two alternatives
-    for pick in (const("one"), const("two")):
-        if store.unify(args[0], pick):
-            yield
+        return False
+    return store.unify(c, Int(a.value + b.value))
 
 
 def _table(**fns):
@@ -295,24 +287,6 @@ def test_builtin_failure_is_finite():
     p = parse_program("bad(Y) :- plus(a,b,Y).")
     out = solve(p, parse_atom("bad(Y)"), builtins=t)
     assert out.verdict is Verdict.FINITE_FAILURE
-
-
-def test_builtin_multiple_solutions_backtrack():
-    t = _table(choice_1=_choice)
-    p = parse_program("ok(X) :- choice(X), good(X).\ngood(two).")
-    out = solve(p, parse_atom("ok(X)"), builtins=t)
-    assert out.answer == {var("X").id: const("two")}
-
-
-def test_builtin_counts_against_budget():
-    t = _table(choice_1=_choice)
-    p = parse_program("ok(X) :- choice(X).")
-    out = solve(p, parse_atom("ok(X)"), SolveConfig(depth_limit=1),
-                builtins=t)
-    assert out.verdict is Verdict.DEPTH_EXCEEDED
-    out = solve(p, parse_atom("ok(X)"), SolveConfig(depth_limit=2),
-                builtins=t)
-    assert out.proved
 
 
 def _plus(store, args):
@@ -404,7 +378,7 @@ def test_deterministic_derivation_holds_no_choice_points():
     t = const("z")
     for _ in range(20000):
         t = mk("s", t)
-    goal = Atom(symbol("count", 1), (t,))
+    goal = Compound(symbol("count", 1), (t,))
     tracemalloc.start()
     try:
         out = solve(p, goal, SolveConfig(depth_limit=30000))
@@ -422,11 +396,20 @@ def test_builtin_clause_clash_rejected():
         solve(p, parse_atom("plus(a,b,C)"), builtins=t)
 
 
+def test_builtin_generator_rejected():
+    # one protocol: a builtin returns a bool, it does not yield solutions
+    def choice(store, args):
+        yield
+
+    with pytest.raises(ValueError, match="returns a bool"):
+        BuiltinTable().register(symbol("choice", 1), choice)
+
+
 def test_builtin_duplicate_registration_rejected():
     t = BuiltinTable()
-    t.register(symbol("f", 1), _choice)
+    t.register(symbol("f", 1), _plus)
     with pytest.raises(ValueError):
-        t.register(symbol("f", 1), _choice)
+        t.register(symbol("f", 1), _plus)
 
 
 # ============================================================
@@ -442,7 +425,7 @@ def test_deep_chain_does_not_hit_python_limit():
     t = const("z")
     for _ in range(3000):
         t = mk("s", t)
-    out = solve(p, Atom(symbol("count", 1), (t,)),
+    out = solve(p, Compound(symbol("count", 1), (t,)),
                 SolveConfig(depth_limit=5000))
     assert out.proved
     # the resolver keeps its own stack instead of raising Python's limit

@@ -6,7 +6,6 @@ from milsem.objectlang import metarule_library
 from milsem.scenario import builtin_scenario, builtin_scenario_names
 
 from milsem.terms import (
-    Atom,
     Clause,
     Compound,
     FreshVars,
@@ -15,13 +14,11 @@ from milsem.terms import (
     Store,
     Symbol,
     Var,
-    atom,
-    atom_vars,
     const,
     index_key,
     mk,
     rename_apart,
-    rename_atom,
+    rename_term,
     restrict,
     symbol,
     term_vars,
@@ -118,11 +115,11 @@ def test_unify_occurs_check_off_by_default():
 
 def test_unify_atoms_requires_same_predicate():
     store, frame = Store(), {}
-    assert not store.unify_atoms(atom("p", var("X")), atom("q", Int(1)),
+    assert not store.unify_atoms(mk("p", var("X")), mk("q", Int(1)),
                                  frame, FreshVars())
     assert frame == {} and store.bindings == {}
     # the head variable stands for what it met; nothing is bound for it
-    assert store.unify_atoms(atom("p", var("X")), atom("p", Int(1)),
+    assert store.unify_atoms(mk("p", var("X")), mk("p", Int(1)),
                              frame, FreshVars())
     assert frame == {var("X").id: Int(1)}
     assert store.bindings == {}
@@ -130,8 +127,8 @@ def test_unify_atoms_requires_same_predicate():
 
 def test_unify_atoms_binds_goal_variables_to_renamed_head_terms():
     store, frame = Store(), {}
-    head = atom("p", mk("f", var("X")), var("X"))
-    assert store.unify_atoms(head, atom("p", var("G"), Int(2)), frame,
+    head = mk("p", mk("f", var("X")), var("X"))
+    assert store.unify_atoms(head, mk("p", var("G"), Int(2)), frame,
                              FreshVars())
     # G got f(X) renamed, and the second occurrence of X bound its copy
     fresh = frame[var("X").id]
@@ -230,13 +227,13 @@ def test_restrict_resolves_chains():
 # ---- renaming ----
 
 def test_rename_apart_fresh_and_consistent():
-    c = Clause(atom("p", mk("f", var("X")), var("X")),
-               (atom("q", var("X"), var("Y")),))
+    c = Clause(mk("p", mk("f", var("X")), var("X")),
+               (mk("q", var("X"), var("Y")),))
     store, frame, counter = Store(), {}, FreshVars()
-    assert store.unify_atoms(c.head, atom("p", var("A"), var("B")), frame,
+    assert store.unify_atoms(c.head, mk("p", var("A"), var("B")), frame,
                              counter)
     body = rename_apart(c, frame, counter)
-    xs = list(dict.fromkeys(v for a in body for v in atom_vars(a)))
+    xs = list(dict.fromkeys(v for a in body for v in term_vars(a)))
     assert all(v < 0 for v in xs)
     # every X is one variable, shared with the goal's A = f(X) and B
     x, y = body[0].args
@@ -246,15 +243,15 @@ def test_rename_apart_fresh_and_consistent():
 
 
 def test_rename_apart_twice_disjoint():
-    c = Clause(atom("p", mk("f", var("X"))), (atom("q", var("X"), var("Y")),))
+    c = Clause(mk("p", mk("f", var("X"))), (mk("q", var("X"), var("Y")),))
     store, counter = Store(), FreshVars()
     fresh = []
     for goal_var in ("A", "B"):
         frame = {}
-        assert store.unify_atoms(c.head, atom("p", var(goal_var)), frame,
+        assert store.unify_atoms(c.head, mk("p", var(goal_var)), frame,
                                  counter)
         body = rename_apart(c, frame, counter)
-        fresh.append(set(atom_vars(body[0])))
+        fresh.append(set(term_vars(body[0])))
     assert fresh[0] and fresh[1] and not fresh[0] & fresh[1]
 
 
@@ -283,16 +280,16 @@ _goal_terms = _compounds(_goal_leaves)
 # a body may also hold W, a variable the head does not have
 _body_atoms = st.tuples(_compounds(st.one_of(_head_leaves, st.just(var("W")))),
                         _compounds(_head_leaves)).map(
-    lambda args: Atom(symbol("q", 2), args))
+    lambda args: Compound(symbol("q", 2), args))
 
 
 @st.composite
 def _clause_goal_and_bindings(draw):
     arity = draw(st.integers(1, 3))
-    head = Atom(symbol("p", arity),
+    head = Compound(symbol("p", arity),
                 tuple(draw(_head_terms) for _ in range(arity)))
     body = tuple(draw(st.lists(_body_atoms, max_size=2)))
-    goal = Atom(symbol(draw(st.sampled_from(["p"] * 4 + ["r"])), arity),
+    goal = Compound(symbol(draw(st.sampled_from(["p"] * 4 + ["r"])), arity),
                 tuple(draw(_goal_terms) for _ in range(arity)))
     bound = draw(st.lists(st.tuples(st.sampled_from(["X", "A", "B"]),
                                     _goal_terms), max_size=2))
@@ -330,8 +327,8 @@ def _variant(xs, ys) -> bool:
 def test_unify_atoms_agrees_with_rename_then_unify(drawn):
     clause, goal, bound = drawn
     ref, ref_counter, mapping = _bound_store(bound), FreshVars(), {}
-    head = rename_atom(clause.head, mapping, ref_counter)
-    ref_ok = head.pred is goal.pred and all(
+    head = rename_term(clause.head, mapping, ref_counter)
+    ref_ok = head.functor is goal.functor and all(
         ref.unify(h, g) for h, g in zip(head.args, goal.args))
     store, counter, frame = _bound_store(bound), FreshVars(), {}
     ok = store.unify_atoms(clause.head, goal, frame, counter)
@@ -340,9 +337,9 @@ def test_unify_atoms_agrees_with_rename_then_unify(drawn):
     if not ok:
         return
     assume(not _cyclic(ref) and not _cyclic(store))
-    ref_body = tuple(rename_atom(b, mapping, ref_counter) for b in clause.body)
+    ref_body = tuple(rename_term(b, mapping, ref_counter) for b in clause.body)
     body = rename_apart(clause, frame, counter)
-    assert [a.pred for a in body] == [a.pred for a in ref_body]
+    assert [a.functor for a in body] == [a.functor for a in ref_body]
 
     def resolved(s, atoms):
         return [s.resolve(t) for a in (goal, *atoms) for t in a.args]
@@ -353,9 +350,9 @@ def test_unify_atoms_agrees_with_rename_then_unify(drawn):
 # ---- program indexing ----
 
 def test_program_first_arg_index():
-    cf = Clause(atom("p", mk("f", var("X"))), ())
-    cg = Clause(atom("p", mk("g", var("X"))), ())
-    cy = Clause(atom("p", var("Y")), ())
+    cf = Clause(mk("p", mk("f", var("X"))), ())
+    cg = Clause(mk("p", mk("g", var("X"))), ())
+    cy = Clause(mk("p", var("Y")), ())
     p = Program((cf, cg, cy))
     pred = symbol("p", 1)
     # each key's bucket: its clauses and the variable-keyed ones, in order
@@ -383,7 +380,7 @@ def _scan_key(t):
 
 
 def _literal(pred, first):
-    return Atom(pred, ((first,) + (const("z"),) * (pred.arity - 1)
+    return Compound(pred, ((first,) + (const("z"),) * (pred.arity - 1)
                        if pred.arity else ()))
 
 
@@ -395,7 +392,7 @@ def test_bucket_equals_the_key_filter_scan(heads, pred, first):
     clauses = [Clause(_literal(p, f), ()) for p, f in heads]
     goal = _literal(pred, first)
     gkey = _scan_key(goal.args[0]) if goal.args else None
-    scan = [c for c in clauses if c.head.pred is pred
+    scan = [c for c in clauses if c.head.functor is pred
             and (gkey is None or not c.head.args
                  or _scan_key(c.head.args[0]) in (None, gkey))]
     key = index_key(goal.args[0]) if goal.args else None

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from milsem.metarules import CONST, FUNC, PRED, Decl, MetaVar
+from milsem.metarules import CONST, FUNC, PRED, Decl, Metarule, MetaVar, TComp
+from milsem.objectlang import METARULES_SRC, metarule_library
 from milsem.scenario import parse_scenario
-from milsem.terms import Clause, Compound, Int, Var, atom, const, mk, symbol, var
+from milsem.terms import Clause, Compound, Int, Var, const, mk, symbol, var
 from milsem.textio import (
     ParseError,
     parse_clause,
@@ -86,14 +87,14 @@ def test_parse_unbalanced():
 
 def test_parse_fact():
     c = parse_clause("value(nil).")
-    assert c.head == atom("value", const("nil"))
+    assert c.head == mk("value", const("nil"))
     assert c.body == ()
 
 
 def test_parse_rule():
     c = parse_clause("eval(E1,E3) :- step(E1,E2), eval(E2,E3).")
-    assert c.head.pred is symbol("eval", 2)
-    assert [b.pred.name for b in c.body] == ["step", "eval"]
+    assert c.head.functor is symbol("eval", 2)
+    assert [b.functor.name for b in c.body] == ["step", "eval"]
 
 
 def test_parse_clause_missing_dot():
@@ -149,7 +150,7 @@ def test_parse_metarule_shape():
     assert m.name == "step2l"
     assert [d.kind for d in m.decls] == [FUNC]
     assert m.decls == (Decl("H", FUNC, 2),)
-    assert m.head.pred == symbol("step", 2)
+    assert m.head.functor == symbol("step", 2)
 
 
 def test_parse_metarule_pred_and_const():
@@ -157,15 +158,15 @@ def test_parse_metarule_pred_and_const():
         "metarule(casec, [pred(P/3),const(C),pred(Q/2)],"
         " ([P,[C],A,B] :- [[Q,A,B]])).")
     assert [d.kind for d in m.decls] == [PRED, CONST, FUNC][0:2] + [PRED]
-    assert isinstance(m.head.pred, MetaVar)
+    assert isinstance(m.head.functor, MetaVar)
 
 
 def test_parse_metarule_concrete_terms_in_template():
     m = parse_metarule(
         "metarule(beta, [func(F/2),func(G/2)],"
         " ([step,[F,[G,X,B],A],T] :- [[substitute,A,X,B,T]])).")
-    assert m.head.pred == symbol("step", 2)
-    assert m.body[0].pred == symbol("substitute", 4)
+    assert m.head.functor == symbol("step", 2)
+    assert m.body[0].functor == symbol("substitute", 4)
 
 
 def test_parse_metarule_undeclared_metavar_is_a_variable():
@@ -196,6 +197,95 @@ def test_metarule_print_parse_round_trip():
         assert print_metarule(m1) == print_metarule(m2)
 
 
+def test_metarule_library_prints_back_to_its_source():
+    library = metarule_library()
+    assert "".join(print_metarule(m) + "\n" for m in library) == METARULES_SRC
+    for m in library:
+        assert parse_metarule(print_metarule(m)) == m
+
+
+# ---- print/parse round trip on random templates ----
+# Each metavariable has one kind and one arity, so any mix of them makes a
+# valid metarule; ordinary variables have names no metavariable has.
+
+_META_KINDS = {"P": (PRED, 2), "Q": (PRED, 1), "F": (FUNC, 1),
+               "G": (FUNC, 2), "H": (FUNC, 0), "C": (CONST, 0)}
+
+
+def _written(functor, parts, listed):
+    """A template compound's text in list form or, for a name, f(..)."""
+    if listed:
+        return "[" + ",".join([functor, *parts]) + "]"
+    return functor + ("(" + ",".join(parts) + ")" if parts else "")
+
+
+def _tcomp(functor, args, listed):
+    nodes = tuple(a for a, _ in args)
+    f = (MetaVar(functor) if functor in _META_KINDS
+         else symbol(functor, len(nodes)))
+    return TComp(f, nodes), _written(functor, [t for _, t in args], listed)
+
+
+def _with_args(names, kids, listed):
+    """(node, text) of a compound over one of ``names``; a metavariable
+    gets its arity and the list form."""
+    def build(name):
+        if name in _META_KINDS:
+            n = _META_KINDS[name][1]
+            return st.lists(kids, min_size=n, max_size=n).map(
+                lambda args: _tcomp(name, args, True))
+        return st.tuples(st.lists(kids, max_size=2), listed).map(
+            lambda p: _tcomp(name, p[0], p[1]))
+    return st.sampled_from(names).flatmap(build)
+
+
+_template_terms = st.recursive(
+    st.one_of(st.sampled_from(["A", "B", "X"]).map(lambda n: (var(n), n)),
+              st.integers(-9, 9).map(lambda i: (Int(i), str(i))),
+              st.just((MetaVar("C"), "C"))),
+    lambda kids: _with_args(["f", "g", "a", "F", "G", "H"], kids,
+                            st.booleans()),
+    max_leaves=6)
+_template_literals = _with_args(["step", "value", "P", "Q"], _template_terms,
+                                st.just(True))
+
+
+def _metavars(node, out):
+    if isinstance(node, MetaVar):
+        out.add(node.name)
+    elif isinstance(node, TComp):
+        if isinstance(node.functor, MetaVar):
+            out.add(node.functor.name)
+        for a in node.args:
+            _metavars(a, out)
+    return out
+
+
+@given(_template_literals, st.lists(_template_literals, max_size=2),
+       st.booleans())
+def test_template_round_trip(head, body, arities):
+    used = set()
+    for node, _ in (head, *body):
+        _metavars(node, used)
+    decls, written = [], []
+    for name in sorted(used):
+        kind, arity = _META_KINDS[name]
+        if kind == CONST:
+            decls.append(Decl(name, kind, 0))
+            written.append(f"const({name})")
+        else:
+            decls.append(Decl(name, kind, arity if arities else -1))
+            written.append(f"{kind}({name}/{arity})" if arities
+                           else f"{kind}({name})")
+    text = (f"metarule(m, [{','.join(written)}], ({head[1]} :- "
+            f"[{','.join(t for _, t in body)}])).")
+    m = parse_metarule(text)
+    assert m == Metarule("m", decls, head[0], [n for n, _ in body])
+    printed = print_metarule(m)
+    assert parse_metarule(printed) == m
+    assert print_metarule(parse_metarule(printed)) == printed
+
+
 # ---- print/parse round trip on random terms ----
 
 _tnames = st.sampled_from(["f", "g", "pair", "cons"])
@@ -219,15 +309,15 @@ def test_term_round_trip(t):
 @given(st.lists(_rand_terms, min_size=1, max_size=3),
        st.lists(_rand_terms, min_size=0, max_size=2))
 def test_clause_round_trip(hargs, bargs):
-    head = atom("p", *hargs)
-    body = tuple(atom("q", *bargs) for _ in range(1 if bargs else 0))
+    head = mk("p", *hargs)
+    body = tuple(mk("q", *bargs) for _ in range(1 if bargs else 0))
     c = Clause(head, body)
     assert parse_clause(print_clause(c)) == c
 
 
 def test_long_clause_wraps_but_reparses():
-    body = tuple(atom("q", mk("f", var(f"V{i}"), Int(i))) for i in range(20))
-    c = Clause(atom("p", var("V0")), body)
+    body = tuple(mk("q", mk("f", var(f"V{i}"), Int(i))) for i in range(20))
+    c = Clause(mk("p", var("V0")), body)
     text = print_clause(c)
     assert "\n" in text
     assert parse_clause(text) == c
