@@ -209,7 +209,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not clauses:
         raise CliError("no rules: give program files or drop --base none")
     with _reading("term"):
-        term = parse_term(sys.stdin.read() if args.term == "-" else args.term)
+        term = parse_term(sys.stdin.read() if args.term == "-" else args.term,
+                          ground="an object term")
     result = FreshVars().next_var()  # a negative id: no parsed term has it
     goal = mk("eval", term, result)
     try:

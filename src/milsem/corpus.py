@@ -23,7 +23,7 @@ from typing import Callable
 
 from .objectlang import STRATEGIES, OracleConfig, alpha_equal, eval_chain, is_value
 from .terms import Compound, Int, Term, mk
-from .textio import ParseError, _Parser, print_term
+from .textio import parse_term, print_term
 
 CORPUS_KINDS = ("pairs", "lists", "conditionals", "lazy_eager", "mixed")
 
@@ -192,15 +192,7 @@ def parse_corpus(text: str) -> list[Term]:
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
-        p = _Parser(line, n)
-        t = p.term()
-        p.accept("DOT")
-        p.end()
-        if p.written:
-            tok = next(tok for tok in p.toks if tok.kind == "VNAME")
-            raise ParseError(f"variable {tok.text} in a corpus term",
-                             tok.line, tok.col)
-        out.append(t)
+        out.append(parse_term(line, n, ground="a corpus term"))
     return out
 
 

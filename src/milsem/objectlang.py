@@ -35,7 +35,6 @@ from .solver import (
     SolveConfig,
     Verdict,
     solve,
-    solve_all,
 )
 from .terms import (
     Clause,
@@ -466,10 +465,21 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
     a term the interpreter diverges on, the program must run out of depth
     rather than prove or finitely fail.  For a stuck term the program must
     finitely fail.
+
+    Each term is searched once.  A diverging or stuck term needs only its
+    first proof, if any.  A value term's ``eval(t, Result)`` is searched to
+    exhaustion: the first answer is its value, and when every answer binds
+    ``Result`` to a ground term, a wrong value is proved exactly when it is
+    one of them (the lifting lemma, see `solver`).  Two cases fall back to
+    one ground `solve` per wrong value: an answer that still holds a
+    variable, and an exhaustive search that raises BuiltinError, after
+    which the first proof is searched again, so that an error raised
+    before it still propagates.
     """
     builtins = default_builtins()
     rng = random.Random(0)
-    cfg = SolveConfig(depth_limit=depth_limit)
+    first = SolveConfig(depth_limit=depth_limit)
+    every = SolveConfig(depth_limit=depth_limit, max_solutions=None)
     ocfg = OracleConfig(strategy=strategy, fuel=fuel)
     terms = list(terms)
     report = ConformanceReport()
@@ -492,9 +502,11 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             pool_cls.append(cls)
         expected.append((t, v, cls))
 
+    result = var("Result")
     for t, v, cls in expected:
-        out = solve(program, _eval_goal(t, var("Result")), cfg, builtins)
-        if v is BOTTOM or v is None:
+        goal = _eval_goal(t, result)
+        if cls is None:
+            out = solve(program, goal, first, builtins)
             what, want = (("diverges", Verdict.DEPTH_EXCEEDED) if v is BOTTOM
                           else ("stuck", Verdict.FINITE_FAILURE))
             if out.verdict is want:
@@ -503,10 +515,16 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
                 report.add_failure(
                     f"{print_term(t)}: {what} but program gave {out.verdict}")
             continue
+        try:
+            out = solve(program, goal, every, builtins)
+            values = [a.get(result.id) for a in out.answers]
+        except BuiltinError:
+            out = solve(program, goal, first, builtins)
+            values = None
         if not out.proved:
             report.add_failure(f"{print_term(t)}: expected a value, got {out.verdict}")
             continue
-        got = next(iter(out.answer.values()), None) if out.answer else None
+        got = out.answer.get(result.id)
         if got is None or classes.get(alpha_key(got)) != cls:
             report.add_failure(
                 f"{print_term(t)}: evaluated to "
@@ -515,12 +533,12 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             continue
         wrong = [w for w, c in zip(value_pool, pool_cls) if c != cls]
         rng.shuffle(wrong)
-        bad = None
-        for w in wrong[:2]:
-            check = solve(program, _eval_goal(t, w), cfg, builtins)
-            if check.proved:
-                bad = w
-                break
+        if values is not None and all(x is not None and not term_vars(x)
+                                      for x in values):
+            bad = next((w for w in wrong[:2] if w in values), None)
+        else:
+            bad = next((w for w in wrong[:2] if solve(
+                program, _eval_goal(t, w), first, builtins).proved), None)
         if bad is not None:
             report.add_failure(
                 f"{print_term(t)}: also proves wrong value {print_term(bad)}")
@@ -542,7 +560,7 @@ def check_step_determinism(program: Program, t: Term, *,
         builtins = default_builtins()
     cfg = SolveConfig(depth_limit=depth_limit, max_solutions=8)
     for u in eval_chain(t, OracleConfig(strategy=strategy, fuel=fuel)):
-        res = solve_all(program, Compound(S_STEP, (u, var("Next"))), cfg, builtins)
+        res = solve(program, Compound(S_STEP, (u, var("Next"))), cfg, builtins)
         distinct: list[Term] = []
         for ans in res.answers:
             nxt = next(iter(ans.values()), None)

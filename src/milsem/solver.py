@@ -26,10 +26,10 @@ frame (`Store.unify_atoms`) and renaming the body of the one that
 unifies through the same frame (`rename_apart`).  The tail is None or an
 iterator of further bodies, already renamed, drawn once the bucket is
 spent and resumed with the bindings of the previous one undone.  `solve`
-and `solve_all` use `Resolver.program_source`, whose tail is always
-None; the learner's tail instantiates metarules.  While the resolver
-only probes a tail for a depth cut, ``probing`` is set: the body it
-yields then is never entered.
+uses `Resolver.program_source`, whose tail is always None; the learner's
+tail instantiates metarules.  While the resolver only probes a tail for
+a depth cut, ``probing`` is set: the body it yields then is never
+entered.
 
 A choice point is a record, a tuple: the goal, its bucket, the index of
 the next bucket clause, the tail, the continuation after the goal, the
@@ -47,6 +47,19 @@ bindings made, and False when it failed.  It leaves no choice point.  A
 builtin whose arguments are too uninstantiated to ever make sense should
 raise BuiltinError; that aborts the whole query, it is a program bug
 rather than a failed branch.
+
+`solve` is the one query entry point.  It collects answers in proof order
+up to ``SolveConfig.max_solutions``: the default 1 stops at the first
+proof, None runs the search to exhaustion.  An exhaustive search answers
+ground questions too, by the lifting lemma: a proof of ``q(t, w)`` within
+the budget is an instance of a proof of ``q(t, R)`` of the same length,
+so when every answer binds ``R`` to a ground term, ``q(t, w)`` is provable
+exactly when ``w`` is one of them.  `objectlang.conformance_check` decides
+both distractors of a term that way, from the one search that finds its
+value.  It falls back to one ground `solve` per distractor when an answer
+still holds a variable (a cyclic binding, which `restrict` leaves as a
+variable, among them), and when the exhaustive search raises BuiltinError,
+which a ground query may not.
 """
 
 from __future__ import annotations
@@ -116,26 +129,24 @@ class BuiltinTable:
 @dataclass(frozen=True, slots=True)
 class SolveConfig:
     depth_limit: int = DEFAULT_DEPTH
-    max_solutions: Optional[int] = None
+    max_solutions: Optional[int] = 1  # None: every answer within budget
 
 
 @dataclass(slots=True)
 class Outcome:
     verdict: Verdict
-    answer: Optional[Subst]  # query-variable bindings for the first proof
+    answers: list[Subst]  # query-variable bindings, one per proof, in order
+    complete: bool  # the search ran out: no more answers, no branch cut
     steps: int
-    depth_used: Optional[int]
+    depth_used: Optional[int]  # of the first proof
+
+    @property
+    def answer(self) -> Optional[Subst]:
+        return self.answers[0] if self.answers else None
 
     @property
     def proved(self) -> bool:
         return self.verdict is Verdict.PROVED
-
-
-@dataclass(slots=True)
-class Answers:
-    answers: list[Subst]
-    complete: bool  # False when some branch hit the depth bound
-    steps: int
 
 
 class Resolver:
@@ -265,43 +276,29 @@ def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
         raise BuiltinError(f"predicates defined both by clauses and builtins: {names}")
 
 
-def _start(program: Program, query: Union[Compound, Sequence[Compound]],
-           config: SolveConfig, builtins: Optional[BuiltinTable],
-           ) -> tuple[Resolver, Iterator[int], list[int]]:
+def solve(program: Program, query: Union[Compound, Sequence[Compound]],
+          config: SolveConfig = SolveConfig(),
+          builtins: Optional[BuiltinTable] = None) -> Outcome:
+    """Run a query to its first ``config.max_solutions`` proofs, or to
+    exhaustion when that is None."""
     _check_disjoint(program, builtins)
     goals = [query] if isinstance(query, Compound) else list(query)
     qvars = list(dict.fromkeys(v for g in goals for v in term_vars(g)))
     # renamed clause variables must not collide with negative query ids
     resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
-    proofs = resolver.run(goals, config.depth_limit,
-                          resolver.program_source(program))
-    return resolver, proofs, qvars
-
-
-def solve(program: Program, query: Union[Compound, Sequence[Compound]],
-          config: SolveConfig = SolveConfig(),
-          builtins: Optional[BuiltinTable] = None) -> Outcome:
-    """Run a query to its first proof."""
-    resolver, proofs, qvars = _start(program, query, config, builtins)
-    for remaining in proofs:
-        answer = restrict(resolver.store.bindings, qvars)
-        return Outcome(Verdict.PROVED, answer, resolver.steps,
-                       config.depth_limit - remaining)
-    verdict = (Verdict.DEPTH_EXCEEDED if resolver.tainted
-               else Verdict.FINITE_FAILURE)
-    return Outcome(verdict, None, resolver.steps, None)
-
-
-def solve_all(program: Program, query: Union[Compound, Sequence[Compound]],
-              config: SolveConfig = SolveConfig(),
-              builtins: Optional[BuiltinTable] = None) -> Answers:
-    """Collect every answer reachable within the depth budget."""
-    resolver, proofs, qvars = _start(program, query, config, builtins)
     answers: list[Subst] = []
-    for _remaining in proofs:
+    depth_used = None
+    for remaining in resolver.run(goals, config.depth_limit,
+                                  resolver.program_source(program)):
+        if not answers:
+            depth_used = config.depth_limit - remaining
         answers.append(restrict(resolver.store.bindings, qvars))
         if (config.max_solutions is not None
                 and len(answers) >= config.max_solutions):
-            return Answers(answers, complete=False, steps=resolver.steps)
-    return Answers(answers, complete=not resolver.tainted,
-                   steps=resolver.steps)
+            return Outcome(Verdict.PROVED, answers, False, resolver.steps,
+                           depth_used)
+    verdict = (Verdict.PROVED if answers
+               else Verdict.DEPTH_EXCEEDED if resolver.tainted
+               else Verdict.FINITE_FAILURE)
+    return Outcome(verdict, answers, not resolver.tainted, resolver.steps,
+                   depth_used)

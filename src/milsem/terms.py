@@ -21,7 +21,9 @@ undo on backtracking with its trail, instead of copying substitution dicts.
 Stored bindings may contain chains (X -> Y, Y -> t); `Store.resolve` and
 `restrict` follow them fully.  Unification does not occurs-check, so a
 binding like X -> f(X) can exist in a store; deep resolution guards against
-looping on such bindings by leaving the offending variable in place.
+looping on such bindings by leaving the offending variable in place, and
+`Store.unify` unifies two such terms as rational trees, visiting each pair
+of compounds it reaches through a binding once.
 """
 
 from __future__ import annotations
@@ -227,8 +229,10 @@ class Store:
 
     def unify(self, a: Term, b: Term) -> bool:
         stack = [(a, b)]
+        seen = None  # compound pairs reached through a binding
         while stack:
             x, y = stack.pop()
+            bound = isinstance(x, Var) or isinstance(y, Var)
             x = self.walk(x)
             y = self.walk(y)
             if x is y:
@@ -249,6 +253,14 @@ class Store:
                 return False
             if x.functor is not y.functor:
                 return False
+            if bound and x.args:
+                # a cyclic binding (no occurs check) brings a pair round
+                # again; it is already being unified
+                if seen is None:
+                    seen = set()
+                elif (id(x), id(y)) in seen:
+                    continue
+                seen.add((id(x), id(y)))
             stack.extend(zip(x.args, y.args))
         return True
 

@@ -352,11 +352,18 @@ class _Parser:
 # ============================================================
 
 
-def parse_term(text: str) -> Term:
-    p = _Parser(text)
+def parse_term(text: str, line: int = 1, *,
+               ground: Optional[str] = None) -> Term:
+    """One term, optionally followed by a dot, whose first line is numbered
+    ``line``.  With ``ground`` saying what the term is, it may write no
+    variable: one is a ParseError naming it."""
+    p = _Parser(text, line)
     t = p.term()
     p.accept("DOT")
     p.end()
+    if ground is not None and p.written:
+        tok = next(tok for tok in p.toks if tok.kind == "VNAME")
+        raise ParseError(f"variable {tok.text} in {ground}", tok.line, tok.col)
     return t
 
 

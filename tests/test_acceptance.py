@@ -28,7 +28,7 @@ from milsem.objectlang import (
     substitute,
 )
 from milsem.scenario import Example, builtin_scenario
-from milsem.solver import SolveConfig, Verdict, solve, solve_all
+from milsem.solver import SolveConfig, Verdict, solve
 from milsem.terms import Compound, Int, Program, const, mk, symbol, var
 from milsem.textio import parse_clauses, parse_term, print_term
 
@@ -93,14 +93,14 @@ def _reachable(terms, strategy="lazy"):
 
 
 def _step_answers(program, u, builtins, depth=300):
-    res = solve_all(program, Compound(S_STEP, (u, var("R"))),
-                    SolveConfig(depth_limit=depth, max_solutions=16), builtins)
+    res = solve(program, Compound(S_STEP, (u, var("R"))),
+                SolveConfig(depth_limit=depth, max_solutions=16), builtins)
     return frozenset(print_term(v) for ans in res.answers for v in ans.values())
 
 
 def _eval_answers(program, u, builtins, depth=300):
-    res = solve_all(program, Compound(S_EVAL, (u, var("R"))),
-                    SolveConfig(depth_limit=depth, max_solutions=8), builtins)
+    res = solve(program, Compound(S_EVAL, (u, var("R"))),
+                SolveConfig(depth_limit=depth, max_solutions=8), builtins)
     return frozenset(print_term(v) for ans in res.answers for v in ans.values())
 
 

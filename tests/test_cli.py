@@ -311,6 +311,23 @@ def test_run_bad_term_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: term:")
 
 
+@pytest.mark.parametrize("text,name,col", [
+    ("X", "X", 1),
+    ("lam(x,X)", "X", 7),
+    ("-", "Y", 13),  # pair(lit(1),Y) on stdin
+], ids=["bare", "under_lam", "stdin"])
+def test_run_term_with_a_variable_exits_2(text, name, col, capsys,
+                                          monkeypatch):
+    # an object term is ground: X would be bound to a value by the core,
+    # and lam(x,X) printed back as its own value
+    monkeypatch.setattr(sys, "stdin", io.StringIO("pair(lit(1),Y)\n"))
+    assert main(["run", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: term: variable {name} in an object "
+                            f"term at line 1, column {col}\n")
+
+
 def test_run_program_defining_a_builtin_exits_2(tmp_path, capsys):
     prog = tmp_path / "clash.pl"
     prog.write_text("substitute(V,X,T,T).\n")

@@ -9,11 +9,13 @@ capture anything.
 """
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from milsem.corpus import generate_corpus
+from milsem.corpus import CORPUS_KINDS, generate_corpus
 from milsem.objectlang import (
     BOTTOM,
     OracleConfig,
@@ -34,8 +36,12 @@ from milsem.objectlang import (
     substitute,
 )
 from milsem.solver import BuiltinError, SolveConfig, Verdict, solve
-from milsem.terms import Compound, Int, Program, const, mk, var
-from milsem.textio import parse_atom, parse_clauses, parse_term
+from milsem.terms import (
+    Clause, Compound, Int, Program, const, mk, term_vars, var)
+from milsem.textio import parse_atom, parse_clauses, parse_term, print_term
+
+ROOT = Path(__file__).resolve().parents[1]
+CHAIN_PROGRAM = ROOT / "bench" / "expected" / "chain.pl"
 
 # ---- oracles ----
 
@@ -558,3 +564,153 @@ def test_step_determinism_checker():
     complaint = check_step_determinism(both, parse_term("fst(pair(var(a),var(b)))"))
     assert complaint is not None
     assert "steps to" in complaint
+
+
+# ---- one search per term: exactness against three solves ----
+
+
+def _three_solve_check(program, terms, strategy):
+    """Conformance as it was decided with three searches per value term:
+    the first proof, then one ground solve for each distractor."""
+    builtins = default_builtins()
+    rng = random.Random(0)
+    cfg = SolveConfig()
+    ocfg = OracleConfig(strategy=strategy)
+    expected, pool = [], []
+    for t in terms:
+        try:
+            v = reference_eval(t, ocfg)
+        except StuckTermError:
+            v = None
+        if isinstance(v, (Compound, Int)):
+            pool.append(v)
+        expected.append((t, v))
+    failures = []
+    for t, v in expected:
+        out = solve(program, mk("eval", t, var("Result")), cfg, builtins)
+        if v is BOTTOM or v is None:
+            what, want = (("diverges", Verdict.DEPTH_EXCEEDED) if v is BOTTOM
+                          else ("stuck", Verdict.FINITE_FAILURE))
+            if out.verdict is not want:
+                failures.append(
+                    f"{print_term(t)}: {what} but program gave {out.verdict}")
+            continue
+        if not out.proved:
+            failures.append(f"{print_term(t)}: expected a value, got {out.verdict}")
+            continue
+        got = next(iter(out.answer.values()), None) if out.answer else None
+        if got is None or not alpha_equal(got, v):
+            failures.append(
+                f"{print_term(t)}: evaluated to "
+                f"{print_term(got) if got is not None else '?'}, "
+                f"interpreter says {print_term(v)}")
+            continue
+        wrong = [w for w in pool if not alpha_equal(w, v)]
+        rng.shuffle(wrong)
+        for w in wrong[:2]:
+            if solve(program, mk("eval", t, w), cfg, builtins).proved:
+                failures.append(
+                    f"{print_term(t)}: also proves wrong value {print_term(w)}")
+                break
+    return failures
+
+
+def _chain_program(extra=""):
+    return Program(tuple(parse_clauses(CHAIN_PROGRAM.read_text() + extra)))
+
+
+def _every_answer(program, t):
+    return solve(program, mk("eval", t, var("Result")),
+                 SolveConfig(max_solutions=None), default_builtins()).answers
+
+
+PAIRS_40 = generate_corpus("pairs", 40, seed=5)
+
+
+def test_conformance_a_later_unbound_answer_fails_every_term():
+    # eval(_,_) proves every value: the search cannot list them, so the
+    # distractors get ground solves, and the first one drawn is proved
+    program = _chain_program("eval(_,_).\n")
+    assert _every_answer(program, PAIRS_40[0])[-1] == {}
+    report = conformance_check(program, PAIRS_40)
+    assert (report.passed, report.total) == (0, 40)
+    assert all(": also proves wrong value " in f for f in report.failures)
+    assert report.failures == _three_solve_check(program, PAIRS_40, "lazy")
+
+
+def test_conformance_a_later_answer_with_a_variable_inside():
+    # lit(_) proves every literal distractor and no other
+    program = _chain_program("eval(_,lit(_)).\n")
+    report = conformance_check(program, PAIRS_40)
+    assert 0 < len(report.failures) < 40
+    assert all(": also proves wrong value lit(" in f for f in report.failures)
+    assert report.failures == _three_solve_check(program, PAIRS_40, "lazy")
+
+
+def test_conformance_a_later_cyclic_answer_passes():
+    # the second answer binds Result to f(Result); no ground value is it
+    program = _chain_program("eval(_,V) :- cyc(V,f(V)).\ncyc(X,X).\n")
+    result = var("Result")
+    cyclic = _every_answer(program, PAIRS_40[0])[-1][result.id]
+    assert term_vars(cyclic)
+    report = conformance_check(program, PAIRS_40)
+    assert (report.passed, report.total) == (40, 40), report.failures
+
+
+def test_conformance_a_builtin_raising_after_the_first_proof_passes():
+    # int_add(V,V,_) raises on an unbound V, which only the search past
+    # the first proof reaches; ground distractors make it fail quietly
+    program = _chain_program("eval(_,V) :- int_add(V,V,_).\n")
+    with pytest.raises(BuiltinError):
+        _every_answer(program, PAIRS_40[0])
+    report = conformance_check(program, PAIRS_40)
+    assert (report.passed, report.total) == (40, 40), report.failures
+
+
+def test_conformance_a_builtin_raising_before_the_first_proof_raises():
+    program = Program(tuple(parse_clauses(
+        "eval(_,V) :- int_add(V,V,_).\n" + CHAIN_PROGRAM.read_text())))
+    with pytest.raises(BuiltinError, match="int_add/3"):
+        conformance_check(program, PAIRS_40)
+
+
+def test_conformance_names_the_first_distractor_when_both_are_proved():
+    # every corpus value is also a ground answer for every term
+    values = [reference_eval(t) for t in PAIRS_40]
+    program = _chain_program("".join(
+        f"eval(_,{print_term(v)}).\n" for v in values))
+    report = conformance_check(program, PAIRS_40)
+    rng = random.Random(0)
+    expected = []
+    for t, v in zip(PAIRS_40, values):
+        wrong = [w for w in values if not alpha_equal(w, v)]
+        rng.shuffle(wrong)
+        expected.append(f"{print_term(t)}: also proves wrong value "
+                        f"{print_term(wrong[0])}")
+    assert report.failures == expected
+
+
+_CHECKED_PROGRAMS = {"chain": _chain_program(),
+                     "overgeneral": _overgeneral_program()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_CHECKED_PROGRAMS)),
+       st.sampled_from(CORPUS_KINDS), st.integers(1, 12),
+       st.integers(0, 10_000), st.sampled_from(STRATEGIES),
+       st.lists(st.sampled_from([OMEGA, parse_term("fst(lit(1))")]),
+                max_size=2),
+       st.sets(st.integers(0, 11), max_size=6))
+def test_conformance_agrees_with_three_solves(name, kind, n, seed, strategy,
+                                              odd, proved):
+    # ``proved`` picks corpus terms whose values every term also evaluates
+    # to, so some distractors are proved and some are not
+    terms = generate_corpus(kind, n, seed=seed)
+    program = _CHECKED_PROGRAMS[name]
+    extra = [Clause(mk("eval", var("_"), reference_eval(terms[i])), ())
+             for i in sorted(proved) if i < n]
+    program = Program(program.clauses + tuple(extra))
+    terms += odd
+    report = conformance_check(program, terms, strategy=strategy)
+    assert report.total == len(terms)
+    assert report.failures == _three_solve_check(program, terms, strategy)

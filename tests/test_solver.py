@@ -12,7 +12,6 @@ from milsem.solver import (
     SolveConfig,
     Verdict,
     solve,
-    solve_all,
 )
 from milsem.terms import (
     Clause,
@@ -27,6 +26,8 @@ from milsem.terms import (
     var,
 )
 from milsem.textio import parse_atom, parse_program
+
+ALL = SolveConfig(max_solutions=None)  # every answer within budget
 
 
 # ============================================================
@@ -212,18 +213,19 @@ def test_conjunction_query():
 
 def test_clause_order_respected():
     p = parse_program("pick(first).\npick(second).")
-    outs = solve_all(p, parse_atom("pick(X)"))
+    outs = solve(p, parse_atom("pick(X)"), ALL)
     assert [a[var("X").id] for a in outs.answers] \
         == [const("first"), const("second")]
 
 
 def test_solve_all_completeness_flag():
     p = parse_program("p(a).\np(X) :- loop(X).\nloop(X) :- loop(X).")
-    outs = solve_all(p, parse_atom("p(X)"), SolveConfig(depth_limit=30))
+    outs = solve(p, parse_atom("p(X)"),
+                 SolveConfig(depth_limit=30, max_solutions=None))
     assert [a[var("X").id] for a in outs.answers] == [const("a")]
     assert not outs.complete  # the loop ran out of budget somewhere
     p = parse_program("p(a).\np(b).")
-    outs = solve_all(p, parse_atom("p(X)"))
+    outs = solve(p, parse_atom("p(X)"), ALL)
     assert outs.complete
 
 
@@ -231,7 +233,8 @@ def test_solve_all_loop_rederives_answers():
     # a self-recursive clause over a fact legitimately re-proves the
     # same answer once per budget level, as resolution should
     p = parse_program("p(a).\np(X) :- p(X).")
-    outs = solve_all(p, parse_atom("p(X)"), SolveConfig(depth_limit=10))
+    outs = solve(p, parse_atom("p(X)"),
+                 SolveConfig(depth_limit=10, max_solutions=None))
     assert set(a[var("X").id] for a in outs.answers) == {const("a")}
     assert len(outs.answers) == 10
     assert not outs.complete
@@ -239,10 +242,25 @@ def test_solve_all_loop_rederives_answers():
 
 def test_solve_all_max_solutions():
     p = parse_program("n(1).\nn(2).\nn(3).")
-    outs = solve_all(p, parse_atom("n(X)"),
-                     SolveConfig(max_solutions=2))
+    outs = solve(p, parse_atom("n(X)"), SolveConfig(max_solutions=2))
     assert len(outs.answers) == 2
     assert not outs.complete
+
+
+def test_solve_stops_at_the_first_proof_by_default():
+    p = parse_program("n(1).\nn(2).\nn(3).")
+    first = solve(p, parse_atom("n(X)"))
+    assert first.answers == [{var("X").id: Int(1)}] and first.proved
+    assert first.answer == first.answers[0]
+    assert not first.complete
+    every = solve(p, parse_atom("n(X)"), ALL)
+    assert [a[var("X").id] for a in every.answers] == [Int(1), Int(2), Int(3)]
+    assert every.proved and every.complete
+    assert every.depth_used == first.depth_used == 1
+    assert (first.steps, every.steps) == (1, 3)
+    none = solve(p, parse_atom("n(4)"), ALL)
+    assert (none.verdict, none.answers, none.answer, none.complete) == (
+        Verdict.FINITE_FAILURE, [], None, True)
 
 
 def test_first_argument_indexing_skips_clauses():
@@ -328,7 +346,7 @@ def test_bool_builtin_bindings_undone_on_backtracking():
     t = _table(plus_3=_plus)
     p = parse_program("pick(1).\npick(2).\nok(4).\n"
                       "t(Y) :- pick(X), plus(X,X,Y), ok(Y).")
-    outs = solve_all(p, parse_atom("t(Y)"), builtins=t)
+    outs = solve(p, parse_atom("t(Y)"), ALL, builtins=t)
     assert [a[var("Y").id] for a in outs.answers] == [Int(4)]
     assert outs.complete
 

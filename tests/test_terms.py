@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import assume, event, given, strategies as st
 
@@ -111,6 +113,27 @@ def test_unify_occurs_check_off_by_default():
     assert store.unify(var("X"), mk("f", var("X")))
     # deep resolution leaves the looping variable in place
     assert store.resolve(var("X")) == mk("f", var("X"))
+
+
+@pytest.mark.parametrize("x_is,y_is,same", [
+    (mk("f", var("X")), mk("f", var("Y")), True),
+    (mk("f", mk("f", var("X"))), mk("f", var("Y")), True),
+    (mk("f", var("X"), const("a")), mk("f", var("Y"), const("b")), False),
+    (mk("f", mk("g", var("X"))), mk("f", var("Y")), False),
+], ids=["same", "unrolled", "clash", "other_shape"])
+def test_unify_two_cyclic_terms_terminates(x_is, y_is, same):
+    # without an occurs check X and Y can stand for infinite rational
+    # trees; comparing them must not chase the cycles for ever
+    store = Store()
+    assert store.unify(var("X"), x_is)
+    assert store.unify(var("Y"), y_is)
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(store.unify(var("X"), var("Y"))),
+        daemon=True)
+    worker.start()
+    worker.join(10)
+    assert got == [same]
 
 
 def test_unify_atoms_requires_same_predicate():
