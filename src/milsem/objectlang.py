@@ -468,18 +468,23 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
 
     Each term is searched once.  A diverging or stuck term needs only its
     first proof, if any.  A value term's ``eval(t, Result)`` is searched to
-    exhaustion: the first answer is its value, and when every answer binds
-    ``Result`` to a ground term, a wrong value is proved exactly when it is
-    one of them (the lifting lemma, see `solver`).  Two cases fall back to
-    one ground `solve` per wrong value: an answer that still holds a
-    variable, and an exhaustive search that raises BuiltinError, after
-    which the first proof is searched again, so that an error raised
-    before it still propagates.
+    exhaustion: the first answer is its value, and when the search is
+    complete and every answer binds ``Result`` to a ground term, a wrong
+    value is proved exactly when it is one of them (the lifting lemma, see
+    `solver`).  The search stops, incomplete, at an answer that still holds
+    a variable, and once it has taken three times the steps of its first
+    proof, about what three searches cost when each costs the first: an
+    unbound ``Result`` can make it far larger than the ground searches it
+    stands for.  An incomplete search falls back to one ground `solve` per
+    wrong value, and so does one that raises BuiltinError, after the first
+    proof is searched again so that an error raised before it still
+    propagates.
     """
     builtins = default_builtins()
     rng = random.Random(0)
     first = SolveConfig(depth_limit=depth_limit)
-    every = SolveConfig(depth_limit=depth_limit, max_solutions=None)
+    every = SolveConfig(depth_limit=depth_limit, max_solutions=None,
+                        ground_answers=True, step_ratio=3)
     ocfg = OracleConfig(strategy=strategy, fuel=fuel)
     terms = list(terms)
     report = ConformanceReport()
@@ -517,7 +522,8 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             continue
         try:
             out = solve(program, goal, every, builtins)
-            values = [a.get(result.id) for a in out.answers]
+            values = ([a[result.id] for a in out.answers] if out.complete
+                      else None)
         except BuiltinError:
             out = solve(program, goal, first, builtins)
             values = None
@@ -533,8 +539,7 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             continue
         wrong = [w for w, c in zip(value_pool, pool_cls) if c != cls]
         rng.shuffle(wrong)
-        if values is not None and all(x is not None and not term_vars(x)
-                                      for x in values):
+        if values is not None:
             bad = next((w for w in wrong[:2] if w in values), None)
         else:
             bad = next((w for w in wrong[:2] if solve(

@@ -53,12 +53,19 @@ up to ``SolveConfig.max_solutions``: the default 1 stops at the first
 proof, None runs the search to exhaustion.  An exhaustive search answers
 ground questions too, by the lifting lemma: a proof of ``q(t, w)`` within
 the budget is an instance of a proof of ``q(t, R)`` of the same length,
-so when every answer binds ``R`` to a ground term, ``q(t, w)`` is provable
-exactly when ``w`` is one of them.  `objectlang.conformance_check` decides
-both distractors of a term that way, from the one search that finds its
-value.  It falls back to one ground `solve` per distractor when an answer
-still holds a variable (a cyclic binding, which `restrict` leaves as a
-variable, among them), and when the exhaustive search raises BuiltinError,
+so when the search is complete and every answer binds ``R`` to a ground
+term, ``q(t, w)`` is provable exactly when ``w`` is one of them.  An
+unbound ``R`` prunes no branch that a ground ``w`` would, so such a search
+can be far larger than the ground ones it stands for; two settings cut it
+short, leaving it incomplete.  ``ground_answers`` stops it at the first
+answer that still holds a variable (a cyclic binding, which `restrict`
+leaves as a variable, among them), since those answer no ground question.
+``step_ratio`` stops it once it has taken that many times the steps its
+first proof took.
+
+`objectlang.conformance_check` decides both distractors of a term from
+the one search that finds its value, and falls back to one ground `solve`
+per distractor when that search is incomplete or raises BuiltinError,
 which a ground query may not.
 """
 
@@ -66,6 +73,7 @@ from __future__ import annotations
 
 import enum
 import inspect
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -130,6 +138,11 @@ class BuiltinTable:
 class SolveConfig:
     depth_limit: int = DEFAULT_DEPTH
     max_solutions: Optional[int] = 1  # None: every answer within budget
+    # stop at the first answer that is not ground, keeping it
+    ground_answers: bool = False
+    # stop once the search has taken this many times the steps of its
+    # first proof
+    step_ratio: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -155,10 +168,12 @@ class Resolver:
     ``steps`` counts clause applications and builtin calls; ``tainted``
     records whether the budget cut some branch whose goal could have
     continued.  Both accumulate over every `run` on the same resolver.
+    A `run` takes no clause step once ``steps`` reaches ``max_steps``: it
+    ends there, tainted, as if the depth budget had run out.
     """
 
     __slots__ = ("builtins", "store", "counter", "steps", "tainted",
-                 "probing")
+                 "probing", "max_steps")
 
     def __init__(self, builtins: Optional[BuiltinTable],
                  counter: FreshVars) -> None:
@@ -168,6 +183,7 @@ class Resolver:
         self.steps = 0
         self.tainted = False
         self.probing = False
+        self.max_steps = sys.maxsize
 
     def program_source(self, program: Program) -> ClauseSource:
         """The program's bucket for each goal's first argument, no tail."""
@@ -192,9 +208,11 @@ class Resolver:
         # choice points: (goal, bucket, next bucket index, tail, rest,
         # budget for the body, trail mark)
         stack: list[tuple] = []
+        max_steps = self.max_steps
         while True:
             if cont is None:
                 yield budget
+                max_steps = self.max_steps  # the caller may have moved it
             else:
                 goal, rest = cont
                 fn = builtins.get(goal.functor)
@@ -239,7 +257,12 @@ class Resolver:
             else:
                 store.undo(entry)
                 return
-            self.steps += 1
+            steps = self.steps
+            if steps >= max_steps:
+                self.tainted = True
+                store.undo(entry)
+                return
+            self.steps = steps + 1
             cont = rest
             for g in reversed(body):
                 cont = (g, cont)
@@ -276,11 +299,16 @@ def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
         raise BuiltinError(f"predicates defined both by clauses and builtins: {names}")
 
 
+def _ground(answer: Subst, qvars: list[int]) -> bool:
+    return len(answer) == len(qvars) and not any(
+        term_vars(t) for t in answer.values())
+
+
 def solve(program: Program, query: Union[Compound, Sequence[Compound]],
           config: SolveConfig = SolveConfig(),
           builtins: Optional[BuiltinTable] = None) -> Outcome:
     """Run a query to its first ``config.max_solutions`` proofs, or to
-    exhaustion when that is None."""
+    exhaustion when that is None, stopping early as ``config`` says."""
     _check_disjoint(program, builtins)
     goals = [query] if isinstance(query, Compound) else list(query)
     qvars = list(dict.fromkeys(v for g in goals for v in term_vars(g)))
@@ -292,9 +320,13 @@ def solve(program: Program, query: Union[Compound, Sequence[Compound]],
                                   resolver.program_source(program)):
         if not answers:
             depth_used = config.depth_limit - remaining
-        answers.append(restrict(resolver.store.bindings, qvars))
-        if (config.max_solutions is not None
-                and len(answers) >= config.max_solutions):
+            if config.step_ratio is not None:
+                resolver.max_steps = config.step_ratio * resolver.steps
+        answer = restrict(resolver.store.bindings, qvars)
+        answers.append(answer)
+        if ((config.max_solutions is not None
+             and len(answers) >= config.max_solutions)
+                or (config.ground_answers and not _ground(answer, qvars))):
             return Outcome(Verdict.PROVED, answers, False, resolver.steps,
                            depth_used)
     verdict = (Verdict.PROVED if answers

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milsem import objectlang
 from milsem.corpus import CORPUS_KINDS, generate_corpus
 from milsem.objectlang import (
     BOTTOM,
@@ -655,6 +656,45 @@ def test_conformance_a_later_cyclic_answer_passes():
     assert term_vars(cyclic)
     report = conformance_check(program, PAIRS_40)
     assert (report.passed, report.total) == (40, 40), report.failures
+
+
+@pytest.mark.parametrize("extra,stop", [
+    # every value tree of size up to the depth bound, most with a
+    # variable: the search stops at the first of those
+    ("eval(_,V) :- value(V).\n", "non-ground answer"),
+    # exponentially many ground trees: only the step bound stops these
+    ("eval(_,V) :- tree(V).\ntree(nil).\n"
+     "tree(cons(A,B)) :- tree(A), tree(B).\n", "step bound"),
+], ids=["value", "tree"])
+@pytest.mark.parametrize("kind", ["pairs", "lists"])
+def test_conformance_a_search_too_large_to_finish_falls_back(extra, stop, kind,
+                                                             monkeypatch):
+    # an unbound Result prunes nothing, so searching these to exhaustion
+    # would not end; the one search stops, and ground solves decide
+    program = _chain_program(extra)
+    terms = generate_corpus(kind, 40, seed=5)
+    result = var("Result").id
+    calls = []
+    counted = objectlang.solve
+
+    def counting(program, goal, config, builtins):
+        out = counted(program, goal, config, builtins)
+        if config.max_solutions is None:
+            first = counted(program, goal, SolveConfig(), builtins)
+            last = out.answers[-1].get(result)
+            calls.append((out.complete, out.steps, first.steps,
+                          last is not None and not term_vars(last)))
+        return out
+
+    monkeypatch.setattr(objectlang, "solve", counting)
+    report = conformance_check(program, terms)
+    assert report.total == 40
+    assert report.failures == _three_solve_check(program, terms, "lazy")
+    assert len(calls) == 40
+    for complete, steps, first, ground in calls:
+        assert not complete
+        assert steps <= 3 * first + 2  # a body's builtins finish their step
+        assert ground == (stop == "step bound")
 
 
 def test_conformance_a_builtin_raising_after_the_first_proof_passes():

@@ -263,6 +263,40 @@ def test_solve_stops_at_the_first_proof_by_default():
         Verdict.FINITE_FAILURE, [], None, True)
 
 
+def test_solve_stops_at_the_first_answer_that_is_not_ground():
+    p = parse_program("p(a).\np(f(X)).\np(b).")
+    outs = solve(p, parse_atom("p(Y)"),
+                 SolveConfig(max_solutions=None, ground_answers=True))
+    y = var("Y").id
+    assert [a[y] for a in outs.answers[:1]] == [const("a")]
+    assert outs.answers[1][y].functor.name == "f"
+    assert len(outs.answers) == 2 and outs.proved and not outs.complete
+    # an unbound query variable is not ground either
+    outs = solve(parse_program("p(a).\np(_).\np(b)."), parse_atom("p(Y)"),
+                 SolveConfig(max_solutions=None, ground_answers=True))
+    assert outs.answers == [{y: const("a")}, {}] and not outs.complete
+    outs = solve(parse_program("p(a).\np(b)."), parse_atom("p(Y)"),
+                 SolveConfig(max_solutions=None, ground_answers=True))
+    assert len(outs.answers) == 2 and outs.complete
+
+
+def test_solve_stops_at_a_multiple_of_the_first_proofs_steps():
+    p = parse_program("n(z).\nn(s(N)) :- n(N).")
+    q = parse_atom("n(X)")
+    unbounded = solve(p, q, SolveConfig(depth_limit=40, max_solutions=None))
+    assert len(unbounded.answers) == 40
+    outs = solve(p, q, SolveConfig(depth_limit=40, max_solutions=None,
+                                   step_ratio=3))
+    # the first proof takes one step, so the search stops at three
+    x = var("X").id
+    assert [a[x] for a in outs.answers] == [a[x] for a in unbounded.answers[:2]]
+    assert (outs.verdict, outs.steps, outs.complete) == (
+        Verdict.PROVED, 3, False)
+    roomy = solve(parse_program("n(z).\nn(s(z))."), q,
+                  SolveConfig(max_solutions=None, step_ratio=3))
+    assert len(roomy.answers) == 2 and roomy.complete
+
+
 def test_first_argument_indexing_skips_clauses():
     # same query against a program with many inapplicable clauses takes
     # no extra steps thanks to the functor prefilter
