@@ -86,30 +86,28 @@ def _reading(name: str):
         raise CliError(f"{name}: {exc}") from exc
 
 
-def _read_scenario(ref: str) -> ScenarioSpec:
-    if os.path.exists(ref):
-        with _reading(ref):
-            return load_scenario(ref)
-    if ref in builtin_scenario_names():
-        return builtin_scenario(ref)
-    raise CliError(f"{ref}: no such file or bundled scenario "
-                   f"(bundled: {', '.join(builtin_scenario_names())})")
-
-
 def _read_program_file(path: str):
     with _reading(path):
         with open(path, encoding="utf-8") as fh:
             return parse_clauses(fh.read())
 
 
-def _read_corpus(ref: str):
+def _read_input(ref: str, what: str):
+    """The scenario or corpus (``what``) in the file at ``ref``, else the
+    bundled one of that name.  The readers are looked up per call, so a
+    module global patched from outside is the one used."""
+    load, bundled_names, bundled = {
+        "scenario": (load_scenario, builtin_scenario_names, builtin_scenario),
+        "corpus": (load_corpus, builtin_corpus_names, builtin_corpus),
+    }[what]
     if os.path.exists(ref):
         with _reading(ref):
-            return load_corpus(ref)
-    if ref in builtin_corpus_names():
-        return builtin_corpus(ref)
-    raise CliError(f"{ref}: no such file or bundled corpus "
-                   f"(bundled: {', '.join(builtin_corpus_names())})")
+            return load(ref)
+    names = bundled_names()
+    if ref in names:
+        return bundled(ref)
+    raise CliError(f"{ref}: no such file or bundled {what} "
+                   f"(bundled: {', '.join(names)})")
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
@@ -152,7 +150,7 @@ def _learn_payload(name: str, res: LearnResult) -> dict:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(_read_scenario(args.scenario), args)
+    spec = _apply_overrides(_read_input(args.scenario, "scenario"), args)
     res = learn(spec, trace=_trace_fn(args.trace))
     if args.json:
         payload = _learn_payload(spec.name, res)
@@ -244,7 +242,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    specs = [_apply_overrides(_read_scenario(ref), args)
+    specs = [_apply_overrides(_read_input(ref, "scenario"), args)
              for ref in args.scenarios]
     seq = learn_seq(specs, trace=_trace_fn(args.trace))
     failed: Optional[int] = None
@@ -289,7 +287,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     clauses = _with_base(args.base, _read_program_file(args.program))
-    terms = _read_corpus(args.corpus)
+    terms = _read_input(args.corpus, "corpus")
     report = conformance_check(
         Program(tuple(clauses)), terms,
         strategy=args.strategy,

@@ -29,6 +29,7 @@ CORPUS_KINDS = ("pairs", "lists", "conditionals", "lazy_eager", "mixed")
 
 _NAMES = ("a", "b", "c", "x", "y", "z")
 _MAX_CHAIN = 30
+_MAX_DEPTH = 4  # of a generated term's grammar derivation
 
 
 def _v(name: str) -> Compound:
@@ -36,10 +37,9 @@ def _v(name: str) -> Compound:
 
 
 class _Gen:
-    def __init__(self, kind: str, rng: random.Random, max_depth: int) -> None:
+    def __init__(self, kind: str, rng: random.Random) -> None:
         self.kind = kind
         self.rng = rng
-        self.max_depth = max_depth
 
     def leaf(self, bound: tuple[str, ...]) -> Term:
         rng = self.rng
@@ -134,19 +134,18 @@ def _acceptable(t: Term) -> bool:
     return max(len(lazy), len(eager)) <= _MAX_CHAIN
 
 
-def generate_term(kind: str, rng: random.Random, max_depth: int = 4) -> Term:
+def generate_term(kind: str, rng: random.Random) -> Term:
     """One vetted term of the fragment; redraws until acceptable."""
     if kind not in CORPUS_KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}")
-    gen = _Gen(kind, rng, max_depth)
+    gen = _Gen(kind, rng)
     while True:
-        t = gen.expr(rng.randrange(1, max_depth + 1))
+        t = gen.expr(rng.randrange(1, _MAX_DEPTH + 1))
         if _acceptable(t):
             return t
 
 
-def generate_corpus(kind: str, count: int, seed: int = 0,
-                    max_depth: int = 4) -> list[Term]:
+def generate_corpus(kind: str, count: int, seed: int = 0) -> list[Term]:
     """``count`` distinct vetted terms, reproducible from the seed."""
     rng = random.Random(seed)
     out: list[Term] = []
@@ -156,7 +155,7 @@ def generate_corpus(kind: str, count: int, seed: int = 0,
         attempts += 1
         if attempts > count * 500:
             raise RuntimeError(f"corpus generation for {kind!r} is not converging")
-        t = generate_term(kind, rng, max_depth)
+        t = generate_term(kind, rng)
         key = print_term(t)
         if key in seen:
             continue

@@ -32,9 +32,11 @@ each size cap; its resolver, renamed goals, statistics and negative cores
 carry over from cap to cap.  Each example is proved under a fresh depth
 budget.  The meta-proof is the solver's resolution with a different clause
 source, so budget, step count and taint work as in `solve`: a hypothesis
-found here proves its examples under `solve` as well, and when no
-hypothesis turns up but the depth bound cut the meta-proof, `learn`
-reports ``depth_exceeded`` rather than ``exhausted``.
+found here proves its examples under `solve` as well.  When no
+hypothesis turns up but the depth bound cut the meta-proof, or cut the
+check that rejected some candidate (a negative example under
+``reject``), `learn` reports ``depth_exceeded`` rather than
+``exhausted``: a larger bound may yet find one.
 
 Definite programs are monotone: a clause set that proves a goal within the
 depth budget still proves it with clauses added.  So when a candidate is
@@ -204,7 +206,8 @@ class _Engine:
     __slots__ = ("spec", "resolver", "store", "background",
                  "pools", "head_preds", "goals", "deadline", "trace",
                  "size_cap", "hypothesis", "adopted", "invented",
-                 "invent_from", "cores", "stats", "_ticks")
+                 "invent_from", "cores", "depth_rejected", "stats",
+                 "_ticks")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Compound],
                  deadline: Optional[float] = None, trace: Trace = None) -> None:
@@ -226,6 +229,8 @@ class _Engine:
         self.invent_from = invented_base(spec.bk)
         # metasub -> the rest of each negative core holding it
         self.cores: dict[Metasub, list[frozenset[Metasub]]] = {}
+        # whether a candidate was rejected by a check the depth bound cut
+        self.depth_rejected = False
         # meta_steps is the resolver's step count, read at the end
         self.stats = LearnStats()
         self._ticks = 0
@@ -360,6 +365,8 @@ class _Engine:
                 break
         else:
             return True
+        if out.verdict is Verdict.DEPTH_EXCEEDED:
+            self.depth_rejected = True
         if e.tag == "neg" and out.verdict is Verdict.PROVED:
             core = _negative_core(spec.bk, candidate, e.goal,
                                   opts.depth_limit, builtins)
@@ -417,7 +424,8 @@ def learn(spec: ScenarioSpec, *, trace: Trace = None) -> LearnResult:
                     found = candidate
                     break
         status = ("found" if found is not None
-                  else "depth_exceeded" if engine.resolver.tainted
+                  else "depth_exceeded"
+                  if engine.resolver.tainted or engine.depth_rejected
                   else "exhausted")
     except _SearchTimeout:
         status = "timeout"

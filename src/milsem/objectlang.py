@@ -69,12 +69,9 @@ S_TRUE = symbol("true", 0)
 S_FALSE = symbol("false", 0)
 
 S_STEP = symbol("step", 2)
-S_VALUE = symbol("value", 1)
 S_EVAL = symbol("eval", 2)
 S_SUBSTITUTE = symbol("substitute", 4)
 S_INT_ADD = symbol("int_add", 3)
-S_LEFT = symbol("left", 3)
-S_RIGHT = symbol("right", 3)
 
 STRATEGIES = ("lazy", "eager")
 CORES = ("full", *STRATEGIES)
@@ -398,21 +395,19 @@ def reference_eval(t: Term,
     fuel runs out, StuckTermError when evaluation wedges."""
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}")
-    fuel = config.fuel
-    while True:
-        if is_value(t):
-            return t
-        if fuel <= 0:
-            return BOTTOM
-        t2 = step_once(t, config.strategy)
-        if t2 is None:
-            raise StuckTermError(print_term(t))
-        t = t2
-        fuel -= 1
+    chain = eval_chain(t, config)
+    last = chain[-1]
+    if is_value(last):
+        return last
+    if len(chain) > config.fuel:
+        return BOTTOM
+    raise StuckTermError(print_term(last))
 
 
 def eval_chain(t: Term, config: OracleConfig = OracleConfig()) -> list[Term]:
-    """Every term evaluation passes through, the input included."""
+    """Every term evaluation passes through, the input included: it ends
+    at a value, at a term no rule applies to, or once ``config.fuel``
+    steps are taken."""
     out = [t]
     fuel = config.fuel
     while not is_value(t) and fuel > 0:
@@ -471,20 +466,20 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
     exhaustion: the first answer is its value, and when the search is
     complete and every answer binds ``Result`` to a ground term, a wrong
     value is proved exactly when it is one of them (the lifting lemma, see
-    `solver`).  The search stops, incomplete, at an answer that still holds
-    a variable, and once it has taken three times the steps of its first
-    proof, about what three searches cost when each costs the first: an
-    unbound ``Result`` can make it far larger than the ground searches it
-    stands for.  An incomplete search falls back to one ground `solve` per
-    wrong value, and so does one that raises BuiltinError, after the first
-    proof is searched again so that an error raised before it still
-    propagates.
+    `solver`).  Like every exhaustive `solve`, the search stops, incomplete,
+    at an answer that still holds a variable; it also stops once it has
+    taken three times the steps of its first proof, about what three
+    searches cost when each costs the first: an unbound ``Result`` can make
+    it far larger than the ground searches it stands for.  An incomplete
+    search falls back to one ground `solve` per wrong value, and so does
+    one that raises BuiltinError, after the first proof is searched again
+    so that an error raised before it still propagates.
     """
     builtins = default_builtins()
     rng = random.Random(0)
     first = SolveConfig(depth_limit=depth_limit)
     every = SolveConfig(depth_limit=depth_limit, max_solutions=None,
-                        ground_answers=True, step_ratio=3)
+                        step_ratio=3)
     ocfg = OracleConfig(strategy=strategy, fuel=fuel)
     terms = list(terms)
     report = ConformanceReport()

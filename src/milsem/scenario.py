@@ -26,9 +26,11 @@ for ``base_clauses(S)``, S being full, lazy or eager, and
 from __future__ import annotations
 
 import importlib.resources
+import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, default_builtins, metarule_library
@@ -91,21 +93,21 @@ class ScenarioSpec:
     def func_pool(self) -> tuple[Symbol, ...]:
         """Declared constructors first, then example-goal functors absent
         from the background, in order of first appearance."""
-        bk_funcs = _program_functors(self.bk)
+        bk_funcs = {x.functor for c in self.bk
+                    for x in _subterms(t for a in (c.head, *c.body)
+                                       for t in a.args)
+                    if isinstance(x, Compound)}
         pool: dict[Symbol, None] = dict.fromkeys(self.func_decls)
-        for e in self.examples:
-            for t in e.goal.args:
-                for f in _term_functors(t):
-                    if f not in bk_funcs and f not in pool:
-                        pool[f] = None
+        for x in _subterms(t for e in self.examples for t in e.goal.args):
+            if isinstance(x, Compound) and x.functor not in bk_funcs:
+                pool.setdefault(x.functor)
         return tuple(pool)
 
     def const_pool(self) -> tuple:
         consts: dict = dict.fromkeys(f for f in self.func_pool() if f.arity == 0)
-        for e in self.examples:
-            for t in e.goal.args:
-                for n in _term_ints(t):
-                    consts.setdefault(n)
+        for x in _subterms(t for e in self.examples for t in e.goal.args):
+            if isinstance(x, Int):
+                consts.setdefault(x.value)
         return tuple(consts)
 
     def pools(self) -> Pools:
@@ -117,37 +119,15 @@ class ScenarioSpec:
         )
 
 
-def _term_functors(t: Term) -> list[Symbol]:
-    """Functors in pre-order, first occurrence only."""
-    out: dict[Symbol, None] = {}
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Compound):
-            out.setdefault(x.functor)
-            stack.extend(reversed(x.args))
-    return list(out)
-
-
-def _term_ints(t: Term) -> list[int]:
-    out: dict[int, None] = {}
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Int):
-            out.setdefault(x.value)
-        elif isinstance(x, Compound):
-            stack.extend(reversed(x.args))
-    return list(out)
-
-
-def _program_functors(clauses: Iterable[Clause]) -> set[Symbol]:
-    out: set[Symbol] = set()
-    for c in clauses:
-        for a in (c.head, *c.body):
-            for t in a.args:
-                out.update(_term_functors(t))
-    return out
+def _subterms(terms: Iterable[Term]) -> Iterator[Term]:
+    """Every subterm of each term in turn, in pre-order."""
+    for t in terms:
+        stack = [t]
+        while stack:
+            x = stack.pop()
+            yield x
+            if isinstance(x, Compound):
+                stack.extend(reversed(x.args))
 
 
 # ============================================================
@@ -325,13 +305,11 @@ def _validate(spec: ScenarioSpec) -> None:
         seen_rules.add(m.name)
 
 
-def load_scenario(path: str, name: Optional[str] = None) -> ScenarioSpec:
-    import os
-
+def load_scenario(path: str) -> ScenarioSpec:
+    """The scenario in a file, named after the file without its suffix."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     try:
         return parse_scenario(text, name=name)
     except (ParseError, ScenarioError) as exc:
@@ -355,7 +333,7 @@ def print_scenario(spec: ScenarioSpec) -> str:
         ("options", [f"depth_limit({o.depth_limit}).",
                      f"max_clauses({o.max_clauses}).",
                      f"neg_depth_policy({o.neg_depth_policy}).",
-                     f"timeout({int(o.timeout)})."]),
+                     f"timeout({math.ceil(o.timeout)})."]),
     )
     return "\n\n".join("\n".join((f"%% {name}", *lines))
                        for name, lines in sections

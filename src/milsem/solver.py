@@ -54,14 +54,14 @@ proof, None runs the search to exhaustion.  An exhaustive search answers
 ground questions too, by the lifting lemma: a proof of ``q(t, w)`` within
 the budget is an instance of a proof of ``q(t, R)`` of the same length,
 so when the search is complete and every answer binds ``R`` to a ground
-term, ``q(t, w)`` is provable exactly when ``w`` is one of them.  An
-unbound ``R`` prunes no branch that a ground ``w`` would, so such a search
-can be far larger than the ground ones it stands for; two settings cut it
-short, leaving it incomplete.  ``ground_answers`` stops it at the first
-answer that still holds a variable (a cyclic binding, which `restrict`
-leaves as a variable, among them), since those answer no ground question.
-``step_ratio`` stops it once it has taken that many times the steps its
-first proof took.
+term, ``q(t, w)`` is provable exactly when ``w`` is one of them.  So an
+exhaustive search stops, incomplete, at the first answer that still
+holds a variable (a cyclic binding, which `restrict` leaves as a
+variable, among them): such an answer stands for infinitely many ground
+ones and answers no ground question.  An unbound ``R`` prunes no branch
+that a ground ``w`` would, so such a search can also be far larger than
+the ground ones it stands for; ``SolveConfig.step_ratio`` stops it once
+it has taken that many times the steps its first proof took.
 
 `objectlang.conformance_check` decides both distractors of a term from
 the one search that finds its value, and falls back to one ground `solve`
@@ -137,9 +137,8 @@ class BuiltinTable:
 @dataclass(frozen=True, slots=True)
 class SolveConfig:
     depth_limit: int = DEFAULT_DEPTH
-    max_solutions: Optional[int] = 1  # None: every answer within budget
-    # stop at the first answer that is not ground, keeping it
-    ground_answers: bool = False
+    # None: every answer within budget, up to the first that is not ground
+    max_solutions: Optional[int] = 1
     # stop once the search has taken this many times the steps of its
     # first proof
     step_ratio: Optional[int] = None
@@ -151,7 +150,6 @@ class Outcome:
     answers: list[Subst]  # query-variable bindings, one per proof, in order
     complete: bool  # the search ran out: no more answers, no branch cut
     steps: int
-    depth_used: Optional[int]  # of the first proof
 
     @property
     def answer(self) -> Optional[Subst]:
@@ -299,38 +297,30 @@ def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
         raise BuiltinError(f"predicates defined both by clauses and builtins: {names}")
 
 
-def _ground(answer: Subst, qvars: list[int]) -> bool:
-    return len(answer) == len(qvars) and not any(
-        term_vars(t) for t in answer.values())
-
-
 def solve(program: Program, query: Union[Compound, Sequence[Compound]],
           config: SolveConfig = SolveConfig(),
           builtins: Optional[BuiltinTable] = None) -> Outcome:
-    """Run a query to its first ``config.max_solutions`` proofs, or to
-    exhaustion when that is None, stopping early as ``config`` says."""
+    """Run a query to its first ``config.max_solutions`` proofs, or, when
+    that is None, to exhaustion or its first answer that is not ground,
+    stopping early as ``config.step_ratio`` says."""
     _check_disjoint(program, builtins)
     goals = [query] if isinstance(query, Compound) else list(query)
     qvars = list(dict.fromkeys(v for g in goals for v in term_vars(g)))
     # renamed clause variables must not collide with negative query ids
     resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
     answers: list[Subst] = []
-    depth_used = None
-    for remaining in resolver.run(goals, config.depth_limit,
-                                  resolver.program_source(program)):
-        if not answers:
-            depth_used = config.depth_limit - remaining
-            if config.step_ratio is not None:
-                resolver.max_steps = config.step_ratio * resolver.steps
+    limit = config.max_solutions
+    for _ in resolver.run(goals, config.depth_limit,
+                          resolver.program_source(program)):
+        if not answers and config.step_ratio is not None:
+            resolver.max_steps = config.step_ratio * resolver.steps
         answer = restrict(resolver.store.bindings, qvars)
         answers.append(answer)
-        if ((config.max_solutions is not None
-             and len(answers) >= config.max_solutions)
-                or (config.ground_answers and not _ground(answer, qvars))):
-            return Outcome(Verdict.PROVED, answers, False, resolver.steps,
-                           depth_used)
+        if (len(answers) >= limit if limit is not None
+                else (len(answer) < len(qvars)
+                      or any(term_vars(t) for t in answer.values()))):
+            return Outcome(Verdict.PROVED, answers, False, resolver.steps)
     verdict = (Verdict.PROVED if answers
                else Verdict.DEPTH_EXCEEDED if resolver.tainted
                else Verdict.FINITE_FAILURE)
-    return Outcome(verdict, answers, not resolver.tainted, resolver.steps,
-                   depth_used)
+    return Outcome(verdict, answers, not resolver.tainted, resolver.steps)

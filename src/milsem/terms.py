@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 # ============================================================
@@ -164,10 +164,10 @@ def fact(head: Compound) -> Clause:
     return Clause(head, ())
 
 
-def term_vars(t: Term, into: Optional[list[int]] = None) -> list[int]:
+def term_vars(t: Term) -> list[int]:
     """Variable ids of a term, in first-occurrence order, without repeats."""
-    out: list[int] = [] if into is None else into
-    seen = set(out)
+    out: list[int] = []
+    seen: set[int] = set()
     stack = [t]
     while stack:
         x = stack.pop()

@@ -186,6 +186,31 @@ def test_learn_reports_a_search_cut_by_depth():
     assert learn(_depth_1(_spec(impossible, "imp"))).status == "exhausted"
 
 
+def _pairs_with_deep_negative(depth):
+    # fst(pair(T,var(b))) with T eight nested additions: proving the
+    # projection takes T's evaluation first, and that is deep
+    t = "lit(1)"
+    for _ in range(8):
+        t = f"add({t},lit(1))"
+    spec = builtin_scenario("pairs")
+    neg = Example("neg", parse_atom(f"eval(fst(pair({t},var(b))),var(b))"))
+    return replace(spec, examples=spec.examples + (neg,),
+                   options=replace(spec.options, depth_limit=depth))
+
+
+def test_learn_reports_a_rejection_cut_by_depth():
+    # at depth 30 the pairs hypothesis is rejected only by the deep
+    # negative, whose check runs out of depth under the reject policy, so
+    # a larger bound may find it, and at 60 it does
+    for depth in (30, 40):
+        res = learn(_pairs_with_deep_negative(depth))
+        assert (res.status, res.hypothesis) == ("depth_exceeded", None)
+    res = learn(_pairs_with_deep_negative(60))
+    assert res.ok
+    assert res.hypothesis.clauses \
+        == learn(builtin_scenario("pairs")).hypothesis.clauses
+
+
 def test_learn_reports_timeout():
     spec = builtin_scenario("conditionals")
     res = learn(replace(spec, options=replace(spec.options, timeout=0.001)))

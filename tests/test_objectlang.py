@@ -403,6 +403,29 @@ def test_reference_eval_fuel_and_strategy_validation():
         reference_eval(parse_term("nil"), OracleConfig(strategy="normal"))
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_reference_eval_at_the_fuel_boundary(strategy):
+    def at(t, fuel):
+        return reference_eval(parse_term(t),
+                              OracleConfig(strategy=strategy, fuel=fuel))
+
+    # a value reached on the last unit of fuel, and one unit short
+    two_steps = "add(add(lit(1),lit(2)),lit(3))"
+    assert at(two_steps, 2) == parse_term("lit(6)")
+    assert at(two_steps, 1) is BOTTOM
+    # one step, then stuck: the last unit finds no rule, and without it
+    # the fuel runs out first
+    stuck = "app(lam(x,fst(var(x))),lit(1))"
+    with pytest.raises(StuckTermError, match=r"^fst\(lit\(1\)\)$"):
+        at(stuck, 2)
+    assert at(stuck, 1) is BOTTOM
+    # fuel running out on a divergent term, and a value at no fuel
+    assert at("app(lam(x,app(var(x),var(x))),lam(x,app(var(x),var(x))))",
+              3) is BOTTOM
+    assert at("lit(1)", 0) == parse_term("lit(1)")
+    assert at("fst(lit(1))", 0) is BOTTOM
+
+
 def test_eval_chain():
     t = parse_term("add(add(lit(1),lit(2)),lit(3))")
     chain = eval_chain(t)

@@ -1,4 +1,5 @@
 import importlib.resources
+from dataclasses import replace
 
 import pytest
 
@@ -190,6 +191,17 @@ def test_print_parse_round_trip():
     assert s1.head_preds == s2.head_preds
     assert [str(e) for e in s1.examples] == [str(e) for e in s2.examples]
     assert s1.options == s2.options
+
+
+def test_print_parse_round_trip_of_a_fractional_timeout():
+    # `learn --timeout 0.5` sets it; the file format has whole seconds
+    s1 = parse_scenario(GOOD, "toy")
+    half = replace(s1, options=replace(s1.options, timeout=0.5))
+    text = print_scenario(half)
+    assert "timeout(1)." in text.splitlines()
+    s2 = parse_scenario(text, "toy")
+    assert s2.options == replace(s1.options, timeout=1)
+    assert print_scenario(s2) == text
 
 
 def test_bundled_scenarios_all_parse():

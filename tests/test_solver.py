@@ -191,9 +191,7 @@ def test_taint_is_exact_at_the_boundary():
     assert out.verdict is Verdict.DEPTH_EXCEEDED
     out = solve(p, parse_atom("r(a)"), SolveConfig(depth_limit=1))
     assert out.verdict is Verdict.FINITE_FAILURE
-    out = solve(p, parse_atom("p(a)"), SolveConfig(depth_limit=2))
-    assert out.proved
-    assert out.depth_used == 2
+    assert solve(p, parse_atom("p(a)"), SolveConfig(depth_limit=2)).proved
 
 
 def test_budget_threads_through_conjunctions():
@@ -256,7 +254,9 @@ def test_solve_stops_at_the_first_proof_by_default():
     every = solve(p, parse_atom("n(X)"), ALL)
     assert [a[var("X").id] for a in every.answers] == [Int(1), Int(2), Int(3)]
     assert every.proved and every.complete
-    assert every.depth_used == first.depth_used == 1
+    # each proof is one step deep
+    assert solve(p, parse_atom("n(X)"), SolveConfig(
+        depth_limit=1, max_solutions=None)).answers == every.answers
     assert (first.steps, every.steps) == (1, 3)
     none = solve(p, parse_atom("n(4)"), ALL)
     assert (none.verdict, none.answers, none.answer, none.complete) == (
@@ -265,18 +265,15 @@ def test_solve_stops_at_the_first_proof_by_default():
 
 def test_solve_stops_at_the_first_answer_that_is_not_ground():
     p = parse_program("p(a).\np(f(X)).\np(b).")
-    outs = solve(p, parse_atom("p(Y)"),
-                 SolveConfig(max_solutions=None, ground_answers=True))
+    outs = solve(p, parse_atom("p(Y)"), ALL)
     y = var("Y").id
     assert [a[y] for a in outs.answers[:1]] == [const("a")]
     assert outs.answers[1][y].functor.name == "f"
     assert len(outs.answers) == 2 and outs.proved and not outs.complete
     # an unbound query variable is not ground either
-    outs = solve(parse_program("p(a).\np(_).\np(b)."), parse_atom("p(Y)"),
-                 SolveConfig(max_solutions=None, ground_answers=True))
+    outs = solve(parse_program("p(a).\np(_).\np(b)."), parse_atom("p(Y)"), ALL)
     assert outs.answers == [{y: const("a")}, {}] and not outs.complete
-    outs = solve(parse_program("p(a).\np(b)."), parse_atom("p(Y)"),
-                 SolveConfig(max_solutions=None, ground_answers=True))
+    outs = solve(parse_program("p(a).\np(b)."), parse_atom("p(Y)"), ALL)
     assert len(outs.answers) == 2 and outs.complete
 
 
@@ -390,8 +387,8 @@ def test_bool_builtin_taints_at_budget_zero_only():
     p = parse_program("p(Y) :- plus(1,2,Y).\nq(Y) :- plus(a,2,Y).")
     assert solve(p, parse_atom("p(Y)"), SolveConfig(depth_limit=1),
                  builtins=t).verdict is Verdict.DEPTH_EXCEEDED
-    out = solve(p, parse_atom("p(Y)"), SolveConfig(depth_limit=2), builtins=t)
-    assert out.proved and out.depth_used == 2
+    assert solve(p, parse_atom("p(Y)"), SolveConfig(depth_limit=2),
+                 builtins=t).proved
     assert solve(p, parse_atom("q(Y)"), SolveConfig(depth_limit=2),
                  builtins=t).verdict is Verdict.FINITE_FAILURE
 
