@@ -94,13 +94,15 @@ def _read_program_file(path: str):
 
 def _read_input(ref: str, what: str):
     """The scenario or corpus (``what``) in the file at ``ref``, else the
-    bundled one of that name.  The readers are looked up per call, so a
-    module global patched from outside is the one used."""
+    bundled one of that name: a directory of that name does not hide it,
+    and a pipe such as ``/dev/stdin`` counts as a file.  The readers are
+    looked up per call, so a module global patched from outside is the
+    one used."""
     load, bundled_names, bundled = {
         "scenario": (load_scenario, builtin_scenario_names, builtin_scenario),
         "corpus": (load_corpus, builtin_corpus_names, builtin_corpus),
     }[what]
-    if os.path.exists(ref):
+    if os.path.exists(ref) and not os.path.isdir(ref):
         with _reading(ref):
             return load(ref)
     names = bundled_names()

@@ -17,13 +17,12 @@ comments.
 
 from __future__ import annotations
 
-import importlib.resources
 import random
 from typing import Callable
 
 from .objectlang import STRATEGIES, OracleConfig, alpha_equal, eval_chain, is_value
 from .terms import Compound, Int, Term, mk
-from .textio import parse_term, print_term
+from .textio import data_dir, parse_term, print_term
 
 CORPUS_KINDS = ("pairs", "lists", "conditionals", "lazy_eager", "mixed")
 
@@ -196,13 +195,12 @@ def parse_corpus(text: str) -> list[Term]:
 
 
 def builtin_corpus_names() -> list[str]:
-    root = importlib.resources.files("milsem") / "data" / "corpora"
-    return sorted(p.name[:-6] for p in root.iterdir() if p.name.endswith(".terms"))
+    return sorted(p.name[:-6] for p in data_dir("corpora").iterdir()
+                  if p.name.endswith(".terms"))
 
 
 def builtin_corpus(name: str) -> list[Term]:
-    root = importlib.resources.files("milsem") / "data" / "corpora"
-    entry = root / f"{name}.terms"
+    entry = data_dir("corpora") / f"{name}.terms"
     if not entry.is_file():
         raise ValueError(
             f"no bundled corpus {name!r}; have {', '.join(builtin_corpus_names())}")

@@ -25,8 +25,6 @@ for ``base_clauses(S)``, S being full, lazy or eager, and
 
 from __future__ import annotations
 
-import importlib.resources
-import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -36,14 +34,7 @@ from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, default_builtins, metarule_library
 from .solver import DEFAULT_DEPTH
 from .terms import Clause, Compound, Int, Symbol, Term
-from .textio import (
-    ParseError,
-    _Parser,
-    print_clause,
-    print_metarule,
-    print_symbol,
-    print_term,
-)
+from .textio import ParseError, _Parser, data_dir, print_term
 
 EXAMPLE_TAGS = ("pos", "neg", "nonterm")
 
@@ -60,9 +51,6 @@ class ScenarioError(ValueError):
 class Example:
     tag: str  # pos | neg | nonterm
     goal: Compound
-
-    def __str__(self) -> str:
-        return f"{self.tag}({print_term(self.goal)})."
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,9 +74,6 @@ class ScenarioSpec:
 
     def positives(self) -> list[Example]:
         return [e for e in self.examples if e.tag == "pos"]
-
-    def nonterminating(self) -> list[Example]:
-        return [e for e in self.examples if e.tag == "nonterm"]
 
     def func_pool(self) -> tuple[Symbol, ...]:
         """Declared constructors first, then example-goal functors absent
@@ -317,37 +302,17 @@ def load_scenario(path: str) -> ScenarioSpec:
 
 
 # ============================================================
-# Printing and bundled scenarios
+# Bundled scenarios
 # ============================================================
 
 
-def print_scenario(spec: ScenarioSpec) -> str:
-    o = spec.options
-    sections = (
-        ("background", [print_clause(c) for c in spec.bk]),
-        ("metarules", [print_metarule(m) for m in spec.metarules]),
-        ("head", [print_symbol(s) for s in spec.head_preds]),
-        ("body", [print_symbol(s) for s in spec.body_preds]),
-        ("functions", [print_symbol(s) for s in spec.func_decls]),
-        ("examples", [str(e) for e in spec.examples]),
-        ("options", [f"depth_limit({o.depth_limit}).",
-                     f"max_clauses({o.max_clauses}).",
-                     f"neg_depth_policy({o.neg_depth_policy}).",
-                     f"timeout({math.ceil(o.timeout)})."]),
-    )
-    return "\n\n".join("\n".join((f"%% {name}", *lines))
-                       for name, lines in sections
-                       if lines or name not in ("body", "functions")) + "\n"
-
-
 def builtin_scenario_names() -> list[str]:
-    root = importlib.resources.files("milsem") / "data" / "scenarios"
-    return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".pls"))
+    return sorted(p.name[:-4] for p in data_dir("scenarios").iterdir()
+                  if p.name.endswith(".pls"))
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:
-    root = importlib.resources.files("milsem") / "data" / "scenarios"
-    entry = root / f"{name}.pls"
+    entry = data_dir("scenarios") / f"{name}.pls"
     if not entry.is_file():
         raise ScenarioError(
             f"no bundled scenario {name!r}; have {', '.join(builtin_scenario_names())}")

@@ -75,7 +75,7 @@ import enum
 import inspect
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .terms import (
     Clause,
@@ -194,10 +194,10 @@ class Resolver:
         return clauses
 
     def run(self, goals: Sequence[Compound], budget: int,
-            source: ClauseSource) -> Iterator[int]:
-        """Prove the conjunction; yields the unspent budget once per proof,
-        with the answer bindings in the store until resumed.  Once
-        exhausted, it leaves the store as it found it."""
+            source: ClauseSource) -> Iterator[None]:
+        """Prove the conjunction; yields once per proof, with the answer
+        bindings in the store until resumed.  Once exhausted, it leaves
+        the store as it found it."""
         store, builtins, counter = self.store, self.builtins, self.counter
         entry = store.mark()
         cont = None  # goals still to prove, as nested (goal, rest) pairs
@@ -209,7 +209,7 @@ class Resolver:
         max_steps = self.max_steps
         while True:
             if cont is None:
-                yield budget
+                yield
                 max_steps = self.max_steps  # the caller may have moved it
             else:
                 goal, rest = cont
@@ -297,20 +297,19 @@ def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
         raise BuiltinError(f"predicates defined both by clauses and builtins: {names}")
 
 
-def solve(program: Program, query: Union[Compound, Sequence[Compound]],
+def solve(program: Program, query: Compound,
           config: SolveConfig = SolveConfig(),
           builtins: Optional[BuiltinTable] = None) -> Outcome:
     """Run a query to its first ``config.max_solutions`` proofs, or, when
     that is None, to exhaustion or its first answer that is not ground,
     stopping early as ``config.step_ratio`` says."""
     _check_disjoint(program, builtins)
-    goals = [query] if isinstance(query, Compound) else list(query)
-    qvars = list(dict.fromkeys(v for g in goals for v in term_vars(g)))
+    qvars = term_vars(query)
     # renamed clause variables must not collide with negative query ids
     resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
     answers: list[Subst] = []
     limit = config.max_solutions
-    for _ in resolver.run(goals, config.depth_limit,
+    for _ in resolver.run([query], config.depth_limit,
                           resolver.program_source(program)):
         if not answers and config.step_ratio is not None:
             resolver.max_steps = config.step_ratio * resolver.steps

@@ -160,10 +160,6 @@ def const(name: str) -> Compound:
     return Compound(symbol(name, 0), ())
 
 
-def fact(head: Compound) -> Clause:
-    return Clause(head, ())
-
-
 def term_vars(t: Term) -> list[int]:
     """Variable ids of a term, in first-occurrence order, without repeats."""
     out: list[int] = []

@@ -1,4 +1,5 @@
-"""Reading and writing terms, clauses and metarules.
+"""Reading terms, clauses and metarules, writing terms and clauses, and
+finding the text files bundled with the package.
 
 Concrete syntax follows logic-programming convention: a lowercase-leading
 name is a functor or predicate, an uppercase- or underscore-leading name is
@@ -31,6 +32,7 @@ parsing.  Variables minted by renaming print as ``_v<n>``.
 
 from __future__ import annotations
 
+import importlib.resources
 from typing import Iterable, Optional, Union
 
 from .metarules import (
@@ -367,21 +369,6 @@ def parse_term(text: str, line: int = 1, *,
     return t
 
 
-def parse_atom(text: str) -> Compound:
-    p = _Parser(text)
-    a = p.literal()
-    p.accept("DOT")
-    p.end()
-    return a
-
-
-def parse_clause(text: str) -> Clause:
-    p = _Parser(text)
-    c = p.clause()
-    p.end()
-    return c
-
-
 def parse_clauses(text: str) -> list[Clause]:
     p = _Parser(text)
     out: list[Clause] = []
@@ -390,23 +377,23 @@ def parse_clauses(text: str) -> list[Clause]:
     return out
 
 
-def parse_program(text: str) -> Program:
-    return Program(parse_clauses(text))
-
-
-def parse_metarule(text: str) -> Metarule:
-    p = _Parser(text)
-    m = p.metarule()
-    p.end()
-    return m
-
-
 def parse_metarules(text: str) -> list[Metarule]:
     p = _Parser(text)
     out: list[Metarule] = []
     while not p.at("EOF"):
         out.append(p.metarule())
     return out
+
+
+def data_dir(folder: str):
+    """The package's bundled ``data/<folder>`` directory.  An install
+    without it is broken, and the error says so."""
+    root = importlib.resources.files("milsem") / "data" / folder
+    if not root.is_dir():
+        raise FileNotFoundError(
+            f"the milsem install is missing its bundled data: {root} "
+            f"is not a directory")
+    return root
 
 
 # ============================================================
@@ -440,39 +427,3 @@ def print_clause(c: Clause) -> str:
 
 def print_program(clauses: Union[Program, Iterable[Clause]]) -> str:
     return "\n".join(print_clause(c) for c in clauses) + "\n"
-
-
-def print_symbol(s: Symbol) -> str:
-    return f"{s.name}/{s.arity}."
-
-
-def _print_template_term(t: TTerm) -> str:
-    if isinstance(t, Var):
-        return var_name(t)
-    if isinstance(t, Int):
-        return str(t.value)
-    if isinstance(t, MetaVar):
-        return t.name
-    assert isinstance(t, TComp)
-    if isinstance(t.functor, MetaVar):
-        return _print_template_list(t)
-    if not t.args:
-        return t.functor.name
-    return t.functor.name + "(" + ",".join(_print_template_term(a) for a in t.args) + ")"
-
-
-def _print_template_list(t: TComp) -> str:
-    return "[" + ",".join([t.functor.name] + [_print_template_term(a) for a in t.args]) + "]"
-
-
-def _print_decl(d: Decl) -> str:
-    if d.kind == CONST:
-        return f"const({d.name})"
-    return f"{d.kind}({d.name}/{d.arity})"
-
-
-def print_metarule(m: Metarule) -> str:
-    decls = ",".join(_print_decl(d) for d in m.decls)
-    head = _print_template_list(m.head)
-    body = "[" + ",".join(_print_template_list(a) for a in m.body) + "]"
-    return f"metarule({m.name}, [{decls}], ({head} :- {body}))."

@@ -4,6 +4,7 @@ Every --json payload is validated against docs/cli-schema.json, which is
 the documented output contract.
 """
 
+import importlib.resources
 import io
 import json
 import os
@@ -204,6 +205,41 @@ def test_learn_unknown_scenario_exits_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "bundled:" in err
+
+
+def test_directory_does_not_hide_a_bundled_name(tmp_path, monkeypatch,
+                                                 capsys):
+    (tmp_path / "pairs").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["learn", "pairs"]) == 0
+    out = capsys.readouterr().out
+    assert "% pairs: 5 clauses" in out
+    assert "step(fst(pair(A,B)),C) :- left(A,B,C)." in out
+
+
+def test_learn_reads_a_scenario_from_a_pipe(capsys):
+    # no regular file, but no directory either: `/dev/stdin` in a pipeline
+    r, w = os.pipe()
+    os.write(w, TOY_SCENARIO.encode())
+    os.close(w)
+    try:
+        assert main(["learn", f"/dev/fd/{r}"]) == 0
+    finally:
+        os.close(r)
+    assert "step(sel(A,B),C) :- left(A,B,C)." in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["learn", "pairs"],
+                                  ["check", "{prog}", "pairs"]],
+                         ids=["scenario", "corpus"])
+def test_install_without_bundled_data_exits_2(tmp_path, monkeypatch, capsys,
+                                              argv):
+    prog = tmp_path / "empty.pl"
+    prog.write_text("")
+    monkeypatch.setattr(importlib.resources, "files", lambda _: tmp_path)
+    assert main([a.format(prog=prog) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the milsem install is missing its bundled data")
 
 
 def test_learn_trace_goes_to_stderr(capsys):

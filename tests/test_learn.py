@@ -22,7 +22,7 @@ from milsem.scenario import (
 )
 from milsem.solver import SolveConfig, Verdict, solve
 from milsem.terms import Program
-from milsem.textio import parse_atom, parse_clauses, print_clause
+from milsem.textio import parse_clauses, parse_term, print_clause
 
 # ---- example checking ----
 
@@ -30,7 +30,7 @@ LOOPY = Program(tuple(parse_clauses("p(a).\nq(X) :- q(X).\n")))
 
 
 def _ex(tag, text):
-    return Example(tag, parse_atom(text))
+    return Example(tag, parse_term(text))
 
 
 def test_check_example_pos():
@@ -193,7 +193,7 @@ def _pairs_with_deep_negative(depth):
     for _ in range(8):
         t = f"add({t},lit(1))"
     spec = builtin_scenario("pairs")
-    neg = Example("neg", parse_atom(f"eval(fst(pair({t},var(b))),var(b))"))
+    neg = Example("neg", parse_term(f"eval(fst(pair({t},var(b))),var(b))"))
     return replace(spec, examples=spec.examples + (neg,),
                    options=replace(spec.options, depth_limit=depth))
 

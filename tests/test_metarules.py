@@ -7,16 +7,16 @@ from milsem.metarules import (
     match_head,
 )
 from milsem.terms import Int, Store, mk, symbol, var
-from milsem.textio import parse_atom, parse_metarule, print_clause
+from milsem.textio import parse_metarules, parse_term, print_clause
 
-STEP2L = parse_metarule(
+[STEP2L] = parse_metarules(
     "metarule(step2l, [func(H/2)], ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")
-UNPACK2 = parse_metarule(
+[UNPACK2] = parse_metarules(
     "metarule(unpack2, [pred(P/2),func(H/2),pred(Q/3)],"
     " ([P,[H,A,B],C] :- [[Q,A,B,C]])).")
-CASEC = parse_metarule(
+[CASEC] = parse_metarules(
     "metarule(casec, [pred(P/3),const(C),pred(Q/2)], ([P,[C],A,B] :- [[Q,A,B]])).")
-VALUE0 = parse_metarule(
+[VALUE0] = parse_metarules(
     "metarule(value0, [const(C)], ([value,[C]] :- [])).")
 
 POOLS = Pools(
@@ -30,25 +30,25 @@ POOLS = Pools(
 # ---- head matching ----
 
 def test_match_head_pins_functor():
-    goal = parse_atom("step(pair(lit(1),lit(2)),X)")
+    goal = parse_term("step(pair(lit(1),lit(2)),X)")
     restr = match_head(STEP2L, goal, Store())
     assert restr == {"H": symbol("pair", 2)}
 
 
 def test_match_head_wrong_shape():
-    assert match_head(STEP2L, parse_atom("step(fst(X),Y)"), Store()) is None
-    assert match_head(STEP2L, parse_atom("value(pair(X,Y))"), Store()) is None
+    assert match_head(STEP2L, parse_term("step(fst(X),Y)"), Store()) is None
+    assert match_head(STEP2L, parse_term("value(pair(X,Y))"), Store()) is None
 
 
 def test_match_head_unbound_position_is_unrestricted():
     # nothing to pin H against: all candidates stay open
-    goal = parse_atom("step(X,Y)")
+    goal = parse_term("step(X,Y)")
     restr = match_head(STEP2L, goal, Store())
     assert restr == {}
 
 
 def test_match_head_pred_metavar_takes_goal_pred():
-    goal = parse_atom("helper(pair(X,Y),Z)")
+    goal = parse_term("helper(pair(X,Y),Z)")
     restr = match_head(UNPACK2, goal, Store())
     assert restr["P"] == symbol("helper", 2)
     assert restr["H"] == symbol("pair", 2)
@@ -63,7 +63,7 @@ def test_match_head_respects_store_bindings():
 
 
 def test_match_head_const_pins_to_goal():
-    goal = parse_atom("branch(true,X,Y)")
+    goal = parse_term("branch(true,X,Y)")
     restr = match_head(CASEC, goal, Store())
     assert restr["C"] == symbol("true", 0)
 
@@ -116,11 +116,11 @@ def test_const_candidates_include_ints():
 def test_metarule_validation_rejects_unknown_metavar():
     from milsem.textio import ParseError
     with pytest.raises((ParseError, ValueError)):
-        parse_metarule("metarule(bad, [func(H/2)], ([step,[J,A,B],C] :- [])).")
+        parse_metarules("metarule(bad, [func(H/2)], ([step,[J,A,B],C] :- [])).")
 
 
 def test_metarule_rejects_a_metavariable_declared_twice():
     from milsem.textio import ParseError
     with pytest.raises(ParseError, match="H declared twice"):
-        parse_metarule("metarule(twice, [func(H/2),func(H/2)],"
-                       " ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")
+        parse_metarules("metarule(twice, [func(H/2),func(H/2)],"
+                        " ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")

@@ -39,7 +39,7 @@ from milsem.objectlang import (
 from milsem.solver import BuiltinError, SolveConfig, Verdict, solve
 from milsem.terms import (
     Clause, Compound, Int, Program, const, mk, term_vars, var)
-from milsem.textio import parse_atom, parse_clauses, parse_term, print_term
+from milsem.textio import parse_clauses, parse_term, print_term
 
 ROOT = Path(__file__).resolve().parents[1]
 CHAIN_PROGRAM = ROOT / "bench" / "expected" / "chain.pl"
@@ -443,30 +443,30 @@ def test_eval_chain():
 
 
 def test_substitute_builtin_binds_output():
-    goal = parse_atom("substitute(var(a),x,app(var(x),var(x)),T)")
+    goal = parse_term("substitute(var(a),x,app(var(x),var(x)),T)")
     res = solve(Program(()), goal, SolveConfig(depth_limit=5), default_builtins())
     assert res.proved
     assert res.answer[var("T").id] == parse_term("app(var(a),var(a))")
 
 
 def test_substitute_builtin_rejects_unbound_name():
-    goal = parse_atom("substitute(var(a),X,var(x),T)")
+    goal = parse_term("substitute(var(a),X,var(x),T)")
     with pytest.raises(BuiltinError):
         solve(Program(()), goal, SolveConfig(depth_limit=5), default_builtins())
 
 
 def test_substitute_builtin_fails_on_non_name():
-    goal = parse_atom("substitute(var(a),lit(1),var(x),T)")
+    goal = parse_term("substitute(var(a),lit(1),var(x),T)")
     res = solve(Program(()), goal, SolveConfig(depth_limit=5), default_builtins())
     assert res.verdict is Verdict.FINITE_FAILURE
 
 
 def test_int_add_builtin():
-    res = solve(Program(()), parse_atom("int_add(2,3,X)"),
+    res = solve(Program(()), parse_term("int_add(2,3,X)"),
                 SolveConfig(depth_limit=5), default_builtins())
     assert res.proved
     assert res.answer[var("X").id] == Int(5)
-    res = solve(Program(()), parse_atom("int_add(nil,3,X)"),
+    res = solve(Program(()), parse_term("int_add(nil,3,X)"),
                 SolveConfig(depth_limit=5), default_builtins())
     assert res.verdict is Verdict.FINITE_FAILURE
 

@@ -1,5 +1,4 @@
 import importlib.resources
-from dataclasses import replace
 
 import pytest
 
@@ -11,7 +10,6 @@ from milsem.scenario import (
     builtin_scenario_names,
     load_scenario,
     parse_scenario,
-    print_scenario,
 )
 from milsem.terms import symbol
 from milsem.textio import print_clause
@@ -181,28 +179,7 @@ def test_includes_expand_in_place():
         == ["mine"] + [m.name for m in metarule_library()]
 
 
-# ---- round trip and bundled files ----
-
-def test_print_parse_round_trip():
-    s1 = parse_scenario(GOOD, "toy")
-    s2 = parse_scenario(print_scenario(s1), "toy")
-    assert s1.bk == s2.bk
-    assert [m.name for m in s1.metarules] == [m.name for m in s2.metarules]
-    assert s1.head_preds == s2.head_preds
-    assert [str(e) for e in s1.examples] == [str(e) for e in s2.examples]
-    assert s1.options == s2.options
-
-
-def test_print_parse_round_trip_of_a_fractional_timeout():
-    # `learn --timeout 0.5` sets it; the file format has whole seconds
-    s1 = parse_scenario(GOOD, "toy")
-    half = replace(s1, options=replace(s1.options, timeout=0.5))
-    text = print_scenario(half)
-    assert "timeout(1)." in text.splitlines()
-    s2 = parse_scenario(text, "toy")
-    assert s2.options == replace(s1.options, timeout=1)
-    assert print_scenario(s2) == text
-
+# ---- bundled files ----
 
 def test_bundled_scenarios_all_parse():
     names = builtin_scenario_names()
@@ -223,13 +200,6 @@ def test_bundled_scenario_includes_the_one_core_and_library(name):
     core = base_clauses(BUNDLED_CORES[name])
     assert spec.bk == core
     assert spec.metarules == metarule_library()
-
-    again = parse_scenario(print_scenario(spec), name)
-    assert again.bk == spec.bk
-    assert again.metarules == spec.metarules
-    assert again.pools() == spec.pools()
-    assert again.examples == spec.examples
-    assert again.options == spec.options
 
     # the shared definitions are not copied back into the file
     text = (importlib.resources.files("milsem") / "data" / "scenarios"

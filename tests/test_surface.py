@@ -1,28 +1,29 @@
 """Every definition in the package has a reader outside the tests.
 
-A top-level function or class, or a method, that no other ``src/`` code
-uses and no benchmark file mentions is surface kept alive only by its
-tests.  So is a module-level constant, or a dataclass field, that nothing
-reads.  This scan fails on each of them.
+A top-level function or class, or a method, that no ``src/`` code
+reached from the package's entry points uses and no benchmark file
+mentions is surface kept alive only by its tests.  So is a module-level
+constant, or a dataclass field, that nothing reads.  This scan fails on
+each of them, exported names included.
 
-In ``src/milsem`` a top-level definition or constant is used where its
-name is read as a name, and a method or a dataclass field where its name
-is read as an attribute, outside the definition itself; an assignment or
-a keyword argument is not a read.  Uses inside a definition that is
-itself unused do not count, so the scan repeats until nothing more drops
-out.  A file under ``bench/`` uses a name that occurs in it as a name, as
-an attribute or as a string constant equal to it (its tracer patches
-functions by name).  Names that ``milsem.__all__`` exports are the public
-interface and exempt, and so are dunder names, which Python reads itself.
+Liveness is reachability.  The roots are the module-level code of each
+``src/milsem`` module other than its definitions (imports, a
+``__main__`` guard), every definition whose name a file under ``bench/``
+mentions (as a name, as an attribute or as a string constant equal to
+it: its tracer patches functions by name), the definitions in `ALLOWED`
+and the dunder names, which Python reads itself.  A live definition
+reaches each top-level definition or constant whose name it reads as a
+name, and each method or dataclass field whose name it reads as an
+attribute; an assignment or a keyword argument is not a read.  A method
+or field is live only in a live class.  Whatever is not reached is
+unused, so a group of definitions that read only each other is unused
+as a whole.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 import pytest
-
-import milsem
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "milsem").glob("*.py"))
@@ -30,12 +31,11 @@ BENCH = [ast.parse(p.read_text(encoding="utf-8"))
          for p in sorted((ROOT / "bench").glob("*.py"))]
 
 # Kept although nothing but the tests reads them, each with the reason.
-# (The unpruned oracle `meta_prove` needs no entry: the package exports it.)
 ALLOWED = {
     "check_step_determinism":
         "step determinism, to be folded into conformance checking (ROADMAP 5)",
-    "ScenarioSpec.nonterminating":
-        "the non-terminating examples, which acceptance criterion 3 inspects",
+    "meta_prove":
+        "the unpruned reference search that `learn` is tested against",
     "Metasub.rule":
         "read only through the equality and hash of a metasub",
 }
@@ -51,44 +51,43 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, use key, node) of each top-level def, constant,
-    method and dataclass field; the key says how a use looks: a name for
-    a top-level definition or constant, an attribute for a method or a
-    field."""
+    """(qualified name, use key, node, class node or None) of each
+    top-level def, constant, method and dataclass field; the key says how
+    a use looks: a name for a top-level definition or constant, an
+    attribute for a method or a field."""
     for node in tree.body:
         if isinstance(node, DEFS):
-            yield node.name, ("name", node.name), node
+            yield node.name, ("name", node.name), node, None
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             for t in targets:
                 if isinstance(t, ast.Name):
-                    yield t.id, ("name", t.id), node
+                    yield t.id, ("name", t.id), node, None
         if isinstance(node, ast.ClassDef):
             fields = _is_dataclass(node)
             for item in node.body:
                 if isinstance(item, DEFS):
                     yield (f"{node.name}.{item.name}", ("attr", item.name),
-                           item)
+                           item, node)
                 elif (fields and isinstance(item, ast.AnnAssign)
                       and isinstance(item.target, ast.Name)):
                     yield (f"{node.name}.{item.target.id}",
-                           ("attr", item.target.id), item)
+                           ("attr", item.target.id), item, node)
 
 
-def _uses(node: ast.AST, dead: set) -> Counter:
-    """Names and attributes read under a node, skipping dead definitions."""
-    out: Counter = Counter()
+def _uses(node: ast.AST, defs: set) -> set:
+    """Names and attributes read under a node, except under the other
+    definitions in ``defs``."""
+    out = set()
     stack = [node]
     while stack:
         n = stack.pop()
-        if n in dead:
-            continue
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out["name", n.id] += 1
+            out.add(("name", n.id))
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            out["attr", n.attr] += 1
-        stack.extend(ast.iter_child_nodes(n))
+            out.add(("attr", n.attr))
+        stack.extend(c for c in ast.iter_child_nodes(n) if c not in defs)
     return out
 
 
@@ -105,29 +104,31 @@ def _bench_names() -> set[str]:
     return names
 
 
-def _exempt(qualified: str, name: str) -> bool:
-    return (name in milsem.__all__ or qualified in ALLOWED
+def _root(qualified: str, name: str, bench: set[str]) -> bool:
+    return (name in bench or qualified in ALLOWED
             or name.startswith("__") and name.endswith("__"))
 
 
 def _unused(trees: dict[str, ast.Module], bench: set[str]) -> dict[str, list]:
-    """Qualified names of the unused definitions, by module."""
-    defs = [(module, qualified, key, node)
-            for module, tree in trees.items()
-            for qualified, key, node in _definitions(tree)
-            if not _exempt(qualified, key[1]) and key[1] not in bench]
-    dead: set = set()
-    while True:
-        live = sum((_uses(t, dead) for t in trees.values()), Counter())
-        newly = {node for _, _, key, node in defs
-                 if node not in dead
-                 and live[key] - _uses(node, dead)[key] <= 0}
-        if not newly:
-            break
-        dead |= newly
+    """Qualified names of the definitions no root reaches, by module."""
+    defs = [(module, *d) for module, tree in trees.items()
+            for d in _definitions(tree)]
+    nodes = {node for *_, node, _ in defs}
+    reached = set().union(*(_uses(stmt, nodes) for tree in trees.values()
+                            for stmt in tree.body if stmt not in nodes))
+    live: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for _, qualified, key, node, owner in defs:
+            if (node not in live and (owner is None or owner in live)
+                    and (key in reached or _root(qualified, key[1], bench))):
+                live.add(node)
+                reached |= _uses(node, nodes)
+                grew = True
     out: dict[str, list] = {module: [] for module in trees}
-    for module, qualified, _, node in defs:
-        if node in dead:
+    for module, qualified, _, node, _ in defs:
+        if node not in live:
             out[module].append(qualified)
     return out
 
@@ -144,7 +145,7 @@ def test_every_definition_has_a_caller_outside_the_tests(module):
 
 
 def test_allowlist_names_existing_definitions():
-    defined = {q for t in TREES.values() for q, _, _ in _definitions(t)}
+    defined = {q for t in TREES.values() for q, *_ in _definitions(t)}
     assert ALLOWED.keys() <= defined
     assert all(reason.strip() for reason in ALLOWED.values())
 
@@ -166,6 +167,17 @@ def test_uses_from_unused_definitions_do_not_count():
     assert sorted(unused) == ["Thing.dead", "Thing.inner", "Thing.used",
                               "dead", "helper", "kept"]
     assert _unused({"m": tree}, bench={"dead"})["m"] == ["Thing.used", "kept"]
+
+
+def test_definitions_that_read_only_each_other_are_unused():
+    # `ping` and `pong` call each other and nothing else calls either
+    tree = ast.parse(
+        "def ping(n): return pong(n - 1)\n"
+        "def pong(n): return ping(n) if n else 0\n"
+        "def entry(): return 1\n"
+        "entry()\n")
+    assert _unused({"m": tree}, bench=set())["m"] == ["ping", "pong"]
+    assert _unused({"m": tree}, bench={"pong"})["m"] == []
 
 
 def test_unread_constants_and_fields_are_unused():
