@@ -30,7 +30,12 @@ strategies that agree on all finite behaviour.
 One engine serves a whole `learn` or `meta_prove` call and is re-run at
 each size cap; its resolver, renamed goals, statistics and negative cores
 carry over from cap to cap.  Each example is proved under a fresh depth
-budget.  The meta-proof is the solver's resolution with a different clause
+budget.  The engine also keeps the metarule instances it builds, keyed by
+metarule, the metavariables the goal pins, the invented predicates and the
+tentative name for the next one, so a goal met again, at this cap or a
+later one, reuses them; the memo is the engine's, so each call starts empty
+and frees it on return.
+The meta-proof is the solver's resolution with a different clause
 source, so budget, step count and taint work as in `solve`: a hypothesis
 found here proves its examples under `solve` as well.  When no
 hypothesis turns up but the depth bound cut the meta-proof, or cut the
@@ -63,6 +68,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .metarules import (
+    Metarule,
     Metasub,
     apply_metasub,
     enumerate_bindings,
@@ -117,9 +123,6 @@ class Hypothesis:
 
     def program(self, bk: Sequence[Clause]) -> Program:
         return Program(tuple(bk) + self.clauses)
-
-    def __str__(self) -> str:
-        return "\n".join(print_clause(c) for c in self.clauses)
 
 
 @dataclass(slots=True)
@@ -207,7 +210,7 @@ class _Engine:
                  "pools", "head_preds", "goals", "deadline", "trace",
                  "size_cap", "hypothesis", "adopted", "invented",
                  "invent_from", "cores", "depth_rejected", "stats",
-                 "_ticks")
+                 "_ticks", "by_pred", "memo")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Compound],
                  deadline: Optional[float] = None, trace: Trace = None) -> None:
@@ -234,6 +237,12 @@ class _Engine:
         # meta_steps is the resolver's step count, read at the end
         self.stats = LearnStats()
         self._ticks = 0
+        # goal predicate -> the metarules, with their spec positions, whose
+        # head can match its goals; filled as predicates are met
+        self.by_pred: dict[Symbol, tuple[tuple[int, Metarule], ...]] = {}
+        # (metarule position, pins, invented, tentative) -> the instances
+        # `enumerate_bindings` gives for them, with their clauses
+        self.memo: dict[tuple, list[tuple[Metasub, Clause]]] = {}
 
     # ---- bookkeeping ----
 
@@ -288,28 +297,57 @@ class _Engine:
             return bucket, None
         return bucket, self._instances(goal)
 
+    def _metarules(self, pred: Symbol) -> tuple[tuple[int, Metarule], ...]:
+        """The metarules, in spec order and with their positions, whose head
+        is ``pred`` or a predicate metavariable of its arity: the only ones
+        `match_head` can lay over a goal for ``pred``."""
+        rules = self.by_pred.get(pred)
+        if rules is None:
+            rules = self.by_pred[pred] = tuple(
+                (i, m) for i, m in enumerate(self.spec.metarules)
+                if m.head.functor is pred
+                or (m.head_pred_meta is not None
+                    and len(m.head.args) == pred.arity))
+        return rules
+
     def _instances(self, goal: Compound) -> Iterator[Sequence[Compound]]:
         """The renamed bodies of the metarule instances whose heads unify
-        with the goal, each adopted while it is being proved."""
+        with the goal, each adopted while it is being proved.
+
+        The pools are fixed for the engine, so a metarule's instances are
+        fixed by the metavariables `match_head` pins, the invented
+        predicates and the tentative name: they are built once per such
+        key and kept in the engine's memo.  The memo is per engine because
+        another call has other pools, and because a module-level one would
+        hold memory after the call and make a repeated call do less work
+        than the first.  Whether an instance is already adopted, or would
+        complete a negative core, depends on the hypothesis and is asked
+        at each use."""
         resolver, store, stats = self.resolver, self.store, self.stats
         counter = resolver.counter
-        tentative = (f"pred_{self.invent_from + len(self.invented) + 1}"
+        invented = tuple(self.invented)
+        tentative = (f"pred_{self.invent_from + len(invented) + 1}"
                      if len(self.hypothesis) + 1 < self.size_cap else None)
-        for m in self.spec.metarules:
+        for i, m in self._metarules(goal.functor):
             restr = match_head(m, goal, store)
             if restr is None:
                 continue
-            for binding in enumerate_bindings(m, restr, self.pools,
-                                              self.invented, tentative):
-                msub = Metasub(m.name, tuple((d.name, binding[d.name])
-                                             for d in m.decls))
+            key = (i, tuple(restr.items()), invented, tentative)
+            instances = self.memo.get(key)
+            if instances is None:
+                instances = self.memo[key] = [
+                    (Metasub(m.name, tuple((d.name, binding[d.name])
+                                           for d in m.decls)),
+                     apply_metasub(m, binding))
+                    for binding in enumerate_bindings(m, restr, self.pools,
+                                                      invented, tentative)]
+            for msub, clause in instances:
                 if msub in self.hypothesis:
                     continue  # identical clause already adopted, reuse covers it
                 if any(rest <= self.hypothesis.keys()
                        for rest in self.cores.get(msub, ())):
                     stats.pruned += 1  # would complete a negative core
                     continue
-                clause = apply_metasub(m, binding)
                 frame: dict[int, Term] = {}
                 mark = store.mark()
                 if store.unify_atoms(clause.head, goal, frame, counter):
@@ -328,16 +366,6 @@ class _Engine:
         """The hypothesis in force at each complete proof of the goals, cap
         by cap, in search order.  Each goal is proved under a fresh depth
         budget, backtracking across them."""
-        depth = self.spec.options.depth_limit
-
-        def prove(i: int) -> Iterator[Hypothesis]:
-            if i == len(self.goals):
-                yield Hypothesis(tuple(self.hypothesis),
-                                 tuple(self.hypothesis.values()))
-                return
-            for _ in self.resolver.run([self.goals[i]], depth, self.clauses):
-                yield from prove(i + 1)
-
         # each cap probes for a depth cut afresh; after the last cap the
         # resolver's flag says whether the bound cut any of them
         cut = False
@@ -346,9 +374,21 @@ class _Engine:
             if self.trace:
                 self.trace(f"size cap {n}")
             self.resolver.tainted = False
-            yield from prove(0)
+            yield from self._prove(0)
             cut = cut or self.resolver.tainted
         self.resolver.tainted = cut
+
+    def _prove(self, i: int) -> Iterator[Hypothesis]:
+        """The hypotheses that prove goals ``i`` onwards.  A method, not a
+        closure: a closure that calls itself is a reference cycle, and it
+        would keep the engine alive after `learn` returns."""
+        if i == len(self.goals):
+            yield Hypothesis(tuple(self.hypothesis),
+                             tuple(self.hypothesis.values()))
+            return
+        for _ in self.resolver.run([self.goals[i]],
+                                   self.spec.options.depth_limit, self.clauses):
+            yield from self._prove(i + 1)
 
     def accepts(self, candidate: Hypothesis) -> bool:
         """Whether a candidate treats every example as its tag demands.  A

@@ -89,9 +89,6 @@ class Token:
         self.line = line
         self.col = col
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind},{self.text!r})"
-
 
 def _is_name_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"

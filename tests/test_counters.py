@@ -6,10 +6,14 @@ cheaper must leave every one of them where it is; these pins turn that
 into a test.  The numbers were recorded before the head unifier started
 renaming the clause as it goes, except the conformance steps, recorded
 when `conformance_check` started deciding a term's distractors from the
-one search that finds its value.
+one search that finds its value, and the metarule work counts, recorded
+when the learner's engine started building each metarule instance once
+and keeping it for the rest of the call.
 """
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -108,3 +112,34 @@ def test_chain_stats(capsys):
     assert code == 0
     assert {t["scenario"]: tuple(t["stats"][s] for s in STATS)
             for t in out["tasks"]} == CHAIN_STATS
+
+
+
+# calls the learner makes into the metarule layer in one run: `match_head`
+# only for metarules whose head can fit the goal's predicate, and
+# `enumerate_bindings` and `apply_metasub` once per distinct instance set
+@pytest.mark.parametrize("argv,counts", [
+    (["learn", "conditionals"], (6294, 165, 260)),
+    (["chain", *CHAIN_STATS], (31547, 355, 397)),
+], ids=["conditionals", "chain"])
+def test_metarule_calls(argv, counts, capsys, monkeypatch):
+    # the package re-exports the function `learn`, which shadows the module
+    learn_mod = sys.modules["milsem.learn"]
+    names = ("match_head", "enumerate_bindings", "apply_metasub")
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(learn_mod, name,
+                            counting(name, getattr(learn_mod, name)))
+    runs = []
+    for _ in range(2):  # a cache kept across calls would lower the second
+        calls.clear()
+        assert _json(argv, capsys)[0] == 0
+        runs.append(tuple(calls[n] for n in names))
+    assert runs == [counts, counts]

@@ -1,6 +1,7 @@
 """Learner tests: example checking, the size-deepening search, chained
 tasks, and the bundled scenarios that are cheap enough to learn here."""
 
+import gc
 import itertools
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from milsem.learn import (
     Hypothesis,
+    _Engine,
     check_example,
     invented_base,
     learn,
@@ -65,7 +67,8 @@ def test_hypothesis_helpers():
     clauses = tuple(parse_clauses("value(nil).\nvalue(true).\n"))
     h = Hypothesis(metasubs=(), clauses=clauses)
     assert h.size == 2
-    assert str(h) == "value(nil).\nvalue(true)."
+    assert [print_clause(c) for c in h.clauses] == ["value(nil).",
+                                                    "value(true)."]
     bk = tuple(parse_clauses("value(false).\n"))
     assert len(h.program(bk).clauses) == 3
 
@@ -211,9 +214,12 @@ def test_learn_reports_a_rejection_cut_by_depth():
         == learn(builtin_scenario("pairs")).hypothesis.clauses
 
 
+def _timed_out(spec):
+    return replace(spec, options=replace(spec.options, timeout=0.001))
+
+
 def test_learn_reports_timeout():
-    spec = builtin_scenario("conditionals")
-    res = learn(replace(spec, options=replace(spec.options, timeout=0.001)))
+    res = learn(_timed_out(builtin_scenario("conditionals")))
     assert res.status == "timeout"
     assert res.hypothesis is None
     assert not res.ok
@@ -228,6 +234,21 @@ def test_meta_prove_enumerates_proof_states():
     assert ["step(sel(A,B),C) :- left(A,B,C)."] in texts
     assert ["step(sel(A,B),C) :- right(A,B,C)."] in texts
     assert all(len(s.metasubs) == len(s.clauses) for s in states)
+
+
+@pytest.mark.parametrize("spec", [
+    builtin_scenario("pairs"), _timed_out(builtin_scenario("conditionals")),
+], ids=["found", "timeout"])
+def test_learn_frees_its_engine_on_return(spec):
+    # with the cyclic collector off, an engine outlives `learn` only when a
+    # reference cycle holds it, and with it its store, hypothesis and memo
+    gc.collect()
+    gc.disable()
+    try:
+        learn(spec)
+        assert not [o for o in gc.get_objects() if isinstance(o, _Engine)]
+    finally:
+        gc.enable()
 
 
 # ---- chained tasks ----
