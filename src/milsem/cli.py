@@ -118,7 +118,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         depth_limit=args.depth if args.depth is not None else opts.depth_limit,
         max_clauses=args.max_clauses if args.max_clauses is not None
         else opts.max_clauses,
-        neg_depth_policy=opts.neg_depth_policy,
         timeout=args.timeout if args.timeout is not None else opts.timeout,
     )
     if changed == opts:

@@ -28,7 +28,7 @@ the latter being how a single tagged example can separate evaluation
 strategies that agree on all finite behaviour.
 
 One engine serves a whole `learn` or `meta_prove` call and is re-run at
-each size cap; its resolver, renamed goals, statistics and negative cores
+each size cap; its resolver, renamed goals, statistics and cores
 carry over from cap to cap.  Each example is proved under a fresh depth
 budget.  The engine also keeps the metarule instances it builds, keyed by
 metarule, the metavariables the goal pins, the invented predicates and the
@@ -39,25 +39,26 @@ The meta-proof is the solver's resolution with a different clause
 source, so budget, step count and taint work as in `solve`: a hypothesis
 found here proves its examples under `solve` as well.  When no
 hypothesis turns up but the depth bound cut the meta-proof, or cut the
-check that rejected some candidate (a negative example under
-``reject``), `learn` reports ``depth_exceeded`` rather than
-``exhausted``: a larger bound may yet find one.
+check that rejected some candidate or the check of its core, `learn`
+reports ``depth_exceeded`` rather than ``exhausted``: a larger bound may
+yet find one.
 
 Definite programs are monotone: a clause set that proves a goal within the
-depth budget still proves it with clauses added.  So when a candidate is
-rejected because it *proves* a negative example, `learn` shrinks it to a
-*negative core*, a subset that still proves that example and from which
-no single clause can be dropped, and from then on the meta-proof, at this
-size cap and every later one, never adopts the metasub that would
-complete a core: every hypothesis containing one is rejected anyway, so
-the first hypothesis accepted is the one the unpruned search accepts.
-Only a negative example that is ``PROVED`` yields a core, and the core
-is shrunk by asking whether it still proves that goal.  A positive that
-is not proved, or a non-terminating example that fails finitely, may be
+depth budget still proves it with clauses added, and a search the depth
+bound cut is still cut, or ends in a proof, with clauses added.  So three
+rejections hold for every superset of the candidate: a negative example
+that is proved, a negative whose check the depth bound cut, and a
+non-terminating example that is proved.  After any of them `learn`
+shrinks the candidate to a *core*, a subset that the same example still
+rejects in one of those ways and from which no single clause can be
+dropped, and from then on the meta-proof, at this size cap and every
+later one, never adopts the metasub that would complete a core: every
+hypothesis containing one is rejected anyway, so the first hypothesis
+accepted is the one the unpruned search accepts.  The rejection and the
+shrink ask the same question of the same example.  A positive that is
+not proved, or a non-terminating example that fails finitely, may be
 mended by adding clauses, so those rejections say nothing about larger
-hypotheses.  A negative cut by the depth bound under ``reject``, and a
-non-terminating example that is proved, would stay rejected with clauses
-added too, but they record no core.
+hypotheses and leave no core.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ from .textio import print_clause
 Trace = Optional[Callable[[str], None]]
 
 _INVENTED = re.compile(r"^pred_(\d+)$")
+
+# the verdict each example tag demands
+_DEMANDED = {"pos": Verdict.PROVED, "neg": Verdict.FINITE_FAILURE,
+             "nonterm": Verdict.DEPTH_EXCEEDED}
 
 
 class _SearchTimeout(Exception):
@@ -159,42 +164,43 @@ def invented_base(clauses: Sequence[Clause]) -> int:
 
 def check_example(program: Program, example: Example, *,
                   depth_limit: int = DEFAULT_DEPTH,
-                  neg_depth_policy: str = "reject",
                   builtins: Optional[BuiltinTable] = None,
                   ) -> tuple[bool, Outcome]:
-    """Whether the program treats one example as its tag demands."""
+    """Whether the program treats one example as its tag demands: a
+    positive must be proved, a negative must fail finitely, and a
+    non-terminating example must run out of depth."""
     if builtins is None:
         builtins = default_builtins()
     out = solve(program, example.goal, SolveConfig(depth_limit=depth_limit),
                 builtins)
-    if example.tag == "pos":
-        return out.proved, out
-    if example.tag == "neg":
-        if out.verdict is Verdict.PROVED:
-            return False, out
-        if out.verdict is Verdict.FINITE_FAILURE:
-            return True, out
-        return neg_depth_policy == "accept", out
-    # nonterm: only running out of depth will do; finite failure means the
-    # program stops where it should run forever
-    return out.verdict is Verdict.DEPTH_EXCEEDED, out
+    return out.verdict is _DEMANDED[example.tag], out
 
 
-def _negative_core(bk: Sequence[Clause], candidate: Hypothesis, goal: Compound,
-                   depth_limit: int, builtins: BuiltinTable,
-                   ) -> list[tuple[Metasub, Clause]]:
-    """A subset of a candidate that still proves a negative example's goal,
-    found by dropping each clause in turn for good when the rest still
-    prove it.  By monotonicity no single clause of the result can be
-    dropped: a subset of a set that failed to prove the goal fails too."""
+def _monotone(example: Example, out: Outcome) -> bool:
+    """Whether an outcome rejects every superset of the program too: a
+    negative that does not fail finitely, or a non-terminating example
+    that is proved."""
+    return (out.verdict is not Verdict.FINITE_FAILURE if example.tag == "neg"
+            else example.tag == "nonterm" and out.verdict is Verdict.PROVED)
+
+
+def _core(bk: Sequence[Clause], candidate: Hypothesis, example: Example,
+          out: Outcome, depth_limit: int, builtins: BuiltinTable,
+          ) -> tuple[list[tuple[Metasub, Clause]], Outcome]:
+    """A subset of a candidate that an example still rejects monotonely,
+    and the outcome that rejects it, found by dropping each clause in turn
+    for good when the rest are still so rejected.  By monotonicity no
+    single clause of the result can be dropped: a subset of a set that
+    escaped the rejection escapes it too."""
     core = list(zip(candidate.metasubs, candidate.clauses))
-    config = SolveConfig(depth_limit=depth_limit)
     for pair in list(core):
         rest = [p for p in core if p is not pair]
         program = Program(tuple(bk) + tuple(c for _, c in rest))
-        if solve(program, goal, config, builtins).proved:
-            core = rest
-    return core
+        _, rest_out = check_example(program, example, depth_limit=depth_limit,
+                                    builtins=builtins)
+        if _monotone(example, rest_out):
+            core, out = rest, rest_out
+    return core, out
 
 
 # ============================================================
@@ -230,7 +236,7 @@ class _Engine:
         self.adopted: dict[Symbol, list[IndexEntry]] = {}
         self.invented: dict[Symbol, None] = {}
         self.invent_from = invented_base(spec.bk)
-        # metasub -> the rest of each negative core holding it
+        # metasub -> the rest of each core holding it
         self.cores: dict[Metasub, list[frozenset[Metasub]]] = {}
         # whether a candidate was rejected by a check the depth bound cut
         self.depth_rejected = False
@@ -321,7 +327,7 @@ class _Engine:
         another call has other pools, and because a module-level one would
         hold memory after the call and make a repeated call do less work
         than the first.  Whether an instance is already adopted, or would
-        complete a negative core, depends on the hypothesis and is asked
+        complete a core, depends on the hypothesis and is asked
         at each use."""
         resolver, store, stats = self.resolver, self.store, self.stats
         counter = resolver.counter
@@ -346,7 +352,7 @@ class _Engine:
                     continue  # identical clause already adopted, reuse covers it
                 if any(rest <= self.hypothesis.keys()
                        for rest in self.cores.get(msub, ())):
-                    stats.pruned += 1  # would complete a negative core
+                    stats.pruned += 1  # would complete a core
                     continue
                 frame: dict[int, Term] = {}
                 mark = store.mark()
@@ -392,24 +398,22 @@ class _Engine:
 
     def accepts(self, candidate: Hypothesis) -> bool:
         """Whether a candidate treats every example as its tag demands.  A
-        negative example that it proves leaves its core behind, when new."""
+        rejection that every superset shares leaves its core behind, when
+        new; one cut by the depth bound marks the search as cut."""
         spec, opts = self.spec, self.spec.options
         builtins = self.resolver.builtins
         self.stats.candidates += 1
         program = candidate.program(spec.bk)
         for i, e in enumerate(spec.examples):
             ok, out = check_example(program, e, depth_limit=opts.depth_limit,
-                                    neg_depth_policy=opts.neg_depth_policy,
                                     builtins=builtins)
             if not ok:
                 break
         else:
             return True
-        if out.verdict is Verdict.DEPTH_EXCEEDED:
-            self.depth_rejected = True
-        if e.tag == "neg" and out.verdict is Verdict.PROVED:
-            core = _negative_core(spec.bk, candidate, e.goal,
-                                  opts.depth_limit, builtins)
+        if _monotone(e, out):
+            core, out = _core(spec.bk, candidate, e, out, opts.depth_limit,
+                              builtins)
             key = frozenset(ms for ms, _ in core)
             if key and not any(key - {ms} in self.cores.get(ms, ())
                                for ms in key):
@@ -418,6 +422,10 @@ class _Engine:
                 if self.trace:
                     self.trace(f"  core from example {i} ({e.tag}): "
                                + " ".join(print_clause(c) for _, c in core))
+        # the outcome is the core's, if one was shrunk: a depth cut there
+        # prunes what a larger bound may accept
+        if out.verdict is Verdict.DEPTH_EXCEEDED:
+            self.depth_rejected = True
         if self.trace:
             self.trace("  rejected by examples")
         return False
@@ -446,7 +454,7 @@ def learn(spec: ScenarioSpec, *, trace: Trace = None) -> LearnResult:
     Deepens on hypothesis size, so the result is minimal in clause count.
     A candidate clause set already checked, reached again under a
     different derivation order or at a larger size cap, is skipped, and so
-    is every partial hypothesis that contains a negative core.
+    is every partial hypothesis that contains a core.
     """
     opts = spec.options
     started = time.monotonic()

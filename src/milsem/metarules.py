@@ -78,7 +78,7 @@ class Metasub:
     """One metarule name with a full assignment of its metavariables.
 
     Equal metasubs give the same clause, so the learner keys its
-    hypothesis and its negative cores by metasub."""
+    hypothesis and its cores by metasub."""
 
     rule: str
     bindings: tuple[tuple[str, Binding], ...]

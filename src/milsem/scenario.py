@@ -8,8 +8,7 @@ A scenario file is plain text divided by ``%% <section>`` headers:
     %% body           auxiliary predicates allowed in rule bodies, p/n.
     %% functions      object-level constructors available to metarules, f/n.
     %% examples       pos(G). / neg(G). / nonterm(G).
-    %% options        depth_limit(N). max_clauses(N). neg_depth_policy(P).
-                      timeout(Seconds).
+    %% options        depth_limit(N). max_clauses(N). timeout(Seconds).
 
 ``background``, ``metarules``, ``head`` and ``examples`` are required.
 The function pool is the declared set plus any functor that occurs in an
@@ -57,7 +56,6 @@ class Example:
 class Options:
     depth_limit: int = DEFAULT_DEPTH
     max_clauses: int = 10
-    neg_depth_policy: str = "reject"  # reject | accept
     timeout: float = 120.0
 
 
@@ -221,12 +219,6 @@ def _parse_options(text: str) -> Options:
                     f"{name} at line {tok.line} needs a positive integer")
             value = float(arg.value) if name == "timeout" else arg.value
             opts = replace(opts, **{name: value})
-        elif name == "neg_depth_policy":
-            if not (isinstance(arg, Compound) and arg.functor.arity == 0
-                    and arg.functor.name in ("reject", "accept")):
-                raise ScenarioError(
-                    f"neg_depth_policy at line {tok.line} must be reject or accept")
-            opts = replace(opts, neg_depth_policy=arg.functor.name)
         else:
             raise ScenarioError(f"unknown option {name!r} at line {tok.line}")
     return opts

@@ -6,9 +6,11 @@ cheaper must leave every one of them where it is; these pins turn that
 into a test.  The numbers were recorded before the head unifier started
 renaming the clause as it goes, except the conformance steps, recorded
 when `conformance_check` started deciding a term's distractors from the
-one search that finds its value, and the metarule work counts, recorded
+one search that finds its value, the metarule work counts, recorded
 when the learner's engine started building each metarule instance once
-and keeping it for the rest of the call.
+and keeping it for the rest of the call, and the `lazy_eager` counts and
+the chain's `match_head` calls, recorded when a proved non-terminating
+example started leaving a core.
 """
 
 import json
@@ -88,12 +90,12 @@ LEARN_STATS = {
     "pairs": (644, 151, 1, 0),
     "lists": (951, 246, 1, 0),
     "conditionals": (6139, 1408, 4, 93),
-    "lazy_eager": (1023, 168, 13, 0),
+    "lazy_eager": (443, 75, 5, 10),
 }
 
 # the README chain: each task learns against the inductions before it
 CHAIN_STATS = {
-    "lazy_eager": (1023, 168, 13, 0),
+    "lazy_eager": (443, 75, 5, 10),
     "pairs": (13249, 2380, 1, 0),
     "lists": (1380, 272, 1, 0),
     "conditionals": (6139, 1408, 4, 93),
@@ -120,7 +122,7 @@ def test_chain_stats(capsys):
 # `enumerate_bindings` and `apply_metasub` once per distinct instance set
 @pytest.mark.parametrize("argv,counts", [
     (["learn", "conditionals"], (6294, 165, 260)),
-    (["chain", *CHAIN_STATS], (31547, 355, 397)),
+    (["chain", *CHAIN_STATS], (31333, 355, 397)),
 ], ids=["conditionals", "chain"])
 def test_metarule_calls(argv, counts, capsys, monkeypatch):
     # the package re-exports the function `learn`, which shadows the module

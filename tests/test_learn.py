@@ -4,6 +4,7 @@ tasks, and the bundled scenarios that are cheap enough to learn here."""
 import gc
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from milsem.learn import (
     learn_seq,
     meta_prove,
 )
+from milsem.objectlang import default_builtins
 from milsem.scenario import (
     Example,
     builtin_scenario,
@@ -44,10 +46,8 @@ def test_check_example_pos():
 def test_check_example_neg():
     assert not check_example(LOOPY, _ex("neg", "p(a)"))[0]
     assert check_example(LOOPY, _ex("neg", "p(b)"))[0]
-    # running out of depth is ambiguous; the policy decides
+    # a negative must fail finitely: running out of depth violates it
     assert not check_example(LOOPY, _ex("neg", "q(a)"), depth_limit=8)[0]
-    assert check_example(LOOPY, _ex("neg", "q(a)"), depth_limit=8,
-                         neg_depth_policy="accept")[0]
 
 
 def test_check_example_nonterm():
@@ -203,11 +203,19 @@ def _pairs_with_deep_negative(depth):
 
 def test_learn_reports_a_rejection_cut_by_depth():
     # at depth 30 the pairs hypothesis is rejected only by the deep
-    # negative, whose check runs out of depth under the reject policy, so
-    # a larger bound may find it, and at 60 it does
+    # negative, whose check runs out of depth, which is a violation, so a
+    # larger bound may find it, and at 60 it does.  The cores those checks
+    # leave prune their supersets, and the search still reports the cut;
+    # without them: 11 candidates
     for depth in (30, 40):
-        res = learn(_pairs_with_deep_negative(depth))
+        spec = _pairs_with_deep_negative(depth)
+        lines = []
+        res = learn(spec, trace=lines.append)
         assert (res.status, res.hypothesis) == ("depth_exceeded", None)
+        assert res.stats.pruned > 0 and res.stats.candidates < 11
+        deep = len(spec.examples) - 1
+        assert deep in [i for i, _ in _cores(lines)]
+        _minimal_cores(spec, lines)
     res = learn(_pairs_with_deep_negative(60))
     assert res.ok
     assert res.hypothesis.clauses \
@@ -313,7 +321,7 @@ def test_learn_lists_scenario():
     ])
 
 
-# ---- negative cores ----
+# ---- cores ----
 
 CORE_MARK = "  core from example "
 
@@ -328,10 +336,29 @@ def _cores(lines):
     return out
 
 
-def _proves(spec, clauses, goal):
+# the verdicts by which an example rejects every superset of a program
+MONOTONE = {"neg": (Verdict.PROVED, Verdict.DEPTH_EXCEEDED),
+            "nonterm": (Verdict.PROVED,)}
+
+
+def _rejects_monotonely(spec, clauses, example):
     program = Program(tuple(spec.bk) + tuple(clauses))
     config = SolveConfig(depth_limit=spec.options.depth_limit)
-    return solve(program, goal, config).verdict is Verdict.PROVED
+    verdict = solve(program, example.goal, config, default_builtins()).verdict
+    return verdict in MONOTONE.get(example.tag, ())
+
+
+def _minimal_cores(spec, lines):
+    """The cores the trace reports, each checked to be rejected monotonely
+    by its example while none of its proper subsets is."""
+    cores = _cores(lines)
+    for index, core in cores:
+        example = spec.examples[index]
+        assert _rejects_monotonely(spec, core, example)
+        for size in range(len(core)):
+            for subset in itertools.combinations(core, size):
+                assert not _rejects_monotonely(spec, subset, example), subset
+    return [(spec.examples[i].tag, core) for i, core in cores]
 
 
 def test_conditionals_prunes_by_negative_cores():
@@ -353,24 +380,23 @@ def test_conditionals_prunes_by_negative_cores():
     assert res.stats.candidates < 26
     assert res.stats.meta_steps < 67_615
     assert res.stats.pruned > 0
-    cores = _cores(lines)
+    cores = _minimal_cores(spec, lines)
     assert cores
-    for index, core in cores:
-        example = spec.examples[index]
-        assert example.tag == "neg"
-        assert _proves(spec, core, example.goal)
-        for size in range(len(core)):
-            for subset in itertools.combinations(core, size):
-                assert not _proves(spec, subset, example.goal), subset
+    assert {tag for tag, _ in cores} == {"neg"}
 
 
-def test_nonterm_rejections_record_no_core():
+def test_lazy_eager_prunes_by_nonterm_cores():
+    # every rejected candidate proves the non-terminating example, and so
+    # does every superset of it; without cores: 13 candidates, none pruned
+    spec = builtin_scenario("lazy_eager")
     lines = []
-    res = learn(builtin_scenario("lazy_eager"), trace=lines.append)
+    res = learn(spec, trace=lines.append)
     assert res.ok
-    assert res.stats.candidates == 13
-    assert res.stats.pruned == 0
-    assert _cores(lines) == []
+    assert res.stats.candidates < 13
+    assert res.stats.pruned > 0
+    cores = _minimal_cores(spec, lines)
+    assert cores
+    assert {tag for tag, _ in cores} == {"nonterm"}
 
 
 LOOPING = """\
@@ -399,23 +425,73 @@ depth_limit(20).
 """
 
 
-def test_negative_cut_by_depth_records_no_core():
-    # ok(A) :- loop(A) runs out of depth on ok(b), which the default
-    # reject policy counts as a rejection; only a proof gives a core
+@pytest.mark.parametrize("text", [
+    LOOPING, LOOPING.replace("loop(a).", "loop(a).\nloop(b)."),
+], ids=["cut_by_depth", "proved"])
+def test_negative_rejection_records_a_core(text):
+    # ok(A) :- loop(A) runs out of depth on ok(b), or proves it once
+    # loop(b) is a fact; either way every superset is rejected too
+    spec = _spec(text, "looping")
     lines = []
-    res = learn(_spec(LOOPING, "looping"), trace=lines.append)
+    res = learn(spec, trace=lines.append)
     assert [print_clause(c) for c in res.hypothesis.clauses] \
         == ["ok(A) :- good(A)."]
     assert res.stats.candidates == 2
-    assert _cores(lines) == []
-    # the same rejection by a proof does record one
-    proving = LOOPING.replace("loop(a).", "loop(a).\nloop(b).")
-    lines = []
-    res = learn(_spec(proving, "proving"), trace=lines.append)
-    assert [print_clause(c) for c in res.hypothesis.clauses] \
-        == ["ok(A) :- good(A)."]
     assert [(i, [print_clause(c) for c in core]) for i, core in _cores(lines)] \
         == [(1, ["ok(A) :- loop(A)."])]
+    _minimal_cores(spec, lines)
+
+
+# a candidate that proves the negative shrinks to ok(A,B) :- deep(A), which
+# the depth bound cuts on it: deep(b) needs five steps to fail
+CUT_CORE = """\
+%% background
+deep(a).
+deep(X) :- d1(X).
+d1(b) :- d2(b).
+d2(b) :- d3(b).
+d3(b) :- d4(b).
+d4(z).
+bad(b).
+bad(c).
+good(c).
+
+%% metarules
+metarule(wrap, [pred(P/2),pred(Q/1)], ([P,A,B] :- [[Q,A]])).
+
+%% head
+ok/2.
+
+%% body
+deep/1.
+bad/1.
+good/1.
+
+%% examples
+pos(ok(c,x)).
+pos(ok(a,x)).
+neg(ok(b,x)).
+
+%% options
+max_clauses(2).
+depth_limit(DEPTH).
+"""
+
+
+def test_a_core_cut_by_depth_reports_the_cut():
+    # the only candidate is rejected by a proof, but its core by a depth
+    # cut, and that core prunes the hypothesis a larger bound accepts
+    spec = _spec(CUT_CORE.replace("DEPTH", "4"), "cut_core")
+    lines = []
+    res = learn(spec, trace=lines.append)
+    assert (res.status, res.hypothesis) == ("depth_exceeded", None)
+    assert (res.stats.candidates, res.stats.pruned) == (1, 1)
+    assert [(i, [print_clause(c) for c in core]) for i, core in _cores(lines)] \
+        == [(2, ["ok(A,B) :- deep(A)."])]
+    _minimal_cores(spec, lines)
+    res = learn(_spec(CUT_CORE.replace("DEPTH", "5"), "cut_core"))
+    assert [print_clause(c) for c in res.hypothesis.clauses] \
+        == ["ok(A,B) :- good(A).", "ok(A,B) :- deep(A)."]
 
 
 def _first_accepted_unpruned(spec):
@@ -431,18 +507,28 @@ def _first_accepted_unpruned(spec):
                 continue
             seen.add(key)
             program = cand.program(spec.bk)
-            if all(check_example(program, e, depth_limit=opts.depth_limit,
-                                 neg_depth_policy=opts.neg_depth_policy)[0]
+            if all(check_example(program, e, depth_limit=opts.depth_limit)[0]
                    for e in spec.examples):
                 return cand
     return None
 
 
-@pytest.mark.parametrize("name", builtin_scenario_names())
-def test_learn_agrees_with_the_unpruned_search(name):
-    spec = builtin_scenario(name)
+@pytest.mark.parametrize("make,found", [
+    *[pytest.param(partial(builtin_scenario, n), True, id=n)
+      for n in builtin_scenario_names()],
+    pytest.param(partial(_spec, LOOPING, "looping"), True, id="looping"),
+    pytest.param(partial(_pairs_with_deep_negative, 30), False,
+                 id="deep_negative_30"),
+    pytest.param(partial(_pairs_with_deep_negative, 60), True,
+                 id="deep_negative_60"),
+    *[pytest.param(partial(_spec, CUT_CORE.replace("DEPTH", d), "cut_core"),
+                   d == "5", id=f"cut_core_{d}") for d in ("4", "5")],
+])
+def test_learn_agrees_with_the_unpruned_search(make, found):
+    # no bundled scenario leaves a core from a check the depth bound cut;
+    # looping, deep_negative_30 and cut_core_4 do
+    spec = make()
     expected = _first_accepted_unpruned(spec)
     res = learn(spec)
-    assert expected is not None and res.ok
-    assert res.hypothesis.metasubs == expected.metasubs
-    assert res.hypothesis.clauses == expected.clauses
+    assert (expected is not None, res.ok) == (found, found)
+    assert res.hypothesis == expected

@@ -109,8 +109,9 @@ def test_at_least_one_positive_required():
 def test_options_validation():
     with pytest.raises(ScenarioError):
         parse_scenario(GOOD + "\n%% options\ndepth_limit(0).\n")
-    with pytest.raises(ScenarioError):
-        parse_scenario(GOOD + "\n%% options\nneg_depth_policy(maybe).\n")
+    # neg_depth_policy is no option: a file that sets it fails loudly
+    with pytest.raises(ScenarioError, match="unknown option"):
+        parse_scenario(GOOD + "\n%% options\nneg_depth_policy(reject).\n")
     with pytest.raises(ScenarioError):
         parse_scenario(GOOD + "\n%% options\nwibble(3).\n")
 
