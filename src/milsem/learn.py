@@ -54,8 +54,10 @@ rejects in one of those ways and from which no single clause can be
 dropped, and from then on the meta-proof, at this size cap and every
 later one, never adopts the metasub that would complete a core: every
 hypothesis containing one is rejected anyway, so the first hypothesis
-accepted is the one the unpruned search accepts.  The rejection and the
-shrink ask the same question of the same example.  A positive that is
+accepted is the one the unpruned search accepts.  The shrink asks the
+rejection's question of the same example, narrowed to "is it still
+proved?" when the candidate was proved: such a core holds at every depth
+bound, not only where the bound cut it.  A positive that is
 not proved, or a non-terminating example that fails finitely, may be
 mended by adding clauses, so those rejections say nothing about larger
 hypotheses and leave no core.
@@ -189,16 +191,20 @@ def _core(bk: Sequence[Clause], candidate: Hypothesis, example: Example,
           ) -> tuple[list[tuple[Metasub, Clause]], Outcome]:
     """A subset of a candidate that an example still rejects monotonely,
     and the outcome that rejects it, found by dropping each clause in turn
-    for good when the rest are still so rejected.  By monotonicity no
-    single clause of the result can be dropped: a subset of a set that
-    escaped the rejection escapes it too."""
+    for good when the rest are still so rejected.  A candidate rejected by
+    a proof keeps only subsets that are still proved, so its core holds at
+    every depth bound rather than being one the bound merely cut.  By
+    monotonicity no single clause of the result can be dropped: a subset
+    of a set that escaped the rejection escapes it too."""
+    proved = out.verdict is Verdict.PROVED
     core = list(zip(candidate.metasubs, candidate.clauses))
     for pair in list(core):
         rest = [p for p in core if p is not pair]
         program = Program(tuple(bk) + tuple(c for _, c in rest))
         _, rest_out = check_example(program, example, depth_limit=depth_limit,
                                     builtins=builtins)
-        if _monotone(example, rest_out):
+        if (rest_out.verdict is Verdict.PROVED if proved
+                else _monotone(example, rest_out)):
             core, out = rest, rest_out
     return core, out
 

@@ -24,8 +24,9 @@ scenario learns with.  Scenario files include both rather than copy them.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .metarules import Metarule
 from .solver import (
@@ -448,6 +449,21 @@ def _eval_goal(t: Term, result: Term) -> Compound:
     return Compound(S_EVAL, (t, result))
 
 
+def _distractors(rng: random.Random, pool_cls: Sequence[int], cls: int,
+                 others: int) -> list[int]:
+    """Two distinct pool positions whose class is not ``cls``, drawn with
+    ``rng`` by rejection, or all ``others`` such positions, in pool order
+    and with no draw, when there are at most two."""
+    if others <= 2:
+        return [i for i, c in enumerate(pool_cls) if c != cls]
+    drawn: list[int] = []
+    while len(drawn) < 2:
+        i = rng.randrange(len(pool_cls))
+        if pool_cls[i] != cls and i not in drawn:
+            drawn.append(i)
+    return drawn
+
+
 def conformance_check(program: Program, terms: Iterable[Term], *,
                       strategy: str = "lazy",
                       depth_limit: int = DEFAULT_DEPTH,
@@ -456,10 +472,10 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
 
     For a term the interpreter evaluates to a value, the program must prove
     ``eval`` to an alpha-equal value and must not prove it to two wrong
-    values drawn, with a fixed seed, from the corpus's other values.  For
-    a term the interpreter diverges on, the program must run out of depth
-    rather than prove or finitely fail.  For a stuck term the program must
-    finitely fail.
+    values: two distinct corpus values of other alpha classes, drawn with
+    a fixed seed (see `_distractors`).  For a term the interpreter
+    diverges on, the program must run out of depth rather than prove or
+    finitely fail.  For a stuck term the program must finitely fail.
 
     Each term is searched once.  A diverging or stuck term needs only its
     first proof, if any.  A value term's ``eval(t, Result)`` is searched to
@@ -484,8 +500,8 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
     terms = list(terms)
     report = ConformanceReport()
 
-    # Each value's alpha class is numbered once, so a term's distractors
-    # are one pass over the class ids.
+    # Each value's alpha class is numbered and counted once, so a term's
+    # distractors are drawn without listing the pool.
     classes: dict[object, int] = {}
     expected: list[tuple[Term, Union[Term, _Bottom, None], Optional[int]]] = []
     value_pool: list[Term] = []
@@ -501,6 +517,7 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             value_pool.append(v)
             pool_cls.append(cls)
         expected.append((t, v, cls))
+    sizes = Counter(pool_cls)
 
     result = var("Result")
     for t, v, cls in expected:
@@ -532,12 +549,12 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
                 f"{print_term(got) if got is not None else '?'}, "
                 f"interpreter says {print_term(v)}")
             continue
-        wrong = [w for w, c in zip(value_pool, pool_cls) if c != cls]
-        rng.shuffle(wrong)
+        wrong = [value_pool[i] for i in _distractors(
+            rng, pool_cls, cls, len(pool_cls) - sizes[cls])]
         if values is not None:
-            bad = next((w for w in wrong[:2] if w in values), None)
+            bad = next((w for w in wrong if w in values), None)
         else:
-            bad = next((w for w in wrong[:2] if solve(
+            bad = next((w for w in wrong if solve(
                 program, _eval_goal(t, w), first, builtins).proved), None)
         if bad is not None:
             report.add_failure(

@@ -479,19 +479,34 @@ depth_limit(DEPTH).
 
 
 def test_a_core_cut_by_depth_reports_the_cut():
-    # the only candidate is rejected by a proof, but its core by a depth
-    # cut, and that core prunes the hypothesis a larger bound accepts
+    # the first candidate is rejected by a proof and keeps its proved core;
+    # the next one, with ``good``, is rejected by a depth cut, and its core
+    # prunes the hypothesis a larger bound accepts
     spec = _spec(CUT_CORE.replace("DEPTH", "4"), "cut_core")
     lines = []
     res = learn(spec, trace=lines.append)
     assert (res.status, res.hypothesis) == ("depth_exceeded", None)
-    assert (res.stats.candidates, res.stats.pruned) == (1, 1)
+    assert (res.stats.candidates, res.stats.pruned) == (2, 1)
     assert [(i, [print_clause(c) for c in core]) for i, core in _cores(lines)] \
-        == [(2, ["ok(A,B) :- deep(A)."])]
+        == [(2, ["ok(A,B) :- bad(A)."]), (2, ["ok(A,B) :- deep(A)."])]
     _minimal_cores(spec, lines)
     res = learn(_spec(CUT_CORE.replace("DEPTH", "5"), "cut_core"))
     assert [print_clause(c) for c in res.hypothesis.clauses] \
         == ["ok(A,B) :- good(A).", "ok(A,B) :- deep(A)."]
+
+
+def test_a_candidate_rejected_by_a_proof_keeps_a_proved_core():
+    # {bad, deep} proves the negative; dropping ``bad`` first would leave
+    # {deep}, which only the depth bound cuts, so ``deep`` goes instead
+    spec = _spec(CUT_CORE.replace("DEPTH", "4"), "cut_core")
+    lines = []
+    learn(spec, trace=lines.append)
+    index, core = _cores(lines)[0]
+    assert [print_clause(c) for c in core] == ["ok(A,B) :- bad(A)."]
+    program = Program(tuple(spec.bk) + tuple(core))
+    out = solve(program, spec.examples[index].goal,
+                SolveConfig(depth_limit=4), default_builtins())
+    assert out.verdict is Verdict.PROVED
 
 
 def _first_accepted_unpruned(spec):

@@ -11,6 +11,7 @@ capture anything.
 import itertools
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -547,16 +548,16 @@ def test_conformance_catches_overgeneral_rules():
 
 # Failures of the overgeneral program on a seeded corpus.  The three
 # "also proves wrong value" entries depend on which two distractors the
-# seeded shuffle draws, so any change to the draw changes this list.
+# seeded draw picks, so any change to the draw changes this list.
 PINNED_DRAW_FAILURES = [
     'pair(pair(var(b),pair(pair(var(c),lit(3)),app(lam(z,lit(3)),var(z)))),pair(snd(pair(fst(pair(var(c),lit(2))),pair(lit(1),lit(4)))),app(lam(y,fst(pair(var(c),var(y)))),snd(pair(lit(2),lit(7)))))): expected a value, got finite_failure',
-    'fst(pair(snd(pair(snd(pair(var(a),var(x))),fst(pair(var(b),var(z))))),snd(pair(var(x),fst(pair(var(a),lit(4))))))): also proves wrong value var(a)',
+    'fst(pair(snd(pair(var(z),var(a))),app(lam(y,var(y)),var(z)))): also proves wrong value var(z)',
+    'fst(pair(snd(pair(snd(pair(var(a),var(x))),fst(pair(var(b),var(z))))),snd(pair(var(x),fst(pair(var(a),lit(4))))))): also proves wrong value lit(4)',
     'fst(pair(fst(pair(pair(var(x),lit(5)),fst(pair(lit(4),lit(5))))),fst(pair(fst(pair(lit(5),var(z))),snd(pair(lit(5),var(y))))))): also proves wrong value var(z)',
     'pair(fst(pair(lit(4),var(z))),snd(pair(var(y),lit(4)))): expected a value, got finite_failure',
     'app(lam(b,pair(var(b),pair(var(a),fst(pair(var(x),var(y)))))),lit(7)): expected a value, got finite_failure',
     'pair(snd(pair(fst(pair(snd(pair(lit(6),var(y))),app(lam(c,lit(4)),lit(4)))),snd(pair(lit(4),snd(pair(lit(2),lit(0))))))),lit(3)): expected a value, got finite_failure',
     'pair(fst(pair(snd(pair(lit(0),snd(pair(lit(7),lit(2))))),pair(snd(pair(lit(5),var(x))),app(lam(y,var(a)),var(c))))),var(z)): expected a value, got finite_failure',
-    'app(lam(c,fst(pair(var(z),fst(pair(var(y),lit(8)))))),fst(pair(app(lam(y,lit(3)),lit(1)),app(lam(b,var(b)),var(b))))): also proves wrong value lit(8)',
     'pair(lit(7),fst(pair(var(x),lit(4)))): expected a value, got finite_failure',
     'fst(pair(snd(pair(snd(pair(var(b),pair(var(c),lit(7)))),pair(app(lam(c,var(c)),var(c)),pair(var(x),var(c))))),fst(pair(fst(pair(var(z),snd(pair(lit(2),var(z))))),fst(pair(fst(pair(lit(3),var(a))),pair(var(y),var(z)))))))): evaluated to var(z), interpreter says pair(var(c),pair(var(x),var(c)))',
 ]
@@ -591,6 +592,22 @@ def test_step_determinism_checker():
 
 
 # ---- one search per term: exactness against three solves ----
+
+
+def _draw(rng, pool, v):
+    """The distractors for a term of value ``v``: every pool value not
+    alpha-equal to it, in pool order, when there are at most two, and
+    otherwise two at distinct positions, each drawn by ``rng.randrange``
+    over the whole pool until one lands outside ``v``'s class."""
+    others = [w for w in pool if not alpha_equal(w, v)]
+    if len(others) <= 2:
+        return others
+    picks = []
+    while len(picks) < 2:
+        i = rng.randrange(len(pool))
+        if not alpha_equal(pool[i], v) and i not in picks:
+            picks.append(i)
+    return [pool[i] for i in picks]
 
 
 def _three_solve_check(program, terms, strategy):
@@ -629,9 +646,7 @@ def _three_solve_check(program, terms, strategy):
                 f"{print_term(got) if got is not None else '?'}, "
                 f"interpreter says {print_term(v)}")
             continue
-        wrong = [w for w in pool if not alpha_equal(w, v)]
-        rng.shuffle(wrong)
-        for w in wrong[:2]:
+        for w in _draw(rng, pool, v):
             if solve(program, mk("eval", t, w), cfg, builtins).proved:
                 failures.append(
                     f"{print_term(t)}: also proves wrong value {print_term(w)}")
@@ -746,11 +761,56 @@ def test_conformance_names_the_first_distractor_when_both_are_proved():
     rng = random.Random(0)
     expected = []
     for t, v in zip(PAIRS_40, values):
-        wrong = [w for w in values if not alpha_equal(w, v)]
-        rng.shuffle(wrong)
         expected.append(f"{print_term(t)}: also proves wrong value "
-                        f"{print_term(wrong[0])}")
+                        f"{print_term(_draw(rng, values, v)[0])}")
     assert report.failures == expected
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_conformance_draws_a_few_numbers_per_value_term(n, monkeypatch):
+    # listing and shuffling the other values cost one draw per pool value
+    # for every term; a rejection draw costs a few, whatever the corpus size
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            self.draws = self.shuffles = 0
+            made.append(self)
+            super().__init__(seed)
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+        def shuffle(self, x):
+            self.shuffles += 1
+            super().shuffle(x)
+
+    monkeypatch.setattr(objectlang, "random", SimpleNamespace(Random=Counting))
+    terms = generate_corpus("mixed", n, seed=1)
+    report = conformance_check(_chain_program(), terms)
+    assert (report.passed, report.total) == (n, n), report.failures
+    values = 0
+    for t in terms:
+        try:
+            values += isinstance(reference_eval(t), (Compound, Int))
+        except StuckTermError:
+            pass
+    [rng] = made
+    assert values > n // 2
+    assert rng.shuffles == 0
+    assert rng.draws < 8 * values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=40),
+       st.integers(0, 4), st.integers(0, 2**32))
+def test_distractors_are_distinct_positions_of_other_classes(pool_cls, cls,
+                                                             seed):
+    others = sum(c != cls for c in pool_cls)
+    drawn = objectlang._distractors(random.Random(seed), pool_cls, cls, others)
+    assert len(drawn) == len(set(drawn)) == min(2, others)
+    assert all(0 <= i < len(pool_cls) and pool_cls[i] != cls for i in drawn)
 
 
 _CHECKED_PROGRAMS = {"chain": _chain_program(),
