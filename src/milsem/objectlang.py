@@ -17,8 +17,11 @@ Three independent views of evaluation live here:
     rule programs against ground truth.  It is written from the semantics
     alone and shares nothing with ``solve`` except `substitute`.
 
-Beside the core lives `metarule_library`, the metarules every bundled
-scenario learns with.  Scenario files include both rather than copy them.
+Beside the core lives `metarule_library`, the metarules that two or more
+bundled scenarios' hypotheses use.  Scenario files include both rather
+than copy them.  A metarule only one scenario uses is declared in that
+scenario's file, since each metarule a scenario learns with widens its
+search.
 """
 
 from __future__ import annotations
@@ -256,18 +259,13 @@ METARULES_SRC = """\
 metarule(step2l, [func(H/2)], ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).
 metarule(step2r, [func(H/2)], ([step,[H,V,B],[H,V,C]] :- [[value,V],[step,B,C]])).
 metarule(stepselnest, [func(F/1),func(G/2),pred(P/3)], ([step,[F,[G,A,B]],C] :- [[P,A,B,C]])).
-metarule(stepsel1, [func(F/1),pred(P/2)], ([step,[F,A],B] :- [[P,A,B]])).
-metarule(casec, [pred(P/3),const(C),pred(Q/2)], ([P,[C],A,B] :- [[Q,A,B]])).
-metarule(unpack2, [pred(P/2),func(H/2),pred(Q/3)], ([P,[H,A,B],C] :- [[Q,A,B,C]])).
 metarule(value2, [func(H/2)], ([value,[H,A,B]] :- [[value,A],[value,B]])).
 metarule(value0, [const(C)], ([value,[C]] :- [])).
-metarule(betalazy, [func(F/2),func(G/2)], ([step,[F,[G,X,B],A],T] :- [[substitute,A,X,B,T]])).
-metarule(betaeager, [func(F/2),func(G/2)], ([step,[F,[G,X,B],A],T] :- [[value,A],[substitute,A,X,B,T]])).
 """
 
 
 def metarule_library() -> tuple[Metarule, ...]:
-    """The metarules every bundled scenario learns with."""
+    """The metarules shared by two or more bundled scenarios' hypotheses."""
     return tuple(parse_metarules(METARULES_SRC))
 
 

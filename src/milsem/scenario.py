@@ -16,7 +16,7 @@ example goal but nowhere in the background program, so files only need to
 spell out constructors the examples cannot reveal.  Arity-0 functions
 double as constants; integer literals in examples join the constant pool.
 
-Two directives, expanded in place, pull in what every scenario shares
+Two directives, expanded in place, pull in what the bundled scenarios share
 from `milsem.objectlang`: ``include(core(S)).`` in ``background`` stands
 for ``base_clauses(S)``, S being full, lazy or eager, and
 ``include(library).`` in ``metarules`` for ``metarule_library()``.

@@ -272,13 +272,17 @@ class Store:
         and bound to it.  `rename_apart` then renames the body through the
         same frame.
         """
-        if head.functor is not goal.functor:
-            return False
+        return (head.functor is goal.functor
+                and self._unify_head(head.args, goal.args, frame, counter))
+
+    def _unify_head(self, hargs: tuple[Term, ...], gargs: tuple[Term, ...],
+                    frame: dict[int, Term], counter: FreshVars) -> bool:
+        """`unify_atoms` on argument tuples, pair by pair in the order
+        given.  It recurses only into a head compound, so the recursion is
+        as deep as the head, whatever the goal; a compound pair's
+        arguments go last first, in the order `unify` meets them."""
         bindings = self.bindings
-        # argument pairs in the order `unify` would meet them, leftmost first
-        stack = list(zip(reversed(head.args), reversed(goal.args)))
-        while stack:
-            h, g = stack.pop()
+        for h, g in zip(hargs, gargs):
             while isinstance(g, Var):
                 nxt = bindings.get(g.id)
                 if nxt is None:
@@ -300,7 +304,9 @@ class Store:
                 return False
             if not isinstance(g, Compound) or h.functor is not g.functor:
                 return False
-            stack.extend(zip(h.args, g.args))
+            if h.args and not self._unify_head(h.args[::-1], g.args[::-1],
+                                               frame, counter):
+                return False
         return True
 
 

@@ -186,6 +186,17 @@ def test_criterion_2_conditionals(scenarios, learned):
             assert got == want and got, print_term(t)
 
 
+def lazy_variant(eager_spec):
+    """``lazy_eager`` with its non-terminating example retagged as a
+    positive: the redex that discards a loop evaluates to ``var(y)``."""
+    probe = next(e for e in eager_spec.examples if e.tag == "nonterm").goal.args[0]
+    return replace(
+        eager_spec,
+        name="lazy_variant",
+        examples=tuple(e for e in eager_spec.examples if e.tag != "nonterm")
+        + (Example("pos", Compound(S_EVAL, (probe, parse_term("var(y)")))),))
+
+
 def test_criterion_3_evaluation_order(scenarios):
     with criterion(3, "example tags pick the evaluation order"):
         eager_spec = scenarios["lazy_eager"]
@@ -196,11 +207,7 @@ def test_criterion_3_evaluation_order(scenarios):
         eager = learn(eager_spec)
         assert eager.ok
 
-        retagged = replace(
-            eager_spec,
-            name="lazy_variant",
-            examples=tuple(e for e in eager_spec.examples if e.tag != "nonterm")
-            + (Example("pos", Compound(S_EVAL, (probe, parse_term("var(y)")))),))
+        retagged = lazy_variant(eager_spec)
         lazy = learn(retagged)
         assert lazy.ok
 

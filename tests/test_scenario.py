@@ -1,8 +1,15 @@
 import importlib.resources
+from collections import Counter
 
 import pytest
 
-from milsem.objectlang import BASE_BK_SRC, base_clauses, metarule_library
+from milsem.learn import learn
+from milsem.objectlang import (
+    BASE_BK_SRC,
+    METARULES_SRC,
+    base_clauses,
+    metarule_library,
+)
 from milsem.scenario import (
     Options,
     ScenarioError,
@@ -12,7 +19,8 @@ from milsem.scenario import (
     parse_scenario,
 )
 from milsem.terms import symbol
-from milsem.textio import print_clause
+from milsem.textio import parse_metarules, print_clause
+from test_acceptance import lazy_variant
 
 GOOD = """\
 %% background
@@ -200,14 +208,43 @@ def test_bundled_scenario_includes_the_one_core_and_library(name):
     spec = builtin_scenario(name)
     core = base_clauses(BUNDLED_CORES[name])
     assert spec.bk == core
-    assert spec.metarules == metarule_library()
 
-    # the shared definitions are not copied back into the file
+    # the library, then the file's own metarules in file order
     text = (importlib.resources.files("milsem") / "data" / "scenarios"
             / f"{name}.pls").read_text(encoding="utf-8")
     lines = text.splitlines()
-    assert not [ln for ln in lines if ln.startswith("metarule(")]
+    own = parse_metarules("\n".join(ln for ln in lines
+                                     if ln.startswith("metarule(")))
+    assert spec.metarules == metarule_library() + tuple(own)
+
+    # the shared definitions are not copied back into the file
+    assert not set(lines) & set(METARULES_SRC.splitlines())
     assert not set(lines) & set(BASE_BK_SRC.splitlines())
+
+
+# named variants of a bundled scenario whose hypotheses may use a metarule
+# the scenario's file declares
+VARIANTS = {"lazy_eager": lazy_variant}
+
+
+def _rules(spec) -> set[str]:
+    res = learn(spec)
+    assert res.ok, spec.name
+    return {m.rule for m in res.hypothesis.metasubs}
+
+
+def test_library_is_the_metarules_two_bundled_hypotheses_share():
+    library = {m.name for m in metarule_library()}
+    uses = Counter()
+    for name in builtin_scenario_names():
+        spec = builtin_scenario(name)
+        used = _rules(spec)
+        uses.update(used)
+        if name in VARIANTS:
+            used |= _rules(VARIANTS[name](spec))
+        own = {m.name for m in spec.metarules} - library
+        assert own <= used, (name, own - used)
+    assert library == {rule for rule, n in uses.items() if n >= 2}
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_CORES))

@@ -160,6 +160,30 @@ def test_unify_atoms_binds_goal_variables_to_renamed_head_terms():
     assert set(store.bindings) == {var("G").id, fresh.id}
 
 
+def test_unify_atoms_meets_pairs_in_unify_order():
+    # the head's arguments leftmost first, a compound's arguments last first
+    store, frame, counter = Store(), {}, FreshVars()
+    head = mk("p", mk("f", mk("g", var("X")), mk("h", var("Y"))), var("Z"))
+    goal = mk("p", mk("f", var("G1"), var("G2")), var("G3"))
+    assert store.unify_atoms(head, goal, frame, counter)
+    assert store.trail == [var("G2").id, var("G1").id]
+    assert frame == {var("Y").id: Var(-1), var("X").id: Var(-2),
+                     var("Z").id: var("G3")}
+    assert list(frame) == [var("Y").id, var("X").id, var("Z").id]
+
+
+def test_unify_atoms_recurses_only_as_deep_as_the_head():
+    deep = Int(0)
+    for _ in range(20_000):
+        deep = mk("s", deep)
+    store, frame = Store(), {}
+    head = mk("count", mk("s", var("N")), var("N"))
+    assert store.unify_atoms(head, mk("count", deep, deep.args[0]), frame,
+                             FreshVars())
+    assert frame[var("N").id] is deep.args[0]
+    assert store.bindings == {}
+
+
 # random ground-ish terms for unification properties
 _names = st.sampled_from(["f", "g", "h"])
 _leaves = st.one_of(
