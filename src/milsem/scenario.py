@@ -168,16 +168,16 @@ def _parse_items(sections: dict[str, str], section: str,
     includes = _INCLUDES[section]
     p = _Parser(sections[section])
     out: list = []
-    while not p.at("EOF"):
-        tok = p.peek()
-        if tok.text != "include":
+    while p.peek():
+        start = p.pos
+        if p.peek() != "include":
             out.append(parse_one(p))
             continue
         directive = print_term(p.literal())
-        p.expect("DOT", ".")
+        p.expect(".")
         if directive not in includes:
             raise ScenarioError(
-                f"{directive}. at line {tok.line}: the {section} section "
+                f"{directive}. at line {p.line_at(start)}: the {section} section "
                 f"takes only {', '.join(includes)}")
         out.extend(includes[directive]())
     return tuple(out)
@@ -186,18 +186,18 @@ def _parse_items(sections: dict[str, str], section: str,
 def _parse_examples(text: str) -> list[Example]:
     p = _Parser(text)
     out: list[Example] = []
-    while not p.at("EOF"):
-        tok = p.peek()
+    while p.peek():
+        start = p.pos
         a = p.literal()
-        p.expect("DOT", ".")
+        p.expect(".")
         if a.functor.name not in EXAMPLE_TAGS or a.functor.arity != 1:
             raise ScenarioError(
-                f"example at line {tok.line} must be pos(G), neg(G) or "
+                f"example at line {p.line_at(start)} must be pos(G), neg(G) or "
                 f"nonterm(G), got {a.functor}")
         goal = a.args[0]
         if not isinstance(goal, Compound) or goal.functor.arity == 0:
             raise ScenarioError(
-                f"example goal at line {tok.line} must be a compound atom")
+                f"example goal at line {p.line_at(start)} must be a compound atom")
         out.append(Example(a.functor.name, goal))
     return out
 
@@ -205,33 +205,35 @@ def _parse_examples(text: str) -> list[Example]:
 def _parse_options(text: str) -> Options:
     p = _Parser(text)
     opts = Options()
-    while not p.at("EOF"):
-        tok = p.peek()
+    while p.peek():
+        start = p.pos
         a = p.literal()
-        p.expect("DOT", ".")
+        p.expect(".")
         if a.functor.arity != 1:
-            raise ScenarioError(f"malformed option at line {tok.line}")
+            raise ScenarioError(f"malformed option at line {p.line_at(start)}")
         arg = a.args[0]
         name = a.functor.name
         if name in ("depth_limit", "max_clauses", "timeout"):
             if not isinstance(arg, Int) or arg.value <= 0:
                 raise ScenarioError(
-                    f"{name} at line {tok.line} needs a positive integer")
+                    f"{name} at line {p.line_at(start)} needs a positive integer")
             value = float(arg.value) if name == "timeout" else arg.value
             opts = replace(opts, **{name: value})
         else:
-            raise ScenarioError(f"unknown option {name!r} at line {tok.line}")
+            raise ScenarioError(
+                f"unknown option {name!r} at line {p.line_at(start)}")
     return opts
 
 
 def _parse_symbol_list(text: str, *, what: str) -> tuple[Symbol, ...]:
     p = _Parser(text)
     out: list[Symbol] = []
-    while not p.at("EOF"):
-        tok = p.peek()
+    while p.peek():
+        start = p.pos
         s = p.symbol_decl()
         if s in out:
-            raise ScenarioError(f"duplicate {what} {s.name}/{s.arity} at line {tok.line}")
+            raise ScenarioError(f"duplicate {what} {s.name}/{s.arity} "
+                                f"at line {p.line_at(start)}")
         out.append(s)
     return tuple(out)
 

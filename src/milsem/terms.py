@@ -8,6 +8,13 @@ interned integers; parsed variables get non-negative ids with their names
 kept in a module-level table, while variables minted by a renaming counter
 get negative ids and print as ``_v<n>``.
 
+`Var`, `Int` and `Compound` compare, hash and print as frozen dataclasses
+would, but are not frozen: that would store each field through
+``object.__setattr__``, more than doubling the cost of building a term.
+``tests/test_immutable_terms.py`` keeps them immutable instead: it fails
+on any store to a term field, and on any ``setattr``, in the package
+or its benchmark.
+
 A clause is renamed apart while its head is unified with a goal, not
 before.  `Store.unify_atoms` walks the unrenamed head against the goal and
 records in a *frame* the goal subterm each head variable first meets;
@@ -66,17 +73,17 @@ def symbol(name: str, arity: int) -> Symbol:
     return sym
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Int:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compound:
     functor: Symbol
     args: tuple["Term", ...]

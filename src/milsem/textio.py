@@ -25,6 +25,14 @@ declared; otherwise it is an ordinary first-order variable.  Declarations
 are ``pred(P/2)``, ``func(H/2)`` and ``const(C)``; the arity may be left
 off and is then inferred from use.
 
+One compiled pattern is the lexer for terms, clauses, metarules and
+scenario sections: ``findall`` gives the token strings, and a token's
+kind is read off its first character.  Whitespace is space, tab, CR and
+LF only.  Where no token can start, the pattern takes the rest of the
+text as one last token, checked before parsing, so a bad character is
+reported before any parse error.  A token's line and column are worked
+out from its offset only when an error names them.
+
 Printing is the inverse up to variable identity: output re-parses to an
 alpha-equivalent clause, and to an equal one when every variable came from
 parsing.  Variables minted by renaming print as ``_v<n>``.
@@ -33,6 +41,7 @@ parsing.  Variables minted by renaming print as ``_v<n>``.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from typing import Iterable, Optional, Union
 
 from .metarules import (
@@ -76,79 +85,27 @@ class ParseError(ValueError):
 # Lexer
 # ============================================================
 
-_PUNCT = {"(": "LP", ")": "RP", "[": "LB", "]": "RB", ",": "COMMA",
-          ".": "DOT", "/": "SLASH"}
+# A token is ``:-``, a punctuation mark, an integer or a word (a name or a
+# variable); a comment matches as an empty group.
+_TOKENS = r":-|[()\[\],./]|-?\d+|\w+"
+_TOKEN = re.compile(r"%[^\n]*|(" + _TOKENS + r"|[^ \t\r\n][\s\S]*)")
+_ONE_TOKEN = re.compile(_TOKENS)
+
+# A token's kind is a token: itself for ``:-`` and punctuation, ``a`` for
+# a name, ``A`` for a variable, ``0`` for an integer and ``""`` at the end.
+_KINDS = {"": "", ":": ":-", "-": "0", "_": "A",
+          **{c: c for c in "()[],./"},
+          **dict.fromkeys("0123456789", "0"),
+          **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "a"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "A")}
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def tokenize(text: str, line: int = 1) -> list[Token]:
-    """The tokens of ``text``, whose first line is numbered ``line``."""
-    toks: list[Token] = []
-    i = 0
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == ":":
-            if i + 1 < n and text[i + 1] == "-":
-                toks.append(Token("IMPL", ":-", line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("stray ':'", line, col, (":-",))
-        if ch in _PUNCT:
-            toks.append(Token(_PUNCT[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "VNAME" if (ch == "_" or ch.isupper()) else "NAME"
-            toks.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
+def _kind(tok: str) -> str:
+    c = tok[:1]
+    k = _KINDS.get(c)
+    if k is None:  # a non-ASCII word
+        k = "0" if c.isdecimal() else "A" if c.isupper() else "a"
+    return k
 
 
 # ============================================================
@@ -157,193 +114,242 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
 
 
 class _Parser:
+    """Recursive descent over the tokens of ``text``, whose first line is
+    numbered ``line``."""
+
     def __init__(self, text: str, line: int = 1) -> None:
-        self.toks = tokenize(text, line)
+        self.text = text
+        self.line = line
+        toks = _TOKEN.findall(text)
+        if "%" in text:
+            toks = [t for t in toks if t]
+        # The first bad token: a word that starts with neither a letter nor
+        # a digit, which only non-ASCII text can hold, or else the rest of
+        # the text from where no token could start.
+        bad = None
+        if not text.isascii():
+            bad = next((i for i, t in enumerate(toks) if not (
+                t[0].isascii() or t[0].isalpha() or t[0].isdecimal())), None)
+        if bad is None and toks and not _ONE_TOKEN.fullmatch(toks[-1]):
+            bad = len(toks) - 1
+        if bad is not None:
+            ch = toks[bad][0]
+            if ch == ":":
+                raise self.error_at(bad, "stray ':'", (":-",))
+            raise self.error_at(bad, f"unexpected character {ch!r}")
+        toks.append("")
+        self.toks = toks
         self.pos = 0
-        self.written = {t.text for t in self.toks if t.kind == "VNAME"}
+        self.first_var: Optional[int] = None  # the first variable's token
+        self.written: Optional[set[str]] = None
         self.anonymous = 0
+
+    def error_at(self, index: int, message: str,
+                 expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError at token ``index``.  A comment takes up no column,
+        so the end of input comes before a comment on the last line."""
+        text = self.text
+        starts = [m.start(1) for m in _TOKEN.finditer(text) if m.start(1) >= 0]
+        if index < len(starts):
+            offset = starts[index]
+        else:
+            offset = text.find("%", text.rfind("\n") + 1)
+            if offset < 0:
+                offset = len(text)
+        return ParseError(message, self.line + text.count("\n", 0, offset),
+                          offset - text.rfind("\n", 0, offset), expected)
+
+    def line_at(self, index: int) -> int:
+        return self.error_at(index, "").line
 
     def fresh(self) -> Var:
         """For the next ``_``: the next ``_G<n>`` the text does not write."""
+        if self.written is None:
+            self.written = {t for t in self.toks if _kind(t) == "A"}
         self.anonymous += 1
         while f"_G{self.anonymous}" in self.written:
             self.anonymous += 1
         return var(f"_G{self.anonymous}")
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def found(self, what: tuple[str, ...]) -> ParseError:
+        """The error for an unexpected next token, ``what`` expected."""
         t = self.toks[self.pos]
+        return self.error_at(self.pos, f"found {t!r}" if t
+                             else "unexpected end of input", what)
+
+    def expect(self, kind: str, what: str = "") -> str:
+        """The next token, which must be of ``kind``; ``what`` names it in
+        the error when it is not the token itself."""
+        t = self.toks[self.pos]
+        if _kind(t) != kind:
+            raise self.found((what or kind,))
         self.pos += 1
         return t
 
-    def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"found {t.text!r}" if t.text else "unexpected end of input",
-                             t.line, t.col, (what,))
-        return self.next()
-
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def accept(self, kind: str) -> Optional[Token]:
-        if self.at(kind):
-            return self.next()
-        return None
+    def accept(self, tok: str) -> bool:
+        if self.toks[self.pos] == tok:
+            self.pos += 1
+            return True
+        return False
 
     # ---- terms ----
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "VNAME":
-            self.next()
-            if t.text == "_":
-                return self.fresh()
-            return var(t.text)
-        if t.kind == "INT":
-            self.next()
-            return Int(int(t.text))
-        if t.kind == "NAME":
-            self.next()
-            if self.accept("LP"):
-                args = [self.term()]
-                while self.accept("COMMA"):
-                    args.append(self.term())
-                self.expect("RP", ")")
-                return Compound(symbol(t.text, len(args)), tuple(args))
-            return Compound(symbol(t.text, 0), ())
-        raise ParseError(f"found {t.text!r}" if t.text else "unexpected end of input",
-                         t.line, t.col, ("a term",))
+        toks = self.toks
+        t = toks[self.pos]
+        kind = _KINDS.get(t[:1]) or _kind(t)  # no call for ASCII
+        if kind == "a":
+            self.pos += 1
+            if toks[self.pos] != "(":
+                return Compound(symbol(t, 0), ())
+            self.pos += 1
+            args = [self.term()]
+            while toks[self.pos] == ",":
+                self.pos += 1
+                args.append(self.term())
+            self.expect(")")
+            return Compound(symbol(t, len(args)), tuple(args))
+        if kind == "A":
+            if self.first_var is None:
+                self.first_var = self.pos
+            self.pos += 1
+            return self.fresh() if t == "_" else var(t)
+        if kind == "0":
+            self.pos += 1
+            return Int(int(t))
+        raise self.found(("a term",))
 
     def literal(self) -> Compound:
         """A literal: a compound or bare name, its functor the predicate."""
-        if not self.at("NAME"):
-            self.expect("NAME", "a predicate name")
+        if _kind(self.toks[self.pos]) != "a":
+            raise self.found(("a predicate name",))
         return self.term()
 
     def clause(self) -> Clause:
         head = self.literal()
         body: list[Compound] = []
-        if self.accept("IMPL"):
+        if self.accept(":-"):
             body.append(self.literal())
-            while self.accept("COMMA"):
+            while self.accept(","):
                 body.append(self.literal())
-        self.expect("DOT", ".")
+        self.expect(".")
         return Clause(head, tuple(body))
 
     # ---- symbol declarations: name/arity. ----
 
     def symbol_decl(self) -> Symbol:
-        t = self.expect("NAME", "a symbol name")
-        self.expect("SLASH", "/")
-        a = self.expect("INT", "an arity")
-        self.expect("DOT", ".")
-        return symbol(t.text, int(a.text))
+        name = self.expect("a", "a symbol name")
+        self.expect("/")
+        arity = self.expect("0", "an arity")
+        self.expect(".")
+        return symbol(name, int(arity))
 
     # ---- metarules ----
 
     def metarule(self) -> Metarule:
-        kw = self.expect("NAME", "metarule")
-        if kw.text != "metarule":
-            raise ParseError(f"found {kw.text!r}", kw.line, kw.col, ("metarule",))
-        self.expect("LP", "(")
-        name = self.expect("NAME", "a metarule name").text
-        self.expect("COMMA", ",")
+        start = self.pos
+        kw = self.expect("a", "metarule")
+        if kw != "metarule":
+            raise self.error_at(start, f"found {kw!r}", ("metarule",))
+        self.expect("(")
+        name = self.expect("a", "a metarule name")
+        self.expect(",")
         decls = self._decl_list()
         declared = {d.name for d in decls}
-        self.expect("COMMA", ",")
-        self.expect("LP", "(")
+        self.expect(",")
+        self.expect("(")
         head = self._template_list(declared)
-        self.expect("IMPL", ":-")
-        self.expect("LB", "[")
+        self.expect(":-")
+        self.expect("[")
         body: list[TComp] = []
-        if not self.at("RB"):
+        if self.toks[self.pos] != "]":
             body.append(self._template_list(declared))
-            while self.accept("COMMA"):
+            while self.accept(","):
                 body.append(self._template_list(declared))
-        self.expect("RB", "]")
-        self.expect("RP", ")")
-        self.expect("RP", ")")
-        self.expect("DOT", ".")
+        self.expect("]")
+        self.expect(")")
+        self.expect(")")
+        self.expect(".")
         try:
             return Metarule(name, decls, head, body)
         except MetaruleError as exc:
-            raise ParseError(str(exc), kw.line, kw.col) from None
+            raise self.error_at(start, str(exc)) from None
 
     def _decl_list(self) -> list[Decl]:
-        self.expect("LB", "[")
+        self.expect("[")
         decls: list[Decl] = []
-        if not self.at("RB"):
+        if self.toks[self.pos] != "]":
             decls.append(self._decl())
-            while self.accept("COMMA"):
+            while self.accept(","):
                 decls.append(self._decl())
-        self.expect("RB", "]")
+        self.expect("]")
         return decls
 
     def _decl(self) -> Decl:
-        kw = self.expect("NAME", "pred, func or const")
-        if kw.text not in (PRED, FUNC, CONST):
-            raise ParseError(f"found {kw.text!r}", kw.line, kw.col,
-                             ("pred", "func", "const"))
-        self.expect("LP", "(")
-        name = self.expect("VNAME", "a metavariable name").text
+        kind = self.expect("a", "pred, func or const")
+        if kind not in (PRED, FUNC, CONST):
+            raise self.error_at(self.pos - 1, f"found {kind!r}",
+                                ("pred", "func", "const"))
+        self.expect("(")
+        name = self.expect("A", "a metavariable name")
         arity = -1  # inferred from use
-        if self.accept("SLASH"):
-            arity = int(self.expect("INT", "an arity").text)
-        self.expect("RP", ")")
-        if kw.text == CONST:
+        if self.accept("/"):
+            arity = int(self.expect("0", "an arity"))
+        self.expect(")")
+        if kind == CONST:
             arity = 0
-        return Decl(name, kw.text, arity)
+        return Decl(name, kind, arity)
 
     def _template_list(self, declared: set[str]) -> TComp:
         """``[f, t1, ..., tn]``, a template literal or term: ``f`` is a
         name or a declared metavariable."""
-        self.expect("LB", "[")
-        f = self.peek()
-        if not (f.kind == "NAME" or f.kind == "VNAME" and f.text in declared):
-            raise ParseError(f"found {f.text!r}", f.line, f.col,
-                             ("a name", "a declared metavariable"))
-        self.next()
+        self.expect("[")
+        f = self.toks[self.pos]
+        kind = _kind(f)
+        if not (kind == "a" or kind == "A" and f in declared):
+            raise self.error_at(self.pos, f"found {f!r}",
+                                ("a name", "a declared metavariable"))
+        self.pos += 1
         args: list[TTerm] = []
-        while self.accept("COMMA"):
+        while self.accept(","):
             args.append(self._template_term(declared))
-        self.expect("RB", "]")
-        if f.kind == "VNAME":
-            return TComp(MetaVar(f.text), tuple(args))
-        return TComp(symbol(f.text, len(args)), tuple(args))
+        self.expect("]")
+        if kind == "A":
+            return TComp(MetaVar(f), tuple(args))
+        return TComp(symbol(f, len(args)), tuple(args))
 
     def _template_term(self, declared: set[str]) -> TTerm:
-        t = self.peek()
-        if t.kind == "LB":
+        t = self.toks[self.pos]
+        if t == "[":
             return self._template_list(declared)
-        if t.kind == "VNAME":
-            self.next()
-            if t.text in declared:
-                return MetaVar(t.text)
-            if t.text == "_":
-                return self.fresh()
-            return var(t.text)
-        if t.kind == "INT":
-            self.next()
-            return Int(int(t.text))
-        if t.kind == "NAME":
-            self.next()
-            if self.accept("LP"):
-                args = [self._template_term(declared)]
-                while self.accept("COMMA"):
+        kind = _kind(t)
+        if kind == "a":
+            self.pos += 1
+            args: list[TTerm] = []
+            if self.accept("("):
+                args.append(self._template_term(declared))
+                while self.accept(","):
                     args.append(self._template_term(declared))
-                self.expect("RP", ")")
-                return TComp(symbol(t.text, len(args)), tuple(args))
-            return TComp(symbol(t.text, 0), ())
-        raise ParseError(f"found {t.text!r}" if t.text else "unexpected end of input",
-                         t.line, t.col, ("a template term",))
+                self.expect(")")
+            return TComp(symbol(t, len(args)), tuple(args))
+        if kind == "A":
+            self.pos += 1
+            if t in declared:
+                return MetaVar(t)
+            return self.fresh() if t == "_" else var(t)
+        if kind == "0":
+            self.pos += 1
+            return Int(int(t))
+        raise self.found(("a template term",))
 
     def end(self) -> None:
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col, ("end of input",))
+        t = self.toks[self.pos]
+        if t:
+            raise self.error_at(self.pos, f"trailing input {t!r}",
+                                ("end of input",))
 
 
 # ============================================================
@@ -358,18 +364,18 @@ def parse_term(text: str, line: int = 1, *,
     variable: one is a ParseError naming it."""
     p = _Parser(text, line)
     t = p.term()
-    p.accept("DOT")
+    p.accept(".")
     p.end()
-    if ground is not None and p.written:
-        tok = next(tok for tok in p.toks if tok.kind == "VNAME")
-        raise ParseError(f"variable {tok.text} in {ground}", tok.line, tok.col)
+    if ground is not None and p.first_var is not None:
+        raise p.error_at(p.first_var,
+                         f"variable {p.toks[p.first_var]} in {ground}")
     return t
 
 
 def parse_clauses(text: str) -> list[Clause]:
     p = _Parser(text)
     out: list[Clause] = []
-    while not p.at("EOF"):
+    while p.peek():
         out.append(p.clause())
     return out
 
@@ -377,7 +383,7 @@ def parse_clauses(text: str) -> list[Clause]:
 def parse_metarules(text: str) -> list[Metarule]:
     p = _Parser(text)
     out: list[Metarule] = []
-    while not p.at("EOF"):
+    while p.peek():
         out.append(p.metarule())
     return out
 

@@ -1,0 +1,162 @@
+"""The exact errors the parser and the scenario reader give.
+
+Each row is an input and the error it must raise: the whole message,
+and for a `ParseError` its line, column and expected set.  The table
+pins where a position comes from (a token, the end of input after a
+trailing comment, a bad character found before any parse error), so a
+change to the lexer cannot move one unseen.
+"""
+
+import pytest
+
+from milsem.corpus import parse_corpus
+from milsem.scenario import ScenarioError, parse_scenario
+from milsem.textio import (
+    ParseError,
+    parse_clauses,
+    parse_metarules,
+    parse_term,
+)
+
+TERM_ERRORS = [
+    # (text, message, line, column, expected)
+    ("f(%x", "unexpected end of input", 1, 3, ("a term",)),
+    ("f(a,) ²", "unexpected character '²'", 1, 7, ()),
+    ("f(a:b)", "stray ':'", 1, 4, (":-",)),
+    ("f(²)", "unexpected character '²'", 1, 3, ()),
+    ("\x0cf(a)", "unexpected character '\\x0c'", 1, 1, ()),
+    ("f(-)", "unexpected character '-'", 1, 3, ()),
+    ("12abc", "trailing input 'abc'", 1, 3, ("end of input",)),
+    ("F(a)", "trailing input '('", 1, 2, ("end of input",)),
+    ("f(a,)", "found ')'", 1, 5, ("a term",)),
+    ("f(a).\n.", "trailing input '.'", 2, 1, ("end of input",)),
+    ("f(a,\n  %c\n", "unexpected end of input", 3, 1, ("a term",)),
+    ("a²(b) ½", "unexpected character '½'", 1, 7, ()),
+    ("\tf(a, %c\n\r  b", "unexpected end of input", 2, 5, (")",)),
+]
+
+CLAUSE_ERRORS = [
+    ("f(%x", "unexpected end of input", 1, 3, ("a term",)),
+    ("f(a,) ²", "unexpected character '²'", 1, 7, ()),
+    ("12abc", "found '12'", 1, 1, ("a predicate name",)),
+    ("F(a)", "found 'F'", 1, 1, ("a predicate name",)),
+    ("f(a).\n.", "found '.'", 2, 1, ("a predicate name",)),
+    ("Ωx", "found 'Ωx'", 1, 1, ("a predicate name",)),
+    ("f(X)", "unexpected end of input", 1, 5, (".",)),
+    ("f(a) %c", "unexpected end of input", 1, 6, (".",)),
+]
+
+METARULE_ERRORS = [
+    ("metarule(m, [foo(H)], ([step,A] :- [])).", "found 'foo'", 1, 14,
+     ("pred", "func", "const")),
+    ("metarule(m, [], ([A,B] :- [])).", "found 'A'", 1, 19,
+     ("a name", "a declared metavariable")),
+    ("rule(m).", "found 'rule'", 1, 1, ("metarule",)),
+    ("metarule(m, [func(H/x)], ([step,A] :- [])).", "found 'x'", 1, 21,
+     ("an arity",)),
+    ("metarule(m, [], ([step,[f,A]] :- [[step, ²]])).",
+     "unexpected character '²'", 1, 42, ()),
+]
+
+CORPUS_ERRORS = [
+    ("f(X)", "variable X in a corpus term", 1, 3, ()),
+    ("ok\n\nf(_,a)", "variable _ in a corpus term", 3, 3, ()),
+    ("f(a) b", "trailing input 'b'", 1, 6, ("end of input",)),
+]
+
+
+def _detail(message, line, col, expected):
+    text = f"{message} at line {line}, column {col}"
+    if expected:
+        text += " (expected " + " or ".join(sorted(expected)) + ")"
+    return text
+
+
+def _check(parse, text, message, line, col, expected):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (str(e.value), e.value.line, e.value.col, e.value.expected) == (
+        _detail(message, line, col, expected), line, col, expected)
+
+
+@pytest.mark.parametrize("row", TERM_ERRORS, ids=repr)
+def test_term_errors(row):
+    _check(parse_term, *row)
+
+
+@pytest.mark.parametrize("row", CLAUSE_ERRORS, ids=repr)
+def test_clause_errors(row):
+    _check(parse_clauses, *row)
+
+
+@pytest.mark.parametrize("row", METARULE_ERRORS, ids=repr)
+def test_metarule_errors(row):
+    _check(parse_metarules, *row)
+
+
+@pytest.mark.parametrize("row", CORPUS_ERRORS, ids=repr)
+def test_corpus_errors(row):
+    _check(parse_corpus, *row)
+
+
+def test_terms_that_parse():
+    assert parse_term("Ωx") == parse_term("Ωx.")
+    assert parse_term("f(a) %c") == parse_term("f(a)")
+
+
+# ---- scenario files ----
+
+_LIBRARY = "%% metarules\ninclude(library).\n"
+_HEAD = "%% background\nfoo(a).\n" + _LIBRARY + "%% head\nstep/2.\n"
+_EXAMPLE = "%% examples\npos(step(a,b)).\n"
+
+SCENARIO_ERRORS = [
+    # (text, error type, message, line and column of a ParseError)
+    ("%% background\nfoo(a).\n\n  include(core(x)).\n" + _LIBRARY
+     + "%% head\nstep/2.\n" + _EXAMPLE, ScenarioError,
+     "include(core(x)). at line 4: the background section takes only "
+     "include(core(full)), include(core(lazy)), include(core(eager))", None),
+    ("%% background\n%% metarules\n\ninclude(core(full)).\n%% head\n"
+     "step/2.\n" + _EXAMPLE, ScenarioError,
+     "include(core(full)). at line 4: the metarules section takes only "
+     "include(library)", None),
+    (_HEAD + "%% examples\npos(step(a,b)).\n\n% c\nfoo(step(a,b)).\n",
+     ScenarioError,
+     "example at line 11 must be pos(G), neg(G) or nonterm(G), got foo/1",
+     None),
+    (_HEAD + "%% examples\npos(step(a,b)).\n  neg(a).\n", ScenarioError,
+     "example goal at line 9 must be a compound atom", None),
+    (_HEAD + _EXAMPLE + "%% options\n\ndepth_limit(1,2).\n", ScenarioError,
+     "malformed option at line 11", None),
+    (_HEAD + _EXAMPLE + "%% options\ndepth_limit(3).\n max_clauses(0).\n",
+     ScenarioError, "max_clauses at line 11 needs a positive integer", None),
+    (_HEAD + _EXAMPLE + "%% options\n\n\nspeed(3).\n", ScenarioError,
+     "unknown option 'speed' at line 12", None),
+    ("%% background\n" + _LIBRARY + "%% head\nstep/2.\n\nstep/2.\n"
+     + _EXAMPLE, ScenarioError,
+     "duplicate head predicate step/2 at line 7", None),
+    (_HEAD + "%% examples\npos(step(a,b)).\npos(step(a,b)) ²\n", ParseError,
+     "unexpected character '²' at line 9, column 16", (9, 16)),
+    # the bad character is reported, not the bad example before it
+    (_HEAD + "%% examples\nfoo(a).\n²\n", ParseError,
+     "unexpected character '²' at line 9, column 1", (9, 1)),
+    ("%% background\n%% metarules\n\n"
+     "metarule(bad, [pred(P/2)], ([P,A,B] :- [[P,A]])).\n%% head\nstep/2.\n"
+     + _EXAMPLE, ParseError,
+     "metarule bad: P used as pred/2 and as pred/1 at line 4, column 1",
+     (4, 1)),
+    (_HEAD + "%% examples\npos(step(a,b)\n%% options\ndepth_limit(3).\n",
+     ParseError,
+     "unexpected end of input at line 8, column 14 (expected ))", (8, 14)),
+]
+
+
+@pytest.mark.parametrize("row", SCENARIO_ERRORS, ids=lambda r: r[2])
+def test_scenario_errors(row):
+    text, error, message, position = row
+    with pytest.raises(error) as e:
+        parse_scenario(text)
+    assert type(e.value) is error
+    assert str(e.value) == message
+    if position is not None:
+        assert (e.value.line, e.value.col) == position

@@ -273,18 +273,46 @@ _rand_terms = st.recursive(
     max_leaves=10)
 
 
-@given(_rand_terms)
-def test_term_round_trip(t):
+# Separators put between tokens before a re-parse: whitespace is space,
+# tab, CR and LF, and a comment runs to the end of its line.
+_seps = st.sampled_from(["", " ", "\t", "\r\n", " % c, f(X).\r\n",
+                         "%\n\t", "\n%%\n  "])
+
+
+def _term_tokens(t):
+    if isinstance(t, Compound) and t.args:
+        yield t.functor.name
+        yield "("
+        for i, a in enumerate(t.args):
+            if i:
+                yield ","
+            yield from _term_tokens(a)
+        yield ")"
+    else:
+        yield print_term(t)
+
+
+def _spaced(data, tokens):
+    return "".join(data.draw(_seps) + tok for tok in tokens) + data.draw(_seps)
+
+
+@given(_rand_terms, st.data())
+def test_term_round_trip(t, data):
     assert parse_term(print_term(t)) == t
+    assert parse_term(_spaced(data, _term_tokens(t))) == t
 
 
 @given(st.lists(_rand_terms, min_size=1, max_size=3),
-       st.lists(_rand_terms, min_size=0, max_size=2))
-def test_clause_round_trip(hargs, bargs):
+       st.lists(_rand_terms, min_size=0, max_size=2), st.data())
+def test_clause_round_trip(hargs, bargs, data):
     head = mk("p", *hargs)
     body = tuple(mk("q", *bargs) for _ in range(1 if bargs else 0))
     c = Clause(head, body)
     assert parse_clauses(print_clause(c)) == [c]
+    tokens = [*_term_tokens(head)]
+    for i, b in enumerate(body):
+        tokens += [":-" if i == 0 else ",", *_term_tokens(b)]
+    assert parse_clauses(_spaced(data, [*tokens, "."])) == [c]
 
 
 def test_long_clause_wraps_but_reparses():
