@@ -229,7 +229,7 @@ class _Engine:
         self.spec = spec
         self.resolver = Resolver(default_builtins(), FreshVars())
         self.store = self.resolver.store
-        self.background = Program(spec.bk).bucket
+        self.background = Program(spec.bk).select
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
         # examples must not share variables with each other or the program
@@ -298,10 +298,10 @@ class _Engine:
         adopted into the hypothesis while its body is being proved."""
         self._tick()
         pred = goal.functor
-        key = index_key(self.store.walk(goal.args[0])) if goal.args else None
-        bucket = self.background(pred, key)
+        bucket = self.background(goal, self.store.bindings)
         adopted = self.adopted.get(pred)
         if adopted:
+            key = index_key(self.store.walk(goal.args[0])) if goal.args else None
             bucket = bucket + tuple([c for c, k in adopted
                                      if k is None or key is None or k == key])
         if (len(self.hypothesis) >= self.size_cap

@@ -50,7 +50,6 @@ from .terms import (
     Var,
     const,
     symbol,
-    term_vars,
     var,
 )
 from .textio import parse_clauses, parse_metarules, print_term
@@ -184,10 +183,10 @@ def alpha_equal(a: Term, b: Term) -> bool:
 
 
 def _resolved_ground(store: Store, t: Term, who: str, what: str) -> Term:
-    r = store.resolve(t)
-    if term_vars(r):
+    r = store.resolve_ground(t)
+    if r is None:
         raise BuiltinError(f"{who}: {what} argument is insufficiently "
-                           f"instantiated: {print_term(r)}")
+                           f"instantiated: {print_term(store.resolve(t))}")
     return r
 
 

@@ -20,25 +20,32 @@ continuation as a linked list and its choice points on an explicit stack,
 so derivation depth costs heap, not Python frames.  Clauses come from a
 *clause source*: a function from a goal to a pair ``(bucket, tail)``.
 The bucket is a sequence of clauses, the program's first-argument bucket
-for the goal (`Program.bucket`); the resolver tries their heads itself,
-in order, unifying each unrenamed head with the goal through a fresh
-frame (`Store.unify_atoms`) and renaming the body of the one that
-unifies through the same frame (`rename_apart`).  The tail is None or an
+for the goal; the resolver tries their heads itself, in order, unifying
+each unrenamed head with the goal through a fresh frame
+(`Store.unify_atoms`) and renaming the body of the one that unifies
+through the same frame (`rename_apart`).  The tail is None or an
 iterator of further bodies, already renamed, drawn once the bucket is
 spent and resumed with the bindings of the previous one undone.  `solve`
-uses `Resolver.program_source`, whose tail is always None; the learner's
-tail instantiates metarules.  While the resolver only probes a tail for
-a depth cut, ``probing`` is set: the body it yields then is never
-entered.
+uses `Resolver.program_source`, whose tail is always None and whose
+bucket is `Program.select`: the goal's first argument dereferenced in
+place and looked up once in its predicate's bucket table.  The
+learner's tail instantiates metarules.  While the resolver only probes a
+tail for a depth cut, ``probing`` is set: the body it yields then is
+never entered.
 
 A choice point is a record, a tuple: the goal, its bucket, the index of
 the next bucket clause, the tail, the continuation after the goal, the
 budget left for the body, and the trail mark to undo to before the next
 alternative.  Taking an alternative costs one step, whichever it is.  A
-choice point is popped as soon as the alternative taken is its last, that
-is when no bucket clause is left and there is no tail, so a derivation in
-which the first argument picks one clause at each step holds no choice
-point at all.
+goal whose bucket holds at most one clause and that has no tail pushes
+no record: its one clause, if any, is tried at once, and when its head
+does not unify the search backtracks as from an exhausted choice point.
+Any other choice point is popped as soon as the alternative taken is its
+last, that is when no bucket clause is left and there is no tail, so a
+derivation in which the first argument picks one clause at each step
+holds no choice point at all.  However a run ends, exhausted, stopped at
+``max_steps``, closed by its caller or raised out of, it leaves the
+store's bindings and trail as it found them.
 
 Builtins are deterministic.  One receives the store plus the unresolved
 goal arguments, makes its bindings through the store, so backtracking
@@ -75,10 +82,10 @@ import enum
 import inspect
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, KeysView, Optional, Sequence
 
 from .terms import (
-    Clause,
+    Bucket,
     Compound,
     FreshVars,
     Program,
@@ -86,7 +93,6 @@ from .terms import (
     Subst,
     Symbol,
     Term,
-    index_key,
     rename_apart,
     restrict,
     term_vars,
@@ -108,7 +114,6 @@ class BuiltinError(Exception):
 
 
 BuiltinFn = Callable[[Store, tuple[Term, ...]], bool]
-Bucket = Sequence[Clause]
 Tail = Optional[Iterator[Sequence[Compound]]]
 ClauseSource = Callable[[Compound], tuple[Bucket, Tail]]
 
@@ -118,6 +123,8 @@ DEFAULT_DEPTH = 300  # wherever no depth bound is given, scenarios included
 class BuiltinTable:
     def __init__(self) -> None:
         self._fns: dict[Symbol, BuiltinFn] = {}
+        # the builtin for a predicate symbol, or None
+        self.get: Callable[[Symbol], Optional[BuiltinFn]] = self._fns.get
 
     def register(self, sym: Symbol, fn: BuiltinFn) -> None:
         if sym in self._fns:
@@ -127,11 +134,8 @@ class BuiltinTable:
             raise ValueError(f"builtin {sym}: a builtin returns a bool")
         self._fns[sym] = fn
 
-    def get(self, sym: Symbol) -> Optional[BuiltinFn]:
-        return self._fns.get(sym)
-
-    def predicates(self) -> frozenset[Symbol]:
-        return frozenset(self._fns)
+    def predicates(self) -> KeysView[Symbol]:
+        return self._fns.keys()
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,21 +189,22 @@ class Resolver:
 
     def program_source(self, program: Program) -> ClauseSource:
         """The program's bucket for each goal's first argument, no tail."""
-        walk, bucket = self.store.walk, program.bucket
+        select, bindings = program.select, self.store.bindings
 
         def clauses(goal: Compound) -> tuple[Bucket, None]:
-            key = index_key(walk(goal.args[0])) if goal.args else None
-            return bucket(goal.functor, key), None
+            return select(goal, bindings), None
 
         return clauses
 
     def run(self, goals: Sequence[Compound], budget: int,
             source: ClauseSource) -> Iterator[None]:
         """Prove the conjunction; yields once per proof, with the answer
-        bindings in the store until resumed.  Once exhausted, it leaves
-        the store as it found it."""
-        store, builtins, counter = self.store, self.builtins, self.counter
-        entry = store.mark()
+        bindings in the store until resumed.  Once it ends, exhausted,
+        stopped or closed, it leaves the store as it found it."""
+        store, counter = self.store, self.counter
+        bindings, trail = store.bindings, store.trail
+        builtin = self.builtins.get
+        entry = len(trail)
         cont = None  # goals still to prove, as nested (goal, rest) pairs
         for g in reversed(goals):
             cont = (g, cont)
@@ -207,63 +212,77 @@ class Resolver:
         # budget for the body, trail mark)
         stack: list[tuple] = []
         max_steps = self.max_steps
-        while True:
-            if cont is None:
-                yield
-                max_steps = self.max_steps  # the caller may have moved it
-            else:
-                goal, rest = cont
-                fn = builtins.get(goal.functor)
-                if fn is not None:
-                    if budget < 1:
-                        self.tainted = True
+        try:
+            while True:
+                body = None  # the renamed body of the clause to enter
+                if cont is None:
+                    yield
+                    max_steps = self.max_steps  # the caller may have moved it
+                else:
+                    goal, rest = cont
+                    fn = builtin(goal.functor)
+                    if fn is not None:
+                        if budget < 1:
+                            self.tainted = True
+                        else:
+                            self.steps += 1
+                            if fn(store, goal.args):
+                                cont = rest
+                                budget -= 1
+                                continue
+                    elif budget >= 1:
+                        bucket, tail = source(goal)
+                        if tail is not None or len(bucket) > 1:
+                            stack.append((goal, bucket, 0, tail, rest,
+                                          budget - 1, len(trail)))
+                        elif bucket:
+                            # a lone clause: nothing to come back to
+                            clause = bucket[0]
+                            frame: dict[int, Term] = {}
+                            if store.unify_atoms(clause.head, goal, frame,
+                                                 counter):
+                                body = rename_apart(clause, frame, counter)
+                                budget -= 1
+                    elif not self.tainted:
+                        self.tainted = self._applies(goal, *source(goal))
+                # resume the newest choice point with an alternative left
+                while body is None:
+                    if not stack:
+                        return
+                    goal, bucket, i, tail, rest, budget, mark = stack[-1]
+                    while len(trail) > mark:
+                        del bindings[trail.pop()]
+                    n = len(bucket)
+                    while i < n:
+                        clause = bucket[i]
+                        i += 1
+                        frame = {}
+                        if store.unify_atoms(clause.head, goal, frame,
+                                             counter):
+                            body = rename_apart(clause, frame, counter)
+                            break
+                        while len(trail) > mark:
+                            del bindings[trail.pop()]
                     else:
-                        self.steps += 1
-                        if fn(store, goal.args):
-                            cont = rest
-                            budget -= 1
+                        if tail is not None:
+                            body = next(tail, None)
+                        if body is None:
+                            stack.pop()
                             continue
-                elif budget >= 1:
-                    bucket, tail = source(goal)
-                    stack.append((goal, bucket, 0, tail, rest, budget - 1,
-                                  store.mark()))
-                elif not self.tainted:
-                    self.tainted = self._applies(goal, *source(goal))
-            # resume the newest choice point that has an alternative left
-            while stack:
-                goal, bucket, i, tail, rest, budget, mark = stack[-1]
-                store.undo(mark)
-                n = len(bucket)
-                while i < n:
-                    clause = bucket[i]
-                    i += 1
-                    frame: dict[int, Term] = {}
-                    if store.unify_atoms(clause.head, goal, frame, counter):
-                        body = rename_apart(clause, frame, counter)
-                        break
-                    store.undo(mark)
-                else:
-                    body = None if tail is None else next(tail, None)
-                    if body is None:
-                        stack.pop()
-                        continue
-                if i < n or tail is not None:
-                    stack[-1] = (goal, bucket, i, tail, rest, budget, mark)
-                else:
-                    stack.pop()  # that was the last alternative
-                break
-            else:
-                store.undo(entry)
-                return
-            steps = self.steps
-            if steps >= max_steps:
-                self.tainted = True
-                store.undo(entry)
-                return
-            self.steps = steps + 1
-            cont = rest
-            for g in reversed(body):
-                cont = (g, cont)
+                    if i < n or tail is not None:
+                        stack[-1] = (goal, bucket, i, tail, rest, budget, mark)
+                    else:
+                        stack.pop()  # that was the last alternative
+                steps = self.steps
+                if steps >= max_steps:
+                    self.tainted = True
+                    return
+                self.steps = steps + 1
+                cont = rest
+                for g in reversed(body):
+                    cont = (g, cont)
+        finally:
+            store.undo(entry)
 
     def _applies(self, goal: Compound, bucket: Bucket, tail: Tail) -> bool:
         """Whether any bucket clause or tail alternative applies to the
@@ -291,7 +310,7 @@ class Resolver:
 def _check_disjoint(program: Program, builtins: Optional[BuiltinTable]) -> None:
     if builtins is None:
         return
-    clash = builtins.predicates() & frozenset(program.predicates())
+    clash = builtins.predicates() & program.predicates()
     if clash:
         names = ", ".join(f"{s.name}/{s.arity}" for s in sorted(clash, key=str))
         raise BuiltinError(f"predicates defined both by clauses and builtins: {names}")

@@ -26,18 +26,23 @@ in the head is never bound or trailed.
 The search engines bind variables destructively through a `Store` and
 undo on backtracking with its trail, instead of copying substitution dicts.
 Stored bindings may contain chains (X -> Y, Y -> t); `Store.resolve` and
-`restrict` follow them fully.  Unification does not occurs-check, so a
-binding like X -> f(X) can exist in a store; deep resolution guards against
-looping on such bindings by leaving the offending variable in place, and
-`Store.unify` unifies two such terms as rational trees, visiting each pair
-of compounds it reaches through a binding once.
+`restrict` follow them fully, building a copy of every compound they
+pass.  Unification does not occurs-check, so a binding like X -> f(X) can
+exist in a store; deep resolution guards against looping on such bindings
+by leaving the offending variable in place, and `Store.unify` unifies two
+such terms as rational trees, visiting each pair of compounds it reaches
+through a binding once.  `Store.resolve_ground` is the deep dereference
+for a term that should be ground, as a builtin's input must be: it walks
+the term once, shares each subterm that no binding changes instead of
+copying it, and gives None at the first unbound or cyclic variable, where
+`resolve` would have left a variable in its result.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, KeysView, Mapping, Optional, Union
 
 
 # ============================================================
@@ -211,10 +216,6 @@ class Store:
         while len(t) > mark:
             del b[t.pop()]
 
-    def bind(self, vid: int, term: Term) -> None:
-        self.bindings[vid] = term
-        self.trail.append(vid)
-
     def walk(self, t: Term) -> Term:
         """Shallow dereference: follow variable bindings to the surface."""
         b = self.bindings
@@ -230,31 +231,48 @@ class Store:
         check) are tolerated: the looping variable is left in place."""
         return _resolve(self.bindings, t, ())
 
+    def resolve_ground(self, t: Term) -> Optional[Term]:
+        """`resolve` for a term that should be ground: its value when that
+        holds no variable, else None, at the first unbound or cyclic
+        variable met.  A subterm that no binding changes is shared, not
+        copied."""
+        return _ground(self.bindings, t, set())
+
     def unify(self, a: Term, b: Term) -> bool:
+        bindings, trail = self.bindings, self.trail
         stack = [(a, b)]
         seen = None  # compound pairs reached through a binding
         while stack:
             x, y = stack.pop()
-            bound = isinstance(x, Var) or isinstance(y, Var)
-            x = self.walk(x)
-            y = self.walk(y)
+            bound = False  # whether either side was reached through one
+            while type(x) is Var:
+                nxt = bindings.get(x.id)
+                if nxt is None:
+                    break
+                x, bound = nxt, True
+            while type(y) is Var:
+                nxt = bindings.get(y.id)
+                if nxt is None:
+                    break
+                y, bound = nxt, True
             if x is y:
                 continue
-            if isinstance(x, Var):
-                if isinstance(y, Var) and x.id == y.id:
+            kind = type(x)
+            if kind is Var:
+                if type(y) is Var and x.id == y.id:
                     continue
-                self.bind(x.id, y)
+                bindings[x.id] = y
+                trail.append(x.id)
                 continue
-            if isinstance(y, Var):
-                self.bind(y.id, x)
+            if type(y) is Var:
+                bindings[y.id] = x
+                trail.append(y.id)
                 continue
-            if isinstance(x, Int):
-                if isinstance(y, Int) and x.value == y.value:
+            if kind is Int:
+                if type(y) is Int and x.value == y.value:
                     continue
                 return False
-            if not isinstance(y, Compound):
-                return False
-            if x.functor is not y.functor:
+            if type(y) is not Compound or x.functor is not y.functor:
                 return False
             if bound and x.args:
                 # a cyclic binding (no occurs check) brings a pair round
@@ -290,26 +308,28 @@ class Store:
         arguments go last first, in the order `unify` meets them."""
         bindings = self.bindings
         for h, g in zip(hargs, gargs):
-            while isinstance(g, Var):
+            while type(g) is Var:
                 nxt = bindings.get(g.id)
                 if nxt is None:
                     break
                 g = nxt
-            if isinstance(h, Var):
+            kind = type(h)
+            if kind is Var:
                 t = frame.get(h.id)
                 if t is None:
                     frame[h.id] = g
-                elif not self.unify(t, g):
+                elif t is not g and not self.unify(t, g):
                     return False
                 continue
-            if isinstance(g, Var):
-                self.bind(g.id, rename_term(h, frame, counter))
+            if type(g) is Var:
+                bindings[g.id] = rename_term(h, frame, counter)
+                self.trail.append(g.id)
                 continue
-            if isinstance(h, Int):
-                if isinstance(g, Int) and h.value == g.value:
+            if kind is Int:
+                if type(g) is Int and h.value == g.value:
                     continue
                 return False
-            if not isinstance(g, Compound) or h.functor is not g.functor:
+            if type(g) is not Compound or h.functor is not g.functor:
                 return False
             if h.args and not self._unify_head(h.args[::-1], g.args[::-1],
                                                frame, counter):
@@ -331,6 +351,37 @@ def _resolve(bindings: Mapping[int, Term], t: Term, path: tuple[int, ...]) -> Te
     return t
 
 
+def _ground(bindings: Mapping[int, Term], t: Term,
+            path: set[int]) -> Optional[Term]:
+    """`Store.resolve_ground` below the variables in ``path``, those whose
+    values are being resolved."""
+    if type(t) is Var:
+        vid = t.id
+        nxt = bindings.get(vid)
+        if nxt is None or vid in path:
+            return None
+        path.add(vid)
+        t = _ground(bindings, nxt, path)
+        path.discard(vid)
+        return t
+    if type(t) is not Compound:
+        return t
+    args = t.args
+    new = None  # the resolved arguments, once one differs
+    for i, a in enumerate(args):
+        kind = type(a)
+        if kind is Int or kind is Compound and not a.args:
+            continue
+        r = _ground(bindings, a, path)
+        if r is None:
+            return None
+        if r is not a:
+            if new is None:
+                new = list(args)
+            new[i] = r
+    return t if new is None else Compound(t.functor, tuple(new))
+
+
 Subst = dict[int, Term]
 
 
@@ -347,12 +398,13 @@ def restrict(s: Mapping[int, Term], vids: Iterable[int]) -> Subst:
 def rename_term(t: Term, mapping: dict[int, Term], counter: FreshVars) -> Term:
     """``t`` with each variable replaced by its image in ``mapping``; a
     variable without one gets a fresh variable, recorded there."""
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         v = mapping.get(t.id)
         if v is None:
             v = mapping[t.id] = counter.next_var()
         return v
-    if isinstance(t, Compound) and t.args:
+    if kind is Compound and t.args:
         return Compound(t.functor, tuple([rename_term(a, mapping, counter)
                                           for a in t.args]))
     return t
@@ -363,9 +415,22 @@ def rename_apart(c: Clause, frame: dict[int, Term],
     """The body of ``c`` renamed through the frame `Store.unify_atoms`
     filled from its head: head variables stand for what they met in the
     goal, and body-only variables are fresh for this counter."""
-    return tuple([Compound(b.functor, tuple([rename_term(t, frame, counter)
-                                             for t in b.args]))
-                  for b in c.body])
+    body = []
+    for b in c.body:
+        args = []
+        for t in b.args:
+            kind = type(t)
+            if kind is Var:
+                v = frame.get(t.id)
+                if v is None:
+                    v = frame[t.id] = counter.next_var()
+                args.append(v)
+            elif kind is Compound and t.args:
+                args.append(rename_term(t, frame, counter))
+            else:
+                args.append(t)
+        body.append(Compound(b.functor, tuple(args)))
+    return tuple(body)
 
 
 # ============================================================
@@ -375,11 +440,12 @@ def rename_apart(c: Clause, frame: dict[int, Term],
 
 def index_key(t: Term) -> object:
     """First-argument index key: compounds by functor, ints by value,
-    variables as None (matches anything)."""
-    if isinstance(t, Compound):
+    variables as None (matches anything).  A symbol never equals an int,
+    so the two kinds of key share one table."""
+    if type(t) is Compound:
         return t.functor
-    if isinstance(t, Int):
-        return ("int", t.value)
+    if type(t) is Int:
+        return t.value
     return None
 
 
@@ -391,21 +457,22 @@ def index_entry(c: Clause) -> IndexEntry:
     return c, index_key(c.head.args[0]) if c.head.args else None
 
 
-# bucket-table key for a goal key that no clause head of the predicate has
-_OTHER = object()
+Bucket = tuple[Clause, ...]
+# one predicate's buckets: by head key, for an unbound goal argument, and
+# for a goal key that no head has
+BucketTable = tuple[dict[object, Bucket], Bucket, Bucket]
 
 
-def _bucket_table(entries: list[IndexEntry]) -> dict[object, tuple[Clause, ...]]:
+def _bucket_table(entries: list[IndexEntry]) -> BucketTable:
     """One predicate's buckets: for each head key, the clauses whose key is
-    that key or a variable; for an unbound goal argument (None), every
-    clause; for any other key (`_OTHER`), the variable-keyed clauses.  All
-    in program order."""
-    table = {None: tuple(c for c, _ in entries),
-             _OTHER: tuple(c for c, k in entries if k is None)}
+    that key or a variable; every clause; and the variable-keyed clauses.
+    All in program order."""
+    keyed: dict[object, Bucket] = {}
     for _, key in entries:
-        if key is not None and key not in table:
-            table[key] = tuple(c for c, k in entries if k is None or k == key)
-    return table
+        if key is not None and key not in keyed:
+            keyed[key] = tuple(c for c, k in entries if k is None or k == key)
+    return (keyed, tuple(c for c, _ in entries),
+            tuple(c for c, k in entries if k is None))
 
 
 class Program:
@@ -422,18 +489,27 @@ class Program:
         self._buckets = {pred: _bucket_table(es)
                          for pred, es in entries.items()}
 
-    def bucket(self, pred: Symbol, key: object) -> tuple[Clause, ...]:
-        """The clauses for ``pred`` whose head's first argument can match
-        a goal argument with index key ``key``, in program order: the
-        first-argument index of `index_key`, precomputed."""
-        table = self._buckets.get(pred)
+    def select(self, goal: Compound, bindings: Mapping[int, Term]) -> Bucket:
+        """The clauses whose heads can match the goal, with its variables
+        bound as in ``bindings``, on the first argument: those of the
+        goal's predicate whose head's first argument has the `index_key`
+        of the goal's, dereferenced, or a variable, in program order.  An
+        unbound goal argument selects every clause of the predicate."""
+        table = self._buckets.get(goal.functor)
         if table is None:
             return ()
-        found = table.get(key)
-        return table[_OTHER] if found is None else found
+        keyed, every, other = table
+        if not goal.args:
+            return every
+        t = goal.args[0]
+        while type(t) is Var:
+            t = bindings.get(t.id)
+            if t is None:
+                return every
+        return keyed.get(t.functor if type(t) is Compound else t.value, other)
 
-    def predicates(self) -> tuple[Symbol, ...]:
-        return tuple(self._buckets.keys())
+    def predicates(self) -> KeysView[Symbol]:
+        return self._buckets.keys()
 
     def __len__(self) -> int:
         return len(self.clauses)

@@ -310,8 +310,7 @@ class _Parser:
         f = self.toks[self.pos]
         kind = _kind(f)
         if not (kind == "a" or kind == "A" and f in declared):
-            raise self.error_at(self.pos, f"found {f!r}",
-                                ("a name", "a declared metavariable"))
+            raise self.found(("a name", "a declared metavariable"))
         self.pos += 1
         args: list[TTerm] = []
         while self.accept(","):

@@ -39,7 +39,7 @@ from milsem.objectlang import (
 )
 from milsem.solver import BuiltinError, SolveConfig, Verdict, solve
 from milsem.terms import (
-    Clause, Compound, Int, Program, const, mk, term_vars, var)
+    Clause, Compound, Int, Program, Store, const, mk, term_vars, var)
 from milsem.textio import parse_clauses, parse_term, print_term
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -454,6 +454,26 @@ def test_substitute_builtin_rejects_unbound_name():
     goal = parse_term("substitute(var(a),X,var(x),T)")
     with pytest.raises(BuiltinError):
         solve(Program(()), goal, SolveConfig(depth_limit=5), default_builtins())
+
+
+def test_builtin_errors_print_the_argument_resolved():
+    # X is bound to f(X): deep resolution leaves the looping X in place
+    store, x = Store(), var("X")
+    assert store.unify(x, mk("f", x))
+    cases = [
+        (objectlang.substitute_builtin,
+         (x, const("y"), parse_term("var(y)"), var("R")),
+         "substitute/4: value argument is insufficiently instantiated: f(X)"),
+        (objectlang.int_add_builtin, (Int(1), var("Y"), var("R")),
+         "int_add/3: right argument is insufficiently instantiated: Y"),
+        (objectlang.substitute_builtin,
+         (parse_term("var(a)"), const("y"), mk("g", var("Z")), var("R")),
+         "substitute/4: term argument is insufficiently instantiated: g(Z)"),
+    ]
+    for builtin, args, message in cases:
+        with pytest.raises(BuiltinError) as e:
+            builtin(store, args)
+        assert str(e.value) == message
 
 
 def test_substitute_builtin_fails_on_non_name():

@@ -51,6 +51,8 @@ METARULE_ERRORS = [
      ("pred", "func", "const")),
     ("metarule(m, [], ([A,B] :- [])).", "found 'A'", 1, 19,
      ("a name", "a declared metavariable")),
+    ("metarule(m, [], ([", "unexpected end of input", 1, 19,
+     ("a name", "a declared metavariable")),
     ("rule(m).", "found 'rule'", 1, 1, ("metarule",)),
     ("metarule(m, [func(H/x)], ([step,A] :- [])).", "found 'x'", 1, 21,
      ("an arity",)),

@@ -426,6 +426,52 @@ def test_store_is_empty_after_run_is_exhausted():
     assert store.bindings == {} and store.trail == []
 
 
+def test_run_restores_the_store_with_lone_and_shared_buckets():
+    # pick's bucket holds two clauses; each first argument of link picks
+    # one clause, which the resolver tries without a choice point
+    p = _program("pick(a).\npick(b).\n"
+                 "link(a, f(X)) :- pick(X).\nlink(b, g(X)) :- pick(X).\n"
+                 "t(X, Y) :- pick(X), link(X, Y).")
+    query = [parse_term("t(X, Y)")]
+
+    def fresh():
+        # the store already holds a binding when the run starts
+        resolver, source = _resolver(p)
+        assert resolver.store.unify(var("W"), const("c"))
+        before = (dict(resolver.store.bindings), list(resolver.store.trail))
+        return resolver, source, before
+
+    def store_of(resolver):
+        return resolver.store.bindings, resolver.store.trail
+
+    resolver, source, before = fresh()
+    assert len(list(resolver.run(query, 10, source))) == 4
+    assert store_of(resolver) == before and not resolver.tainted
+    # stopped in a shared bucket (pick) and in a lone one (link)
+    for max_steps in (2, 3):
+        resolver, source, before = fresh()
+        resolver.max_steps = max_steps
+        assert list(resolver.run(query, 10, source)) == []
+        assert store_of(resolver) == before and resolver.tainted
+        assert resolver.steps == max_steps
+    for answers in (1, 3):
+        resolver, source, before = fresh()
+        run = resolver.run(query, 10, source)
+        for _ in range(answers):
+            next(run)
+        assert store_of(resolver) != before
+        run.close()
+        assert store_of(resolver) == before
+    # at budget 0 a goal whose bucket is one clause still taints, and
+    # only when that clause's head unifies
+    for goal, tainted in (("link(a, Y)", True), ("link(a, g(Y))", False),
+                          ("link(c, Y)", False)):
+        resolver, source, before = fresh()
+        assert list(resolver.run([parse_term(goal)], 0, source)) == []
+        assert resolver.tainted is tainted, goal
+        assert store_of(resolver) == before
+
+
 def test_deterministic_derivation_holds_no_choice_points():
     # the first argument picks one clause at each of 20,000 steps, so
     # each goal takes its last alternative and leaves nothing behind

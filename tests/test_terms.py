@@ -17,7 +17,6 @@ from milsem.terms import (
     Symbol,
     Var,
     const,
-    index_key,
     mk,
     rename_apart,
     rename_term,
@@ -394,6 +393,32 @@ def test_unify_atoms_agrees_with_rename_then_unify(drawn):
     assert _variant(resolved(store, body), resolved(ref, ref_body))
 
 
+# stores whose bindings may chain, and may loop back, through these
+_STORE_VARS = [Var(-i) for i in range(1, 5)]
+_store_terms = _compounds(st.one_of(
+    st.sampled_from(_STORE_VARS), st.integers(0, 1).map(Int),
+    st.sampled_from(["a", "b"]).map(const)))
+
+
+@given(st.dictionaries(st.sampled_from([v.id for v in _STORE_VARS]),
+                       _store_terms, max_size=4),
+       _store_terms)
+def test_resolve_ground_is_resolve_of_a_ground_value(bindings, t):
+    store = Store()
+    for vid, value in bindings.items():
+        store.bindings[vid] = value
+        store.trail.append(vid)
+    ref = store.resolve(t)
+    got = store.resolve_ground(t)
+    event(f"ground: {got is not None}, cyclic: {_cyclic(store)}")
+    if term_vars(ref):
+        assert got is None
+    else:
+        assert got == ref
+    if not term_vars(t):
+        assert got is t  # nothing to resolve: shared, not copied
+
+
 # ---- program indexing ----
 
 def test_program_first_arg_index():
@@ -401,12 +426,15 @@ def test_program_first_arg_index():
     cg = Clause(mk("p", mk("g", var("X"))), ())
     cy = Clause(mk("p", var("Y")), ())
     p = Program((cf, cg, cy))
-    pred = symbol("p", 1)
     # each key's bucket: its clauses and the variable-keyed ones, in order
-    assert p.bucket(pred, symbol("f", 1)) == (cf, cy)
-    assert p.bucket(pred, symbol("g", 1)) == (cg, cy)
-    assert p.bucket(pred, None) == (cf, cg, cy)
-    assert p.bucket(pred, symbol("h", 0)) == (cy,)
+    assert p.select(mk("p", mk("f", const("a"))), {}) == (cf, cy)
+    assert p.select(mk("p", mk("g", var("Z"))), {}) == (cg, cy)
+    assert p.select(mk("p", var("Z")), {}) == (cf, cg, cy)
+    assert p.select(mk("p", const("h")), {}) == (cy,)
+    assert p.select(mk("q", const("h")), {}) == ()
+    # the goal's argument is dereferenced through the bindings
+    z, w = var("Z"), var("W")
+    assert p.select(mk("p", z), {z.id: w, w.id: mk("g", z)}) == (cg, cy)
 
 
 # the first arguments heads and goals draw from: variables, constants,
@@ -434,14 +462,18 @@ def _literal(pred, first):
 @given(st.lists(st.tuples(st.sampled_from(_PREDS),
                           st.sampled_from(_HEAD_FIRST)), max_size=10),
        st.sampled_from(_PREDS + [symbol("r", 1)]),
-       st.sampled_from(_GOAL_FIRST))
-def test_bucket_equals_the_key_filter_scan(heads, pred, first):
+       st.sampled_from(_GOAL_FIRST),
+       st.integers(0, 2))
+def test_bucket_equals_the_key_filter_scan(heads, pred, first, chain):
     clauses = [Clause(_literal(p, f), ()) for p, f in heads]
     goal = _literal(pred, first)
     gkey = _scan_key(goal.args[0]) if goal.args else None
     scan = [c for c in clauses if c.head.functor is pred
             and (gkey is None or not c.head.args
                  or _scan_key(c.head.args[0]) in (None, gkey))]
-    key = index_key(goal.args[0]) if goal.args else None
-    bucket = Program(clauses).bucket(pred, key)
+    # the same first argument, reached through a chain of bindings
+    links = [Var(-1 - i) for i in range(chain)]
+    bindings = {v.id: t for v, t in zip(links, links[1:] + [first])}
+    bucket = Program(clauses).select(
+        _literal(pred, links[0] if links else first), bindings)
     assert [id(c) for c in bucket] == [id(c) for c in scan]

@@ -104,7 +104,7 @@ def test_parse_clauses_multiple():
 
 def test_parse_program_indexes():
     p = Program(parse_clauses("p(f(a)).\np(b).\n"))
-    assert len(p.bucket(symbol("p", 1), None)) == 2
+    assert len(p.select(parse_term("p(X)"), {})) == 2
 
 
 def test_print_clause_fact_and_rule():
