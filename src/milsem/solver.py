@@ -70,6 +70,24 @@ that a ground ``w`` would, so such a search can also be far larger than
 the ground ones it stands for; ``SolveConfig.step_ratio`` stops it once
 it has taken that many times the steps its first proof took.
 
+`solve` also runs with the *loop check* (Bol, Apt & Klop, TCS 1991),
+which the learner leaves off: there a clause adopted between a goal and
+its repeat changes the program.  The check watches one goal: the one
+selected once the run has taken ``FIRST_WATCH`` steps, then twice that,
+and so on (Brent's doubling); the next one selected once the watched
+goal's subtree is done; and the goal of a choice point older than the
+watched goal, when backtracking resumes it.  A goal selected with the
+watched goal's own continuation object, whose walked form is the watched
+goal's as it was then, starts from the same resolvent: whatever it
+derives, the watched goal derives along a shorter branch.  It is cut as
+the budget would cut it, tainting the run, so verdicts, ``complete`` and
+the answer set of an exhaustive search stay the same at every budget;
+``steps`` counts the steps up to the cut, and a search that stops at its
+first answer (or first answer that is not ground) may stop at another.
+The comparisons with one watched goal give up after ``MAX_PAIRS``
+compound pairs and bindings in all, so a loop through goals that large,
+or below a conjunction (``p(X) :- p(X), q(X)``), spends the budget.
+
 `objectlang.conformance_check` decides both distractors of a term from
 the one search that finds its value, and falls back to one ground `solve`
 per distractor when that search is incomplete or raises BuiltinError,
@@ -93,6 +111,7 @@ from .terms import (
     Subst,
     Symbol,
     Term,
+    Var,
     rename_apart,
     restrict,
     term_vars,
@@ -118,6 +137,9 @@ Tail = Optional[Iterator[Sequence[Compound]]]
 ClauseSource = Callable[[Compound], tuple[Bucket, Tail]]
 
 DEFAULT_DEPTH = 300  # wherever no depth bound is given, scenarios included
+FIRST_WATCH = 64  # steps before the loop check watches its first goal
+MAX_PAIRS = 256  # compound pairs and bindings compared with one watch
+NO_WATCH = object()  # the watched rest while nothing is watched
 
 
 class BuiltinTable:
@@ -152,7 +174,9 @@ class SolveConfig:
 class Outcome:
     verdict: Verdict
     answers: list[Subst]  # query-variable bindings, one per proof, in order
-    complete: bool  # the search ran out: no more answers, no branch cut
+    # the search ran out: no more answers, no branch cut by the budget or
+    # the loop check
+    complete: bool
     steps: int
 
     @property
@@ -169,13 +193,14 @@ class Resolver:
 
     ``steps`` counts clause applications and builtin calls; ``tainted``
     records whether the budget cut some branch whose goal could have
-    continued.  Both accumulate over every `run` on the same resolver.
+    continued, or the loop check cut a repeated resolvent.  Both
+    accumulate over every `run` on the same resolver.
     A `run` takes no clause step once ``steps`` reaches ``max_steps``: it
     ends there, tainted, as if the depth budget had run out.
     """
 
     __slots__ = ("builtins", "store", "counter", "steps", "tainted",
-                 "probing", "max_steps")
+                 "probing", "max_steps", "pairs")
 
     def __init__(self, builtins: Optional[BuiltinTable],
                  counter: FreshVars) -> None:
@@ -186,6 +211,7 @@ class Resolver:
         self.tainted = False
         self.probing = False
         self.max_steps = sys.maxsize
+        self.pairs = 0  # what comparisons with the watched goal may still walk
 
     def program_source(self, program: Program) -> ClauseSource:
         """The program's bucket for each goal's first argument, no tail."""
@@ -197,10 +223,11 @@ class Resolver:
         return clauses
 
     def run(self, goals: Sequence[Compound], budget: int,
-            source: ClauseSource) -> Iterator[None]:
+            source: ClauseSource, loop_check: bool = False) -> Iterator[None]:
         """Prove the conjunction; yields once per proof, with the answer
         bindings in the store until resumed.  Once it ends, exhausted,
-        stopped or closed, it leaves the store as it found it."""
+        stopped or closed, it leaves the store as it found it.  With
+        ``loop_check``, a goal that repeats the watched resolvent is cut."""
         store, counter = self.store, self.counter
         bindings, trail = store.bindings, store.trail
         builtin = self.builtins.get
@@ -212,6 +239,11 @@ class Resolver:
         # budget for the body, trail mark)
         stack: list[tuple] = []
         max_steps = self.max_steps
+        # the loop check's watched goal, its rest (NO_WATCH while nothing
+        # is watched), the stack height and the trail mark when selected
+        wgoal, wrest, wheight, wmark = None, NO_WATCH, -1, 0
+        take = False  # watch the next goal selected
+        watch_at = self.steps + FIRST_WATCH if loop_check else sys.maxsize
         try:
             while True:
                 body = None  # the renamed body of the clause to enter
@@ -220,6 +252,18 @@ class Resolver:
                     max_steps = self.max_steps  # the caller may have moved it
                 else:
                     goal, rest = cont
+                    if (rest is wrest and self.pairs >= 0
+                            and self._repeats(goal, wgoal, wmark)):
+                        # the watched resolvent again: cut the loop here,
+                        # as the budget would once spent on it
+                        budget = 0
+                    elif take or cont is wrest:
+                        # a threshold passed, or the watched goal's
+                        # subtree is done: watch this goal instead
+                        take = False
+                        wgoal, wrest, wheight, wmark = (
+                            goal, rest, len(stack), len(trail))
+                        self.pairs = MAX_PAIRS
                     fn = builtin(goal.functor)
                     if fn is not None:
                         if budget < 1:
@@ -250,6 +294,12 @@ class Resolver:
                     if not stack:
                         return
                     goal, bucket, i, tail, rest, budget, mark = stack[-1]
+                    if len(stack) <= wheight:
+                        # backtracking past the watched goal: watch the
+                        # goal resumed instead, as it was when selected
+                        wgoal, wrest, wheight, wmark = (
+                            goal, rest, len(stack) - 1, mark)
+                        self.pairs = MAX_PAIRS
                     while len(trail) > mark:
                         del bindings[trail.pop()]
                     n = len(bucket)
@@ -277,12 +327,53 @@ class Resolver:
                 if steps >= max_steps:
                     self.tainted = True
                     return
-                self.steps = steps + 1
+                self.steps = steps = steps + 1
+                if steps >= watch_at:
+                    take = True
+                    watch_at *= 2
                 cont = rest
                 for g in reversed(body):
                     cont = (g, cont)
         finally:
             store.undo(entry)
+
+    def _repeats(self, goal: Compound, watched: Compound, mark: int) -> bool:
+        """Whether the goal's walked form is the watched goal's as it was
+        when selected, at trail mark ``mark``: equal now, and reaching no
+        variable bound since.  Each binding since and each compound pair
+        walked spends one of ``pairs``; once they are spent, False."""
+        if goal.functor is not watched.functor:
+            return False
+        store = self.store
+        walk, bindings, trail = store.walk, store.bindings, store.trail
+        n = self.pairs - (len(trail) - mark)
+        since = set(trail[mark:]) if n >= 0 else ()
+        todo = list(zip(goal.args, watched.args))
+        same = False
+        while todo and n >= 0:
+            x, y = todo.pop()
+            x = walk(x)
+            while type(y) is Var and y.id not in since:
+                nxt = bindings.get(y.id)
+                if nxt is None:
+                    break
+                y = nxt
+            if x is y and not since:
+                continue
+            kind = type(x)
+            if kind is not type(y):
+                break
+            if kind is Compound:
+                n -= 1
+                if x.functor is not y.functor:
+                    break
+                todo.extend(zip(x.args, y.args))
+            elif x.id != y.id if kind is Var else x.value != y.value:
+                break
+        else:
+            same = n >= 0
+        self.pairs = n
+        return same
 
     def _applies(self, goal: Compound, bucket: Bucket, tail: Tail) -> bool:
         """Whether any bucket clause or tail alternative applies to the
@@ -329,7 +420,7 @@ def solve(program: Program, query: Compound,
     answers: list[Subst] = []
     limit = config.max_solutions
     for _ in resolver.run([query], config.depth_limit,
-                          resolver.program_source(program)):
+                          resolver.program_source(program), loop_check=True):
         if not answers and config.step_ratio is not None:
             resolver.max_steps = config.step_ratio * resolver.steps
         answer = restrict(resolver.store.bindings, qvars)

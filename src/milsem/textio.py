@@ -146,16 +146,11 @@ class _Parser:
 
     def error_at(self, index: int, message: str,
                  expected: tuple[str, ...] = ()) -> ParseError:
-        """A ParseError at token ``index``.  A comment takes up no column,
-        so the end of input comes before a comment on the last line."""
+        """A ParseError at token ``index``, or at the end of the text for
+        an index past the last token."""
         text = self.text
         starts = [m.start(1) for m in _TOKEN.finditer(text) if m.start(1) >= 0]
-        if index < len(starts):
-            offset = starts[index]
-        else:
-            offset = text.find("%", text.rfind("\n") + 1)
-            if offset < 0:
-                offset = len(text)
+        offset = starts[index] if index < len(starts) else len(text)
         return ParseError(message, self.line + text.count("\n", 0, offset),
                           offset - text.rfind("\n", 0, offset), expected)
 

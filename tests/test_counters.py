@@ -30,6 +30,7 @@ from milsem.textio import parse_clauses
 
 ROOT = Path(__file__).resolve().parents[1]
 CHAIN_PROGRAM = ROOT / "bench" / "expected" / "chain.pl"
+LAZY_EAGER = ROOT / "bench" / "expected" / "lazy_eager.pl"
 
 LOOP = "app(lam(x,app(var(x),var(x))),lam(x,app(var(x),var(x))))"
 
@@ -47,11 +48,18 @@ def _json(argv, capsys):
     return code, json.loads(capsys.readouterr().out)
 
 
+# `solve`'s loop check cuts each loop at a repeated resolvent, long before
+# the budget runs out; the last loop is the argument the eager rules
+# evaluate, though the redex discards it
 @pytest.mark.parametrize("argv,code,verdict,value,steps", [
-    (["run", "--depth", "8000", LOOP], 3, "depth_exceeded", None, 13_334),
+    (["run", "--depth", "8000", LOOP], 3, "depth_exceeded", None, 85),
     (["run", "--depth", "10000", _add_chain(120)], 0, "proved", "lit(540)",
      7_499),
-], ids=["loop", "add_chain"])
+    (["run", "--depth", "8000", f"add(lit(1),{LOOP})"], 3, "depth_exceeded",
+     None, 80),
+    (["run", "--depth", "8000", "--base", "eager", "-p", str(LAZY_EAGER),
+      f"app(lam(x,var(y)),{LOOP})"], 3, "depth_exceeded", None, 96),
+], ids=["loop", "add_chain", "add_loop", "eager_discarded_loop"])
 def test_run_steps(argv, code, verdict, value, steps, capsys):
     got, out = _json(argv, capsys)
     assert (got, out["verdict"], out["value"], out["steps"]) == (

@@ -20,7 +20,7 @@ from milsem.textio import (
 
 TERM_ERRORS = [
     # (text, message, line, column, expected)
-    ("f(%x", "unexpected end of input", 1, 3, ("a term",)),
+    ("f(%x", "unexpected end of input", 1, 5, ("a term",)),
     ("f(a,) ²", "unexpected character '²'", 1, 7, ()),
     ("f(a:b)", "stray ':'", 1, 4, (":-",)),
     ("f(²)", "unexpected character '²'", 1, 3, ()),
@@ -36,14 +36,14 @@ TERM_ERRORS = [
 ]
 
 CLAUSE_ERRORS = [
-    ("f(%x", "unexpected end of input", 1, 3, ("a term",)),
+    ("f(%x", "unexpected end of input", 1, 5, ("a term",)),
     ("f(a,) ²", "unexpected character '²'", 1, 7, ()),
     ("12abc", "found '12'", 1, 1, ("a predicate name",)),
     ("F(a)", "found 'F'", 1, 1, ("a predicate name",)),
     ("f(a).\n.", "found '.'", 2, 1, ("a predicate name",)),
     ("Ωx", "found 'Ωx'", 1, 1, ("a predicate name",)),
     ("f(X)", "unexpected end of input", 1, 5, (".",)),
-    ("f(a) %c", "unexpected end of input", 1, 6, (".",)),
+    ("f(a) %c", "unexpected end of input", 1, 8, (".",)),
 ]
 
 METARULE_ERRORS = [

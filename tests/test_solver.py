@@ -4,7 +4,9 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from milsem import solver
 from milsem.solver import (
     BuiltinError,
     BuiltinTable,
@@ -19,6 +21,7 @@ from milsem.terms import (
     FreshVars,
     Int,
     Program,
+    Var,
     const,
     mk,
     symbol,
@@ -531,3 +534,150 @@ def test_deep_chain_does_not_hit_python_limit():
     assert out.proved
     # the resolver keeps its own stack instead of raising Python's limit
     assert sys.getrecursionlimit() == limit
+
+
+# ============================================================
+# Loop check
+# ============================================================
+# `solve` cuts a goal whose resolvent repeats the watched one's.  The
+# cut must change nothing but the work done: a run with the check and one
+# without give the same verdict and the same answers, up to renaming.
+# The step counts of loops that `milsem run` cuts are pinned in
+# tests/test_counters.py::test_run_steps.
+
+_PREDS = [symbol("p", 1), symbol("q", 1), symbol("r", 2)]
+_F = symbol("f", 1)
+
+
+@st.composite
+def _terms(draw, depth=1):
+    pick = draw(st.integers(0, 5 if depth else 4))
+    if pick < 2:
+        return const("ab"[pick])
+    if pick < 5:
+        return var("XYZ"[pick - 2])
+    return Compound(_F, (draw(_terms(depth - 1)),))
+
+
+@st.composite
+def _atoms(draw):
+    pred = draw(st.sampled_from(_PREDS))
+    return Compound(pred, tuple(draw(_terms()) for _ in range(pred.arity)))
+
+
+@st.composite
+def _clauses(draw):
+    head = draw(_atoms())
+    body = draw(st.lists(_atoms(), max_size=1))
+    if draw(st.booleans()):
+        # a last call to the head's own predicate on arguments of the
+        # head: often a loop
+        args = st.sampled_from(head.args)
+        body.append(Compound(head.functor, tuple(
+            draw(args) for _ in head.args)))
+    return Clause(head, tuple(body))
+
+
+@st.composite
+def _programs(draw):
+    """Small programs over p/1, q/1, r/2 and f/1: loops are common."""
+    return Program(tuple(draw(st.lists(_clauses(), min_size=1, max_size=5))))
+
+
+def _outcome(program, goals, budget, loop_check):
+    """The taint flag and the answers of an exhaustive run, each answer
+    the query variables' values with variables numbered by first
+    occurrence; None when the run takes too long to compare."""
+    resolver, source = _resolver(program)
+    resolver.max_steps = 20_000
+    qvars = list(dict.fromkeys(v for g in goals for v in term_vars(g)))
+    answers = set()
+
+    def canon(t, names):
+        if isinstance(t, Var):
+            return names.setdefault(t.id, len(names))
+        return (t.functor, tuple(canon(a, names) for a in t.args))
+
+    for _ in resolver.run(goals, budget, source, loop_check=loop_check):
+        names = {}
+        answers.add(tuple(canon(resolver.store.resolve(Var(v)), names)
+                          for v in qvars))
+    if resolver.steps >= resolver.max_steps:
+        return None
+    return resolver.tainted, answers
+
+
+@st.composite
+def _queries(draw):
+    """A program and a query whose first goal is some clause's head."""
+    program = draw(_programs())
+    heads = [c.head for c in program.clauses]
+    goals = [draw(st.sampled_from(heads))]
+    return program, goals + draw(st.lists(_atoms(), max_size=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_queries(), st.integers(1, 10), st.integers(1, 4))
+def test_loop_check_keeps_verdicts_and_answers(query, budget, first_watch):
+    program, goals = query
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "FIRST_WATCH", first_watch)
+        cut = _outcome(program, goals, budget, True)
+    full = _outcome(program, goals, budget, False)
+    if full is not None:
+        # the verdict follows from the answers and the taint flag
+        assert cut == full
+
+
+def test_loop_check_is_off_by_default():
+    # the learner's runs leave it off: there the loop spends the budget
+    p = _program("p(X) :- p(X).")
+    resolver, source = _resolver(p)
+    assert list(resolver.run([parse_term("p(a)")], 200, source)) == []
+    assert resolver.tainted and resolver.steps == 200
+    # solve watches the goal selected once 64 steps are taken, and cuts
+    # the next one
+    out = solve(p, parse_term("p(a)"), SolveConfig(depth_limit=200))
+    assert (out.verdict, out.complete, out.steps) == (
+        Verdict.DEPTH_EXCEEDED, False, 65)
+
+
+def test_a_loop_below_a_conjunction_spends_its_budget():
+    # each p(X) has a longer continuation than the one before, q(X) still
+    # to come, so no resolvent repeats
+    p = _program("p(X) :- p(X), q(X).\nq(a).")
+    out = solve(p, parse_term("p(a)"), SolveConfig(depth_limit=500))
+    assert (out.verdict, out.steps) == (Verdict.DEPTH_EXCEEDED, 500)
+
+
+def test_a_goal_reached_after_backtracking_past_the_watch_is_not_cut(
+        monkeypatch):
+    # with the first watch at one step, s(a) is watched under q's first
+    # clause and fails; q's second clause selects s(a) again with the same
+    # (empty) continuation, but in another branch, which must be searched
+    monkeypatch.setattr(solver, "FIRST_WATCH", 1)
+    p = _program("q :- p(a).\nq :- p(a).\np(X) :- s(X).\ns(b).")
+    out = solve(p, parse_term("q"), ALL)
+    assert (out.verdict, out.complete, out.steps) == (
+        Verdict.FINITE_FAILURE, True, 4)
+
+
+def test_a_goal_that_renames_a_shared_variable_is_not_cut(monkeypatch):
+    # p(X) is watched after the first step; p(Z) below it is a variant,
+    # but the continuation s(X) shares X with the one and not the other
+    monkeypatch.setattr(solver, "FIRST_WATCH", 1)
+    p = _program("top(X) :- p(X), s(X).\np(X) :- p(Z).\np(a).\ns(b).")
+    out = solve(p, parse_term("top(X)"), SolveConfig(depth_limit=4))
+    assert out.proved and out.answer == {var("X").id: const("b")}
+
+
+def test_a_goal_whose_shared_term_was_bound_since_is_not_cut(monkeypatch):
+    # p(f(X)) is watched at the second step; q binds X to a, and p(Y)
+    # then meets the very same term f(X): equal to the watched goal now,
+    # but only an instance of it as it was when selected.  The answer
+    # X = a is found below it and nowhere else
+    monkeypatch.setattr(solver, "FIRST_WATCH", 2)
+    p = _program("top(X) :- s, p(f(X)).\ns.\np(Y) :- q(Y), p(Y).\n"
+                 "p(f(Z)).\nq(f(a)).")
+    out = solve(p, parse_term("top(X)"), ALL)
+    assert [a.get(var("X").id) for a in out.answers] == [const("a"), None]
