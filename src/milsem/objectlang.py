@@ -13,9 +13,14 @@ Three independent views of evaluation live here:
     programs call out to;
   * `base_clauses`, the fixed call-by-name core every scenario starts
     from;
-  * `reference_eval`, a direct recursive interpreter used for checking
-    rule programs against ground truth.  It is written from the semantics
-    alone and shares nothing with ``solve`` except `substitute`.
+  * `reference_eval`, a direct interpreter used for checking rule programs
+    against ground truth.  It is written from the semantics alone and
+    shares nothing with ``solve`` except `substitute`.  `is_value` and
+    `step_once` read one `CONSTRUCTORS` row per constructor: the
+    arguments that must be values for a term to be one, the positions
+    each strategy reduces in order, and the redex rule tried once those
+    hold values.  A constructor with no row is stuck and not a value, so
+    adding one means a row here plus its scenario's ``%% functions`` entry.
 
 Beside the core lives `metarule_library`, the metarules that two or more
 bundled scenarios' hypotheses use.  Scenario files include both rather
@@ -29,7 +34,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .metarules import Metarule
 from .solver import (
@@ -46,6 +51,7 @@ from .terms import (
     Int,
     Program,
     Store,
+    Symbol,
     Term,
     Var,
     const,
@@ -84,6 +90,10 @@ def _atom_name(t: Term) -> Optional[str]:
     if isinstance(t, Compound) and t.functor.arity == 0:
         return t.functor.name
     return None
+
+
+def _is(t: Term, f: Symbol) -> bool:
+    return isinstance(t, Compound) and t.functor is f
 
 
 # ============================================================
@@ -236,10 +246,7 @@ right(_,B,B).
 
 
 def _is_app_step(c: Clause) -> bool:
-    if c.head.functor is not S_STEP:
-        return False
-    first = c.head.args[0]
-    return isinstance(first, Compound) and first.functor is S_APP
+    return c.head.functor is S_STEP and _is(c.head.args[0], S_APP)
 
 
 def base_clauses(strategy: str = "full") -> tuple[Clause, ...]:
@@ -278,13 +285,6 @@ class StuckTermError(Exception):
 
 
 class _Bottom:
-    _instance: Optional["_Bottom"] = None
-
-    def __new__(cls) -> "_Bottom":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "BOTTOM"
 
@@ -298,93 +298,91 @@ class OracleConfig:
     fuel: int = 1000
 
 
+def _beta(t: Compound) -> Optional[Term]:
+    fun, arg = t.args
+    name = _atom_name(fun.args[0]) if _is(fun, S_LAM) else None
+    return None if name is None else substitute(arg, name, fun.args[1])
+
+
+def _select(cell: Symbol, i: int) -> Callable[[Compound], Optional[Term]]:
+    """The redex of a selector: component ``i`` of a syntactic ``cell``,
+    whether or not that component is a value."""
+    return lambda t: t.args[0].args[i] if _is(t.args[0], cell) else None
+
+
+def _branch(t: Compound) -> Optional[Term]:
+    cond, branches = t.args
+    if _is(cond, S_TRUE):
+        return branches.args[0]
+    if _is(cond, S_FALSE):
+        return branches.args[1]
+    return None
+
+
+def _add(t: Compound) -> Optional[Term]:
+    a, b = t.args
+    if (_is(a, S_LIT) and _is(b, S_LIT)
+            and isinstance(a.args[0], Int) and isinstance(b.args[0], Int)):
+        return Compound(S_LIT, (Int(a.args[0].value + b.args[0].value),))
+    return None
+
+
+class Row(NamedTuple):
+    """How terms built by one constructor evaluate."""
+
+    value_args: Optional[tuple[int, ...]]  # must be values; None: never a value
+    lazy: tuple[int, ...] = ()  # positions each strategy reduces, in order
+    eager: tuple[int, ...] = ()
+    redex: Optional[Callable[[Compound], Optional[Term]]] = None
+    # (i, f): stuck at once unless argument i is built by f
+    shape: Optional[tuple[int, Symbol]] = None
+
+
+CONSTRUCTORS: dict[Symbol, Row] = {
+    S_VAR: Row(()),
+    S_LAM: Row(()),
+    S_LIT: Row(()),
+    S_TRUE: Row(()),
+    S_FALSE: Row(()),
+    S_NIL: Row(()),
+    S_PAIR: Row((0, 1), (0, 1), (0, 1)),
+    S_CONS: Row((0, 1), (0, 1), (0, 1)),
+    S_APP: Row(None, (0,), (0, 1), _beta),
+    S_ADD: Row(None, (0, 1), (0, 1), _add),
+    S_FST: Row(None, redex=_select(S_PAIR, 0)),
+    S_SND: Row(None, redex=_select(S_PAIR, 1)),
+    S_HEAD: Row(None, redex=_select(S_CONS, 0)),
+    S_TAIL: Row(None, redex=_select(S_CONS, 1)),
+    S_IF: Row(None, (0,), (0,), _branch, shape=(1, S_THENELSE)),
+    S_THENELSE: Row(None),
+}
+
+
 def is_value(t: Term) -> bool:
-    if isinstance(t, Int):
-        return False  # bare integers only occur under lit
     if isinstance(t, Var):
         raise TypeError("object term contains an unbound metalevel variable")
-    f = t.functor
-    if f in (S_VAR, S_LAM, S_LIT) or f in (S_TRUE, S_FALSE, S_NIL):
-        return True
-    if f in (S_PAIR, S_CONS):
-        return is_value(t.args[0]) and is_value(t.args[1])
-    return False
+    # bare integers only occur under lit
+    row = CONSTRUCTORS.get(t.functor) if isinstance(t, Compound) else None
+    if row is None or row.value_args is None:
+        return False
+    # most values are leaves: no generator for them
+    return not row.value_args or all(is_value(t.args[i]) for i in row.value_args)
 
 
 def step_once(t: Term, strategy: str = "lazy") -> Optional[Term]:
-    """One small step, or None when no rule applies."""
-    if not isinstance(t, Compound):
+    """One small step, or None when no rule applies: the first position
+    the strategy reduces that is not a value steps, and once none is left
+    the constructor's redex rule applies."""
+    row = CONSTRUCTORS.get(t.functor) if isinstance(t, Compound) else None
+    if row is None or row.shape and not _is(t.args[row.shape[0]], row.shape[1]):
         return None
-    f = t.functor
-
-    if f is S_APP:
-        fun, arg = t.args
-        if strategy == "lazy":
-            if isinstance(fun, Compound) and fun.functor is S_LAM:
-                name = _atom_name(fun.args[0])
-                if name is not None:
-                    return substitute(arg, name, fun.args[1])
-            fun2 = step_once(fun, strategy)
-            return Compound(S_APP, (fun2, arg)) if fun2 is not None else None
-        # eager: function first, then the argument, then contract
-        if not is_value(fun):
-            fun2 = step_once(fun, strategy)
-            return Compound(S_APP, (fun2, arg)) if fun2 is not None else None
-        if not is_value(arg):
-            arg2 = step_once(arg, strategy)
-            return Compound(S_APP, (fun, arg2)) if arg2 is not None else None
-        if fun.functor is S_LAM:
-            name = _atom_name(fun.args[0])
-            if name is not None:
-                return substitute(arg, name, fun.args[1])
-        return None
-
-    if f is S_FST or f is S_SND:
-        inner = t.args[0]
-        if isinstance(inner, Compound) and inner.functor is S_PAIR:
-            return inner.args[0] if f is S_FST else inner.args[1]
-        return None
-
-    if f is S_HEAD or f is S_TAIL:
-        inner = t.args[0]
-        if isinstance(inner, Compound) and inner.functor is S_CONS:
-            return inner.args[0] if f is S_HEAD else inner.args[1]
-        return None
-
-    if f is S_IF:
-        cond, branches = t.args
-        if not (isinstance(branches, Compound) and branches.functor is S_THENELSE):
-            return None
-        if isinstance(cond, Compound) and cond.functor is S_TRUE:
-            return branches.args[0]
-        if isinstance(cond, Compound) and cond.functor is S_FALSE:
-            return branches.args[1]
-        cond2 = step_once(cond, strategy)
-        return Compound(S_IF, (cond2, branches)) if cond2 is not None else None
-
-    if f is S_ADD:
-        a, b = t.args
-        if (isinstance(a, Compound) and a.functor is S_LIT
-                and isinstance(b, Compound) and b.functor is S_LIT
-                and isinstance(a.args[0], Int) and isinstance(b.args[0], Int)):
-            return Compound(S_LIT, (Int(a.args[0].value + b.args[0].value),))
-        if not is_value(a):
-            a2 = step_once(a, strategy)
-            return Compound(S_ADD, (a2, b)) if a2 is not None else None
-        b2 = step_once(b, strategy)
-        return Compound(S_ADD, (a, b2)) if b2 is not None else None
-
-    if f in (S_PAIR, S_CONS):
-        a, b = t.args
-        if not is_value(a):
-            a2 = step_once(a, strategy)
-            return Compound(f, (a2, b)) if a2 is not None else None
-        if not is_value(b):
-            b2 = step_once(b, strategy)
-            return Compound(f, (a, b2)) if b2 is not None else None
-        return None
-
-    return None
+    args = t.args
+    for i in row.lazy if strategy == "lazy" else row.eager:
+        if not is_value(args[i]):
+            a = step_once(args[i], strategy)
+            return (None if a is None
+                    else Compound(t.functor, (*args[:i], a, *args[i + 1:])))
+    return None if row.redex is None else row.redex(t)
 
 
 def reference_eval(t: Term,

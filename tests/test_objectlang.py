@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milsem import objectlang
-from milsem.corpus import CORPUS_KINDS, generate_corpus
+from milsem.corpus import (
+    CORPUS_KINDS, builtin_corpus, builtin_corpus_names, generate_corpus)
 from milsem.objectlang import (
     BOTTOM,
+    CONSTRUCTORS,
     OracleConfig,
     STRATEGIES,
     StuckTermError,
@@ -37,9 +39,11 @@ from milsem.objectlang import (
     step_once,
     substitute,
 )
+from milsem.scenario import builtin_scenario, builtin_scenario_names
 from milsem.solver import BuiltinError, SolveConfig, Verdict, solve
 from milsem.terms import (
-    Clause, Compound, Int, Program, Store, const, mk, term_vars, var)
+    Clause, Compound, Int, Program, Store, Var, const, mk, symbol, term_vars,
+    var)
 from milsem.textio import parse_clauses, parse_term, print_term
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -438,6 +442,249 @@ def test_eval_chain():
     assert eval_chain(parse_term("lit(1)")) == [parse_term("lit(1)")]
     assert eval_chain(parse_term("fst(lit(1))")) == [parse_term("fst(lit(1))")]
     assert len(eval_chain(OMEGA, OracleConfig(fuel=4))) == 5
+
+
+# ---- the constructor table against the per-constructor interpreter ----
+
+R_VAR, R_LAM, R_APP, R_LIT = (symbol("var", 1), symbol("lam", 2),
+                              symbol("app", 2), symbol("lit", 1))
+R_ADD, R_PAIR, R_FST, R_SND = (symbol("add", 2), symbol("pair", 2),
+                               symbol("fst", 1), symbol("snd", 1))
+R_CONS, R_NIL, R_HEAD, R_TAIL = (symbol("cons", 2), symbol("nil", 0),
+                                 symbol("head", 1), symbol("tail", 1))
+R_IF, R_THENELSE, R_TRUE, R_FALSE = (symbol("if", 2), symbol("thenelse", 2),
+                                     symbol("true", 0), symbol("false", 0))
+
+
+# The interpreter as it was before the constructor table, one branch per
+# constructor, kept as the reference the table must agree with (its own
+# symbol names aside, as written then).
+
+def ref_is_value(t):
+    if isinstance(t, Int):
+        return False  # bare integers only occur under lit
+    if isinstance(t, Var):
+        raise TypeError("object term contains an unbound metalevel variable")
+    f = t.functor
+    if f in (R_VAR, R_LAM, R_LIT) or f in (R_TRUE, R_FALSE, R_NIL):
+        return True
+    if f in (R_PAIR, R_CONS):
+        return ref_is_value(t.args[0]) and ref_is_value(t.args[1])
+    return False
+
+
+def ref_step_once(t, strategy="lazy"):
+    if not isinstance(t, Compound):
+        return None
+    f = t.functor
+
+    if f is R_APP:
+        fun, arg = t.args
+        if strategy == "lazy":
+            if isinstance(fun, Compound) and fun.functor is R_LAM:
+                name = _binder(fun.args[0])
+                if name is not None:
+                    return substitute(arg, name, fun.args[1])
+            fun2 = ref_step_once(fun, strategy)
+            return Compound(R_APP, (fun2, arg)) if fun2 is not None else None
+        # eager: function first, then the argument, then contract
+        if not ref_is_value(fun):
+            fun2 = ref_step_once(fun, strategy)
+            return Compound(R_APP, (fun2, arg)) if fun2 is not None else None
+        if not ref_is_value(arg):
+            arg2 = ref_step_once(arg, strategy)
+            return Compound(R_APP, (fun, arg2)) if arg2 is not None else None
+        if fun.functor is R_LAM:
+            name = _binder(fun.args[0])
+            if name is not None:
+                return substitute(arg, name, fun.args[1])
+        return None
+
+    if f is R_FST or f is R_SND:
+        inner = t.args[0]
+        if isinstance(inner, Compound) and inner.functor is R_PAIR:
+            return inner.args[0] if f is R_FST else inner.args[1]
+        return None
+
+    if f is R_HEAD or f is R_TAIL:
+        inner = t.args[0]
+        if isinstance(inner, Compound) and inner.functor is R_CONS:
+            return inner.args[0] if f is R_HEAD else inner.args[1]
+        return None
+
+    if f is R_IF:
+        cond, branches = t.args
+        if not (isinstance(branches, Compound) and branches.functor is R_THENELSE):
+            return None
+        if isinstance(cond, Compound) and cond.functor is R_TRUE:
+            return branches.args[0]
+        if isinstance(cond, Compound) and cond.functor is R_FALSE:
+            return branches.args[1]
+        cond2 = ref_step_once(cond, strategy)
+        return Compound(R_IF, (cond2, branches)) if cond2 is not None else None
+
+    if f is R_ADD:
+        a, b = t.args
+        if (isinstance(a, Compound) and a.functor is R_LIT
+                and isinstance(b, Compound) and b.functor is R_LIT
+                and isinstance(a.args[0], Int) and isinstance(b.args[0], Int)):
+            return Compound(R_LIT, (Int(a.args[0].value + b.args[0].value),))
+        if not ref_is_value(a):
+            a2 = ref_step_once(a, strategy)
+            return Compound(R_ADD, (a2, b)) if a2 is not None else None
+        b2 = ref_step_once(b, strategy)
+        return Compound(R_ADD, (a, b2)) if b2 is not None else None
+
+    if f in (R_PAIR, R_CONS):
+        a, b = t.args
+        if not ref_is_value(a):
+            a2 = ref_step_once(a, strategy)
+            return Compound(f, (a2, b)) if a2 is not None else None
+        if not ref_is_value(b):
+            b2 = ref_step_once(b, strategy)
+            return Compound(f, (a, b2)) if b2 is not None else None
+        return None
+
+    return None
+
+
+def ref_outcome(t, strategy, fuel):
+    """`reference_eval` over the reference steps: the value, BOTTOM, or
+    ("stuck", the printed stuck term)."""
+    chain = [t]
+    left = fuel
+    while not ref_is_value(t) and left > 0:
+        t = ref_step_once(t, strategy)
+        if t is None:
+            break
+        chain.append(t)
+        left -= 1
+    if ref_is_value(chain[-1]):
+        return chain[-1]
+    if len(chain) > fuel:
+        return BOTTOM
+    return "stuck", print_term(chain[-1])
+
+
+def _outcome(t, strategy, fuel):
+    try:
+        return reference_eval(t, OracleConfig(strategy=strategy, fuel=fuel))
+    except StuckTermError as e:
+        return "stuck", str(e)
+
+
+_CONSTRUCTORS = (("lam", 2), ("app", 2), ("add", 2), ("pair", 2),
+                 ("cons", 2), ("fst", 1), ("snd", 1), ("head", 1),
+                 ("tail", 1), ("if", 2), ("thenelse", 2))
+# var and lit of any argument, wrong arities and an unknown functor
+_ILL_FORMED = (("var", 1), ("lit", 1), ("lit", 0), ("pair", 1), ("fst", 2),
+               ("nil", 1), ("app", 3), ("f", 1))
+
+# most random terms are stuck, so a leaf may also be a redex
+_REDEXES = tuple(map(parse_term, (
+    "add(lit(1),lit(2))", "app(lam(x,var(x)),var(y))", "fst(pair(nil,true))",
+    "tail(cons(nil,true))", "if(false,thenelse(nil,lit(0)))")))
+
+_wild_leaves = st.one_of(
+    st.integers(-2, 9).map(Int),
+    name_st.map(lambda n: mk("var", const(n))),
+    st.integers(0, 9).map(lambda n: mk("lit", Int(n))),
+    name_st.map(lambda n: mk("lit", const(n))),
+    st.sampled_from(("nil", "true", "false", "q")).map(const),
+    st.sampled_from(_REDEXES),
+)
+
+
+def _nodes(functors, sub):
+    return st.sampled_from(functors).flatmap(lambda fa: st.lists(
+        sub, min_size=fa[1], max_size=fa[1]).map(lambda a: mk(fa[0], *a)))
+
+
+def _wild_branches(sub):
+    # besides arbitrary nodes, the shapes the redex rules look for
+    lam = st.tuples(name_st, sub).map(lambda p: mk("lam", const(p[0]), p[1]))
+    return st.one_of(
+        _nodes(_CONSTRUCTORS, sub),
+        _nodes(_ILL_FORMED, sub),
+        lam,
+        st.tuples(sub, sub, sub).map(
+            lambda p: mk("if", p[0], mk("thenelse", p[1], p[2]))),
+        st.tuples(st.sampled_from(("fst", "snd", "head", "tail")),
+                  st.sampled_from(("pair", "cons")), sub, sub).map(
+            lambda p: mk(p[0], mk(p[1], p[2], p[3]))),
+    )
+
+
+wild_terms = st.recursive(_wild_leaves, _wild_branches, max_leaves=12)
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, Compound):
+        for a in t.args:
+            yield from _subterms(a)
+
+
+def _contexts(u):
+    """u, u in every argument position of each constructor, and u in each
+    one with lit(1) in the others: random terms seldom put a redex beside
+    a value or beside another redex."""
+    yield u
+    one = mk("lit", Int(1))
+    for f, n in _CONSTRUCTORS:
+        yield mk(f, *[u] * n)
+        for i in range(n):
+            yield mk(f, *(u if j == i else one for j in range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wild_terms)
+def test_table_interpreter_agrees_with_the_reference(t):
+    for u in _subterms(t):
+        for strategy in STRATEGIES:
+            assert _outcome(u, strategy, 20) == ref_outcome(u, strategy, 20)
+        for c in _contexts(u):
+            assert is_value(c) == ref_is_value(c)
+            for strategy in STRATEGIES:
+                assert step_once(c, strategy) == ref_step_once(c, strategy)
+
+
+def _functors(t):
+    """The constructors a ground object term is built from: every functor
+    but the object-variable names under var and lam."""
+    if isinstance(t, Compound):
+        yield t.functor
+        for a in t.args[1:] if t.functor in (R_VAR, R_LAM) else t.args:
+            yield from _functors(a)
+
+
+def _scenario_functors(name):
+    spec = builtin_scenario(name)
+    return set(spec.func_decls).union(
+        *(_functors(t) for e in spec.examples for t in e.goal.args))
+
+
+def _corpus_functors(kind):
+    terms = [t for seed in range(11) for t in generate_corpus(kind, 40, seed)]
+    if kind in builtin_corpus_names():
+        terms += builtin_corpus(kind)
+    return set().union(*map(_functors, terms))
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_scenario_constructors_have_table_rows(name):
+    assert sorted(map(str, _scenario_functors(name) - CONSTRUCTORS.keys())) == []
+
+
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_corpus_constructors_have_table_rows(kind):
+    assert sorted(map(str, _corpus_functors(kind) - CONSTRUCTORS.keys())) == []
+
+
+def test_every_table_row_is_used():
+    used = set().union(*map(_scenario_functors, builtin_scenario_names()),
+                       *map(_corpus_functors, CORPUS_KINDS))
+    assert sorted(map(str, CONSTRUCTORS.keys() - used)) == []
 
 
 # ---- default builtins ----
