@@ -9,7 +9,8 @@ Exit codes class outcomes, not commands: 0 success, 1 the search or
 query came up empty (no hypothesis, finite failure, violations), 2 bad
 input (unreadable or non-UTF-8 file, parse or semantic error, a term
 nested past the recursion limit), 3 out of budget
-(learner timeout, depth exceeded in a query or in the learner's search).
+(the learner's step budget spent, depth exceeded in a query or in the
+learner's search).
 """
 
 import argparse
@@ -55,11 +56,10 @@ _VERDICT_TEXT = {
 }
 
 _STATUS_EXIT = {"found": EX_OK, "exhausted": EX_EMPTY,
-                "depth_exceeded": EX_BUDGET, "timeout": EX_BUDGET}
+                "depth_exceeded": EX_BUDGET, "budget": EX_BUDGET}
 
-# numeric flags that must be positive, as the scenario options they mirror,
-# and finite, so that none of them switches its limit off
-_LIMITS = ("depth", "max_clauses", "timeout", "fuel")
+# integer flags that must be positive, as the scenario options they mirror
+_LIMITS = ("depth", "max_clauses", "max_steps", "fuel")
 
 
 class CliError(Exception):
@@ -118,7 +118,8 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         depth_limit=args.depth if args.depth is not None else opts.depth_limit,
         max_clauses=args.max_clauses if args.max_clauses is not None
         else opts.max_clauses,
-        timeout=args.timeout if args.timeout is not None else opts.timeout,
+        max_steps=args.max_steps if args.max_steps is not None
+        else opts.max_steps,
     )
     if changed == opts:
         return spec
@@ -173,8 +174,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
               f"{spec.options.max_clauses} clauses, but the depth limit "
               f"{spec.options.depth_limit} cut the search", file=sys.stderr)
     else:
-        print(f"% {spec.name}: timed out after "
-              f"{res.stats.elapsed:.1f}s at size {res.stats.size_reached}",
+        print(f"% {spec.name}: step budget of {spec.options.max_steps} "
+              f"meta-steps spent at size {res.stats.size_reached}",
               file=sys.stderr)
     return _STATUS_EXIT[res.status]
 
@@ -319,21 +320,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="learn and test small-step evaluation rules")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, timeout=False, clauses=False):
+    def common(p, learner=False):
         p.add_argument("--depth", type=int, default=None, metavar="N",
                        help="proof depth limit")
-        if clauses:
+        if learner:
             p.add_argument("--max-clauses", type=int, default=None,
                            metavar="N", help="hypothesis size cap")
-        if timeout:
-            p.add_argument("--timeout", type=float, default=None,
-                           metavar="S", help="search budget in seconds")
+            p.add_argument("--max-steps", type=int, default=None,
+                           metavar="N", help="search budget in meta-steps")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
     p = sub.add_parser("learn", help="induce rules from one scenario")
     p.add_argument("scenario", help="scenario file or bundled name")
-    common(p, timeout=True, clauses=True)
+    common(p, learner=True)
     p.add_argument("--trace", action="store_true",
                    help="log the search to stderr")
     p.set_defaults(fn=cmd_learn)
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="scenario files or bundled names, in order")
     p.add_argument("--out", metavar="FILE",
                    help="write the combined program here")
-    common(p, timeout=True, clauses=True)
+    common(p, learner=True)
     p.add_argument("--trace", action="store_true",
                    help="log the search to stderr")
     p.set_defaults(fn=cmd_chain)
@@ -377,9 +377,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         for name in _LIMITS:
             value = getattr(args, name, None)
-            if value is not None and not 0 < value < float("inf"):
-                raise CliError(f"--{name.replace('_', '-')} needs a finite "
-                               f"positive number, got {value:g}")
+            if value is not None and value <= 0:
+                raise CliError(f"--{name.replace('_', '-')} needs a positive "
+                               f"integer, got {value}")
         return args.fn(args)
     except (CliError, ScenarioError, ParseError, BuiltinError) as exc:
         print(f"error: {exc}", file=sys.stderr)

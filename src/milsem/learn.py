@@ -37,11 +37,12 @@ later one, reuses them; the memo is the engine's, so each call starts empty
 and frees it on return.
 The meta-proof is the solver's resolution with a different clause
 source, so budget, step count and taint work as in `solve`: a hypothesis
-found here proves its examples under `solve` as well.  When no
-hypothesis turns up but the depth bound cut the meta-proof, or cut the
-check that rejected some candidate or the check of its core, `learn`
-reports ``depth_exceeded`` rather than ``exhausted``: a larger bound may
-yet find one.
+found here proves its examples under `solve` as well.  The engine's
+resolver stops at ``max_steps`` meta-steps over all caps, and `learn`
+then reports ``budget``.  When no hypothesis turns up but the depth
+bound cut the meta-proof, or cut the check that rejected some candidate
+or the check of its core, `learn` reports ``depth_exceeded`` rather than
+``exhausted``: a larger bound may yet find one.
 
 Definite programs are monotone: a clause set that proves a goal within the
 depth budget still proves it with clauses added, and a search the depth
@@ -113,10 +114,6 @@ _DEMANDED = {"pos": Verdict.PROVED, "neg": Verdict.FINITE_FAILURE,
              "nonterm": Verdict.DEPTH_EXCEEDED}
 
 
-class _SearchTimeout(Exception):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class Hypothesis:
     """An ordered set of metarule instantiations and their clauses."""
@@ -144,7 +141,7 @@ class LearnStats:
 
 @dataclass(slots=True)
 class LearnResult:
-    status: str  # found | exhausted | depth_exceeded | timeout
+    status: str  # found | exhausted | depth_exceeded | budget
     hypothesis: Optional[Hypothesis]
     stats: LearnStats
 
@@ -219,22 +216,22 @@ class _Engine:
     re-run at each size cap."""
 
     __slots__ = ("spec", "resolver", "store", "background",
-                 "pools", "head_preds", "goals", "deadline", "trace",
+                 "pools", "head_preds", "goals", "trace",
                  "size_cap", "hypothesis", "adopted", "invented",
                  "invent_from", "cores", "depth_rejected", "stats",
-                 "_ticks", "by_pred", "memo")
+                 "by_pred", "memo")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Compound],
-                 deadline: Optional[float] = None, trace: Trace = None) -> None:
+                 trace: Trace = None) -> None:
         self.spec = spec
         self.resolver = Resolver(default_builtins(), FreshVars())
+        self.resolver.max_steps = spec.options.max_steps
         self.store = self.resolver.store
         self.background = Program(spec.bk).select
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
         # examples must not share variables with each other or the program
         self.goals = [rename_term(g, {}, self.resolver.counter) for g in goals]
-        self.deadline = deadline
         self.trace = trace
         self.size_cap = 0
         self.hypothesis: dict[Metasub, Clause] = {}
@@ -248,7 +245,6 @@ class _Engine:
         self.depth_rejected = False
         # meta_steps is the resolver's step count, read at the end
         self.stats = LearnStats()
-        self._ticks = 0
         # goal predicate -> the metarules, with their spec positions, whose
         # head can match its goals; filled as predicates are met
         self.by_pred: dict[Symbol, tuple[tuple[int, Metarule], ...]] = {}
@@ -257,12 +253,6 @@ class _Engine:
         self.memo: dict[tuple, list[tuple[Metasub, Clause]]] = {}
 
     # ---- bookkeeping ----
-
-    def _tick(self) -> None:
-        self._ticks += 1
-        if (self._ticks & 0x3FF) == 0 and self.deadline is not None:
-            if time.monotonic() > self.deadline:
-                raise _SearchTimeout
 
     def _adopt(self, msub: Metasub, clause: Clause, frame: dict[int, Term],
                tentative: Optional[str]) -> Iterator[Sequence[Compound]]:
@@ -296,7 +286,6 @@ class _Engine:
         """Alternatives for a goal: the bucket of background and adopted
         clauses, and the tail of fresh metarule instantiations, each
         adopted into the hypothesis while its body is being proved."""
-        self._tick()
         pred = goal.functor
         bucket = self.background(goal, self.store.bindings)
         adopted = self.adopted.get(pred)
@@ -376,8 +365,8 @@ class _Engine:
 
     def hypotheses(self, caps: Iterable[int]) -> Iterator[Hypothesis]:
         """The hypothesis in force at each complete proof of the goals, cap
-        by cap, in search order.  Each goal is proved under a fresh depth
-        budget, backtracking across them."""
+        by cap, in search order, until the step budget is spent.  Each goal
+        is proved under a fresh depth budget, backtracking across them."""
         # each cap probes for a depth cut afresh; after the last cap the
         # resolver's flag says whether the bound cut any of them
         cut = False
@@ -388,6 +377,8 @@ class _Engine:
             self.resolver.tainted = False
             yield from self._prove(0)
             cut = cut or self.resolver.tainted
+            if self.resolver.stopped:
+                break  # so size_reached is the cap the budget ran out at
         self.resolver.tainted = cut
 
     def _prove(self, i: int) -> Iterator[Hypothesis]:
@@ -401,6 +392,8 @@ class _Engine:
         for _ in self.resolver.run([self.goals[i]],
                                    self.spec.options.depth_limit, self.clauses):
             yield from self._prove(i + 1)
+            if self.resolver.stopped:
+                return  # the budget is spent: resume no choice point
 
     def accepts(self, candidate: Hypothesis) -> bool:
         """Whether a candidate treats every example as its tag demands.  A
@@ -447,7 +440,7 @@ def meta_prove(spec: ScenarioSpec,
                size_cap: Optional[int] = None) -> Iterator[Hypothesis]:
     """Meta-prove goals against a scenario's background, growing a
     hypothesis as needed; the hypothesis in force at each complete proof,
-    in search order."""
+    in search order, within the scenario's step budget."""
     engine = _Engine(spec, [goals] if isinstance(goals, Compound) else goals)
     yield from engine.hypotheses(
         [spec.options.max_clauses if size_cap is None else size_cap])
@@ -455,38 +448,33 @@ def meta_prove(spec: ScenarioSpec,
 
 def learn(spec: ScenarioSpec, *, trace: Trace = None) -> LearnResult:
     """Search for the smallest hypothesis consistent with every example,
-    within the limits of ``spec.options``.
+    within the limits of ``spec.options``, the step budget among them.
 
     Deepens on hypothesis size, so the result is minimal in clause count.
     A candidate clause set already checked, reached again under a
     different derivation order or at a larger size cap, is skipped, and so
     is every partial hypothesis that contains a core.
     """
-    opts = spec.options
     started = time.monotonic()
-    engine = _Engine(spec, [e.goal for e in spec.positives()],
-                     started + opts.timeout if opts.timeout > 0 else None,
-                     trace)
+    engine = _Engine(spec, [e.goal for e in spec.positives()], trace)
+    resolver = engine.resolver
     seen: set[frozenset[Metasub]] = set()
     found: Optional[Hypothesis] = None
-    try:
-        for candidate in engine.hypotheses(range(1, opts.max_clauses + 1)):
-            key = frozenset(candidate.metasubs)
-            if key not in seen:
-                seen.add(key)
-                if engine.accepts(candidate):
-                    found = candidate
-                    break
-        status = ("found" if found is not None
-                  else "depth_exceeded"
-                  if engine.resolver.tainted or engine.depth_rejected
-                  else "exhausted")
-    except _SearchTimeout:
-        status = "timeout"
+    for candidate in engine.hypotheses(range(1, spec.options.max_clauses + 1)):
+        key = frozenset(candidate.metasubs)
+        if key not in seen:
+            seen.add(key)
+            if engine.accepts(candidate):
+                found = candidate
+                break
+    status = ("found" if found is not None
+              else "budget" if resolver.stopped
+              else "depth_exceeded" if resolver.tainted or engine.depth_rejected
+              else "exhausted")
     if found is not None and trace:
         trace(f"found at size {found.size}")
     stats = engine.stats
-    stats.meta_steps = engine.resolver.steps
+    stats.meta_steps = resolver.steps
     stats.elapsed = time.monotonic() - started
     return LearnResult(status, found, stats)
 

@@ -8,7 +8,7 @@ A scenario file is plain text divided by ``%% <section>`` headers:
     %% body           auxiliary predicates allowed in rule bodies, p/n.
     %% functions      object-level constructors available to metarules, f/n.
     %% examples       pos(G). / neg(G). / nonterm(G).
-    %% options        depth_limit(N). max_clauses(N). timeout(Seconds).
+    %% options        depth_limit(N). max_clauses(N). max_steps(N).
 
 ``background``, ``metarules``, ``head`` and ``examples`` are required.
 The function pool is the declared set plus any functor that occurs in an
@@ -56,7 +56,7 @@ class Example:
 class Options:
     depth_limit: int = DEFAULT_DEPTH
     max_clauses: int = 10
-    timeout: float = 120.0
+    max_steps: int = 10_000_000  # the learner's budget, in meta-steps
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,12 +213,11 @@ def _parse_options(text: str) -> Options:
             raise ScenarioError(f"malformed option at line {p.line_at(start)}")
         arg = a.args[0]
         name = a.functor.name
-        if name in ("depth_limit", "max_clauses", "timeout"):
+        if name in ("depth_limit", "max_clauses", "max_steps"):
             if not isinstance(arg, Int) or arg.value <= 0:
                 raise ScenarioError(
                     f"{name} at line {p.line_at(start)} needs a positive integer")
-            value = float(arg.value) if name == "timeout" else arg.value
-            opts = replace(opts, **{name: value})
+            opts = replace(opts, **{name: arg.value})
         else:
             raise ScenarioError(
                 f"unknown option {name!r} at line {p.line_at(start)}")

@@ -196,11 +196,14 @@ class Resolver:
     continued, or the loop check cut a repeated resolvent.  Both
     accumulate over every `run` on the same resolver.
     A `run` takes no clause step once ``steps`` reaches ``max_steps``: it
-    ends there, tainted, as if the depth budget had run out.
+    ends there, tainted, as if the depth budget had run out, and sets
+    ``stopped``, as a search whose last step is the last allowed does not.
+    `solve` sets ``max_steps`` by ``step_ratio``; the learner, from its
+    ``max_steps`` option, once for the whole search.
     """
 
     __slots__ = ("builtins", "store", "counter", "steps", "tainted",
-                 "probing", "max_steps", "pairs")
+                 "stopped", "probing", "max_steps", "pairs")
 
     def __init__(self, builtins: Optional[BuiltinTable],
                  counter: FreshVars) -> None:
@@ -209,6 +212,7 @@ class Resolver:
         self.counter = counter
         self.steps = 0
         self.tainted = False
+        self.stopped = False
         self.probing = False
         self.max_steps = sys.maxsize
         self.pairs = 0  # what comparisons with the watched goal may still walk
@@ -325,7 +329,7 @@ class Resolver:
                         stack.pop()  # that was the last alternative
                 steps = self.steps
                 if steps >= max_steps:
-                    self.tainted = True
+                    self.tainted = self.stopped = True
                     return
                 self.steps = steps = steps + 1
                 if steps >= watch_at:

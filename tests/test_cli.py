@@ -162,11 +162,47 @@ def test_learn_exhausted_exits_1(capsys):
     assert "no hypothesis within 1 clauses" in err
 
 
-def test_learn_timeout_exits_3(capsys):
-    assert main(["learn", "conditionals", "--timeout", "0.001", "--json"]) == 3
-    payload = _json_payload(capsys)
-    assert payload["status"] == "timeout"
-    assert payload["exit"] == 3
+@pytest.mark.parametrize("argv, status, code, steps, size", [
+    (["--max-steps", "143"], "budget", 3, 143, 5),
+    (["--max-steps", "144"], "found", 0, 144, 5),
+    # this search ends on its 15th step: exhausted, not stopped
+    (["--max-clauses", "1", "--max-steps", "15"], "exhausted", 1, 15, 1),
+    (["--max-clauses", "1", "--max-steps", "14"], "budget", 3, 14, 1),
+], ids=["143", "144", "1-15", "1-14"])
+def test_learn_step_budget(capsys, argv, status, code, steps, size):
+    # the budget counts meta-steps, so two runs agree on all but the time
+    payloads = []
+    for _ in range(2):
+        assert main(["learn", "pairs", *argv, "--json"]) == code
+        payload = _json_payload(capsys)
+        del payload["stats"]["elapsed"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert (payload["status"], payload["exit"]) == (status, code)
+    assert payload["stats"]["meta_steps"] == steps
+    assert payload["stats"]["size_reached"] == size
+
+
+def test_learn_budget_stop_says_where(capsys):
+    assert main(["learn", "pairs", "--max-steps", "143"]) == 3
+    assert capsys.readouterr().err == (
+        "% pairs: step budget of 143 meta-steps spent at size 5\n")
+
+
+def test_chain_task_has_its_own_budget(capsys):
+    # pairs alone takes 144 meta-steps, and 1,456 after lazy_eager's rules
+    assert main(["chain", "lazy_eager", "pairs", "--max-steps", "1455",
+                 "--json"]) == 3
+    tasks = _json_payload(capsys)["tasks"]
+    assert [t["status"] for t in tasks] == ["found", "budget"]
+    assert tasks[1]["stats"]["meta_steps"] == 1455
+
+
+def test_learn_takes_no_timeout_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "pairs", "--timeout", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timeout 5" in capsys.readouterr().err
 
 
 def test_learn_cut_by_depth_exits_3(capsys):
@@ -540,21 +576,18 @@ def test_check_unknown_corpus_exits_2(capsys):
     ["learn", "pairs", "--depth", "0"],
     ["run", "var(a)", "--depth", "-3"],
     ["chain", "pairs", "--max-clauses", "0"],
-    ["learn", "pairs", "--timeout", "0"],
-    ["learn", "pairs", "--timeout", "-1"],
-    ["learn", "pairs", "--timeout", "inf"],
-    ["learn", "pairs", "--timeout", "nan"],
+    ["learn", "pairs", "--max-steps", "0"],
+    ["chain", "pairs", "--max-steps", "-1"],
     ["check", "{prog}", "lazy_eager", "--base", "full", "--fuel", "0"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_positive_limit_exits_2(tmp_path, capsys, argv):
-    # as for a scenario's options, every limit is positive; and finite, so
-    # none can switch a budget off
+    # as for a scenario's options, every limit is a positive integer
     prog = tmp_path / "empty.pl"
     prog.write_text("")
     argv = [a.format(prog=prog) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {argv[-2]} needs a finite positive number")
+    assert err.startswith(f"error: {argv[-2]} needs a positive integer")
 
 
 # ---- malformed input ----

@@ -222,15 +222,35 @@ def test_learn_reports_a_rejection_cut_by_depth():
         == learn(builtin_scenario("pairs")).hypothesis.clauses
 
 
-def _timed_out(spec):
-    return replace(spec, options=replace(spec.options, timeout=0.001))
+def _budget(spec, max_steps):
+    return replace(spec, options=replace(spec.options, max_steps=max_steps))
 
 
-def test_learn_reports_timeout():
-    res = learn(_timed_out(builtin_scenario("conditionals")))
-    assert res.status == "timeout"
+def test_learn_reports_budget():
+    res = learn(_budget(builtin_scenario("conditionals"), 1000))
+    assert res.status == "budget"
     assert res.hypothesis is None
     assert not res.ok
+    assert res.stats.meta_steps == 1000
+
+
+def test_budget_stop_leaves_no_hypothesis_adopted():
+    # the stop closes the meta-proof where it is: every adopted instance
+    # is dropped again, and no later cap starts
+    spec = _budget(builtin_scenario("pairs"), 100)
+    engine = _Engine(spec, [e.goal for e in spec.positives()])
+    assert list(engine.hypotheses(range(1, 9))) == []
+    assert engine.resolver.stopped and engine.resolver.steps == 100
+    assert engine.stats.size_reached == 4
+    assert engine.hypothesis == engine.invented == {}
+    assert engine.adopted and not any(engine.adopted.values())
+
+
+def test_meta_prove_runs_under_the_budget():
+    spec = _budget(builtin_scenario("pairs"), 20)
+    goals = [e.goal for e in spec.positives()]
+    assert list(meta_prove(spec, goals)) == []
+    assert list(meta_prove(_budget(spec, 10**6), goals))
 
 
 def test_meta_prove_enumerates_proof_states():
@@ -245,8 +265,8 @@ def test_meta_prove_enumerates_proof_states():
 
 
 @pytest.mark.parametrize("spec", [
-    builtin_scenario("pairs"), _timed_out(builtin_scenario("conditionals")),
-], ids=["found", "timeout"])
+    builtin_scenario("pairs"), _budget(builtin_scenario("conditionals"), 1000),
+], ids=["found", "budget"])
 def test_learn_frees_its_engine_on_return(spec):
     # with the cyclic collector off, an engine outlives `learn` only when a
     # reference cycle holds it, and with it its store, hypothesis and memo

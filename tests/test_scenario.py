@@ -81,9 +81,9 @@ def test_content_before_first_section_rejected():
 
 
 def test_example_tags():
-    text = GOOD + "\n%% options\ndepth_limit(50).\n"
+    text = GOOD + "\n%% options\ndepth_limit(50).\nmax_steps(500).\n"
     s = parse_scenario(text)
-    assert s.options.depth_limit == 50
+    assert s.options == Options(depth_limit=50, max_steps=500)
     assert s.positives()[0].goal.functor is symbol("eval", 2)
 
 
@@ -117,9 +117,12 @@ def test_at_least_one_positive_required():
 def test_options_validation():
     with pytest.raises(ScenarioError):
         parse_scenario(GOOD + "\n%% options\ndepth_limit(0).\n")
-    # neg_depth_policy is no option: a file that sets it fails loudly
-    with pytest.raises(ScenarioError, match="unknown option"):
-        parse_scenario(GOOD + "\n%% options\nneg_depth_policy(reject).\n")
+    with pytest.raises(ScenarioError, match="max_steps .* positive integer"):
+        parse_scenario(GOOD + "\n%% options\nmax_steps(0).\n")
+    # neither is an option: a file that sets one fails loudly
+    for old in ("neg_depth_policy(reject)", "timeout(120)"):
+        with pytest.raises(ScenarioError, match="unknown option"):
+            parse_scenario(GOOD + f"\n%% options\n{old}.\n")
     with pytest.raises(ScenarioError):
         parse_scenario(GOOD + "\n%% options\nwibble(3).\n")
 
@@ -197,6 +200,14 @@ def test_bundled_scenarios_all_parse():
         s = builtin_scenario(name)
         assert s.positives(), name
         assert s.metarules, name
+
+
+def test_bundled_options_set_only_the_size_cap():
+    # depth and step budget are the defaults; the size cap differs
+    assert {n: builtin_scenario(n).options for n in builtin_scenario_names()} \
+        == {n: Options(max_clauses=c) for n, c in
+            [("conditionals", 10), ("lazy_eager", 6), ("lists", 8),
+             ("pairs", 8)]}
 
 
 BUNDLED_CORES = {"conditionals": "full", "lazy_eager": "lazy",

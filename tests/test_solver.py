@@ -450,13 +450,19 @@ def test_run_restores_the_store_with_lone_and_shared_buckets():
     resolver, source, before = fresh()
     assert len(list(resolver.run(query, 10, source))) == 4
     assert store_of(resolver) == before and not resolver.tainted
+    # a search whose last step is the last one allowed is not stopped
+    steps = resolver.steps
+    resolver, source, before = fresh()
+    resolver.max_steps = steps
+    assert len(list(resolver.run(query, 10, source))) == 4
+    assert not (resolver.tainted or resolver.stopped)
     # stopped in a shared bucket (pick) and in a lone one (link)
     for max_steps in (2, 3):
         resolver, source, before = fresh()
         resolver.max_steps = max_steps
         assert list(resolver.run(query, 10, source)) == []
         assert store_of(resolver) == before and resolver.tainted
-        assert resolver.steps == max_steps
+        assert resolver.steps == max_steps and resolver.stopped
     for answers in (1, 3):
         resolver, source, before = fresh()
         run = resolver.run(query, 10, source)
@@ -602,7 +608,7 @@ def _outcome(program, goals, budget, loop_check):
         names = {}
         answers.add(tuple(canon(resolver.store.resolve(Var(v)), names)
                           for v in qvars))
-    if resolver.steps >= resolver.max_steps:
+    if resolver.stopped:
         return None
     return resolver.tainted, answers
 
