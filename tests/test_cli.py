@@ -193,9 +193,12 @@ def test_chain_task_has_its_own_budget(capsys):
     # pairs alone takes 144 meta-steps, and 1,456 after lazy_eager's rules
     assert main(["chain", "lazy_eager", "pairs", "--max-steps", "1455",
                  "--json"]) == 3
-    tasks = _json_payload(capsys)["tasks"]
+    payload = _json_payload(capsys)
+    tasks = payload["tasks"]
     assert [t["status"] for t in tasks] == ["found", "budget"]
     assert tasks[1]["stats"]["meta_steps"] == 1455
+    assert payload["failed_task"] == 1
+    assert payload["combined_size"] == 0
 
 
 def test_learn_takes_no_timeout_flag(capsys):

@@ -150,6 +150,50 @@ SCENARIO_ERRORS = [
     (_HEAD + "%% examples\npos(step(a,b)\n%% options\ndepth_limit(3).\n",
      ParseError,
      "unexpected end of input at line 8, column 14 (expected ))", (8, 14)),
+    # the reader's own errors, whole
+    ("%% background\nfoo(a).\n%% stuff\n", ScenarioError,
+     "unknown section 'stuff' at line 3; expected one of background, "
+     "metarules, head, body, functions, examples, options", None),
+    (_HEAD + _EXAMPLE + "%% head\nvalue/1.\n", ScenarioError,
+     "duplicate section 'head' at line 9", None),
+    ("% c\n\nfoo(a).\n" + _HEAD + _EXAMPLE, ScenarioError,
+     "content before the first %% section at line 3", None),
+    (_HEAD + "%% options\n", ScenarioError,
+     "missing required section 'examples'", None),
+    ("%% background\n%% metarules\n%% head\nstep/2.\n" + _EXAMPLE,
+     ScenarioError, "metarules section is empty", None),
+    ("%% background\n" + _LIBRARY + "%% head\n" + _EXAMPLE, ScenarioError,
+     "head section is empty", None),
+    (_HEAD + "%% examples\nneg(step(a,b)).\n", ScenarioError,
+     "examples section has no positive example", None),
+    (_HEAD + "%% body\nleft/3.\n\nleft/3.\n" + _EXAMPLE, ScenarioError,
+     "duplicate body predicate left/3 at line 10", None),
+    (_HEAD + "%% functions\npair/2.\npair/2.\n" + _EXAMPLE, ScenarioError,
+     "duplicate function pair/2 at line 9", None),
+    ("%% background\n" + _LIBRARY + "%% head\nstep/2.\ngo/0.\n" + _EXAMPLE,
+     ScenarioError, "head predicate go must take arguments", None),
+    ("%% background\nint_add(1,2,3).\n" + _LIBRARY + "%% head\nstep/2.\n"
+     + _EXAMPLE, ScenarioError,
+     "int_add/3: builtin, so neither the background nor the head section "
+     "may define it", None),
+    (_HEAD + "%% examples\npos(step(a,b)).\npos(go(a,b)).\n", ScenarioError,
+     "example goal predicate go/2 is neither defined in the background "
+     "nor learnable", None),
+    ("%% background\n%% metarules\nmetarule(m, [], ([step,A,B] :- [])).\n"
+     "metarule(m, [], ([step,A,A] :- [])).\n%% head\nstep/2.\n" + _EXAMPLE,
+     ScenarioError, "duplicate metarule name 'm'", None),
+    # sections are read in the order background, metarules, head, body,
+    # functions, examples, options, whatever order the file has
+    ("%% options\nspeed(3).\n%% examples\nfoo(a).\n%% head\nstep/2.\n"
+     "step/2.\n" + _LIBRARY + "%% background\n", ScenarioError,
+     "duplicate head predicate step/2 at line 7", None),
+    # and each is lexed when it is read: a bad character in a later
+    # section loses to a parse error in an earlier one
+    ("%% examples\npos(step(a,b)) ²\n%% background\nfoo(a.\n" + _LIBRARY
+     + "%% head\nstep/2.\n", ParseError,
+     "found '.' at line 4, column 6 (expected ))", (4, 6)),
+    (_HEAD + "%% examples\npos(step(a,b)) ²\n%% options\nfoo(a.\n",
+     ParseError, "unexpected character '²' at line 8, column 16", (8, 16)),
 ]
 
 

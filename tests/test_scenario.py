@@ -19,7 +19,7 @@ from milsem.scenario import (
     parse_scenario,
 )
 from milsem.terms import symbol
-from milsem.textio import parse_metarules, print_clause
+from milsem.textio import _Parser, parse_metarules, print_clause
 from test_acceptance import lazy_variant
 
 GOOD = """\
@@ -200,6 +200,18 @@ def test_bundled_scenarios_all_parse():
         s = builtin_scenario(name)
         assert s.positives(), name
         assert s.metarules, name
+
+
+def test_a_line_number_is_worked_out_only_for_an_error(monkeypatch):
+    # `_Parser.line_at` re-lexes the section each time, and every CLI
+    # pass re-reads its scenarios: a good file must never call it
+    calls = []
+    line_at = _Parser.line_at
+    monkeypatch.setattr(_Parser, "line_at",
+                        lambda p, i: calls.append(i) or line_at(p, i))
+    for name in builtin_scenario_names():
+        builtin_scenario(name)
+    assert calls == []
 
 
 def test_bundled_options_set_only_the_size_cap():
