@@ -25,7 +25,6 @@ from .corpus import builtin_corpus, builtin_corpus_names, load_corpus
 from .learn import LearnResult, learn, learn_seq
 from .objectlang import CORES, STRATEGIES, base_clauses, conformance_check, default_builtins
 from .scenario import (
-    Options,
     ScenarioError,
     ScenarioSpec,
     builtin_scenario,
@@ -113,17 +112,11 @@ def _read_input(ref: str, what: str):
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
-    opts = spec.options
-    changed = Options(
-        depth_limit=args.depth if args.depth is not None else opts.depth_limit,
-        max_clauses=args.max_clauses if args.max_clauses is not None
-        else opts.max_clauses,
-        max_steps=args.max_steps if args.max_steps is not None
-        else opts.max_steps,
-    )
-    if changed == opts:
-        return spec
-    return replace(spec, options=changed)
+    given = {name: value for name, value in (("depth_limit", args.depth),
+                                             ("max_clauses", args.max_clauses),
+                                             ("max_steps", args.max_steps))
+             if value is not None}
+    return replace(spec, options=replace(spec.options, **given))
 
 
 def _trace_fn(enabled: bool):
@@ -247,10 +240,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
     specs = [_apply_overrides(_read_input(ref, "scenario"), args)
              for ref in args.scenarios]
     seq = learn_seq(specs, trace=_trace_fn(args.trace))
-    failed: Optional[int] = None
-    for i, (_, res) in enumerate(seq.results):
-        if not res.ok:
-            failed = i
+    # the chain stops at the first task that fails
+    failed = None if seq.ok else len(seq.results) - 1
     code = EX_OK if seq.ok else _STATUS_EXIT[seq.results[-1][1].status]
     combined_text = None
     if seq.combined is not None:
@@ -381,15 +372,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise CliError(f"--{name.replace('_', '-')} needs a positive "
                                f"integer, got {value}")
         return args.fn(args)
-    except (CliError, ScenarioError, ParseError, BuiltinError) as exc:
+    except (CliError, ScenarioError, ParseError, BuiltinError, OSError,
+            RecursionError) as exc:
+        if isinstance(exc, RecursionError):
+            exc = "a term is nested too deeply for the recursion limit"
         print(f"error: {exc}", file=sys.stderr)
-        return EX_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_INPUT
-    except RecursionError:
-        print("error: a term is nested too deeply for the recursion limit",
-              file=sys.stderr)
         return EX_INPUT
 
 

@@ -79,7 +79,7 @@ from .metarules import (
     match_head,
 )
 from .objectlang import default_builtins
-from .scenario import Example, ScenarioSpec
+from .scenario import DEMANDS, Example, ScenarioSpec
 from .solver import (
     DEFAULT_DEPTH,
     BuiltinTable,
@@ -108,10 +108,6 @@ from .textio import print_clause
 Trace = Optional[Callable[[str], None]]
 
 _INVENTED = re.compile(r"^pred_(\d+)$")
-
-# the verdict each example tag demands
-_DEMANDED = {"pos": Verdict.PROVED, "neg": Verdict.FINITE_FAILURE,
-             "nonterm": Verdict.DEPTH_EXCEEDED}
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +168,7 @@ def check_example(program: Program, example: Example, *,
         builtins = default_builtins()
     out = solve(program, example.goal, SolveConfig(depth_limit=depth_limit),
                 builtins)
-    return out.verdict is _DEMANDED[example.tag], out
+    return out.verdict is DEMANDS[example.tag], out
 
 
 def _monotone(example: Example, out: Outcome) -> bool:
@@ -490,7 +486,7 @@ class SeqResult:
 
     @property
     def ok(self) -> bool:
-        return bool(self.results) and all(r.ok for _, r in self.results)
+        return self.combined is not None
 
 
 def learn_seq(specs: Sequence[ScenarioSpec], *,
@@ -511,8 +507,8 @@ def learn_seq(specs: Sequence[ScenarioSpec], *,
             break
         induced.extend(res.hypothesis.clauses)
     elapsed = time.monotonic() - started
-    combined: Optional[Program] = None
-    if specs and results and all(r.ok for _, r in results) \
-            and len(results) == len(specs):
-        combined = Program(tuple(specs[0].bk) + tuple(induced))
+    # the loop stops at the first failure, so the last task is the one
+    # that can have failed
+    combined = (Program(tuple(specs[0].bk) + tuple(induced))
+                if results and results[-1][1].ok else None)
     return SeqResult(tuple(results), tuple(induced), combined, elapsed)

@@ -26,7 +26,7 @@ source keeps only instantiations whose head unifies with the goal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -88,21 +88,25 @@ class MetaruleError(ValueError):
     pass
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Metarule:
     """A named clause template with declared metavariables.
 
     Construction validates that every declaration is used consistently:
     a metavariable is declared once, it may not appear both as a predicate
     and as a function symbol, and all its occurrences must agree on arity.
+    It stores the declarations with every arity resolved.
     """
 
-    __slots__ = ("name", "decls", "head", "body", "head_pred_meta")
+    name: str
+    decls: tuple[Decl, ...]
+    head: TComp
+    body: tuple[TComp, ...]
+    head_pred_meta: Optional[str] = field(init=False)
 
-    def __init__(self, name: str, decls: Sequence[Decl], head: TComp,
-                 body: Sequence[TComp]) -> None:
-        self.name = name
-        self.head = head
-        self.body = tuple(body)
+    def __post_init__(self) -> None:
+        name, head = self.name, self.head
+        self.body = tuple(self.body)
         usage: dict[str, tuple[str, int]] = {}
 
         def see(mv: MetaVar, kind: str, arity: int) -> None:
@@ -129,7 +133,7 @@ class Metarule:
                 walk_term(t)
 
         resolved: list[Decl] = []
-        for d in decls:
+        for d in self.decls:
             if any(r.name == d.name for r in resolved):
                 raise MetaruleError(f"metarule {name}: {d.name} declared twice")
             used = usage.get(d.name)
@@ -154,20 +158,6 @@ class Metarule:
         self.decls = tuple(resolved)
         self.head_pred_meta = (head.functor.name
                                if isinstance(head.functor, MetaVar) else None)
-
-    def _identity(self) -> tuple:
-        return (self.name, self.decls, self.head, self.body)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Metarule):
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
-
-    def __repr__(self) -> str:
-        return f"Metarule({self.name})"
 
 
 # ============================================================

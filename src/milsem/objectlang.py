@@ -423,21 +423,16 @@ def eval_chain(t: Term, config: OracleConfig = OracleConfig()) -> list[Term]:
 
 @dataclass(slots=True)
 class ConformanceReport:
-    total: int = 0
     passed: int = 0
     failures: list[str] = field(default_factory=list)
 
     @property
+    def total(self) -> int:
+        return self.passed + len(self.failures)
+
+    @property
     def ok(self) -> bool:
-        return self.total > 0 and self.passed == self.total
-
-    def add_pass(self) -> None:
-        self.total += 1
-        self.passed += 1
-
-    def add_failure(self, reason: str) -> None:
-        self.total += 1
-        self.failures.append(reason)
+        return self.passed > 0 and not self.failures
 
 
 def _eval_goal(t: Term, result: Term) -> Compound:
@@ -522,9 +517,9 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             what, want = (("diverges", Verdict.DEPTH_EXCEEDED) if v is BOTTOM
                           else ("stuck", Verdict.FINITE_FAILURE))
             if out.verdict is want:
-                report.add_pass()
+                report.passed += 1
             else:
-                report.add_failure(
+                report.failures.append(
                     f"{print_term(t)}: {what} but program gave {out.verdict}")
             continue
         try:
@@ -535,11 +530,11 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             out = solve(program, goal, first, builtins)
             values = None
         if not out.proved:
-            report.add_failure(f"{print_term(t)}: expected a value, got {out.verdict}")
+            report.failures.append(f"{print_term(t)}: expected a value, got {out.verdict}")
             continue
         got = out.answer.get(result.id)
         if got is None or classes.get(alpha_key(got)) != cls:
-            report.add_failure(
+            report.failures.append(
                 f"{print_term(t)}: evaluated to "
                 f"{print_term(got) if got is not None else '?'}, "
                 f"interpreter says {print_term(v)}")
@@ -552,10 +547,10 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
             bad = next((w for w in wrong if solve(
                 program, _eval_goal(t, w), first, builtins).proved), None)
         if bad is not None:
-            report.add_failure(
+            report.failures.append(
                 f"{print_term(t)}: also proves wrong value {print_term(bad)}")
         else:
-            report.add_pass()
+            report.passed += 1
 
     return report
 

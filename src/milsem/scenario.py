@@ -19,27 +19,26 @@ double as constants; integer literals in examples join the constant pool.
 Two directives, expanded in place, pull in what the bundled scenarios share
 from `milsem.objectlang`: ``include(core(S)).`` in ``background`` stands
 for ``base_clauses(S)``, S being full, lazy or eager, and
-``include(library).`` in ``metarules`` for ``metarule_library()``.
+``include(library).`` in ``metarules`` for ``metarule_library()``.  A
+section takes at most one of them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, default_builtins, metarule_library
-from .solver import DEFAULT_DEPTH
+from .solver import DEFAULT_DEPTH, Verdict
 from .terms import Clause, Compound, Int, Symbol, Term
 from .textio import ParseError, _Parser, data_dir, print_term
 
-EXAMPLE_TAGS = ("pos", "neg", "nonterm")
-
-_SECTIONS = ("background", "metarules", "head", "body", "functions",
-             "examples", "options")
-_REQUIRED = ("background", "metarules", "head", "examples")
+# the verdict each example tag demands of a program
+DEMANDS = {"pos": Verdict.PROVED, "neg": Verdict.FINITE_FAILURE,
+           "nonterm": Verdict.DEPTH_EXCEEDED}
 
 
 class ScenarioError(ValueError):
@@ -118,18 +117,68 @@ def _subterms(terms: Iterable[Term]) -> Iterator[Term]:
 # ============================================================
 
 
-def _split_sections(text: str) -> dict[str, str]:
-    """Break the file at ``%%`` headers, padding each part with newlines so
-    parse errors report positions in the original file."""
-    sections: dict[str, str] = {}
+def _example(p: _Parser) -> Example:
+    start = p.pos
+    a = p.literal()
+    p.expect(".")
+    if a.functor.name not in DEMANDS or a.functor.arity != 1:
+        raise ScenarioError(
+            f"example at line {p.line_at(start)} must be pos(G), neg(G) or "
+            f"nonterm(G), got {a.functor}")
+    goal = a.args[0]
+    if not isinstance(goal, Compound) or goal.functor.arity == 0:
+        raise ScenarioError(
+            f"example goal at line {p.line_at(start)} must be a compound atom")
+    return Example(a.functor.name, goal)
+
+
+_OPTIONS = frozenset(f.name for f in fields(Options))
+
+
+def _option(p: _Parser) -> tuple[str, int]:
+    start = p.pos
+    a = p.literal()
+    p.expect(".")
+    if a.functor.arity != 1:
+        raise ScenarioError(f"malformed option at line {p.line_at(start)}")
+    name, arg = a.functor.name, a.args[0]
+    if name not in _OPTIONS:
+        raise ScenarioError(f"unknown option {name!r} at line {p.line_at(start)}")
+    if not isinstance(arg, Int) or arg.value <= 0:
+        raise ScenarioError(
+            f"{name} at line {p.line_at(start)} needs a positive integer")
+    return name, arg.value
+
+
+# Each section, in the order sections are read: its item reader, what a
+# repeated item is called where one may not repeat, its include
+# directives, and whether the file must have it.
+_SECTIONS = {
+    "background": (_Parser.clause, None,
+                   {f"include(core({s}))": partial(base_clauses, s)
+                    for s in CORES}, True),
+    "metarules": (_Parser.metarule, None,
+                  {"include(library)": metarule_library}, True),
+    "head": (_Parser.symbol_decl, "head predicate", {}, True),
+    "body": (_Parser.symbol_decl, "body predicate", {}, False),
+    "functions": (_Parser.symbol_decl, "function", {}, False),
+    "examples": (_example, None, {}, True),
+    "options": (_option, None, {}, False),
+}
+
+
+def _split_sections(text: str) -> dict[str, tuple[str, int]]:
+    """Break the file at ``%%`` headers: each section's body and the
+    number of its first line."""
+    sections: dict[str, tuple[str, int]] = {}
     current: Optional[str] = None
     lines: list[str] = []
-    pad = 0
+    first = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("%%"):
             if current is not None:
-                sections[current] = "\n" * pad + "\n".join(lines)
+                sections[current] = "\n".join(lines), first
             name = stripped[2:].strip()
             if name not in _SECTIONS:
                 raise ScenarioError(
@@ -139,7 +188,7 @@ def _split_sections(text: str) -> dict[str, str]:
                 raise ScenarioError(f"duplicate section {name!r} at line {lineno}")
             current = name
             lines = []
-            pad = lineno
+            first = lineno + 1
             continue
         if current is None:
             if stripped and not stripped.startswith("%"):
@@ -148,114 +197,62 @@ def _split_sections(text: str) -> dict[str, str]:
             continue
         lines.append(line)
     if current is not None:
-        sections[current] = "\n" * pad + "\n".join(lines)
-    for name in _REQUIRED:
-        if name not in sections:
+        sections[current] = "\n".join(lines), first
+    for name, (*_, required) in _SECTIONS.items():
+        if required and name not in sections:
             raise ScenarioError(f"missing required section {name!r}")
     return sections
 
 
-_INCLUDES = {
-    "background": {f"include(core({s}))": partial(base_clauses, s)
-                   for s in CORES},
-    "metarules": {"include(library)": metarule_library},
-}
-
-
-def _parse_items(sections: dict[str, str], section: str,
-                 parse_one: Callable[[_Parser], object]) -> tuple:
-    """Parse the items of a section, expanding include directives in place."""
-    includes = _INCLUDES[section]
-    p = _Parser(sections[section])
+def _read_section(section: str, text: str, line: int) -> tuple:
+    """The items of a section whose first line is numbered ``line``, its
+    include directive, if any, expanded in place."""
+    read, repeated, includes, _ = _SECTIONS[section]
+    p = _Parser(text, line)
     out: list = []
+    included = False
     while p.peek():
         start = p.pos
-        if p.peek() != "include":
-            out.append(parse_one(p))
-            continue
-        directive = print_term(p.literal())
-        p.expect(".")
-        if directive not in includes:
-            raise ScenarioError(
-                f"{directive}. at line {p.line_at(start)}: the {section} section "
-                f"takes only {', '.join(includes)}")
-        out.extend(includes[directive]())
-    return tuple(out)
-
-
-def _parse_examples(text: str) -> list[Example]:
-    p = _Parser(text)
-    out: list[Example] = []
-    while p.peek():
-        start = p.pos
-        a = p.literal()
-        p.expect(".")
-        if a.functor.name not in EXAMPLE_TAGS or a.functor.arity != 1:
-            raise ScenarioError(
-                f"example at line {p.line_at(start)} must be pos(G), neg(G) or "
-                f"nonterm(G), got {a.functor}")
-        goal = a.args[0]
-        if not isinstance(goal, Compound) or goal.functor.arity == 0:
-            raise ScenarioError(
-                f"example goal at line {p.line_at(start)} must be a compound atom")
-        out.append(Example(a.functor.name, goal))
-    return out
-
-
-def _parse_options(text: str) -> Options:
-    p = _Parser(text)
-    opts = Options()
-    while p.peek():
-        start = p.pos
-        a = p.literal()
-        p.expect(".")
-        if a.functor.arity != 1:
-            raise ScenarioError(f"malformed option at line {p.line_at(start)}")
-        arg = a.args[0]
-        name = a.functor.name
-        if name in ("depth_limit", "max_clauses", "max_steps"):
-            if not isinstance(arg, Int) or arg.value <= 0:
+        if includes and p.peek() == "include":
+            directive = print_term(p.literal())
+            p.expect(".")
+            if directive not in includes:
                 raise ScenarioError(
-                    f"{name} at line {p.line_at(start)} needs a positive integer")
-            opts = replace(opts, **{name: arg.value})
-        else:
+                    f"{directive}. at line {p.line_at(start)}: the {section} "
+                    f"section takes only {', '.join(includes)}")
+            if included:
+                raise ScenarioError(
+                    f"{directive}. at line {p.line_at(start)}: the {section} "
+                    f"section takes at most one include directive")
+            included = True
+            out.extend(includes[directive]())
+            continue
+        item = read(p)
+        if repeated and item in out:
             raise ScenarioError(
-                f"unknown option {name!r} at line {p.line_at(start)}")
-    return opts
-
-
-def _parse_symbol_list(text: str, *, what: str) -> tuple[Symbol, ...]:
-    p = _Parser(text)
-    out: list[Symbol] = []
-    while p.peek():
-        start = p.pos
-        s = p.symbol_decl()
-        if s in out:
-            raise ScenarioError(f"duplicate {what} {s.name}/{s.arity} "
-                                f"at line {p.line_at(start)}")
-        out.append(s)
+                f"duplicate {repeated} {item} at line {p.line_at(start)}")
+        out.append(item)
     return tuple(out)
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
     sections = _split_sections(text)
-    bk = _parse_items(sections, "background", _Parser.clause)
-    metarules = _parse_items(sections, "metarules", _Parser.metarule)
-    if not metarules:
-        raise ScenarioError("metarules section is empty")
-    head = _parse_symbol_list(sections["head"], what="head predicate")
-    if not head:
-        raise ScenarioError("head section is empty")
-    body = _parse_symbol_list(sections.get("body", ""), what="body predicate")
-    funcs = _parse_symbol_list(sections.get("functions", ""), what="function")
-    examples = tuple(_parse_examples(sections["examples"]))
-    if not any(e.tag == "pos" for e in examples):
-        raise ScenarioError("examples section has no positive example")
-    options = _parse_options(sections.get("options", ""))
-
-    spec = ScenarioSpec(name=name, bk=bk, metarules=metarules,
-                        head_preds=head, body_preds=body, func_decls=funcs,
-                        examples=examples, options=options)
+    items: dict[str, tuple] = {}
+    # read in table order, each section lexed only when it is read, so the
+    # first bad section in that order is the one reported
+    for section in _SECTIONS:
+        got = items[section] = _read_section(section,
+                                             *sections.get(section, ("", 1)))
+        if not got and section in ("metarules", "head"):
+            raise ScenarioError(f"{section} section is empty")
+        if section == "examples" and not any(e.tag == "pos" for e in got):
+            raise ScenarioError("examples section has no positive example")
+    spec = ScenarioSpec(name=name, bk=items["background"],
+                        metarules=items["metarules"],
+                        head_preds=items["head"], body_preds=items["body"],
+                        func_decls=items["functions"],
+                        examples=items["examples"],
+                        options=Options(**dict(items["options"])))
     _validate(spec)
     return spec
 

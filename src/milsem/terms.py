@@ -40,7 +40,6 @@ copying it, and gives None at the first unbound or cyclic variable, where
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Union
 
@@ -108,38 +107,25 @@ class Clause:
 # ------------------------------------------------------------
 
 
-class _VarTable:
-    """Bidirectional name table for non-negative variable ids."""
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._names: dict[int, str] = {}
-        self._next = itertools.count()
-
-    def intern(self, name: str) -> int:
-        vid = self._ids.get(name)
-        if vid is None:
-            vid = next(self._next)
-            self._ids[name] = vid
-            self._names[vid] = name
-        return vid
-
-    def name_of(self, vid: int) -> str:
-        if vid < 0:
-            return f"_v{-vid}"
-        return self._names.get(vid, f"_V{vid}")
-
-
-_VARS = _VarTable()
+# a parsed variable's id is its index in _VAR_NAMES
+_VAR_NAMES: list[str] = []
+_VAR_IDS: dict[str, int] = {}
 
 
 def var(name: str) -> Var:
     """The named variable; the same name always maps to the same id."""
-    return Var(_VARS.intern(name))
+    vid = _VAR_IDS.get(name)
+    if vid is None:
+        vid = _VAR_IDS[name] = len(_VAR_NAMES)
+        _VAR_NAMES.append(name)
+    return Var(vid)
 
 
 def var_name(v: Var) -> str:
-    return _VARS.name_of(v.id)
+    vid = v.id
+    if vid < 0:
+        return f"_v{-vid}"
+    return _VAR_NAMES[vid] if vid < len(_VAR_NAMES) else f"_V{vid}"
 
 
 class FreshVars:

@@ -194,6 +194,19 @@ SCENARIO_ERRORS = [
      "found '.' at line 4, column 6 (expected ))", (4, 6)),
     (_HEAD + "%% examples\npos(step(a,b)) ²\n%% options\nfoo(a.\n",
      ParseError, "unexpected character '²' at line 8, column 16", (8, 16)),
+    # a second include would pull its clauses or metarules in again
+    ("%% background\ninclude(core(full)).\ninclude(core(full)).\n" + _LIBRARY
+     + "%% head\nstep/2.\n" + _EXAMPLE, ScenarioError,
+     "include(core(full)). at line 3: the background section takes at most "
+     "one include directive", None),
+    ("%% background\ninclude(core(full)).\n\ninclude(core(lazy)).\n"
+     + _LIBRARY + "%% head\nstep/2.\n" + _EXAMPLE, ScenarioError,
+     "include(core(lazy)). at line 4: the background section takes at most "
+     "one include directive", None),
+    ("%% background\nfoo(a).\n" + _LIBRARY + "\ninclude(library).\n"
+     "%% head\nstep/2.\n" + _EXAMPLE, ScenarioError,
+     "include(library). at line 6: the metarules section takes at most one "
+     "include directive", None),
 ]
 
 
