@@ -54,8 +54,10 @@ _VERDICT_TEXT = {
     Verdict.DEPTH_EXCEEDED: "DepthExceeded",
 }
 
-_STATUS_EXIT = {"found": EX_OK, "exhausted": EX_EMPTY,
-                "depth_exceeded": EX_BUDGET, "budget": EX_BUDGET}
+# the exit code of each learner status and each query verdict
+_EXIT = {"found": EX_OK, "proved": EX_OK,
+         "exhausted": EX_EMPTY, "finite_failure": EX_EMPTY,
+         "depth_exceeded": EX_BUDGET, "budget": EX_BUDGET}
 
 # integer flags that must be positive, as the scenario options they mirror
 _LIMITS = ("depth", "max_clauses", "max_steps", "fuel")
@@ -126,7 +128,7 @@ def _trace_fn(enabled: bool):
 
 
 def _learn_payload(name: str, res: LearnResult) -> dict:
-    payload = {
+    return {
         "scenario": name,
         "status": res.status,
         "clauses": [print_clause(c) for c in res.hypothesis.clauses]
@@ -141,18 +143,19 @@ def _learn_payload(name: str, res: LearnResult) -> dict:
             "elapsed": round(res.stats.elapsed, 3),
         },
     }
-    return payload
 
 
-def cmd_learn(args: argparse.Namespace) -> int:
+# Each command returns its exit code and, under --json, its payload,
+# which `main` completes with the command's name and that code.
+Reply = tuple[int, Optional[dict]]
+
+
+def cmd_learn(args: argparse.Namespace) -> Reply:
     spec = _apply_overrides(_read_input(args.scenario, "scenario"), args)
     res = learn(spec, trace=_trace_fn(args.trace))
+    code = _EXIT[res.status]
     if args.json:
-        payload = _learn_payload(spec.name, res)
-        payload["command"] = "learn"
-        payload["exit"] = _STATUS_EXIT[res.status]
-        _emit_json(payload)
-        return _STATUS_EXIT[res.status]
+        return code, _learn_payload(spec.name, res)
     if res.ok:
         print(f"% {spec.name}: {res.hypothesis.size} clauses, "
               f"{res.stats.elapsed:.2f}s, "
@@ -170,7 +173,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         print(f"% {spec.name}: step budget of {spec.options.max_steps} "
               f"meta-steps spent at size {res.stats.size_reached}",
               file=sys.stderr)
-    return _STATUS_EXIT[res.status]
+    return code, None
 
 
 def _variant_key(c: Clause) -> tuple[Compound, ...]:
@@ -196,7 +199,7 @@ def _with_base(base: str, clauses: list[Clause]) -> list[Clause]:
     return [*core, *kept]
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> Reply:
     clauses = _with_base(args.base, [c for path in args.programs
                                      for c in _read_program_file(path)])
     if not clauses:
@@ -206,43 +209,31 @@ def cmd_run(args: argparse.Namespace) -> int:
                           ground="an object term")
     result = FreshVars().next_var()  # a negative id: no parsed term has it
     goal = mk("eval", term, result)
-    try:
-        out = solve(Program(tuple(clauses)), goal,
-                    SolveConfig(depth_limit=args.depth
-                                if args.depth is not None else DEFAULT_DEPTH),
-                    default_builtins())
-    except BuiltinError as exc:
-        raise CliError(str(exc)) from exc
+    out = solve(Program(tuple(clauses)), goal,
+                SolveConfig(depth_limit=args.depth
+                            if args.depth is not None else DEFAULT_DEPTH),
+                default_builtins())
     value = None
     if out.verdict is Verdict.PROVED and result.id in out.answer:
         value = print_term(out.answer[result.id])
-    code = {Verdict.PROVED: EX_OK,
-            Verdict.FINITE_FAILURE: EX_EMPTY,
-            Verdict.DEPTH_EXCEEDED: EX_BUDGET}[out.verdict]
+    code = _EXIT[str(out.verdict)]
     if args.json:
-        _emit_json({
-            "command": "run",
-            "term": print_term(term),
-            "verdict": str(out.verdict),
-            "value": value,
-            "steps": out.steps,
-            "exit": code,
-        })
-        return code
+        return code, {"term": print_term(term), "verdict": str(out.verdict),
+                      "value": value, "steps": out.steps}
     if value is not None:
         print(value)
     else:
         print(_VERDICT_TEXT[out.verdict])
-    return code
+    return code, None
 
 
-def cmd_chain(args: argparse.Namespace) -> int:
+def cmd_chain(args: argparse.Namespace) -> Reply:
     specs = [_apply_overrides(_read_input(ref, "scenario"), args)
              for ref in args.scenarios]
     seq = learn_seq(specs, trace=_trace_fn(args.trace))
     # the chain stops at the first task that fails
     failed = None if seq.ok else len(seq.results) - 1
-    code = EX_OK if seq.ok else _STATUS_EXIT[seq.results[-1][1].status]
+    code = _EXIT[seq.results[-1][1].status]
     combined_text = None
     if seq.combined is not None:
         combined_text = print_program(seq.combined)
@@ -250,16 +241,13 @@ def cmd_chain(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(combined_text)
     if args.json:
-        _emit_json({
-            "command": "chain",
-            "tasks": [dict(_learn_payload(name, res)) for name, res in seq.results],
+        return code, {
+            "tasks": [_learn_payload(name, res) for name, res in seq.results],
             "induced": [print_clause(c) for c in seq.induced],
             "combined_size": len(seq.combined.clauses) if seq.combined else 0,
             "failed_task": failed,
             "elapsed": round(seq.elapsed, 3),
-            "exit": code,
-        })
-        return code
+        }
     for name, res in seq.results:
         mark = "ok" if res.ok else res.status
         size = res.hypothesis.size if res.hypothesis else 0
@@ -275,10 +263,10 @@ def cmd_chain(args: argparse.Namespace) -> int:
     else:
         print(f"% chain: stopped at task {failed} "
               f"({seq.results[failed][0]})", file=sys.stderr)
-    return code
+    return code, None
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Reply:
     clauses = _with_base(args.base, _read_program_file(args.program))
     terms = _read_input(args.corpus, "corpus")
     report = conformance_check(
@@ -286,23 +274,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         depth_limit=args.depth if args.depth is not None else DEFAULT_DEPTH,
         fuel=args.fuel)
-    empty = report.total == 0
-    code = EX_OK if (report.ok or empty) else EX_EMPTY
+    code = EX_EMPTY if report.failures else EX_OK
     if args.json:
-        _emit_json({
-            "command": "check",
-            "strategy": args.strategy,
-            "total": report.total,
-            "passed": report.passed,
-            "failures": list(report.failures),
-            "exit": code,
-        })
-        return code
+        return code, {"strategy": args.strategy, "total": report.total,
+                      "passed": report.passed,
+                      "failures": report.failures}
     print(f"% {report.passed}/{report.total} terms conform "
           f"({args.strategy})")
     for line in report.failures:
         print(f"  {line}")
-    return code
+    return code, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,7 +352,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             if value is not None and value <= 0:
                 raise CliError(f"--{name.replace('_', '-')} needs a positive "
                                f"integer, got {value}")
-        return args.fn(args)
+        code, payload = args.fn(args)
+        if payload is not None:
+            _emit_json({**payload, "command": args.command, "exit": code})
+        return code
     except (CliError, ScenarioError, ParseError, BuiltinError, OSError,
             RecursionError) as exc:
         if isinstance(exc, RecursionError):

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .objectlang import STRATEGIES, OracleConfig, alpha_equal, eval_chain, is_value
 from .terms import Compound, Int, Term, mk
-from .textio import data_dir, parse_term, print_term
+from .textio import data_dir, parse_term, print_term, split_lines
 
 CORPUS_KINDS = ("pairs", "lists", "conditionals", "lazy_eager", "mixed")
 
@@ -186,7 +186,7 @@ def parse_corpus(text: str) -> list[Term]:
     """The terms of a corpus, one a line.  A line that does not parse, or
     that writes a variable, is a `ParseError` naming that line."""
     out: list[Term] = []
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue

@@ -209,8 +209,7 @@ def match_head(m: Metarule, goal: Compound,
     restr: dict[str, Binding] = {}
     head = m.head
     if isinstance(head.functor, MetaVar):
-        if not _restrict(restr, head.functor.name, goal.functor):
-            return None
+        restr[head.functor.name] = goal.functor
     elif head.functor is not goal.functor:
         return None
     if len(head.args) != len(goal.args):

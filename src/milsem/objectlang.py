@@ -554,26 +554,3 @@ def conformance_check(program: Program, terms: Iterable[Term], *,
 
     return report
 
-
-def check_step_determinism(program: Program, t: Term, *,
-                           strategy: str = "lazy",
-                           depth_limit: int = DEFAULT_DEPTH,
-                           fuel: int = 1000,
-                           builtins: Optional[BuiltinTable] = None) -> Optional[str]:
-    """Walk the interpreter's evaluation chain and confirm the program
-    offers at most one distinct step at every point.  Returns a complaint
-    or None."""
-    if builtins is None:
-        builtins = default_builtins()
-    cfg = SolveConfig(depth_limit=depth_limit, max_solutions=8)
-    for u in eval_chain(t, OracleConfig(strategy=strategy, fuel=fuel)):
-        res = solve(program, Compound(S_STEP, (u, var("Next"))), cfg, builtins)
-        distinct: list[Term] = []
-        for ans in res.answers:
-            nxt = next(iter(ans.values()), None)
-            if nxt is not None and all(nxt != d for d in distinct):
-                distinct.append(nxt)
-        if len(distinct) > 1:
-            return (f"{print_term(u)} steps to "
-                    f"{' and '.join(print_term(d) for d in distinct)}")
-    return None

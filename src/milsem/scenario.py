@@ -34,7 +34,7 @@ from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, default_builtins, metarule_library
 from .solver import DEFAULT_DEPTH, Verdict
 from .terms import Clause, Compound, Int, Symbol, Term
-from .textio import ParseError, _Parser, data_dir, print_term
+from .textio import ParseError, _Parser, data_dir, print_term, split_lines
 
 # the verdict each example tag demands of a program
 DEMANDS = {"pos": Verdict.PROVED, "neg": Verdict.FINITE_FAILURE,
@@ -174,7 +174,7 @@ def _split_sections(text: str) -> dict[str, tuple[str, int]]:
     current: Optional[str] = None
     lines: list[str] = []
     first = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if stripped.startswith("%%"):
             if current is not None:

@@ -497,8 +497,5 @@ class Program:
     def predicates(self) -> KeysView[Symbol]:
         return self._buckets.keys()
 
-    def __len__(self) -> int:
-        return len(self.clauses)
-
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)

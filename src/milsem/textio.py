@@ -382,6 +382,18 @@ def parse_metarules(text: str) -> list[Metarule]:
     return out
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a scenario or corpus file.  A line ends at LF, CRLF or
+    CR only, not at the form feed and the other separators that
+    `str.splitlines` also breaks at, which the lexer takes for neither a
+    line end nor whitespace.  A line end at the end of the text starts no
+    further line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def data_dir(folder: str):
     """The package's bundled ``data/<folder>`` directory.  An install
     without it is broken, and the error says so."""

@@ -59,6 +59,76 @@ def test_schema_is_itself_valid():
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
 
 
+# ---- the envelope ----
+
+CHAIN_PL = ROOT / "bench" / "expected" / "chain.pl"
+
+# proves wrong values for the pairs corpus under the full core
+VIOLATING = ("step(fst(pair(_,B)),B).\n"
+             "value(pair(A,B)) :- value(A), value(B).\n"
+             "step(snd(pair(_,B)),B).\n"
+             "step(pair(T1,T2),pair(T3,T2)) :- step(T1,T3).\n"
+             "step(pair(V,T1),pair(V,T2)) :- value(V), step(T1,T2).\n")
+
+
+ENVELOPE = [
+    (["learn", "pairs"], "found", 0),
+    (["learn", "pairs", "--max-clauses", "1"], "exhausted", 1),
+    (["learn", "pairs", "--depth", "4"], "depth_exceeded", 3),
+    (["learn", "pairs", "--max-steps", "143"], "budget", 3),
+    (["run", "add(lit(2),lit(3))"], "proved", 0),
+    (["run", "fst(lit(1))"], "finite_failure", 1),
+    (["run", OMEGA, "--depth", "80"], "depth_exceeded", 3),
+    (["chain", "pairs"], "ok", 0),
+    (["chain", "pairs", "--max-clauses", "1"], "failed", 1),
+    (["check", "{chain}", "pairs"], "conforming", 0),
+    (["check", "{bad}", "pairs", "--base", "full"], "violating", 1),
+    (["check", "{chain}", "{empty}"], "empty", 0),
+]
+
+
+@pytest.mark.parametrize("argv, outcome, code", ENVELOPE,
+                         ids=[f"{argv[0]}-{outcome}"
+                              for argv, outcome, _ in ENVELOPE])
+def test_json_envelope(tmp_path, capsys, argv, outcome, code):
+    # each outcome's payload names its subcommand and carries main's return
+    bad = tmp_path / "bad.pl"
+    bad.write_text(VIOLATING)
+    empty = tmp_path / "empty.terms"
+    empty.write_text("% nothing\n")
+    argv = [a.format(chain=CHAIN_PL, bad=bad, empty=empty) for a in argv]
+    assert main([*argv, "--json"]) == code
+    payload = _json_payload(capsys)
+    assert (payload["command"], payload["exit"]) == (argv[0], code)
+    field = {"learn": "status", "run": "verdict"}.get(argv[0])
+    if field:
+        assert payload[field] == outcome
+
+
+CLASH = "substitute(V,X,T,T).\n"
+UNBOUND = "eval(A,B) :- int_add(A,C,B).\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("program, argv, message", [
+    (CLASH, ["run", "var(a)", "-p", "{prog}"],
+     "predicates defined both by clauses and builtins: substitute/4"),
+    (CLASH, ["check", "{prog}", "pairs", "--base", "full"],
+     "predicates defined both by clauses and builtins: substitute/4"),
+    (UNBOUND, ["run", "--base", "none", "lit(1)", "-p", "{prog}"],
+     "int_add/3: right argument is insufficiently instantiated: _v2"),
+    (UNBOUND, ["check", "{prog}", "pairs"],
+     "int_add/3: right argument is insufficiently instantiated: _v1"),
+], ids=["run-clash", "check-clash", "run-unbound", "check-unbound"])
+def test_builtin_error_exits_2(tmp_path, capsys, program, argv, message,
+                               json_flag):
+    prog = tmp_path / "prog.pl"
+    prog.write_text(program)
+    assert main([a.format(prog=prog) for a in argv] + json_flag) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 # ---- learn ----
 
 
@@ -472,6 +542,13 @@ def test_chain_json(capsys):
     assert payload["exit"] == 0
 
 
+def test_chain_trace_names_each_task(capsys):
+    assert main(["chain", "pairs", "lists", "--trace"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("task ")] == [
+        "task pairs", "task lists"]
+
+
 def test_chain_failure_reports_task(capsys):
     assert main(["chain", "pairs", "--max-clauses", "1"]) == 1
     err = capsys.readouterr().err
@@ -500,11 +577,7 @@ def test_check_learned_program_conforms(tmp_path, capsys):
 
 def test_check_reports_violations(tmp_path, capsys):
     bad = tmp_path / "bad.pl"
-    bad.write_text("step(fst(pair(_,B)),B).\n"
-                   "value(pair(A,B)) :- value(A), value(B).\n"
-                   "step(snd(pair(_,B)),B).\n"
-                   "step(pair(T1,T2),pair(T3,T2)) :- step(T1,T3).\n"
-                   "step(pair(V,T1),pair(V,T2)) :- value(V), step(T1,T2).\n")
+    bad.write_text(VIOLATING)
     assert main(["check", str(bad), "pairs", "--base", "full"]) == 1
     out = capsys.readouterr().out
     assert "terms conform" in out

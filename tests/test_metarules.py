@@ -68,6 +68,32 @@ def test_match_head_const_pins_to_goal():
     assert restr["C"] == symbol("true", 0)
 
 
+[LIT3] = parse_metarules("metarule(lit3, [], ([p,3,A] :- [])).")
+[BARE] = parse_metarules("metarule(bare, [const(C)], ([p,C,A] :- [])).")
+[FSTPAIR] = parse_metarules(
+    "metarule(fstpair, [], ([step,fst(pair(A,B)),A] :- [])).")
+
+
+@pytest.mark.parametrize("rule, goal, pins", [
+    (LIT3, "p(3,X)", {}),
+    (LIT3, "p(4,X)", None),
+    (LIT3, "p(a,X)", None),
+    (BARE, "p(7,X)", {"C": 7}),
+    (BARE, "p(true,X)", {"C": symbol("true", 0)}),
+    (BARE, "p(f(a),X)", None),
+    (FSTPAIR, "step(fst(pair(a,b)),X)", {}),
+    (FSTPAIR, "step(fst(fst(a)),X)", None),
+    (FSTPAIR, "step(snd(pair(a,b)),X)", None),
+    (FSTPAIR, "step(fst(7),X)", None),
+    (VALUE0, "value(7)", {"C": 7}),
+    (VALUE0, "value(f(a))", None),
+], ids=lambda x: getattr(x, "name", None))
+def test_match_head_template_leaves(rule, goal, pins):
+    # a template integer, a bare const metavariable, a concrete function
+    # symbol and an arity-0 function metavariable, each laid over a goal
+    assert match_head(rule, parse_term(goal), Store()) == pins
+
+
 # ---- applying metasubs ----
 
 def test_apply_metasub_step2l():
@@ -85,6 +111,12 @@ def test_apply_metasub_casec():
 def test_apply_metasub_const_as_int():
     c = apply_metasub(VALUE0, {"C": 7})
     assert print_clause(c) == "value(7)."
+
+
+@pytest.mark.parametrize("value, clause", [(7, "p(7,A)."),
+                                           (symbol("true", 0), "p(true,A).")])
+def test_apply_metasub_bare_const(value, clause):
+    assert print_clause(apply_metasub(BARE, {"C": value})) == clause
 
 
 # ---- enumeration ----

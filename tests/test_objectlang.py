@@ -28,7 +28,6 @@ from milsem.objectlang import (
     alpha_equal,
     alpha_key,
     base_clauses,
-    check_step_determinism,
     conformance_check,
     default_builtins,
     eval_chain,
@@ -847,15 +846,6 @@ def test_conformance_wants_depth_out_on_divergence():
 
 def test_conformance_empty_corpus_is_not_ok():
     assert not conformance_check(_pair_program(), []).ok
-
-
-def test_step_determinism_checker():
-    assert check_step_determinism(_pair_program(), SHOWCASE) is None
-    both = Program(base_clauses("full") + tuple(parse_clauses(
-        "step(fst(pair(A,_)),A).\nstep(fst(pair(_,B)),B).\n")))
-    complaint = check_step_determinism(both, parse_term("fst(pair(var(a),var(b)))"))
-    assert complaint is not None
-    assert "steps to" in complaint
 
 
 # ---- one search per term: exactness against three solves ----

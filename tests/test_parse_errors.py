@@ -10,12 +10,18 @@ change to the lexer cannot move one unseen.
 import pytest
 
 from milsem.corpus import parse_corpus
-from milsem.scenario import ScenarioError, parse_scenario
+from milsem.scenario import (
+    ScenarioError,
+    builtin_scenario_names,
+    parse_scenario,
+)
 from milsem.textio import (
     ParseError,
+    data_dir,
     parse_clauses,
     parse_metarules,
     parse_term,
+    print_term,
 )
 
 TERM_ERRORS = [
@@ -58,12 +64,28 @@ METARULE_ERRORS = [
      ("an arity",)),
     ("metarule(m, [], ([step,[f,A]] :- [[step, ²]])).",
      "unexpected character '²'", 1, 42, ()),
+    ("metarule(m, [func(H/2)], ([step,A,B] :- [])).",
+     "metarule m: unused metavariable H", 1, 1, ()),
+    ("metarule(m, [func(P/2)], ([P,A,B] :- [])).",
+     "metarule m: P declared func but used as pred", 1, 1, ()),
+    ("metarule(m, [func(H/3)], ([step,[H,A,B],C] :- [])).",
+     "metarule m: H declared arity 3 but used with arity 2", 1, 1, ()),
+    ("metarule(m, [const(C)], ([step,[C,A],B] :- [])).",
+     "metarule m: C declared const but used as func", 1, 1, ()),
+    ("metarule(m, [], ([step,)] :- [])).", "found ')'", 1, 24,
+     ("a template term",)),
 ]
 
 CORPUS_ERRORS = [
     ("f(X)", "variable X in a corpus term", 1, 3, ()),
     ("ok\n\nf(_,a)", "variable _ in a corpus term", 3, 3, ()),
     ("f(a) b", "trailing input 'b'", 1, 6, ("end of input",)),
+    # a line ends at LF, CRLF or CR only: another separator is a bad
+    # character outside a comment and part of it inside one
+    ("lit(1)\x1elit(2)", "unexpected character '\\x1e'", 1, 7, ()),
+    ("% a\x85b\nf(X)", "variable X in a corpus term", 2, 3, ()),
+    ("ok\r\n\r\nf(_,a)", "variable _ in a corpus term", 3, 3, ()),
+    ("ok\r\rf(_,a)", "variable _ in a corpus term", 3, 3, ()),
 ]
 
 
@@ -99,6 +121,14 @@ def test_metarule_errors(row):
 @pytest.mark.parametrize("row", CORPUS_ERRORS, ids=repr)
 def test_corpus_errors(row):
     _check(parse_corpus, *row)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("% c\x0clit(9)\nlit(1)", ["lit(1)"]),
+    ("% c\u2028lit(9)\r\nlit(1)\rlit(2)\r\n", ["lit(1)", "lit(2)"]),
+], ids=repr)
+def test_corpus_line_ends(text, terms):
+    assert [print_term(t) for t in parse_corpus(text)] == terms
 
 
 def test_terms_that_parse():
@@ -209,6 +239,32 @@ SCENARIO_ERRORS = [
      "%% head\nstep/2.\n" + _EXAMPLE, ScenarioError,
      "include(library). at line 6: the metarules section takes at most one "
      "include directive", None),
+    # a line ends at LF, CRLF or CR only, so another separator is part of
+    # a comment, or else a bad character at its own line and column
+    pytest.param(
+        ("%% background\nfoo(a).\n" + _LIBRARY + "%% head\n% heads\x0bstep/2.\n"
+         + _EXAMPLE, ScenarioError, "head section is empty", None),
+        id="separator in a comment: head section is empty"),
+    pytest.param(
+        (_HEAD + "%% examples\npos(step(a,b)).\x0cpos(step(b,a)).\n",
+         ParseError, "unexpected character '\\x0c' at line 8, column 16",
+         (8, 16)),
+        id="separator outside a comment: unexpected character"),
+    pytest.param(
+        ("%% background\nfoo(a).\x1cbar(b).\n" + _LIBRARY
+         + "%% head\nstep/2.\n" + _EXAMPLE, ParseError,
+         "unexpected character '\\x1c' at line 2, column 8", (2, 8)),
+        id="separator in the background: unexpected character"),
+    pytest.param(
+        ((_HEAD + "%% examples\npos(step(a,b)).\n  neg(a).\n").replace(
+            "\n", "\r\n"), ScenarioError,
+         "example goal at line 9 must be a compound atom", None),
+        id="CRLF line ends: example goal at line 9"),
+    pytest.param(
+        ((_HEAD + "%% examples\npos(step(a,b)).\n  neg(a).\n").replace(
+            "\n", "\r"), ScenarioError,
+         "example goal at line 9 must be a compound atom", None),
+        id="CR line ends: example goal at line 9"),
 ]
 
 
@@ -221,3 +277,10 @@ def test_scenario_errors(row):
     assert str(e.value) == message
     if position is not None:
         assert (e.value.line, e.value.col) == position
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_scenario_line_ends(name, end):
+    text = (data_dir("scenarios") / f"{name}.pls").read_text(encoding="utf-8")
+    assert parse_scenario(text.replace("\n", end)) == parse_scenario(text)

@@ -32,8 +32,6 @@ BENCH = [ast.parse(p.read_text(encoding="utf-8"))
 
 # Kept although nothing but the tests reads them, each with the reason.
 ALLOWED = {
-    "check_step_determinism":
-        "step determinism, to be folded into conformance checking (ROADMAP 5)",
     "meta_prove":
         "the unpruned reference search that `learn` is tested against",
     "Metasub.rule":

@@ -3,7 +3,19 @@ from hypothesis import given, strategies as st
 
 from milsem.metarules import CONST, FUNC, PRED, Decl, Metarule, MetaVar, TComp
 from milsem.scenario import parse_scenario
-from milsem.terms import Clause, Compound, Int, Program, Var, const, mk, symbol, var
+from milsem.terms import (
+    Clause,
+    Compound,
+    FreshVars,
+    Int,
+    Program,
+    Var,
+    const,
+    mk,
+    rename_term,
+    symbol,
+    var,
+)
 from milsem.textio import (
     ParseError,
     parse_clauses,
@@ -105,6 +117,11 @@ def test_parse_clauses_multiple():
 def test_parse_program_indexes():
     p = Program(parse_clauses("p(f(a)).\np(b).\n"))
     assert len(p.select(parse_term("p(X)"), {})) == 2
+
+
+def test_print_term_names_a_renamed_variable_by_its_id():
+    renamed = rename_term(parse_term("f(X,Y,X)"), {}, FreshVars())
+    assert print_term(renamed) == "f(_v1,_v2,_v1)"
 
 
 def test_print_clause_fact_and_rule():
