@@ -22,7 +22,7 @@ from typing import Callable
 
 from .objectlang import STRATEGIES, OracleConfig, alpha_equal, eval_chain, is_value
 from .terms import Compound, Int, Term, mk
-from .textio import data_dir, parse_term, print_term, split_lines
+from .textio import BLANKS, data_dir, parse_term, print_term, split_lines
 
 CORPUS_KINDS = ("pairs", "lists", "conditionals", "lazy_eager", "mixed")
 
@@ -187,7 +187,7 @@ def parse_corpus(text: str) -> list[Term]:
     that writes a variable, is a `ParseError` naming that line."""
     out: list[Term] = []
     for n, line in enumerate(split_lines(text), start=1):
-        stripped = line.strip()
+        stripped = line.strip(BLANKS)
         if not stripped or stripped.startswith("%"):
             continue
         out.append(parse_term(line, n, ground="a corpus term"))

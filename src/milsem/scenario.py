@@ -34,7 +34,8 @@ from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, default_builtins, metarule_library
 from .solver import DEFAULT_DEPTH, Verdict
 from .terms import Clause, Compound, Int, Symbol, Term
-from .textio import ParseError, _Parser, data_dir, print_term, split_lines
+from .textio import (BLANKS, ParseError, _Parser, data_dir, print_term,
+                     split_lines)
 
 # the verdict each example tag demands of a program
 DEMANDS = {"pos": Verdict.PROVED, "neg": Verdict.FINITE_FAILURE,
@@ -175,11 +176,11 @@ def _split_sections(text: str) -> dict[str, tuple[str, int]]:
     lines: list[str] = []
     first = 0
     for lineno, line in enumerate(split_lines(text), start=1):
-        stripped = line.strip()
+        stripped = line.strip(BLANKS)
         if stripped.startswith("%%"):
             if current is not None:
                 sections[current] = "\n".join(lines), first
-            name = stripped[2:].strip()
+            name = stripped[2:].strip(BLANKS)
             if name not in _SECTIONS:
                 raise ScenarioError(
                     f"unknown section {name!r} at line {lineno}; "

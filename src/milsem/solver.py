@@ -28,7 +28,9 @@ iterator of further bodies, already renamed, drawn once the bucket is
 spent and resumed with the bindings of the previous one undone.  `solve`
 uses `Resolver.program_source`, whose tail is always None and whose
 bucket is `Program.select`: the goal's first argument dereferenced in
-place and looked up once in its predicate's bucket table.  The
+place and looked up once in its predicate's bucket table, and where
+that bucket is split one level down, the first argument's own first
+argument dereferenced and looked up in the bucket's sub-table.  The
 learner's tail instantiates metarules.  While the resolver only probes a
 tail for a depth cut, ``probing`` is set: the body it yields then is
 never entered.

@@ -23,6 +23,15 @@ fresh variables.  `rename_apart` then copies the body through that frame.
 So a clause try builds no renamed head, and a variable that occurs only
 in the head is never bound or trailed.
 
+A `Program` hands out clauses through a two-level table per predicate.
+The first level keys each head by its first argument's `index_key`.  A
+bucket whose heads' first arguments differ on their own first argument,
+as the beta head ``step(app(lam(..),..),_)`` differs from the congruence
+head ``step(app(A,B),_)``, is split once more on that sub-key.  So
+`Program.select` gives a goal ``step(app(app(..),..),_)`` the congruence
+heads alone; every clause it gives is still tried through
+`Store.unify_atoms`.
+
 The search engines bind variables destructively through a `Store` and
 undo on backtracking with its trail, instead of copying substitution dicts.
 Stored bindings may contain chains (X -> Y, Y -> t); `Store.resolve` and
@@ -444,15 +453,17 @@ def index_entry(c: Clause) -> IndexEntry:
 
 
 Bucket = tuple[Clause, ...]
-# one predicate's buckets: by head key, for an unbound goal argument, and
-# for a goal key that no head has
-BucketTable = tuple[dict[object, Bucket], Bucket, Bucket]
+# the buckets of one level: by key, every clause, and the variable-keyed
+# clauses, for a goal key that no head has
+Level = tuple[dict[object, Bucket], Bucket, Bucket]
+# one predicate's buckets: its first-argument level, and for each key
+# whose bucket splits one level down, that bucket's level
+BucketTable = tuple[Level, dict[object, Level]]
 
 
-def _bucket_table(entries: list[IndexEntry]) -> BucketTable:
-    """One predicate's buckets: for each head key, the clauses whose key is
-    that key or a variable; every clause; and the variable-keyed clauses.
-    All in program order."""
+def _level(entries: list[IndexEntry]) -> Level:
+    """For each key, the clauses whose key is that key or a variable;
+    every clause; and the variable-keyed clauses.  All in program order."""
     keyed: dict[object, Bucket] = {}
     for _, key in entries:
         if key is not None and key not in keyed:
@@ -461,9 +472,32 @@ def _bucket_table(entries: list[IndexEntry]) -> BucketTable:
             tuple(c for c, k in entries if k is None))
 
 
+def _sub_key(c: Clause) -> object:
+    """The `index_key` of a head's first argument's own first argument:
+    None, as for a variable, where the head's first argument is a
+    variable or has no arguments."""
+    t = c.head.args[0]
+    return index_key(t.args[0]) if type(t) is Compound and t.args else None
+
+
+def _bucket_table(entries: list[IndexEntry]) -> BucketTable:
+    """One predicate's first-argument level, and the level below the
+    buckets whose heads' first arguments have a keyed first argument of
+    their own: keyed by that sub-key, each sub-bucket holds the bucket's
+    clauses with that sub-key or a variable there, in program order."""
+    top = _level(entries)
+    split: dict[object, Level] = {}
+    for key, bucket in top[0].items():
+        sub = [(c, _sub_key(c)) for c in bucket]
+        if any(k is not None for _, k in sub):
+            split[key] = _level(sub)
+    return top, split
+
+
 class Program:
     """An ordered collection of definite clauses with first-argument
-    buckets, built once per predicate."""
+    buckets, built once per predicate, and a second level under a bucket
+    whose heads differ on their first argument's own first argument."""
 
     __slots__ = ("clauses", "_buckets")
 
@@ -477,17 +511,31 @@ class Program:
 
     def select(self, goal: Compound, bindings: Mapping[int, Term]) -> Bucket:
         """The clauses whose heads can match the goal, with its variables
-        bound as in ``bindings``, on the first argument: those of the
-        goal's predicate whose head's first argument has the `index_key`
-        of the goal's, dereferenced, or a variable, in program order.  An
-        unbound goal argument selects every clause of the predicate."""
+        bound as in ``bindings``, on the first argument and one level
+        below it: those of the goal's predicate whose head's first argument
+        has the `index_key` of the goal's, dereferenced, or is a variable,
+        in program order.  An unbound goal argument selects every clause of
+        the predicate.  Where that bucket is split, the goal's first
+        argument's own first argument, dereferenced, picks the sub-bucket
+        of its key, or the clauses with a variable there for a key that no
+        head has there; unbound, it selects the whole bucket."""
         table = self._buckets.get(goal.functor)
         if table is None:
             return ()
-        keyed, every, other = table
+        (keyed, every, other), split = table
         if not goal.args:
             return every
         t = goal.args[0]
+        while type(t) is Var:
+            t = bindings.get(t.id)
+            if t is None:
+                return every
+        key = t.functor if type(t) is Compound else t.value
+        sub = split.get(key)
+        if sub is None:
+            return keyed.get(key, other)
+        keyed, every, other = sub
+        t = t.args[0]
         while type(t) is Var:
             t = bindings.get(t.id)
             if t is None:

@@ -88,7 +88,10 @@ class ParseError(ValueError):
 # A token is ``:-``, a punctuation mark, an integer or a word (a name or a
 # variable); a comment matches as an empty group.
 _TOKENS = r":-|[()\[\],./]|-?\d+|\w+"
-_TOKEN = re.compile(r"%[^\n]*|(" + _TOKENS + r"|[^ \t\r\n][\s\S]*)")
+# The lexer's whitespace, and all of it: the readers of line-based files
+# strip these characters, and no others, to find a blank line.
+BLANKS = " \t\r\n"
+_TOKEN = re.compile(r"%[^\n]*|(" + _TOKENS + "|[^" + BLANKS + r"][\s\S]*)")
 _ONE_TOKEN = re.compile(_TOKENS)
 
 # A token's kind is a token: itself for ``:-`` and punctuation, ``a`` for

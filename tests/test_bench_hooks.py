@@ -68,7 +68,7 @@ def test_tracer_sees_the_solver_of_a_check_run(capsys):
     # every renamed body through the patched `rename_apart`, so a fast
     # path that bypassed either would move these counts
     assert (counts["terms.unify_calls"], counts["terms.unify_hits"],
-            counts["terms.rename_calls"]) == (564, 561, 561)
+            counts["terms.rename_calls"]) == (561, 561, 561)
     # one search per term decides its value and both distractors, inside
     # the span the tracer wraps
     assert counts["solver.solve_calls"] == report["total"] == 24

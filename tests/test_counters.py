@@ -12,7 +12,9 @@ layer.  Those were recorded when the shared metarule library was cut to
 the metarules two or more bundled hypotheses use, and `conditionals` and
 `lazy_eager` started declaring the ones only they use: every metarule a
 scenario learns with is a branch of its meta-proof, so each scenario's
-search lost the branches of the metarules it does not use.
+search lost the branches of the metarules it does not use.  The
+head-unification tries were recorded when `Program.select` started
+indexing clause heads one level below the first argument.
 """
 
 import json
@@ -25,7 +27,7 @@ import pytest
 from milsem import objectlang
 from milsem.cli import main
 from milsem.corpus import CORPUS_KINDS, generate_corpus
-from milsem.terms import Program
+from milsem.terms import Program, Store
 from milsem.textio import parse_clauses
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +66,41 @@ def test_run_steps(argv, code, verdict, value, steps, capsys):
     got, out = _json(argv, capsys)
     assert (got, out["verdict"], out["value"], out["steps"]) == (
         code, verdict, value, steps)
+
+
+def _conformance(kind):
+    program = Program(parse_clauses(CHAIN_PROGRAM.read_text()))
+    report = objectlang.conformance_check(
+        program, generate_corpus(kind, 40, seed=5), strategy="lazy")
+    assert (report.passed, report.total) == (40, 40)
+
+
+# clause heads `Store.unify_atoms` tries and unifies: `Program.select`
+# hands the solver only heads that agree with the goal one level below
+# the first argument, so each `step(add(add(..),..),_)` goal no longer
+# tries the literal-sum head; the misses left on the lazy_eager corpus
+# are that head against `add(lit(..),add(..))`, which differs from it
+# only in the first argument's second argument
+@pytest.mark.parametrize("run,tries", [
+    (lambda capsys: _json(["run", "--depth", "10000", _add_chain(120)],
+                          capsys), (7_380, 7_380)),
+    (lambda capsys: _json(["run", "--depth", "8000", LOOP], capsys),
+     (69, 69)),
+    (lambda capsys: _conformance("lazy_eager"), (417, 408)),
+], ids=["add_chain", "loop", "conformance_lazy_eager"])
+def test_head_unifications(run, tries, capsys, monkeypatch):
+    counts = Counter()
+    unify_atoms = Store.unify_atoms
+
+    def counting(self, *args):
+        unified = unify_atoms(self, *args)
+        counts["tries"] += 1
+        counts["unified"] += unified
+        return unified
+
+    monkeypatch.setattr(Store, "unify_atoms", counting)
+    run(capsys)
+    assert (counts["tries"], counts["unified"]) == tries
 
 
 # summed solver steps of one conformance check, by corpus kind; the chain

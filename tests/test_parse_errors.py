@@ -86,6 +86,11 @@ CORPUS_ERRORS = [
     ("% a\x85b\nf(X)", "variable X in a corpus term", 2, 3, ()),
     ("ok\r\n\r\nf(_,a)", "variable _ in a corpus term", 3, 3, ()),
     ("ok\r\rf(_,a)", "variable _ in a corpus term", 3, 3, ()),
+    # a line is blank or a comment on the lexer's whitespace alone, so
+    # another space-like character is a bad character wherever it stands
+    ("\xa0\nlit(1)", "unexpected character '\\xa0'", 1, 1, ()),
+    ("\x1f% c\nlit(1)", "unexpected character '\\x1f'", 1, 1, ()),
+    ("\xa0lit(1)", "unexpected character '\\xa0'", 1, 1, ()),
 ]
 
 
@@ -126,6 +131,7 @@ def test_corpus_errors(row):
 @pytest.mark.parametrize("text, terms", [
     ("% c\x0clit(9)\nlit(1)", ["lit(1)"]),
     ("% c\u2028lit(9)\r\nlit(1)\rlit(2)\r\n", ["lit(1)", "lit(2)"]),
+    (" \t\n\t % c\nlit(1)", ["lit(1)"]),
 ], ids=repr)
 def test_corpus_line_ends(text, terms):
     assert [print_term(t) for t in parse_corpus(text)] == terms
@@ -255,6 +261,22 @@ SCENARIO_ERRORS = [
          + "%% head\nstep/2.\n" + _EXAMPLE, ParseError,
          "unexpected character '\\x1c' at line 2, column 8", (2, 8)),
         id="separator in the background: unexpected character"),
+    # a header, a blank line or a comment is found on the lexer's
+    # whitespace alone: another space-like character stays in the line
+    pytest.param(
+        ("%% background\nfoo(a).\n" + _LIBRARY + "\x0c%% head\nstep/2.\n"
+         + _EXAMPLE, ScenarioError, "missing required section 'head'", None),
+        id="form feed before a header: missing required section 'head'"),
+    pytest.param(
+        ("%% background\nfoo(a).\n" + _LIBRARY + "%% head\xa0\nstep/2.\n"
+         + _EXAMPLE, ScenarioError,
+         "unknown section 'head\\xa0' at line 5; expected one of background, "
+         "metarules, head, body, functions, examples, options", None),
+        id="no-break space after a header: unknown section"),
+    pytest.param(
+        (_HEAD + "\xa0\n" + _EXAMPLE, ParseError,
+         "unexpected character '\\xa0' at line 7, column 1", (7, 1)),
+        id="no-break space on its own line: unexpected character"),
     pytest.param(
         ((_HEAD + "%% examples\npos(step(a,b)).\n  neg(a).\n").replace(
             "\n", "\r\n"), ScenarioError,
@@ -277,6 +299,13 @@ def test_scenario_errors(row):
     assert str(e.value) == message
     if position is not None:
         assert (e.value.line, e.value.col) == position
+
+
+def test_scenario_lexer_whitespace():
+    # spaces and tabs around a header or alone on a line are whitespace
+    text = "%% background\nfoo(a).\n" + _LIBRARY + "%% head\nstep/2.\n" + _EXAMPLE
+    spaced = text.replace("%% head\n", "\t%% head \t\n \t\n")
+    assert parse_scenario(spaced) == parse_scenario(text)
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])

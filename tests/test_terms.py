@@ -435,13 +435,30 @@ def test_program_first_arg_index():
     # the goal's argument is dereferenced through the bindings
     z, w = var("Z"), var("W")
     assert p.select(mk("p", z), {z.id: w, w.id: mk("g", z)}) == (cg, cy)
+    # one level down: the beta head is not tried on a curried application
+    a, b, c, t, v = var("A"), var("B"), var("C"), var("T"), var("V")
+    beta = Clause(mk("step", mk("app", mk("lam", var("X"), b), a), t), ())
+    cong = Clause(mk("step", mk("app", a, b), mk("app", c, b)), ())
+    step = Program((beta, cong))
+    curried = mk("app", mk("app", var("F"), a), b)
+    assert step.select(mk("step", curried, t), {}) == (cong,)
+    assert step.select(mk("step", mk("app", mk("lam", v, b), a), t),
+                       {}) == (beta, cong)
+    # an unbound argument one level down selects the whole bucket, and a
+    # bound one is dereferenced through the bindings
+    assert step.select(mk("step", mk("app", v, a), t), {}) == (beta, cong)
+    assert step.select(mk("step", mk("app", v, a), t),
+                       {v.id: w, w.id: curried}) == (cong,)
 
 
 # the first arguments heads and goals draw from: variables, constants,
-# compounds and ints, and for goals keys that no head has
-_HEAD_FIRST = [var("X"), const("a"), const("b"), mk("f", var("Y")),
-               mk("f", const("a")), Int(1), Int(2)]
-_GOAL_FIRST = _HEAD_FIRST + [const("c"), mk("g", var("Z")), Int(3)]
+# compounds and ints, compounds that differ one level down, and for goals
+# keys that no head has, at either level
+_HEAD_FIRST = [var("X"), const("a"), const("b"), mk("f", const("a")),
+               mk("f", const("b")), mk("f", Int(1)), mk("f", mk("g", var("Y"))),
+               mk("f", var("X")), Int(1), Int(2)]
+_GOAL_FIRST = _HEAD_FIRST + [const("c"), mk("g", var("Z")), Int(3),
+                             mk("f", const("c")), mk("f", var("Z"))]
 _PREDS = [symbol("p", 0), symbol("p", 1), symbol("q", 2)]
 
 
@@ -459,21 +476,51 @@ def _literal(pred, first):
                        if pred.arity else ()))
 
 
+def _chain(links, end):
+    """Bindings that lead from the first link through the others to
+    ``end``, and the term that starts the chain."""
+    return ({v.id: t for v, t in zip(links, links[1:] + [end])},
+            links[0] if links else end)
+
+
+def _keeps(head_first, goal_first):
+    """Whether the scan keeps a head's first argument for a goal's, both
+    dereferenced: their keys agree, or one is a variable."""
+    keys = (_scan_key(head_first), _scan_key(goal_first))
+    return None in keys or keys[0] == keys[1]
+
+
 @given(st.lists(st.tuples(st.sampled_from(_PREDS),
                           st.sampled_from(_HEAD_FIRST)), max_size=10),
        st.sampled_from(_PREDS + [symbol("r", 1)]),
        st.sampled_from(_GOAL_FIRST),
-       st.integers(0, 2))
-def test_bucket_equals_the_key_filter_scan(heads, pred, first, chain):
+       st.integers(0, 2), st.integers(0, 2))
+def test_bucket_equals_the_key_filter_scan(heads, pred, first, chain, inner):
     clauses = [Clause(_literal(p, f), ()) for p, f in heads]
-    goal = _literal(pred, first)
-    gkey = _scan_key(goal.args[0]) if goal.args else None
-    scan = [c for c in clauses if c.head.functor is pred
-            and (gkey is None or not c.head.args
-                 or _scan_key(c.head.args[0]) in (None, gkey))]
-    # the same first argument, reached through a chain of bindings
-    links = [Var(-1 - i) for i in range(chain)]
-    bindings = {v.id: t for v, t in zip(links, links[1:] + [first])}
-    bucket = Program(clauses).select(
-        _literal(pred, links[0] if links else first), bindings)
+    # the first argument, reached through a chain of bindings, and for a
+    # compound its own first argument, reached through another
+    bindings, sub = {}, None
+    if isinstance(first, Compound) and first.args:
+        sub = first.args[0]
+        bindings, arg = _chain([Var(-10 - i) for i in range(inner)], sub)
+        first = Compound(first.functor, (arg,) + first.args[1:])
+    outer, start = _chain([Var(-1 - i) for i in range(chain)], first)
+    bindings.update(outer)
+    goal = _literal(pred, start)
+    one_level = [c for c in clauses if c.head.functor is pred
+                 and (not c.head.args or _keeps(c.head.args[0], first))]
+    # one level down: a head's first argument's own first argument
+    scan = [c for c in one_level
+            if not c.head.args or not isinstance(c.head.args[0], Compound)
+            or not c.head.args[0].args or sub is None
+            or _keeps(c.head.args[0].args[0], sub)]
+    bucket = Program(clauses).select(goal, bindings)
     assert [id(c) for c in bucket] == [id(c) for c in scan]
+    # sound: every clause the one-level scan keeps and the bucket drops
+    # fails to unify with the goal
+    kept = {id(c) for c in bucket}
+    for c in one_level:
+        if id(c) not in kept:
+            store = Store()
+            store.bindings.update(bindings)
+            assert not store.unify_atoms(c.head, goal, {}, FreshVars(100))
