@@ -223,9 +223,10 @@ class _Engine:
         self.resolver = Resolver(default_builtins(), FreshVars())
         self.resolver.max_steps = spec.options.max_steps
         self.store = self.resolver.store
-        self.background = Program(spec.bk).select
         self.pools = spec.pools()
         self.head_preds = frozenset(self.pools.head_preds)
+        # a hypothesis gives clauses to the head predicates
+        self.background = Program(spec.bk, self.head_preds).select
         # examples must not share variables with each other or the program
         self.goals = [rename_term(g, {}, self.resolver.counter) for g in goals]
         self.trace = trace

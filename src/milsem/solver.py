@@ -10,10 +10,13 @@ nesting of calls.  Three verdicts come out of a query:
     FINITE_FAILURE   the whole search space was exhausted within budget
     DEPTH_EXCEEDED   no proof found and at least one branch was cut short
 
-The cut-short test is exact for clause-defined predicates: a branch only
-taints the result when some clause head actually unifies with the goal the
-budget could not pay for.  Builtin calls taint conservatively at budget
-zero since their behaviour cannot be probed without running them.
+The cut-short test is exact for clause-defined predicates, one goal deep:
+a branch only taints the result when some clause that `Program.select`
+gives unifies its head with the goal the budget could not pay for.  Since
+`select` leaves out a clause whose first body goal would select no clause,
+such a clause taints nothing either.  Builtin calls taint conservatively
+at budget zero since their behaviour cannot be probed without running
+them.
 
 One `Resolver` does all resolution in the package.  It keeps the goal
 continuation as a linked list and its choice points on an explicit stack,
@@ -30,10 +33,11 @@ uses `Resolver.program_source`, whose tail is always None and whose
 bucket is `Program.select`: the goal's first argument dereferenced in
 place and looked up once in its predicate's bucket table, and where
 that bucket is split one level down, the first argument's own first
-argument dereferenced and looked up in the bucket's sub-table.  The
-learner's tail instantiates metarules.  While the resolver only probes a
-tail for a depth cut, ``probing`` is set: the body it yields then is
-never entered.
+argument dereferenced and looked up in the bucket's sub-table.  A clause
+whose first body goal would then select nothing by the argument looked
+up is not in the bucket, so it costs no step.  The learner's tail
+instantiates metarules.  While the resolver only probes a tail for a
+depth cut, ``probing`` is set: the body it yields then is never entered.
 
 A choice point is a record, a tuple: the goal, its bucket, the index of
 the next bucket clause, the tail, the continuation after the goal, the

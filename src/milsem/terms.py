@@ -29,8 +29,12 @@ bucket whose heads' first arguments differ on their own first argument,
 as the beta head ``step(app(lam(..),..),_)`` differs from the congruence
 head ``step(app(A,B),_)``, is split once more on that sub-key.  So
 `Program.select` gives a goal ``step(app(app(..),..),_)`` the congruence
-heads alone; every clause it gives is still tried through
-`Store.unify_atoms`.
+heads alone.  A clause whose first body goal takes the head's variable
+at one of those two positions for its own first argument, and calls a
+predicate whose heads all key their first argument, is filed only under
+those keys: under any other, that goal would select no clause.  So
+``eval(E1,E1) :- value(E1)`` is not given for ``eval(app(..),_)``.
+Every clause `select` gives is still tried through `Store.unify_atoms`.
 
 The search engines bind variables destructively through a `Store` and
 undo on backtracking with its trail, instead of copying substitution dicts.
@@ -50,7 +54,8 @@ copying it, and gives None at the first unbound or cyclic variable, where
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, Mapping, Optional, Union
+from typing import (Collection, Iterable, Iterator, KeysView, Mapping,
+                    Optional, Union)
 
 
 # ============================================================
@@ -453,43 +458,73 @@ def index_entry(c: Clause) -> IndexEntry:
 
 
 Bucket = tuple[Clause, ...]
-# the buckets of one level: by key, every clause, and the variable-keyed
-# clauses, for a goal key that no head has
+# the buckets of one level: by key, every clause, and the clauses filed
+# under every key, for a goal key that no clause is filed under
 Level = tuple[dict[object, Bucket], Bucket, Bucket]
 # one predicate's buckets: its first-argument level, and for each key
 # whose bucket splits one level down, that bucket's level
 BucketTable = tuple[Level, dict[object, Level]]
+# the keys a level files a clause under; None files it under every key
+Filing = Optional[tuple[object, ...]]
 
 
-def _level(entries: list[IndexEntry]) -> Level:
-    """For each key, the clauses whose key is that key or a variable;
-    every clause; and the variable-keyed clauses.  All in program order."""
-    keyed: dict[object, Bucket] = {}
-    for _, key in entries:
-        if key is not None and key not in keyed:
-            keyed[key] = tuple(c for c, k in entries if k is None or k == key)
-    return (keyed, tuple(c for c, _ in entries),
-            tuple(c for c, k in entries if k is None))
+def _level(entries: list[tuple[Clause, Filing]]) -> Level:
+    """For each key, the clauses filed under it or under every key; every
+    clause; and the clauses filed under every key.  All in program
+    order."""
+    keyed: dict[object, list[Clause]] = {
+        key: [] for _, keys in entries if keys is not None for key in keys}
+    other = []
+    for c, keys in entries:
+        if keys is None:
+            other.append(c)
+            for bucket in keyed.values():
+                bucket.append(c)
+        else:
+            for key in keys:
+                keyed[key].append(c)
+    return ({key: tuple(b) for key, b in keyed.items()},
+            tuple(c for c, _ in entries), tuple(other))
 
 
-def _sub_key(c: Clause) -> object:
-    """The `index_key` of a head's first argument's own first argument:
-    None, as for a variable, where the head's first argument is a
-    variable or has no arguments."""
+def _filing(c: Clause, t: Optional[Term],
+            closed: Mapping[Symbol, tuple[object, ...]]) -> Filing:
+    """The keys a level files a clause under, by the head argument ``t``
+    that the level reads (None where the head has none): that argument's
+    `index_key`.  A variable is filed under every key, unless the first
+    body goal takes it for its own first argument and calls a predicate of
+    ``closed``: then only under that predicate's head keys, since under
+    any other key the body goal would select no clause."""
+    if type(t) is not Var:
+        key = index_key(t)
+        return None if key is None else (key,)
+    if c.body:
+        g = c.body[0]
+        if g.args and type(g.args[0]) is Var and g.args[0].id == t.id:
+            return closed.get(g.functor)
+    return None
+
+
+def _sub_arg(c: Clause) -> Optional[Term]:
+    """A head's first argument's own first argument, or None where the
+    head's first argument is a variable or has no arguments."""
     t = c.head.args[0]
-    return index_key(t.args[0]) if type(t) is Compound and t.args else None
+    return t.args[0] if type(t) is Compound and t.args else None
 
 
-def _bucket_table(entries: list[IndexEntry]) -> BucketTable:
-    """One predicate's first-argument level, and the level below the
-    buckets whose heads' first arguments have a keyed first argument of
-    their own: keyed by that sub-key, each sub-bucket holds the bucket's
-    clauses with that sub-key or a variable there, in program order."""
-    top = _level(entries)
+def _bucket_table(clauses: list[Clause],
+                  closed: Mapping[Symbol, tuple[object, ...]]) -> BucketTable:
+    """One predicate's first-argument level, and the level below each
+    bucket in which some clause is filed under particular keys by its
+    head's first argument's own first argument: keyed by that sub-key,
+    each sub-bucket holds the bucket's clauses filed there or under every
+    sub-key, in program order.  `_filing` decides both levels."""
+    top = _level([(c, _filing(c, c.head.args[0] if c.head.args else None,
+                              closed)) for c in clauses])
     split: dict[object, Level] = {}
     for key, bucket in top[0].items():
-        sub = [(c, _sub_key(c)) for c in bucket]
-        if any(k is not None for _, k in sub):
+        sub = [(c, _filing(c, _sub_arg(c), closed)) for c in bucket]
+        if any(keys is not None for _, keys in sub):
             split[key] = _level(sub)
     return top, split
 
@@ -497,28 +532,42 @@ def _bucket_table(entries: list[IndexEntry]) -> BucketTable:
 class Program:
     """An ordered collection of definite clauses with first-argument
     buckets, built once per predicate, and a second level under a bucket
-    whose heads differ on their first argument's own first argument."""
+    whose clauses differ on their head's first argument's own first
+    argument.  A clause whose first body goal reads one of those two head
+    positions and calls a closed predicate, one that has clauses here, none
+    of them with a variable first argument, is filed only under that
+    predicate's head keys.  ``open_preds`` are the predicates that the
+    caller may still give clauses to: no clause is dropped through them."""
 
     __slots__ = ("clauses", "_buckets")
 
-    def __init__(self, clauses: Iterable[Clause]) -> None:
+    def __init__(self, clauses: Iterable[Clause],
+                 open_preds: Collection[Symbol] = ()) -> None:
         self.clauses: tuple[Clause, ...] = tuple(clauses)
-        entries: dict[Symbol, list[IndexEntry]] = {}
+        by_pred: dict[Symbol, list[Clause]] = {}
         for c in self.clauses:
-            entries.setdefault(c.head.functor, []).append(index_entry(c))
-        self._buckets = {pred: _bucket_table(es)
-                         for pred, es in entries.items()}
+            by_pred.setdefault(c.head.functor, []).append(c)
+        closed: dict[Symbol, tuple[object, ...]] = {}
+        for pred, cs in by_pred.items():
+            keys = [index_entry(c)[1] for c in cs]
+            if pred not in open_preds and None not in keys:
+                closed[pred] = tuple(dict.fromkeys(keys))
+        self._buckets = {pred: _bucket_table(cs, closed)
+                         for pred, cs in by_pred.items()}
 
     def select(self, goal: Compound, bindings: Mapping[int, Term]) -> Bucket:
-        """The clauses whose heads can match the goal, with its variables
-        bound as in ``bindings``, on the first argument and one level
-        below it: those of the goal's predicate whose head's first argument
-        has the `index_key` of the goal's, dereferenced, or is a variable,
-        in program order.  An unbound goal argument selects every clause of
+        """The clauses that can apply to the goal, with its variables
+        bound as in ``bindings``, by the first argument and one level
+        below it: those of the goal's predicate filed under the
+        `index_key` of the goal's first argument, dereferenced, in program
+        order, or those filed under every key for a key that no clause is
+        filed under.  An unbound goal argument selects every clause of
         the predicate.  Where that bucket is split, the goal's first
         argument's own first argument, dereferenced, picks the sub-bucket
-        of its key, or the clauses with a variable there for a key that no
-        head has there; unbound, it selects the whole bucket."""
+        of its key in the same way; unbound, it selects the whole bucket.
+        A clause left out either has a head that cannot match the goal or
+        a first body goal that, once the head has matched, selects no
+        clause."""
         table = self._buckets.get(goal.functor)
         if table is None:
             return ()

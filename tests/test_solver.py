@@ -409,14 +409,27 @@ def _resolver(program, builtins=None):
 
 def test_taint_is_exact_for_a_last_bucket_clause():
     # p's only clause is its bucket's last, so p leaves no choice point;
-    # at budget 0 the probe must still find q's last clause, and only it
+    # at budget 0 the probe must still find q's last clause, and only it.
+    # p(g(a)) selects no clause: q has no head that g keys
     p = _program("p(X) :- q(X).\nq(f(b)).\nq(f(a)).")
-    for query, tainted in (("p(f(a))", True), ("p(f(c))", False),
-                           ("p(g(a))", False)):
+    for query, tainted, steps in (("p(f(a))", True, 1), ("p(f(c))", False, 1),
+                                  ("p(g(a))", False, 0)):
         resolver, source = _resolver(p)
         assert list(resolver.run([parse_term(query)], 1, source)) == []
-        assert resolver.tainted is tainted, query
-        assert resolver.steps == 1
+        assert (resolver.tainted, resolver.steps) == (tainted, steps), query
+
+
+def test_a_clause_whose_first_body_goal_selects_nothing_does_not_taint():
+    # p's clause is filed only under q's head key b, so at budget 0 the
+    # goal p(a) has no clause that the budget cuts short: the search is
+    # complete, where entering the clause would have shown q(a) failing
+    p = _program("p(X) :- q(X).\nq(b).")
+    out = solve(p, parse_term("p(a)"), SolveConfig(depth_limit=0,
+                                                   max_solutions=None))
+    assert (out.verdict, out.complete) == (Verdict.FINITE_FAILURE, True)
+    out = solve(p, parse_term("p(b)"), SolveConfig(depth_limit=0,
+                                                   max_solutions=None))
+    assert (out.verdict, out.complete) == (Verdict.DEPTH_EXCEEDED, False)
 
 
 def test_store_is_empty_after_run_is_exhausted():
@@ -553,6 +566,9 @@ def test_deep_chain_does_not_hit_python_limit():
 
 _PREDS = [symbol("p", 1), symbol("q", 1), symbol("r", 2)]
 _F = symbol("f", 1)
+# ground first arguments: for keyed heads, and to query every head with
+_GROUND = [const("a"), const("b"), const("c"), mk("f", const("a")),
+           mk("f", const("b"))]
 
 
 @st.composite
@@ -572,9 +588,22 @@ def _atoms(draw):
 
 
 @st.composite
-def _clauses(draw):
+def _clauses(draw, keyed=False):
+    """A clause; with ``keyed``, its head's first argument is less often a
+    variable."""
     head = draw(_atoms())
+    if keyed and isinstance(head.args[0], Var) and draw(st.booleans()):
+        head = Compound(head.functor, (draw(st.sampled_from(_GROUND)),
+                                       *head.args[1:]))
     body = draw(st.lists(_atoms(), max_size=1))
+    if body and draw(st.booleans()):
+        # a first body goal whose first argument is the variable that is
+        # the head's first argument or that argument's own: `Program`
+        # files such a clause by what the goal can select
+        v = draw(st.sampled_from([var("X"), var("Y")]))
+        first = draw(st.sampled_from([v, Compound(_F, (v,))]))
+        head = Compound(head.functor, (first, *head.args[1:]))
+        body[0] = Compound(body[0].functor, (v, *body[0].args[1:]))
     if draw(st.booleans()):
         # a last call to the head's own predicate on arguments of the
         # head: often a loop
@@ -585,38 +614,45 @@ def _clauses(draw):
 
 
 @st.composite
-def _programs(draw):
+def _programs(draw, keyed=False):
     """Small programs over p/1, q/1, r/2 and f/1: loops are common."""
-    return Program(tuple(draw(st.lists(_clauses(), min_size=1, max_size=5))))
+    return Program(tuple(draw(st.lists(_clauses(keyed), min_size=1,
+                                       max_size=5))))
 
 
-def _outcome(program, goals, budget, loop_check):
-    """The taint flag and the answers of an exhaustive run, each answer
-    the query variables' values with variables numbered by first
-    occurrence; None when the run takes too long to compare."""
+def _canon(t, names):
+    """A term with its variables numbered by first occurrence."""
+    if isinstance(t, Var):
+        return names.setdefault(t.id, len(names))
+    return (t.functor, tuple(_canon(a, names) for a in t.args))
+
+
+def _answers(program, goals, budget, loop_check):
+    """The resolver and the answers of an exhaustive run, in proof order,
+    each answer the query variables' values under `_canon`; None when the
+    run takes too long to compare."""
     resolver, source = _resolver(program)
     resolver.max_steps = 20_000
     qvars = list(dict.fromkeys(v for g in goals for v in term_vars(g)))
-    answers = set()
-
-    def canon(t, names):
-        if isinstance(t, Var):
-            return names.setdefault(t.id, len(names))
-        return (t.functor, tuple(canon(a, names) for a in t.args))
-
+    answers = []
     for _ in resolver.run(goals, budget, source, loop_check=loop_check):
         names = {}
-        answers.add(tuple(canon(resolver.store.resolve(Var(v)), names)
-                          for v in qvars))
-    if resolver.stopped:
-        return None
-    return resolver.tainted, answers
+        answers.append(tuple(_canon(resolver.store.resolve(Var(v)), names)
+                             for v in qvars))
+    return None if resolver.stopped else (resolver, answers)
+
+
+def _outcome(program, goals, budget, loop_check):
+    """The taint flag and the set of answers of an exhaustive run; None
+    when the run takes too long to compare."""
+    run = _answers(program, goals, budget, loop_check)
+    return run and (run[0].tainted, set(run[1]))
 
 
 @st.composite
-def _queries(draw):
+def _queries(draw, keyed=False):
     """A program and a query whose first goal is some clause's head."""
-    program = draw(_programs())
+    program = draw(_programs(keyed))
     heads = [c.head for c in program.clauses]
     goals = [draw(st.sampled_from(heads))]
     return program, goals + draw(st.lists(_atoms(), max_size=1))
@@ -633,6 +669,27 @@ def test_loop_check_keeps_verdicts_and_answers(query, budget, first_watch):
     if full is not None:
         # the verdict follows from the answers and the taint flag
         assert cut == full
+
+
+@settings(max_examples=100, deadline=None)
+@given(_queries(keyed=True), st.integers(0, 10))
+def test_dropped_clauses_change_only_steps_and_taint(query, budget):
+    # with every predicate open, `Program` files each clause by its head
+    # alone; closed, it drops clauses whose first body goal would select
+    # nothing, which can only save steps and spare a cut at budget 0.
+    # Each head is queried as drawn and with each ground first argument
+    program, goals = query
+    reference = Program(program.clauses, open_preds=_PREDS)
+    for head in dict.fromkeys(c.head for c in program.clauses):
+        for first in [head.args[0], *_GROUND]:
+            q = [Compound(head.functor, (first, *head.args[1:])), *goals[1:]]
+            ref = _answers(reference, q, budget, False)
+            if ref is None:
+                continue
+            got = _answers(program, q, budget, False)
+            assert got[1] == ref[1], q
+            assert got[0].steps <= ref[0].steps
+            assert ref[0].tainted or not got[0].tainted
 
 
 def test_loop_check_is_off_by_default():
@@ -658,14 +715,16 @@ def test_a_loop_below_a_conjunction_spends_its_budget():
 
 def test_a_goal_reached_after_backtracking_past_the_watch_is_not_cut(
         monkeypatch):
-    # with the first watch at one step, s(a) is watched under q's first
-    # clause and fails; q's second clause selects s(a) again with the same
-    # (empty) continuation, but in another branch, which must be searched
+    # with the first watch at one step, t is watched under q's first
+    # clause and fails below it; q's second clause selects t again with
+    # the same (empty) continuation, but in another branch, which must be
+    # searched.  Cut, t would taint the run: its clause admits it
     monkeypatch.setattr(solver, "FIRST_WATCH", 1)
-    p = _program("q :- p(a).\nq :- p(a).\np(X) :- s(X).\ns(b).")
+    p = _program("q :- p(a).\nq :- s(a).\np(X) :- m, s(X).\nm.\ns(b).\n"
+                 "s(a) :- t.\nt :- u.")
     out = solve(p, parse_term("q"), ALL)
     assert (out.verdict, out.complete, out.steps) == (
-        Verdict.FINITE_FAILURE, True, 4)
+        Verdict.FINITE_FAILURE, True, 8)
 
 
 def test_a_goal_that_renames_a_shared_variable_is_not_cut(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import assume, event, given, strategies as st
 from milsem.corpus import CORPUS_KINDS, generate_corpus
 from milsem.objectlang import metarule_library
 from milsem.scenario import builtin_scenario, builtin_scenario_names
+from milsem.textio import parse_clauses, parse_term
 
 from milsem.terms import (
     Clause,
@@ -449,6 +450,30 @@ def test_program_first_arg_index():
     assert step.select(mk("step", mk("app", v, a), t), {}) == (beta, cong)
     assert step.select(mk("step", mk("app", v, a), t),
                        {v.id: w, w.id: curried}) == (cong,)
+    # a clause whose first body goal reads one of those two positions and
+    # calls a predicate whose heads all key their first argument is not
+    # selected where that goal would select no clause
+    value, eval_id, eval_step, beta, lit_add, left, right = parse_clauses(
+        "value(lam(X,B)).\n"
+        "eval(E1,E1) :- value(E1).\n"
+        "eval(E1,E3) :- step(E1,E2), eval(E2,E3).\n"
+        "step(app(lam(X,B),A),T) :- substitute(B,X,A,T).\n"
+        "step(add(lit(A),lit(B)),lit(C)) :- int_add(A,B,C).\n"
+        "step(add(T1,T2),add(T3,T2)) :- step(T1,T3).\n"
+        "step(add(V,T1),add(V,T2)) :- value(V), step(T1,T2).\n")
+    clauses = (value, eval_id, eval_step, beta, lit_add, left, right)
+    redex = parse_term("app(lam(x,var(x)),lit(1))")
+    nested = parse_term("add(add(lit(1),lit(2)),lit(3))")
+    closed = Program(clauses)
+    assert closed.select(mk("eval", redex, t), {}) == (eval_step,)
+    assert closed.select(mk("eval", parse_term("lam(x,var(x))"), t),
+                         {}) == (eval_id,)
+    assert closed.select(mk("eval", v, t), {}) == (eval_id, eval_step)
+    assert closed.select(mk("step", nested, t), {}) == (left,)
+    # a predicate the caller may still give clauses to drops nothing
+    open_value = Program(clauses, open_preds={value.head.functor})
+    assert open_value.select(mk("eval", redex, t), {}) == (eval_id, eval_step)
+    assert open_value.select(mk("step", nested, t), {}) == (left, right)
 
 
 # the first arguments heads and goals draw from: variables, constants,
@@ -460,6 +485,8 @@ _HEAD_FIRST = [var("X"), const("a"), const("b"), mk("f", const("a")),
 _GOAL_FIRST = _HEAD_FIRST + [const("c"), mk("g", var("Z")), Int(3),
                              mk("f", const("c")), mk("f", var("Z"))]
 _PREDS = [symbol("p", 0), symbol("p", 1), symbol("q", 2)]
+# the predicate every generated clause calls first in its body
+_CALLEE = symbol("s", 1)
 
 
 def _scan_key(t):
@@ -490,13 +517,57 @@ def _keeps(head_first, goal_first):
     return None in keys or keys[0] == keys[1]
 
 
+def _body_arg(head, reads):
+    """The first argument of a clause's first body goal: the head's first
+    argument (``"arg"``), that argument's own first argument (``"sub"``),
+    or else a variable of the body alone."""
+    t = head.args[0] if head.args else None
+    if reads == "sub":
+        t = t.args[0] if isinstance(t, Compound) and t.args else None
+    return var("W") if reads is None or t is None else t
+
+
+def _read(c, first, sub):
+    """What a clause's first body goal takes for its first argument when
+    that is the head's variable at a position `select` reads: the goal's
+    first argument, or that argument's own, both dereferenced; else None."""
+    b = c.body[0].args[0]
+    t = c.head.args[0] if c.head.args else None
+    if not isinstance(b, Var):
+        return None
+    if b == t:
+        return first
+    if isinstance(t, Compound) and t.args and b == t.args[0]:
+        return sub
+    return None
+
+
 @given(st.lists(st.tuples(st.sampled_from(_PREDS),
-                          st.sampled_from(_HEAD_FIRST)), max_size=10),
-       st.sampled_from(_PREDS + [symbol("r", 1)]),
-       st.sampled_from(_GOAL_FIRST),
+                          # half the heads have a variable at a position
+                          # `select` reads, for the body goal to take
+                          st.sampled_from(_HEAD_FIRST)
+                          | st.sampled_from([var("X"), mk("f", var("X"))]),
+                          st.sampled_from([None, "arg", "sub"])),
+                max_size=10),
+       st.lists(st.sampled_from(_HEAD_FIRST), max_size=3),
        st.integers(0, 2), st.integers(0, 2))
-def test_bucket_equals_the_key_filter_scan(heads, pred, first, chain, inner):
-    clauses = [Clause(_literal(p, f), ()) for p, f in heads]
+def test_bucket_equals_the_key_filter_scan(heads, callee, chain, inner):
+    clauses = []
+    for p, f, reads in heads:
+        head = _literal(p, f)
+        clauses.append(Clause(head, (Compound(_CALLEE,
+                                              (_body_arg(head, reads),)),)))
+    # the callee's heads: sometimes all keyed, sometimes not, or none
+    callee_heads = [_literal(_CALLEE, f) for f in callee]
+    program = Program(clauses + [Clause(h, ()) for h in callee_heads])
+    # every goal against the one program drawn
+    for pred in _PREDS + [symbol("r", 1)]:
+        for first in _GOAL_FIRST:
+            _check_bucket(program, clauses, callee_heads, pred, first, chain,
+                          inner)
+
+
+def _check_bucket(program, clauses, callee_heads, pred, first, chain, inner):
     # the first argument, reached through a chain of bindings, and for a
     # compound its own first argument, reached through another
     bindings, sub = {}, None
@@ -510,17 +581,31 @@ def test_bucket_equals_the_key_filter_scan(heads, pred, first, chain, inner):
     one_level = [c for c in clauses if c.head.functor is pred
                  and (not c.head.args or _keeps(c.head.args[0], first))]
     # one level down: a head's first argument's own first argument
-    scan = [c for c in one_level
-            if not c.head.args or not isinstance(c.head.args[0], Compound)
-            or not c.head.args[0].args or sub is None
-            or _keeps(c.head.args[0].args[0], sub)]
-    bucket = Program(clauses).select(goal, bindings)
-    assert [id(c) for c in bucket] == [id(c) for c in scan]
+    heads_only = [c for c in one_level
+                  if not c.head.args or not isinstance(c.head.args[0], Compound)
+                  or not c.head.args[0].args or sub is None
+                  or _keeps(c.head.args[0].args[0], sub)]
+    # and the first body goal: a clause is dropped when that goal takes
+    # the goal's argument, bound, at a position read above, and the callee
+    # has heads, none of which keeps it
+    scan = []
+    for c in heads_only:
+        read = _read(c, first, sub)
+        if (read is None or _scan_key(read) is None or not callee_heads
+                or any(_keeps(h.args[0], read) for h in callee_heads)):
+            scan.append(c)
+    bucket = program.select(goal, bindings)
+    assert [id(c) for c in bucket] == [id(c) for c in scan], goal
     # sound: every clause the one-level scan keeps and the bucket drops
-    # fails to unify with the goal
+    # fails to unify with the goal, or its renamed first body goal then
+    # selects no clause
     kept = {id(c) for c in bucket}
     for c in one_level:
         if id(c) not in kept:
             store = Store()
             store.bindings.update(bindings)
-            assert not store.unify_atoms(c.head, goal, {}, FreshVars(100))
+            frame, counter = {}, FreshVars(100)
+            if store.unify_atoms(c.head, goal, frame, counter):
+                event("dropped by the first body goal")
+                body = rename_apart(c, frame, counter)
+                assert program.select(body[0], store.bindings) == ()
