@@ -18,7 +18,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .corpus import builtin_corpus, builtin_corpus_names, load_corpus
@@ -118,7 +117,7 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
                                              ("max_clauses", args.max_clauses),
                                              ("max_steps", args.max_steps))
              if value is not None}
-    return replace(spec, options=replace(spec.options, **given))
+    return spec._replace(options=spec.options._replace(**given))
 
 
 def _trace_fn(enabled: bool):

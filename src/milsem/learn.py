@@ -68,8 +68,8 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .metarules import (
     Metarule,
@@ -110,8 +110,7 @@ Trace = Optional[Callable[[str], None]]
 _INVENTED = re.compile(r"^pred_(\d+)$")
 
 
-@dataclass(frozen=True, slots=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     """An ordered set of metarule instantiations and their clauses."""
 
     metasubs: tuple[Metasub, ...]
@@ -125,18 +124,20 @@ class Hypothesis:
         return Program(tuple(bk) + self.clauses)
 
 
-@dataclass(slots=True)
 class LearnStats:
-    size_reached: int = 0
-    meta_steps: int = 0
-    metasubs_tried: int = 0
-    candidates: int = 0
-    pruned: int = 0  # instantiations skipped because they completed a core
-    elapsed: float = 0.0
+    __slots__ = ("size_reached", "meta_steps", "metasubs_tried", "candidates",
+                 "pruned", "elapsed")
+
+    def __init__(self) -> None:
+        self.size_reached = 0
+        self.meta_steps = 0
+        self.metasubs_tried = 0
+        self.candidates = 0
+        self.pruned = 0  # instantiations skipped because they completed a core
+        self.elapsed = 0.0
 
 
-@dataclass(slots=True)
-class LearnResult:
+class LearnResult(NamedTuple):
     status: str  # found | exhausted | depth_exceeded | budget
     hypothesis: Optional[Hypothesis]
     stats: LearnStats
@@ -476,8 +477,7 @@ def learn(spec: ScenarioSpec, *, trace: Trace = None) -> LearnResult:
     return LearnResult(status, found, stats)
 
 
-@dataclass(slots=True)
-class SeqResult:
+class SeqResult(NamedTuple):
     """Outcome of learning a chain of scenarios, each building on the last."""
 
     results: tuple[tuple[str, LearnResult], ...]
@@ -499,7 +499,7 @@ def learn_seq(specs: Sequence[ScenarioSpec], *,
     induced: list[Clause] = []
     results: list[tuple[str, LearnResult]] = []
     for spec in specs:
-        grown = replace(spec, bk=spec.bk + tuple(induced))
+        grown = spec._replace(bk=spec.bk + tuple(induced))
         if trace:
             trace(f"task {spec.name}")
         res = learn(grown, trace=trace)

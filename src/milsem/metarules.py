@@ -26,9 +26,8 @@ source keeps only instantiations whose head unifies with the goal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
     Clause,
@@ -46,13 +45,11 @@ FUNC = "func"
 CONST = "const"
 
 
-@dataclass(frozen=True, slots=True)
-class MetaVar:
+class MetaVar(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Decl:
+class Decl(NamedTuple):
     """A metavariable declaration: kind, name and arity (0 for consts)."""
 
     name: str
@@ -60,8 +57,7 @@ class Decl:
     arity: int
 
 
-@dataclass(frozen=True, slots=True)
-class TComp:
+class TComp(NamedTuple):
     """Template compound; the functor may be concrete or a metavariable."""
 
     functor: Union[Symbol, MetaVar]
@@ -73,8 +69,7 @@ TTerm = Union[Var, Int, MetaVar, TComp]
 Binding = Union[Symbol, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Metasub:
+class Metasub(NamedTuple):
     """One metarule name with a full assignment of its metavariables.
 
     Equal metasubs give the same clause, so the learner keys its
@@ -88,7 +83,6 @@ class MetaruleError(ValueError):
     pass
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Metarule:
     """A named clause template with declared metavariables.
 
@@ -98,15 +92,13 @@ class Metarule:
     It stores the declarations with every arity resolved.
     """
 
-    name: str
-    decls: tuple[Decl, ...]
-    head: TComp
-    body: tuple[TComp, ...]
-    head_pred_meta: Optional[str] = field(init=False)
+    __slots__ = ("name", "decls", "head", "body", "head_pred_meta")
 
-    def __post_init__(self) -> None:
-        name, head = self.name, self.head
-        self.body = tuple(self.body)
+    def __init__(self, name: str, decls: Sequence[Decl], head: TComp,
+                 body: Sequence[TComp]) -> None:
+        self.name = name
+        self.head = head
+        self.body = tuple(body)
         usage: dict[str, tuple[str, int]] = {}
 
         def see(mv: MetaVar, kind: str, arity: int) -> None:
@@ -133,7 +125,7 @@ class Metarule:
                 walk_term(t)
 
         resolved: list[Decl] = []
-        for d in self.decls:
+        for d in decls:
             if any(r.name == d.name for r in resolved):
                 raise MetaruleError(f"metarule {name}: {d.name} declared twice")
             used = usage.get(d.name)
@@ -158,6 +150,18 @@ class Metarule:
         self.decls = tuple(resolved)
         self.head_pred_meta = (head.functor.name
                                if isinstance(head.functor, MetaVar) else None)
+
+    def _key(self) -> tuple:
+        return (self.name, self.decls, self.head, self.body,
+                self.head_pred_meta)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 # ============================================================
@@ -248,8 +252,7 @@ def apply_metasub(m: Metarule, bindings: Mapping[str, Binding]) -> Clause:
     return Clause(head, body)
 
 
-@dataclass(frozen=True)
-class Pools:
+class Pools(NamedTuple):
     """Candidate symbols for metavariable kinds.
 
     ``head_preds`` are the predicates a hypothesis may define and

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .metarules import Metarule
@@ -292,8 +291,7 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True, slots=True)
-class OracleConfig:
+class OracleConfig(NamedTuple):
     strategy: str = "lazy"
     fuel: int = 1000
 
@@ -421,10 +419,12 @@ def eval_chain(t: Term, config: OracleConfig = OracleConfig()) -> list[Term]:
 # ============================================================
 
 
-@dataclass(slots=True)
 class ConformanceReport:
-    passed: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("passed", "failures")
+
+    def __init__(self) -> None:
+        self.passed = 0
+        self.failures: list[str] = []
 
     @property
     def total(self) -> int:

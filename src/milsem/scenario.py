@@ -26,9 +26,8 @@ section takes at most one of them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .metarules import Metarule, Pools
 from .objectlang import CORES, base_clauses, default_builtins, metarule_library
@@ -46,21 +45,18 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Example:
+class Example(NamedTuple):
     tag: str  # pos | neg | nonterm
     goal: Compound
 
 
-@dataclass(frozen=True, slots=True)
-class Options:
+class Options(NamedTuple):
     depth_limit: int = DEFAULT_DEPTH
     max_clauses: int = 10
     max_steps: int = 10_000_000  # the learner's budget, in meta-steps
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     name: str
     bk: tuple[Clause, ...]
     metarules: tuple[Metarule, ...]
@@ -68,7 +64,7 @@ class ScenarioSpec:
     body_preds: tuple[Symbol, ...] = ()
     func_decls: tuple[Symbol, ...] = ()
     examples: tuple[Example, ...] = ()
-    options: Options = field(default_factory=Options)
+    options: Options = Options()
 
     def positives(self) -> list[Example]:
         return [e for e in self.examples if e.tag == "pos"]
@@ -133,7 +129,7 @@ def _example(p: _Parser) -> Example:
     return Example(a.functor.name, goal)
 
 
-_OPTIONS = frozenset(f.name for f in fields(Options))
+_OPTIONS = frozenset(Options._fields)
 
 
 def _option(p: _Parser) -> tuple[str, int]:

@@ -103,10 +103,10 @@ which a ground query may not.
 from __future__ import annotations
 
 import enum
-import inspect
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, KeysView, Optional, Sequence
+from functools import partial
+from types import FunctionType, MethodType
+from typing import Callable, Iterator, KeysView, NamedTuple, Optional, Sequence
 
 from .terms import (
     Bucket,
@@ -146,6 +146,16 @@ DEFAULT_DEPTH = 300  # wherever no depth bound is given, scenarios included
 FIRST_WATCH = 64  # steps before the loop check watches its first goal
 MAX_PAIRS = 256  # compound pairs and bindings compared with one watch
 NO_WATCH = object()  # the watched rest while nothing is watched
+CO_GENERATOR = 0x20  # the code flag of a generator function
+
+
+def _is_generator_function(fn: Callable) -> bool:
+    """Whether ``fn``, seen through bound methods and `functools.partial`,
+    is a generator function."""
+    while isinstance(fn, (partial, MethodType)):
+        fn = fn.func if isinstance(fn, partial) else fn.__func__
+    return (isinstance(fn, FunctionType)
+            and bool(fn.__code__.co_flags & CO_GENERATOR))
 
 
 class BuiltinTable:
@@ -157,7 +167,7 @@ class BuiltinTable:
     def register(self, sym: Symbol, fn: BuiltinFn) -> None:
         if sym in self._fns:
             raise ValueError(f"builtin {sym.name}/{sym.arity} already registered")
-        if inspect.isgeneratorfunction(fn):
+        if _is_generator_function(fn):
             # its generator would be truthy and pass as a success unrun
             raise ValueError(f"builtin {sym}: a builtin returns a bool")
         self._fns[sym] = fn
@@ -166,8 +176,7 @@ class BuiltinTable:
         return self._fns.keys()
 
 
-@dataclass(frozen=True, slots=True)
-class SolveConfig:
+class SolveConfig(NamedTuple):
     depth_limit: int = DEFAULT_DEPTH
     # None: every answer within budget, up to the first that is not ground
     max_solutions: Optional[int] = 1
@@ -176,8 +185,7 @@ class SolveConfig:
     step_ratio: Optional[int] = None
 
 
-@dataclass(slots=True)
-class Outcome:
+class Outcome(NamedTuple):
     verdict: Verdict
     answers: list[Subst]  # query-variable bindings, one per proof, in order
     # the search ran out: no more answers, no branch cut by the budget or

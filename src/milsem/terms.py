@@ -8,12 +8,13 @@ interned integers; parsed variables get non-negative ids with their names
 kept in a module-level table, while variables minted by a renaming counter
 get negative ids and print as ``_v<n>``.
 
-`Var`, `Int` and `Compound` compare, hash and print as frozen dataclasses
-would, but are not frozen: that would store each field through
-``object.__setattr__``, more than doubling the cost of building a term.
-``tests/test_immutable_terms.py`` keeps them immutable instead: it fails
-on any store to a term field, and on any ``setattr``, in the package
-or its benchmark.
+`Var`, `Int` and `Compound` are plain ``__slots__`` classes that compare
+by class and fields, hash as the tuple of their fields and print as
+``Int(value=2)``.  Nothing guards their fields at run time: a guard would
+store each field through ``object.__setattr__``, more than doubling the
+cost of building a term.  ``tests/test_immutable_terms.py`` keeps them
+immutable instead: it fails on any store to a term field outside their
+``__init__``, and on any ``setattr``, in the package or its benchmark.
 
 A clause is renamed apart while its head is unified with a goal, not
 before.  `Store.unify_atoms` walks the unrenamed head against the goal and
@@ -53,9 +54,8 @@ copying it, and gives None at the first unbound or cyclic variable, where
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (Collection, Iterable, Iterator, KeysView, Mapping,
-                    Optional, Union)
+                    NamedTuple, Optional, Union)
 
 
 # ============================================================
@@ -63,7 +63,6 @@ from typing import (Collection, Iterable, Iterator, KeysView, Mapping,
 # ============================================================
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Symbol:
     """A functor or predicate name paired with its arity.
 
@@ -71,8 +70,14 @@ class Symbol:
     and hash by identity.
     """
 
-    name: str
-    arity: int
+    __slots__ = ("name", "arity")
+
+    def __init__(self, name: str, arity: int) -> None:
+        self.name = name
+        self.arity = arity
+
+    def __repr__(self) -> str:
+        return f"Symbol(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -91,27 +96,65 @@ def symbol(name: str, arity: int) -> Symbol:
     return sym
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Var:
-    id: int
+    __slots__ = ("id",)
+
+    def __init__(self, id: int) -> None:
+        self.id = id
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.id,) == (other.id,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
+
+    def __repr__(self) -> str:
+        return f"Var(id={self.id!r})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Int:
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"Int(value={self.value!r})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Compound:
-    functor: Symbol
-    args: tuple["Term", ...]
+    __slots__ = ("functor", "args")
+
+    def __init__(self, functor: Symbol, args: tuple[Term, ...]) -> None:
+        self.functor = functor
+        self.args = args
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.functor, self.args) == (other.functor, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.functor, self.args))
+
+    def __repr__(self) -> str:
+        return f"Compound(functor={self.functor!r}, args={self.args!r})"
 
 
 Term = Union[Var, Int, Compound]
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class Clause(NamedTuple):
     head: Compound
     body: tuple[Compound, ...]
 

@@ -8,7 +8,6 @@ module-scoped fixtures so every criterion sees the same results.
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -190,8 +189,7 @@ def lazy_variant(eager_spec):
     """``lazy_eager`` with its non-terminating example retagged as a
     positive: the redex that discards a loop evaluates to ``var(y)``."""
     probe = next(e for e in eager_spec.examples if e.tag == "nonterm").goal.args[0]
-    return replace(
-        eager_spec,
+    return eager_spec._replace(
         name="lazy_variant",
         examples=tuple(e for e in eager_spec.examples if e.tag != "nonterm")
         + (Example("pos", Compound(S_EVAL, (probe, parse_term("var(y)")))),))
@@ -254,8 +252,8 @@ def test_criterion_5_minimality(scenarios, learned):
         for name, spec in scenarios.items():
             res, _ = learned[name]
             assert res.ok
-            below = learn(replace(spec, options=replace(
-                spec.options, max_clauses=res.hypothesis.size - 1)))
+            below = learn(spec._replace(options=spec.options._replace(
+                max_clauses=res.hypothesis.size - 1)))
             assert below.status == "exhausted", (name, below.status)
             assert below.hypothesis is None
 
@@ -366,7 +364,7 @@ def test_criterion_8_example_order(scenarios):
             for _ in range(10):
                 order = positives[:]
                 rng.shuffle(order)
-                shuffled = replace(spec, examples=tuple(order + rest))
+                shuffled = spec._replace(examples=tuple(order + rest))
                 res = learn(shuffled)
                 assert res.ok, (name, res.status)
                 program = _program(spec, res.hypothesis)

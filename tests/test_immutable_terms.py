@@ -1,22 +1,35 @@
-"""Terms are shared, so nothing may change one after it is built.
+"""Terms and their symbols are shared, so nothing may change one after
+it is built.
 
-`Var`, `Int` and `Compound` are not frozen dataclasses: a frozen class
-pays a guarded ``object.__setattr__`` per field on every construction.
-This scan is the guard instead.  It fails on any assignment to or
-deletion of an attribute named like a term field, anywhere in ``src/``
-or ``bench/``, and on any ``setattr``/``delattr`` call or ``__setattr__``
-/``__delattr__`` use there, except the sites in `ALLOWED`.
+`Symbol`, `Var`, `Int` and `Compound` are plain ``__slots__`` classes
+with no run-time guard on their fields: a guard would pay an
+``object.__setattr__`` per field on every construction.  This scan is
+the guard instead.  It fails on any assignment to or deletion of an
+attribute named like a term or symbol field, anywhere in ``src/`` or
+``bench/``, except the stores in `CONSTRUCTORS`, and on any
+``setattr``/``delattr`` call or ``__setattr__``/``__delattr__`` use
+there, except the sites in `ALLOWED`.
 """
 
 import ast
 from pathlib import Path
 
-from milsem.terms import Compound, Int, Var, const, var
+from milsem.terms import Compound, Int, Var, const, symbol, var
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").glob("*.py")])
 
-TERM_FIELDS = {"functor", "args", "id", "value"}
+TERM_FIELDS = {"functor", "args", "id", "value", "name", "arity"}
+
+# (file, enclosing function) of each constructor, with the fields it sets
+CONSTRUCTORS = {
+    ("src/milsem/terms.py", "Symbol.__init__"): {"name", "arity"},
+    # a metarule is no term, but its name field is named like a symbol's
+    ("src/milsem/metarules.py", "Metarule.__init__"): {"name"},
+    ("src/milsem/terms.py", "Var.__init__"): {"id"},
+    ("src/milsem/terms.py", "Int.__init__"): {"value"},
+    ("src/milsem/terms.py", "Compound.__init__"): {"functor", "args"},
+}
 
 # (file, enclosing function) of each allowed setattr call, with the reason.
 ALLOWED = {
@@ -51,17 +64,43 @@ def _writes(tree: ast.Module):
     return found
 
 
+def _forbidden(name: str, tree: ast.Module, seen: set) -> list[str]:
+    """Each write in file ``name`` that neither `CONSTRUCTORS` nor
+    `ALLOWED` admits; adds the admitting entries it uses to ``seen``."""
+    bad = []
+    for scope, line, what in _writes(tree):
+        site = (name, scope)
+        if what.endswith("call") and site in ALLOWED:
+            seen.add(site)
+        elif what.removeprefix("store to .") in CONSTRUCTORS.get(site, ()):
+            seen.add(site)
+        else:
+            bad.append(f"{name}:{line} in {scope or 'module'}: {what}")
+    return bad
+
+
 def test_no_code_writes_a_term_field():
-    bad, allowed_seen = [], set()
+    bad, seen = [], set()
     for path in FILES:
         name = path.relative_to(ROOT).as_posix()
-        for scope, line, what in _writes(ast.parse(path.read_text("utf-8"))):
-            if what.endswith("call") and (name, scope) in ALLOWED:
-                allowed_seen.add((name, scope))
-            else:
-                bad.append(f"{name}:{line} in {scope or 'module'}: {what}")
+        bad += _forbidden(name, ast.parse(path.read_text("utf-8")), seen)
     assert bad == []
-    assert allowed_seen == set(ALLOWED)  # no stale exemption
+    assert seen == set(ALLOWED) | set(CONSTRUCTORS)  # no stale exemption
+
+
+def test_only_a_constructor_stores_its_own_fields():
+    tree = ast.parse("class Var:\n"
+                     "    def __init__(self, id):\n"
+                     "        self.id = id\n"
+                     "        self.value = id\n"
+                     "    def rebind(self, id):\n"
+                     "        self.id = id\n")
+    seen: set = set()
+    assert _forbidden("src/milsem/terms.py", tree, seen) == [
+        "src/milsem/terms.py:4 in Var.__init__: store to .value",
+        "src/milsem/terms.py:6 in Var.rebind: store to .id"]
+    assert seen == {("src/milsem/terms.py", "Var.__init__")}
+    assert len(_forbidden("src/milsem/other.py", tree, set())) == 3
 
 
 def test_scan_sees_each_kind_of_write():
@@ -85,3 +124,12 @@ def test_terms_compare_and_hash_by_value():
     assert var("X") == Var(var("X").id) and Int(1) != Var(1)
     assert {Int(1), Int(1), Var(1)} == {Int(1), Var(1)}
     assert repr(Int(2)) == "Int(value=2)"
+    # a term hashes as the tuple of its fields, a symbol by identity
+    g = Compound(symbol("g", 2), (Int(1), Var(2)))
+    assert hash(Int(1)) == hash((1,)) and hash(Var(2)) == hash((2,))
+    assert hash(g) == hash((g.functor, g.args))
+    assert hash(g.functor) == object.__hash__(g.functor)
+    assert Int(1).__eq__(1) is NotImplemented
+    assert repr(g) == ("Compound(functor=Symbol(name='g', arity=2), "
+                       "args=(Int(value=1), Var(id=2)))")
+

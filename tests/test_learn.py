@@ -3,7 +3,6 @@ tasks, and the bundled scenarios that are cheap enough to learn here."""
 
 import gc
 import itertools
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -152,7 +151,7 @@ def test_learn_two_functors_need_two_clauses():
     two = SELECTOR.replace("pos(step(sel(a,b),a)).",
                            "pos(step(sel(a,b),a)).\npos(step(les(a,b),b)).")
     spec = _spec(two, "two")
-    capped = learn(replace(spec, options=replace(spec.options, max_clauses=1)))
+    capped = learn(spec._replace(options=spec.options._replace(max_clauses=1)))
     assert capped.status == "exhausted"
     assert capped.hypothesis is None
     assert capped.stats.size_reached == 1
@@ -174,7 +173,7 @@ def test_learn_exhausts_on_impossible_examples():
 
 
 def _depth_1(spec):
-    return replace(spec, options=replace(spec.options, depth_limit=1))
+    return spec._replace(options=spec.options._replace(depth_limit=1))
 
 
 def test_learn_reports_a_search_cut_by_depth():
@@ -197,8 +196,8 @@ def _pairs_with_deep_negative(depth):
         t = f"add({t},lit(1))"
     spec = builtin_scenario("pairs")
     neg = Example("neg", parse_term(f"eval(fst(pair({t},var(b))),var(b))"))
-    return replace(spec, examples=spec.examples + (neg,),
-                   options=replace(spec.options, depth_limit=depth))
+    return spec._replace(examples=spec.examples + (neg,),
+                         options=spec.options._replace(depth_limit=depth))
 
 
 def test_learn_reports_a_rejection_cut_by_depth():
@@ -223,7 +222,7 @@ def test_learn_reports_a_rejection_cut_by_depth():
 
 
 def _budget(spec, max_steps):
-    return replace(spec, options=replace(spec.options, max_steps=max_steps))
+    return spec._replace(options=spec.options._replace(max_steps=max_steps))
 
 
 def test_learn_reports_budget():

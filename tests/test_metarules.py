@@ -1,6 +1,7 @@
 import pytest
 
 from milsem.metarules import (
+    Metasub,
     Pools,
     apply_metasub,
     enumerate_bindings,
@@ -156,3 +157,16 @@ def test_metarule_rejects_a_metavariable_declared_twice():
     with pytest.raises(ParseError, match="H declared twice"):
         parse_metarules("metarule(twice, [func(H/2),func(H/2)],"
                         " ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")
+
+
+def test_metarules_compare_and_hash_by_fields():
+    text = ("metarule(step2l, [func(H/2)],"
+            " ([step,[H,A,B],[H,C,B]] :- [[step,A,C]])).")
+    [again] = parse_metarules(text)
+    assert again == STEP2L and again is not STEP2L
+    assert hash(again) == hash(STEP2L) == hash(
+        (STEP2L.name, STEP2L.decls, STEP2L.head, STEP2L.body,
+         STEP2L.head_pred_meta))
+    assert STEP2L != UNPACK2 and STEP2L.__eq__(STEP2L.name) is NotImplemented
+    sub = Metasub("step2l", (("H", symbol("pair", 2)),))
+    assert hash(sub) == hash(("step2l", (("H", symbol("pair", 2)),)))

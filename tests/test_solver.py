@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -526,6 +527,35 @@ def test_builtin_generator_rejected():
 
     with pytest.raises(ValueError, match="returns a bool"):
         BuiltinTable().register(symbol("choice", 1), choice)
+
+
+class _Choices:
+    def choice(self, store, args):
+        yield
+
+    def check(self, store, args):
+        return True
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda f: partial(f, None),
+    lambda f: partial(partial(f), None),
+    lambda f: _Choices().choice,
+    lambda f: partial(_Choices().choice),
+], ids=["partial", "nested_partial", "bound_method", "partial_of_method"])
+def test_wrapped_builtin_generator_rejected(wrap):
+    def choice(unused, store, args):
+        yield
+
+    with pytest.raises(ValueError, match="returns a bool"):
+        BuiltinTable().register(symbol("choice", 1), wrap(choice))
+
+
+def test_wrapped_builtin_function_accepted():
+    t = BuiltinTable()
+    t.register(symbol("f", 1), partial(lambda unused, store, args: True, None))
+    t.register(symbol("g", 1), _Choices().check)
+    assert len(t.predicates()) == 2
 
 
 def test_builtin_duplicate_registration_rejected():

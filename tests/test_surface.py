@@ -3,8 +3,9 @@
 A top-level function or class, or a method, that no ``src/`` code
 reached from the package's entry points uses and no benchmark file
 mentions is surface kept alive only by its tests.  So is a module-level
-constant, or a dataclass field, that nothing reads.  This scan fails on
-each of them, exported names included.
+constant, or a record field (a `NamedTuple` field or a ``__slots__``
+name), that nothing reads.  This scan fails on each of them, exported
+names included.
 
 Liveness is reachability.  The roots are the module-level code of each
 ``src/milsem`` module other than its definitions (imports, a
@@ -13,7 +14,7 @@ mentions (as a name, as an attribute or as a string constant equal to
 it: its tracer patches functions by name), the definitions in `ALLOWED`
 and the dunder names, which Python reads itself.  A live definition
 reaches each top-level definition or constant whose name it reads as a
-name, and each method or dataclass field whose name it reads as an
+name, and each method or record field whose name it reads as an
 attribute; an assignment or a keyword argument is not a read.  A method
 or field is live only in a live class.  Whatever is not reached is
 unused, so a group of definitions that read only each other is unused
@@ -41,18 +42,31 @@ ALLOWED = {
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id == "dataclass"
-               for d in node.decorator_list)
+def _is_namedtuple(node: ast.ClassDef) -> bool:
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+               or isinstance(b, ast.Attribute) and b.attr == "NamedTuple"
+               for b in node.bases)
+
+
+def _slots(node: ast.ClassDef):
+    """The string constant naming each of a class's ``__slots__``."""
+    for item in node.body:
+        if (isinstance(item, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in item.targets)):
+            value = item.value
+            names = (value.elts if isinstance(value, (ast.Tuple, ast.List))
+                     else [value])
+            yield from (n for n in names if isinstance(n, ast.Constant)
+                        and isinstance(n.value, str))
 
 
 def _definitions(tree: ast.Module):
     """(qualified name, use key, node, class node or None) of each
-    top-level def, constant, method and dataclass field; the key says how
+    top-level def, constant, method and record field; the key says how
     a use looks: a name for a top-level definition or constant, an
-    attribute for a method or a field."""
+    attribute for a method or a field.  A record field is an annotated
+    field of a `NamedTuple` or a name in a class's ``__slots__``."""
     for node in tree.body:
         if isinstance(node, DEFS):
             yield node.name, ("name", node.name), node, None
@@ -63,7 +77,7 @@ def _definitions(tree: ast.Module):
                 if isinstance(t, ast.Name):
                     yield t.id, ("name", t.id), node, None
         if isinstance(node, ast.ClassDef):
-            fields = _is_dataclass(node)
+            fields = _is_namedtuple(node)
             for item in node.body:
                 if isinstance(item, DEFS):
                     yield (f"{node.name}.{item.name}", ("attr", item.name),
@@ -72,6 +86,9 @@ def _definitions(tree: ast.Module):
                       and isinstance(item.target, ast.Name)):
                     yield (f"{node.name}.{item.target.id}",
                            ("attr", item.target.id), item, node)
+            for slot in _slots(node):
+                yield (f"{node.name}.{slot.value}", ("attr", slot.value),
+                       slot, node)
 
 
 def _uses(node: ast.AST, defs: set) -> set:
@@ -180,21 +197,24 @@ def test_definitions_that_read_only_each_other_are_unused():
 
 def test_unread_constants_and_fields_are_unused():
     # `Rec.seen` is read, `LOST` only assigned, `VIA` read only by
-    # `LOST`, `Rec.lost` only written and passed by keyword, and
-    # `Plain.lost` is no dataclass field
+    # `LOST`, `Rec.lost` only written and passed by keyword, `Slot.lost`
+    # only written, and `Plain.lost` is no record field
     tree = ast.parse(
-        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
         "VIA = 1\n"
         "LOST: int = VIA\n"
-        "@dataclass(frozen=True)\n"
-        "class Rec:\n"
+        "class Rec(NamedTuple):\n"
         "    seen: int\n"
         "    lost: int = 0\n"
+        "class Slot:\n"
+        "    __slots__ = ('seen', 'lost')\n"
+        "    def __init__(self):\n"
+        "        self.seen = self.lost = 0\n"
         "class Plain:\n"
         "    lost: int = 0\n"
         "def entry(r):\n"
-        "    r.lost = Rec(seen=1, lost=2).seen\n"
+        "    r.lost = Rec(seen=1, lost=2).seen + Slot().seen\n"
         "    return Plain()\n"
         "entry(None)\n")
     unused = _unused({"m": tree}, bench=set())["m"]
-    assert sorted(unused) == ["LOST", "Rec.lost", "VIA"]
+    assert sorted(unused) == ["LOST", "Rec.lost", "Slot.lost", "VIA"]
