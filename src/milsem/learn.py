@@ -10,13 +10,16 @@ source returns them as the solver's ``(bucket, tail)`` pair: the bucket
 is the background's first-argument bucket for the goal followed by the
 adopted clauses whose first-argument key matches, and the resolver tries
 their heads itself; the tail is a generator of metarule instances, or
-None where no metarule may apply.  An instantiation is tried like any
-clause: its unrenamed head is unified with the goal through a frame, and
-only when that succeeds is it adopted and its body renamed through the
-frame.  A probe for a depth cut adopts nothing.  A predicate
-metavariable in a rule body may be bound to a predicate that does not
-exist yet, which is how auxiliary ``pred_<n>`` predicates are invented;
-the branch then has to define them or die.
+None where no metarule may apply: where the hypothesis is full, where the
+predicate is neither a head predicate nor invented, and where no
+metarule's head fits the goal's predicate and first argument, so such a
+goal builds no generator.  An instantiation is tried like any clause: its
+unrenamed head is unified with the goal through a frame, and only when
+that succeeds is it adopted and its body renamed through the frame.  A
+probe for a depth cut adopts nothing.  A predicate metavariable in a rule
+body may be bound to a predicate that does not exist yet, which is how
+auxiliary ``pred_<n>`` predicates are invented; the branch then has to
+define them or die.
 
 Minimality comes from iterative deepening on hypothesis size: `learn` tries
 caps 1, 2, ... up to ``max_clauses`` and returns the first hypothesis that
@@ -33,8 +36,9 @@ carry over from cap to cap.  Each example is proved under a fresh depth
 budget.  The engine also keeps the metarule instances it builds, keyed by
 metarule, the metavariables the goal pins, the invented predicates and the
 tentative name for the next one, so a goal met again, at this cap or a
-later one, reuses them; the memo is the engine's, so each call starts empty
-and frees it on return.
+later one, reuses them, each with the index entry and the invented
+predicates its adoption needs; the memo is the engine's, so each call
+starts empty and frees it on return.
 The meta-proof is the solver's resolution with a different clause
 source, so budget, step count and taint work as in `solve`: a hypothesis
 found here proves its examples under `solve` as well.  The engine's
@@ -72,8 +76,11 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
 from .metarules import (
+    Binding,
     Metarule,
     Metasub,
+    MetaVar,
+    TTerm,
     apply_metasub,
     enumerate_bindings,
     match_head,
@@ -95,9 +102,11 @@ from .terms import (
     Compound,
     FreshVars,
     IndexEntry,
+    Int,
     Program,
     Symbol,
     Term,
+    Var,
     index_entry,
     index_key,
     rename_apart,
@@ -108,6 +117,10 @@ from .textio import print_clause
 Trace = Optional[Callable[[str], None]]
 
 _INVENTED = re.compile(r"^pred_(\d+)$")
+
+# a metarule instance as the engine's memo keeps it: its metasub, its
+# clause, the clause's index entry and the invented predicates it introduces
+Instance = tuple[Metasub, Clause, IndexEntry, tuple[Symbol, ...]]
 
 
 class Hypothesis(NamedTuple):
@@ -208,15 +221,50 @@ def _core(bk: Sequence[Clause], candidate: Hypothesis, example: Example,
 # ============================================================
 
 
+def _fits(tt: TTerm, key: object) -> bool:
+    """Whether `match_head` can lay a head template argument over a goal
+    argument whose index key is ``key``, not None: a variable over
+    anything, an integer over itself, a fixed functor over itself, a
+    function metavariable with arguments over any symbol of its arity, and
+    a bare constant or a function metavariable without arguments over an
+    integer or an arity-0 symbol."""
+    if isinstance(tt, Var):
+        return True
+    if isinstance(tt, Int):
+        return key == tt.value  # a symbol never equals an int
+    if isinstance(tt, MetaVar) or (isinstance(tt.functor, MetaVar)
+                                   and not tt.args):
+        return type(key) is int or key.arity == 0
+    if isinstance(tt.functor, MetaVar):
+        return type(key) is not int and key.arity == len(tt.args)
+    return key is tt.functor
+
+
+def _instance(m: Metarule, binding: dict[str, Binding],
+              tentative: Optional[str]) -> Instance:
+    """The instance of a metarule under a full binding, with the invented
+    predicates it introduces: those named ``tentative``."""
+    msub = Metasub(m.name, tuple((d.name, binding[d.name]) for d in m.decls))
+    clause = apply_metasub(m, binding)
+    new_preds = tuple(dict.fromkeys(
+        b for _n, b in msub.bindings
+        if isinstance(b, Symbol) and b.name == tentative))
+    return msub, clause, index_entry(clause), new_preds
+
+
 class _Engine:
     """The meta-proof of one `learn` or `meta_prove` call, built once and
-    re-run at each size cap."""
+    re-run at each size cap.
+
+    Its clause source's tail is None where no metarule's head fits the
+    goal's predicate and first argument, so such a goal builds no
+    generator; the instances in its memo carry their adoption data."""
 
     __slots__ = ("spec", "resolver", "store", "background",
                  "pools", "head_preds", "goals", "trace",
                  "size_cap", "hypothesis", "adopted", "invented",
                  "invent_from", "cores", "depth_rejected", "stats",
-                 "by_pred", "memo")
+                 "by_key", "memo")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Compound],
                  trace: Trace = None) -> None:
@@ -243,27 +291,27 @@ class _Engine:
         self.depth_rejected = False
         # meta_steps is the resolver's step count, read at the end
         self.stats = LearnStats()
-        # goal predicate -> the metarules, with their spec positions, whose
-        # head can match its goals; filled as predicates are met
-        self.by_pred: dict[Symbol, tuple[tuple[int, Metarule], ...]] = {}
+        # (goal predicate, index key of its first argument) -> the
+        # metarules, with their spec positions, whose head can match its
+        # goals; filled as keys are met
+        self.by_key: dict[tuple[Symbol, object],
+                          tuple[tuple[int, Metarule], ...]] = {}
         # (metarule position, pins, invented, tentative) -> the instances
-        # `enumerate_bindings` gives for them, with their clauses
-        self.memo: dict[tuple, list[tuple[Metasub, Clause]]] = {}
+        # `enumerate_bindings` gives for them
+        self.memo: dict[tuple, list[Instance]] = {}
 
     # ---- bookkeeping ----
 
-    def _adopt(self, msub: Metasub, clause: Clause, frame: dict[int, Term],
-               tentative: Optional[str]) -> Iterator[Sequence[Compound]]:
+    def _adopt(self, msub: Metasub, clause: Clause, entry: IndexEntry,
+               new_preds: tuple[Symbol, ...],
+               frame: dict[int, Term]) -> Iterator[Sequence[Compound]]:
         """The renamed body of a metarule instance whose head unified with
         the goal, the instance adopted into the hypothesis while the body
         is being proved."""
-        new_preds = tuple(dict.fromkeys(
-            b for _n, b in msub.bindings
-            if isinstance(b, Symbol) and b.name == tentative))
         self.stats.metasubs_tried += 1
         self.hypothesis[msub] = clause
         adopted = self.adopted.setdefault(clause.head.functor, [])
-        adopted.append(index_entry(clause))
+        adopted.append(entry)
         self.invented.update(dict.fromkeys(new_preds))
         if self.trace:
             self.trace("  + " + print_clause(clause))
@@ -287,31 +335,37 @@ class _Engine:
         pred = goal.functor
         bucket = self.background(goal, self.store.bindings)
         adopted = self.adopted.get(pred)
+        may_grow = (len(self.hypothesis) < self.size_cap
+                    and (pred in self.head_preds or pred in self.invented))
+        if not (adopted or may_grow):
+            return bucket, None
+        key = index_key(self.store.walk(goal.args[0])) if goal.args else None
         if adopted:
-            key = index_key(self.store.walk(goal.args[0])) if goal.args else None
             bucket = bucket + tuple([c for c, k in adopted
                                      if k is None or key is None or k == key])
-        if (len(self.hypothesis) >= self.size_cap
-                or pred not in self.head_preds and pred not in self.invented):
-            return bucket, None
-        return bucket, self._instances(goal)
+        rules = self._metarules(pred, key) if may_grow else ()
+        return bucket, self._instances(goal, rules) if rules else None
 
-    def _metarules(self, pred: Symbol) -> tuple[tuple[int, Metarule], ...]:
+    def _metarules(self, pred: Symbol,
+                   key: object) -> tuple[tuple[int, Metarule], ...]:
         """The metarules, in spec order and with their positions, whose head
-        is ``pred`` or a predicate metavariable of its arity: the only ones
-        `match_head` can lay over a goal for ``pred``."""
-        rules = self.by_pred.get(pred)
+        is ``pred`` or a predicate metavariable of its arity, and whose
+        first head argument fits a goal argument with index key ``key``:
+        the only ones `match_head` can lay over such a goal."""
+        rules = self.by_key.get((pred, key))
         if rules is None:
-            rules = self.by_pred[pred] = tuple(
+            rules = self.by_key[pred, key] = tuple(
                 (i, m) for i, m in enumerate(self.spec.metarules)
-                if m.head.functor is pred
-                or (m.head_pred_meta is not None
-                    and len(m.head.args) == pred.arity))
+                if (m.head.functor is pred
+                    or (m.head_pred_meta is not None
+                        and len(m.head.args) == pred.arity))
+                and (key is None or _fits(m.head.args[0], key)))
         return rules
 
-    def _instances(self, goal: Compound) -> Iterator[Sequence[Compound]]:
-        """The renamed bodies of the metarule instances whose heads unify
-        with the goal, each adopted while it is being proved.
+    def _instances(self, goal: Compound, rules: Sequence[tuple[int, Metarule]],
+                   ) -> Iterator[Sequence[Compound]]:
+        """The renamed bodies of the instances of ``rules`` whose heads
+        unify with the goal, each adopted while it is being proved.
 
         The pools are fixed for the engine, so a metarule's instances are
         fixed by the metavariables `match_head` pins, the invented
@@ -327,7 +381,7 @@ class _Engine:
         invented = tuple(self.invented)
         tentative = (f"pred_{self.invent_from + len(invented) + 1}"
                      if len(self.hypothesis) + 1 < self.size_cap else None)
-        for i, m in self._metarules(goal.functor):
+        for i, m in rules:
             restr = match_head(m, goal, store)
             if restr is None:
                 continue
@@ -335,12 +389,10 @@ class _Engine:
             instances = self.memo.get(key)
             if instances is None:
                 instances = self.memo[key] = [
-                    (Metasub(m.name, tuple((d.name, binding[d.name])
-                                           for d in m.decls)),
-                     apply_metasub(m, binding))
+                    _instance(m, binding, tentative)
                     for binding in enumerate_bindings(m, restr, self.pools,
                                                       invented, tentative)]
-            for msub, clause in instances:
+            for msub, clause, entry, new_preds in instances:
                 if msub in self.hypothesis:
                     continue  # identical clause already adopted, reuse covers it
                 if any(rest <= self.hypothesis.keys()
@@ -356,7 +408,8 @@ class _Engine:
                         # adopted, counted or traced
                         yield ()
                     else:
-                        yield from self._adopt(msub, clause, frame, tentative)
+                        yield from self._adopt(msub, clause, entry,
+                                               new_preds, frame)
                 store.undo(mark)
 
     # ---- the search ----

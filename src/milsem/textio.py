@@ -40,7 +40,6 @@ parsing.  Variables minted by renaming print as ``_v<n>``.
 
 from __future__ import annotations
 
-import importlib.resources
 import re
 from typing import Iterable, Optional, Union
 
@@ -400,6 +399,9 @@ def split_lines(text: str) -> list[str]:
 def data_dir(folder: str):
     """The package's bundled ``data/<folder>`` directory.  An install
     without it is broken, and the error says so."""
+    # imported here: it pulls in pathlib, tempfile and shutil, which every
+    # command would otherwise pay for at start-up
+    import importlib.resources
     root = importlib.resources.files("milsem") / "data" / folder
     if not root.is_dir():
         raise FileNotFoundError(

@@ -15,7 +15,9 @@ scenario learns with is a branch of its meta-proof, so each scenario's
 search lost the branches of the metarules it does not use.  The
 head-unification tries, the run steps and the conformance steps were
 recorded when `Program` stopped filing a clause under keys for which its
-first body goal could select no clause.
+first body goal could select no clause, and the `match_head` calls when
+the learner started offering a metarule only to goals whose first
+argument its head can fit.
 """
 
 import json
@@ -171,11 +173,12 @@ def test_chain_stats(capsys):
 
 
 # calls the learner makes into the metarule layer in one run: `match_head`
-# only for metarules whose head can fit the goal's predicate, and
-# `enumerate_bindings` and `apply_metasub` once per distinct instance set
+# only for metarules whose head can fit the goal's predicate and its first
+# argument's index key, and `enumerate_bindings` and `apply_metasub` once
+# per distinct instance set
 @pytest.mark.parametrize("argv,counts", [
-    (["learn", "conditionals"], (3806, 116, 225)),
-    (["chain", *CHAIN_STATS], (5657, 179, 276)),
+    (["learn", "conditionals"], (1348, 116, 225)),
+    (["chain", *CHAIN_STATS], (2175, 179, 276)),
 ], ids=["conditionals", "chain"])
 def test_metarule_calls(argv, counts, capsys, monkeypatch):
     # the package re-exports the function `learn`, which shadows the module

@@ -6,6 +6,7 @@ import itertools
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milsem.learn import (
     Hypothesis,
@@ -16,6 +17,7 @@ from milsem.learn import (
     learn_seq,
     meta_prove,
 )
+from milsem.metarules import match_head
 from milsem.objectlang import default_builtins
 from milsem.scenario import (
     Example,
@@ -24,8 +26,22 @@ from milsem.scenario import (
     parse_scenario,
 )
 from milsem.solver import SolveConfig, Verdict, solve
-from milsem.terms import Program
-from milsem.textio import parse_clauses, parse_term, print_clause
+from milsem.terms import (
+    Compound,
+    Int,
+    Program,
+    Symbol,
+    Var,
+    index_entry,
+    index_key,
+    symbol,
+)
+from milsem.textio import (
+    parse_clauses,
+    parse_metarules,
+    parse_term,
+    print_clause,
+)
 
 # ---- example checking ----
 
@@ -338,6 +354,135 @@ def test_learn_lists_scenario():
         "step(cons(V,B),cons(V,C)) :- value(V), step(B,C).",
         "value(nil).",
     ])
+
+
+# ---- the metarule index ----
+
+# heads whose first argument is of a kind no bundled head's is: an integer,
+# a bare constant, and a fixed functor
+EXTRA = tuple(parse_metarules("""
+metarule(lit3, [pred(P/2)], ([P,3,A] :- [])).
+metarule(bare, [pred(P/2),const(C)], ([P,C,A] :- [])).
+metarule(fstpair, [], ([step,[pair,A,B],A] :- [])).
+"""))
+BUNDLED = {name: spec._replace(metarules=spec.metarules + EXTRA)
+           for name in builtin_scenario_names()
+           for spec in [builtin_scenario(name)]}
+# symbols that no head, background clause or example names
+ALIENS = tuple(symbol("alien", n) for n in range(4))
+
+
+def _functors(spec):
+    """Every function symbol of a scenario's pool, background and examples."""
+    out = dict.fromkeys(spec.pools().funcs)
+    todo = [t for c in spec.bk for a in (c.head, *c.body) for t in a.args]
+    todo += [t for e in spec.examples for t in e.goal.args]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Compound):
+            out.setdefault(t.functor)
+            todo.extend(t.args)
+    return tuple(out)
+
+
+@st.composite
+def _terms(draw, functors, depth=2):
+    leaves = [f for f in functors if f.arity == 0]
+    kind = draw(st.sampled_from(("var", "int", "compound") if depth or leaves
+                                else ("var", "int")))
+    if kind == "var":
+        return Var(draw(st.integers(1, 4)))
+    if kind == "int":
+        return Int(draw(st.integers(0, 3)))
+    f = draw(st.sampled_from(functors if depth else leaves))
+    return Compound(f, tuple(draw(_terms(functors, depth - 1))
+                             for _ in range(f.arity)))
+
+
+@st.composite
+def _goals(draw, spec):
+    """A goal for one of the scenario's predicates or an invented one, and
+    the variable bindings to make before it is asked.  Its first argument
+    is unbound, bound through a variable chain, an integer, a constant, a
+    compound of a pool arity, or headed by a symbol nothing names."""
+    pools = spec.pools()
+    functors = _functors(spec)
+    preds = (*pools.head_preds, *pools.body_preds,
+             *(symbol("pred_1", n) for n in range(4)))
+    pred = draw(st.sampled_from(preds))
+    args = [draw(_terms(functors + ALIENS)) for _ in range(pred.arity)]
+    binds = []
+    if args:
+        kind = draw(st.sampled_from(
+            ("var", "chain", "int", "const", "compound", "alien")))
+        if kind == "var":
+            args[0] = Var(10)
+        elif kind == "chain":
+            args[0] = Var(10)
+            binds = [(Var(10), Var(11)), (Var(11), draw(_terms(functors)))]
+        elif kind == "int":
+            args[0] = Int(draw(st.integers(0, 3)))
+        elif kind == "const":
+            consts = [c for c in pools.consts if isinstance(c, Symbol)]
+            args[0] = Compound(draw(st.sampled_from(consts)), ()) \
+                if consts else Int(draw(st.sampled_from(pools.consts)))
+        else:
+            fs = ([f for f in pools.funcs if f.arity] if kind == "compound"
+                  else ALIENS)
+            f = draw(st.sampled_from(fs))
+            args[0] = Compound(f, tuple(draw(_terms(functors))
+                                        for _ in range(f.arity)))
+    return Compound(pred, tuple(args)), binds
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_metarule_index_keeps_exactly_what_match_head_accepts(name):
+    # with every argument but the first unbound, and the first's own
+    # arguments too, the first argument's key alone decides `match_head`
+    spec = BUNDLED[name]
+    engine = _Engine(spec, [])
+    pools = spec.pools()
+    firsts = [Int(n) for n in range(5)] + [
+        Compound(f, tuple(Var(n) for n in range(f.arity)))
+        for f in _functors(spec) + ALIENS]
+    for pred in (*pools.head_preds, *pools.body_preds):
+        for first in firsts:
+            goal = Compound(pred, (first, *(Var(10 + n)
+                                            for n in range(1, pred.arity))))
+            kept = [i for i, _ in engine._metarules(pred, index_key(first))]
+            assert kept == [i for i, m in enumerate(spec.metarules)
+                            if match_head(m, goal, engine.store) is not None]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_metarule_index_leaves_out_only_what_match_head_rejects(data):
+    spec = BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]
+    goal, binds = data.draw(_goals(spec))
+    engine = _Engine(spec, [])
+    store = engine.store
+    for v, t in binds:
+        assert store.unify(v, t)
+    key = index_key(store.walk(goal.args[0])) if goal.args else None
+    kept = [i for i, _ in engine._metarules(goal.functor, key)]
+    assert kept == sorted(set(kept))  # spec order
+    for i, m in enumerate(spec.metarules):
+        if i not in kept:
+            assert match_head(m, goal, store) is None, m.name
+    # each memo entry carries the index entry and invented predicates
+    # of its clause
+    engine.size_cap = data.draw(st.integers(1, 3))
+    for _ in engine._instances(goal, engine._metarules(goal.functor, key)):
+        pass
+    assert engine.hypothesis == engine.invented == {}
+    for (_, _, _, tentative), instances in engine.memo.items():
+        for msub, clause, entry, new_preds in instances:
+            assert entry == index_entry(clause)
+            assert new_preds == tuple(dict.fromkeys(
+                b for _, b in msub.bindings
+                if isinstance(b, Symbol) and b.name == tentative))
+            assert set(new_preds) == {a.functor for a in clause.body
+                                      if a.functor.name == tentative}
 
 
 # ---- cores ----

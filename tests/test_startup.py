@@ -47,11 +47,12 @@ def named_modules(package: Path) -> set[str]:
     return {m for m in out if m.split(".")[0] != package.name}
 
 
-def loaded(python: str, code: str) -> set[str]:
-    """The modules a fresh, isolated interpreter holds after ``code``; it
-    writes no bytecode cache."""
+def loaded(python: str, code: str, *flags: str) -> set[str]:
+    """The modules a fresh, isolated interpreter, started with ``flags``
+    as well, holds after ``code``; it writes no bytecode cache."""
     out = subprocess.run(
-        [python, "-I", "-B", "-c", code + "\nimport sys; print(*sys.modules)"],
+        [python, "-I", "-B", *flags, "-c",
+         code + "\nimport sys; print(*sys.modules)"],
         check=True, capture_output=True, text=True).stdout
     return set(out.split())
 
@@ -69,6 +70,19 @@ def added_modules(python: str, package: Path,
 
 def test_import_adds_no_stdlib_module():
     assert added_modules(sys.executable, SRC / "milsem", str(SRC)) == set()
+
+
+def test_import_leaves_the_package_data_reader_unloaded():
+    # `textio.data_dir` imports importlib.resources when it is first
+    # called: the import pulls in pathlib, tempfile and shutil, and it
+    # would cost a command that reads no bundled data more than all of
+    # milsem.  Without site start-up, which may load it on its own,
+    # nothing else loads it either.
+    after = loaded(sys.executable,
+                   f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+                   "import milsem.cli", "-S")
+    assert "milsem.cli" in after
+    assert not {"importlib.resources", "zipfile"} & after
 
 
 def test_no_module_imports_a_banned_module():
