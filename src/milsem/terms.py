@@ -22,7 +22,12 @@ records in a *frame* the goal subterm each head variable first meets;
 only a head compound that meets an unbound goal variable is copied, with
 fresh variables.  `rename_apart` then copies the body through that frame.
 So a clause try builds no renamed head, and a variable that occurs only
-in the head is never bound or trailed.
+in the head is never bound or trailed.  The walk is one pass with no
+recursion: a nested head compound waits on an explicit stack, and pairs
+are met in the order `Store.unify` pops them, the head's arguments first
+to last and a nested compound's last to first.  Copying loops over a
+compound's arguments and recurses only into one with arguments of its
+own, so fresh variables are drawn left to right, depth first.
 
 A `Program` hands out clauses through a two-level table per predicate.
 The first level keys each head by its first argument's `index_key`.  A
@@ -254,8 +259,15 @@ class Store:
         return len(self.trail)
 
     def undo(self, mark: int) -> None:
+        """Drop the bindings made since ``mark``.  Every binding is
+        trailed, so mark 0, where every `solve` run ends, clears the
+        store outright."""
         b = self.bindings
         t = self.trail
+        if not mark:
+            b.clear()
+            t.clear()
+            return
         while len(t) > mark:
             del b[t.pop()]
 
@@ -339,18 +351,30 @@ class Store:
         renamed through the frame, with fresh variables from ``counter``,
         and bound to it.  `rename_apart` then renames the body through the
         same frame.
-        """
-        return (head.functor is goal.functor
-                and self._unify_head(head.args, goal.args, frame, counter))
 
-    def _unify_head(self, hargs: tuple[Term, ...], gargs: tuple[Term, ...],
-                    frame: dict[int, Term], counter: FreshVars) -> bool:
-        """`unify_atoms` on argument tuples, pair by pair in the order
-        given.  It recurses only into a head compound, so the recursion is
-        as deep as the head, whatever the goal; a compound pair's
-        arguments go last first, in the order `unify` meets them."""
+        The head is done in one pass, with no recursion: a nested head
+        compound pushes the argument tuples still to finish on an explicit
+        stack.  Pairs are met in the order `unify` pops them: the head's
+        arguments first to last, a nested compound's last to first, each
+        finished before the next sibling pair.
+        """
+        if head.functor is not goal.functor:
+            return False
         bindings = self.bindings
-        for h, g in zip(hargs, gargs):
+        hargs, gargs = head.args, goal.args
+        # the tuples in hand, the next index into them, where they end,
+        # and the direction of the walk
+        i, end, step = 0, len(hargs), 1
+        stack = []  # the same for tuples a nested compound interrupted
+        while True:
+            if i == end:
+                if not stack:
+                    return True
+                hargs, gargs, i, end, step = stack.pop()
+                continue
+            h = hargs[i]
+            g = gargs[i]
+            i += step
             while type(g) is Var:
                 nxt = bindings.get(g.id)
                 if nxt is None:
@@ -374,10 +398,11 @@ class Store:
                 return False
             if type(g) is not Compound or h.functor is not g.functor:
                 return False
-            if h.args and not self._unify_head(h.args[::-1], g.args[::-1],
-                                               frame, counter):
-                return False
-        return True
+            if h.args:
+                if i != end:
+                    stack.append((hargs, gargs, i, end, step))
+                hargs, gargs = h.args, g.args
+                i, end, step = len(hargs) - 1, -1, -1
 
 
 def _resolve(bindings: Mapping[int, Term], t: Term, path: tuple[int, ...]) -> Term:
@@ -440,7 +465,8 @@ def restrict(s: Mapping[int, Term], vids: Iterable[int]) -> Subst:
 
 def rename_term(t: Term, mapping: dict[int, Term], counter: FreshVars) -> Term:
     """``t`` with each variable replaced by its image in ``mapping``; a
-    variable without one gets a fresh variable, recorded there."""
+    variable without one gets a fresh variable, recorded there.  Fresh
+    variables are drawn left to right, depth first."""
     kind = type(t)
     if kind is Var:
         v = mapping.get(t.id)
@@ -448,9 +474,28 @@ def rename_term(t: Term, mapping: dict[int, Term], counter: FreshVars) -> Term:
             v = mapping[t.id] = counter.next_var()
         return v
     if kind is Compound and t.args:
-        return Compound(t.functor, tuple([rename_term(a, mapping, counter)
-                                          for a in t.args]))
+        return Compound(t.functor, _rename_args(t.args, mapping, counter))
     return t
+
+
+def _rename_args(ts: tuple[Term, ...], mapping: dict[int, Term],
+                 counter: FreshVars) -> tuple[Term, ...]:
+    """`rename_term` of each argument in a loop: a variable or an atomic
+    argument inline, so that only a compound with arguments recurses."""
+    args = []
+    for t in ts:
+        kind = type(t)
+        if kind is Var:
+            v = mapping.get(t.id)
+            if v is None:
+                v = mapping[t.id] = counter.next_var()
+            args.append(v)
+        elif kind is Compound and t.args:
+            args.append(Compound(t.functor,
+                                 _rename_args(t.args, mapping, counter)))
+        else:
+            args.append(t)
+    return tuple(args)
 
 
 def rename_apart(c: Clause, frame: dict[int, Term],
@@ -460,19 +505,7 @@ def rename_apart(c: Clause, frame: dict[int, Term],
     goal, and body-only variables are fresh for this counter."""
     body = []
     for b in c.body:
-        args = []
-        for t in b.args:
-            kind = type(t)
-            if kind is Var:
-                v = frame.get(t.id)
-                if v is None:
-                    v = frame[t.id] = counter.next_var()
-                args.append(v)
-            elif kind is Compound and t.args:
-                args.append(rename_term(t, frame, counter))
-            else:
-                args.append(t)
-        body.append(Compound(b.functor, tuple(args)))
+        body.append(Compound(b.functor, _rename_args(b.args, frame, counter)))
     return tuple(body)
 
 

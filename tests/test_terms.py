@@ -1,7 +1,8 @@
+import sys
 import threading
 
 import pytest
-from hypothesis import assume, event, given, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from milsem.corpus import CORPUS_KINDS, generate_corpus
 from milsem.objectlang import metarule_library
@@ -392,6 +393,216 @@ def test_unify_atoms_agrees_with_rename_then_unify(drawn):
         return [s.resolve(t) for a in (goal, *atoms) for t in a.args]
 
     assert _variant(resolved(store, body), resolved(ref, ref_body))
+
+
+# ---- the kernel against its recursive form ----
+#
+# `Store.unify_atoms` and the renamers are loops; the recursive forms they
+# replaced are kept here as the oracle.  The loops must match them exactly:
+# the same bindings made in the same order, the same frame, and the same
+# fresh variables drawn, not just results equal up to variants.
+
+def _ref_unify_atoms(store, head, goal, frame, counter):
+    return (head.functor is goal.functor
+            and _ref_unify_head(store, head.args, goal.args, frame, counter))
+
+
+def _ref_unify_head(store, hargs, gargs, frame, counter):
+    bindings = store.bindings
+    for h, g in zip(hargs, gargs):
+        while type(g) is Var:
+            nxt = bindings.get(g.id)
+            if nxt is None:
+                break
+            g = nxt
+        kind = type(h)
+        if kind is Var:
+            t = frame.get(h.id)
+            if t is None:
+                frame[h.id] = g
+            elif t is not g and not store.unify(t, g):
+                return False
+            continue
+        if type(g) is Var:
+            bindings[g.id] = _ref_rename_term(h, frame, counter)
+            store.trail.append(g.id)
+            continue
+        if kind is Int:
+            if type(g) is Int and h.value == g.value:
+                continue
+            return False
+        if type(g) is not Compound or h.functor is not g.functor:
+            return False
+        if h.args and not _ref_unify_head(store, h.args[::-1], g.args[::-1],
+                                          frame, counter):
+            return False
+    return True
+
+
+def _ref_rename_term(t, mapping, counter):
+    kind = type(t)
+    if kind is Var:
+        v = mapping.get(t.id)
+        if v is None:
+            v = mapping[t.id] = counter.next_var()
+        return v
+    if kind is Compound and t.args:
+        return Compound(t.functor, tuple([_ref_rename_term(a, mapping, counter)
+                                          for a in t.args]))
+    return t
+
+
+def _ref_rename_apart(c, frame, counter):
+    body = []
+    for b in c.body:
+        args = []
+        for t in b.args:
+            kind = type(t)
+            if kind is Var:
+                v = frame.get(t.id)
+                if v is None:
+                    v = frame[t.id] = counter.next_var()
+                args.append(v)
+            elif kind is Compound and t.args:
+                args.append(_ref_rename_term(t, frame, counter))
+            else:
+                args.append(t)
+        body.append(Compound(b.functor, tuple(args)))
+    return tuple(body)
+
+
+@st.composite
+def _nested(draw, terms, depth=3):
+    """A term at least ``depth`` compounds deep along one path, with
+    siblings drawn from ``terms`` on the way."""
+    t = draw(terms)
+    for _ in range(depth + draw(st.integers(0, 1))):
+        others = draw(st.lists(terms, max_size=1))
+        at = draw(st.integers(0, len(others)))
+        args = (*others[:at], t, *others[at:])
+        t = Compound(symbol(draw(st.sampled_from(["f", "g"])), len(args)), args)
+    return t
+
+
+_GOAL_VARS = [var("A"), var("B"), var("C"), var("X")]
+
+
+@st.composite
+def _goal_over(draw, head):
+    """A goal drawn to meet ``head``: each subterm of the head is kept, cut
+    to a goal variable, or swapped for a leaf that may clash."""
+    def over(t):
+        roll = draw(st.integers(0, 9))
+        if roll == 0:
+            return draw(_goal_leaves)
+        if roll <= 2 or type(t) is Var:
+            return draw(st.sampled_from(_GOAL_VARS))
+        if type(t) is Compound:
+            return Compound(t.functor, tuple(over(a) for a in t.args))
+        return t
+    return Compound(head.functor, tuple(over(a) for a in head.args))
+
+
+@st.composite
+def _deep_clause_goal_and_bindings(draw):
+    """A clause whose head nests three levels or more, with repeated
+    variables and integer leaves; a goal drawn over the head, or now and
+    then at random; and goal bindings that may chain (A = B, B = f(C)) and
+    loop back (A = f(B), B = g(A))."""
+    arity = draw(st.integers(1, 3))
+    args = [draw(_head_terms) for _ in range(arity - 1)]
+    args.insert(draw(st.integers(0, arity - 1)), draw(_nested(_head_terms)))
+    head = Compound(symbol("p", arity), tuple(args))
+    body = tuple(draw(st.lists(st.one_of(_body_atoms, st.just(const("done"))),
+                               max_size=3)))
+    if draw(st.integers(0, 4)):
+        goal = draw(_goal_over(head))
+    else:
+        goal = Compound(symbol("p", arity),
+                        tuple(draw(_goal_terms) for _ in range(arity)))
+    bound = draw(st.lists(
+        st.tuples(st.sampled_from(["A", "B", "C", "X"]),
+                  _compounds(st.one_of(st.sampled_from(_GOAL_VARS),
+                                       _goal_leaves))),
+        max_size=3))
+    return Clause(head, body), goal, bound
+
+
+def _chained_store(bound) -> Store:
+    store = Store()
+    for name, t in bound:
+        assume(store.unify(var(name), t))
+    return store
+
+
+@settings(deadline=None)
+@given(_deep_clause_goal_and_bindings())
+# a repeated head variable that meets two unbound goal variables binds the
+# first to the second, as `unify` does, not the other way round
+@example((Clause(mk("p", mk("f", var("X")), var("X")), ()),
+          mk("p", mk("f", var("A")), var("B")), []))
+def test_unify_atoms_matches_the_recursive_form_exactly(drawn):
+    clause, goal, bound = drawn
+    ref, ref_counter, ref_frame = _chained_store(bound), FreshVars(), {}
+    ref_ok = _ref_unify_atoms(ref, clause.head, goal, ref_frame, ref_counter)
+    store, counter, frame = _chained_store(bound), FreshVars(), {}
+    ok = store.unify_atoms(clause.head, goal, frame, counter)
+    event(f"unified: {ok}, cyclic: {_cyclic(store)}")
+    assert ok == ref_ok
+    assert store.trail == ref.trail
+    assert store.bindings == ref.bindings
+    assert frame == ref_frame
+    if ok:
+        assert (rename_apart(clause, frame, counter)
+                == _ref_rename_apart(clause, ref_frame, ref_counter))
+        assert frame == ref_frame
+    assert counter.next_var() == ref_counter.next_var()
+
+
+@given(_nested(_head_terms), st.lists(st.sampled_from(["X", "Y"])))
+def test_rename_term_matches_the_recursive_form_exactly(t, seen):
+    mapping = {var(name).id: Int(7) for name in seen}
+    ref_mapping, counter, ref_counter = dict(mapping), FreshVars(), FreshVars()
+    assert (rename_term(t, mapping, counter)
+            == _ref_rename_term(t, ref_mapping, ref_counter))
+    assert list(mapping.items()) == list(ref_mapping.items())
+    assert counter.next_var() == ref_counter.next_var()
+
+
+def test_unify_atoms_walks_a_head_deeper_than_the_recursion_limit():
+    head, goal = var("X"), var("A")
+    for i in range(sys.getrecursionlimit() + 100):
+        head, goal = mk("s", head, Int(i)), mk("s", goal, Int(i))
+    store, frame = Store(), {}
+    assert store.unify_atoms(mk("p", head), mk("p", goal), frame, FreshVars())
+    assert frame == {var("X").id: var("A")}
+
+
+# every binding is trailed, and only once: `Store.undo(0)` clears the
+# store on that ground
+_store_ops = st.lists(st.one_of(
+    st.tuples(st.just("unify"), _goal_terms, _goal_terms),
+    st.tuples(st.just("atoms"), _clause_goal_and_bindings()),
+    st.tuples(st.just("undo"), st.integers(0, 4))), max_size=6)
+
+
+@given(_store_ops)
+def test_every_binding_is_trailed(ops):
+    store, counter, marks = Store(), FreshVars(), [0]
+    for op in ops:
+        if op[0] == "unify":
+            store.unify(op[1], op[2])
+        elif op[0] == "atoms":
+            clause, goal, _ = op[1]
+            store.unify_atoms(clause.head, goal, {}, counter)
+        else:
+            store.undo(marks[min(op[1], len(marks) - 1)])
+            marks = [m for m in marks if m <= store.mark()]
+        assert set(store.bindings) == set(store.trail)
+        assert len(store.trail) == len(set(store.trail))
+        marks.append(store.mark())
+    store.undo(0)
+    assert store.bindings == {} and store.trail == []
 
 
 # stores whose bindings may chain, and may loop back, through these
