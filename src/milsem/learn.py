@@ -79,10 +79,9 @@ from .metarules import (
     Binding,
     Metarule,
     Metasub,
-    MetaVar,
-    TTerm,
     apply_metasub,
     enumerate_bindings,
+    fits_key,
     match_head,
 )
 from .objectlang import default_builtins
@@ -102,11 +101,9 @@ from .terms import (
     Compound,
     FreshVars,
     IndexEntry,
-    Int,
     Program,
     Symbol,
     Term,
-    Var,
     index_entry,
     index_key,
     rename_apart,
@@ -219,25 +216,6 @@ def _core(bk: Sequence[Clause], candidate: Hypothesis, example: Example,
 # ============================================================
 # The engine
 # ============================================================
-
-
-def _fits(tt: TTerm, key: object) -> bool:
-    """Whether `match_head` can lay a head template argument over a goal
-    argument whose index key is ``key``, not None: a variable over
-    anything, an integer over itself, a fixed functor over itself, a
-    function metavariable with arguments over any symbol of its arity, and
-    a bare constant or a function metavariable without arguments over an
-    integer or an arity-0 symbol."""
-    if isinstance(tt, Var):
-        return True
-    if isinstance(tt, Int):
-        return key == tt.value  # a symbol never equals an int
-    if isinstance(tt, MetaVar) or (isinstance(tt.functor, MetaVar)
-                                   and not tt.args):
-        return type(key) is int or key.arity == 0
-    if isinstance(tt.functor, MetaVar):
-        return type(key) is not int and key.arity == len(tt.args)
-    return key is tt.functor
 
 
 def _instance(m: Metarule, binding: dict[str, Binding],
@@ -359,7 +337,7 @@ class _Engine:
                 if (m.head.functor is pred
                     or (m.head_pred_meta is not None
                         and len(m.head.args) == pred.arity))
-                and (key is None or _fits(m.head.args[0], key)))
+                and (key is None or fits_key(m.head.args[0], key)))
         return rules
 
     def _instances(self, goal: Compound, rules: Sequence[tuple[int, Metarule]],

@@ -224,6 +224,15 @@ def match_head(m: Metarule, goal: Compound,
     return restr
 
 
+def fits_key(tt: TTerm, key: Binding) -> bool:
+    """Whether `match_head` can lay a head template argument over a goal
+    argument whose index key is ``key``: whether it lies over a term of
+    that key whose own arguments are unbound."""
+    probe = (Int(key) if type(key) is int
+             else Compound(key, (Var(0),) * key.arity))
+    return _match_term(tt, probe, Store(), {})
+
+
 def _inst_term(t: TTerm, b: Mapping[str, Binding]) -> Term:
     if isinstance(t, (Var, Int)):
         return t
@@ -269,8 +278,8 @@ class Pools(NamedTuple):
 
 
 def enumerate_bindings(m: Metarule, restr: Mapping[str, Binding],
-                       pools: Pools, invented: Sequence[Symbol] = (),
-                       tentative: Optional[str] = None,
+                       pools: Pools, invented: Sequence[Symbol],
+                       tentative: Optional[str],
                        ) -> Iterator[dict[str, Binding]]:
     """All full metavariable assignments, decl by decl in declaration
     order, each decl's candidates in pool order and kept only when they

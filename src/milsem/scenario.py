@@ -160,7 +160,7 @@ _SECTIONS = {
     "body": (_Parser.symbol_decl, "body predicate", {}, False),
     "functions": (_Parser.symbol_decl, "function", {}, False),
     "examples": (_example, None, {}, True),
-    "options": (_option, None, {}, False),
+    "options": (_option, "option", {}, False),
 }
 
 
@@ -207,6 +207,7 @@ def _read_section(section: str, text: str, line: int) -> tuple:
     read, repeated, includes, _ = _SECTIONS[section]
     p = _Parser(text, line)
     out: list = []
+    names: set = set()  # what may not repeat, as read so far
     included = False
     while p.peek():
         start = p.pos
@@ -225,9 +226,13 @@ def _read_section(section: str, text: str, line: int) -> tuple:
             out.extend(includes[directive]())
             continue
         item = read(p)
-        if repeated and item in out:
-            raise ScenarioError(
-                f"duplicate {repeated} {item} at line {p.line_at(start)}")
+        if repeated:
+            # an option repeats by its name, whatever its value
+            name = item[0] if section == "options" else item
+            if name in names:
+                raise ScenarioError(
+                    f"duplicate {repeated} {name} at line {p.line_at(start)}")
+            names.add(name)
         out.append(item)
     return tuple(out)
 

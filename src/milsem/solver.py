@@ -43,12 +43,11 @@ A choice point is a record, a tuple: the goal, its bucket, the index of
 the next bucket clause, the tail, the continuation after the goal, the
 budget left for the body, and the trail mark to undo to before the next
 alternative.  Taking an alternative costs one step, whichever it is.  A
-goal whose bucket holds at most one clause and that has no tail pushes
-no record: its one clause, if any, is tried at once, and when its head
-does not unify the search backtracks as from an exhausted choice point.
-Any other choice point is popped as soon as the alternative taken is its
-last, that is when no bucket clause is left and there is no tail, so a
-derivation in which the first argument picks one clause at each step
+selected goal's alternatives are tried at once, and backtracking pops
+the newest record to try its next ones the same way.  One rule keeps the
+stack: a record exists exactly while a taken alternative has another
+left, a bucket clause after it or a tail.  So a deterministic
+derivation, through lone clauses and last clauses of a bucket alike,
 holds no choice point at all.  However a run ends, exhausted, stopped at
 ``max_steps``, closed by its caller or raised out of, it leaves the
 store's bindings and trail as it found them.
@@ -256,6 +255,7 @@ class Resolver:
         # choice points: (goal, bucket, next bucket index, tail, rest,
         # budget for the body, trail mark)
         stack: list[tuple] = []
+        i = 0  # the next bucket index of the goal being tried
         max_steps = self.max_steps
         # the loop check's watched goal, its rest (NO_WATCH while nothing
         # is watched), the stack height and the trail mark when selected
@@ -264,10 +264,10 @@ class Resolver:
         watch_at = self.steps + FIRST_WATCH if loop_check else sys.maxsize
         try:
             while True:
-                body = None  # the renamed body of the clause to enter
                 if cont is None:
                     yield
                     max_steps = self.max_steps  # the caller may have moved it
+                    bucket, tail = (), None  # no alternative: backtrack
                 else:
                     goal, rest = cont
                     if (rest is wrest and self.pairs >= 0
@@ -292,39 +292,22 @@ class Resolver:
                                 cont = rest
                                 budget -= 1
                                 continue
+                        bucket, tail = (), None
                     elif budget >= 1:
                         bucket, tail = source(goal)
-                        if tail is not None or len(bucket) > 1:
-                            stack.append((goal, bucket, 0, tail, rest,
-                                          budget - 1, len(trail)))
-                        elif bucket:
-                            # a lone clause: nothing to come back to
-                            clause = bucket[0]
-                            frame: dict[int, Term] = {}
-                            if store.unify_atoms(clause.head, goal, frame,
-                                                 counter):
-                                body = rename_apart(clause, frame, counter)
-                                budget -= 1
-                    elif not self.tainted:
-                        self.tainted = self._applies(goal, *source(goal))
-                # resume the newest choice point with an alternative left
-                while body is None:
-                    if not stack:
-                        return
-                    goal, bucket, i, tail, rest, budget, mark = stack[-1]
-                    if len(stack) <= wheight:
-                        # backtracking past the watched goal: watch the
-                        # goal resumed instead, as it was when selected
-                        wgoal, wrest, wheight, wmark = (
-                            goal, rest, len(stack) - 1, mark)
-                        self.pairs = MAX_PAIRS
-                    while len(trail) > mark:
-                        del bindings[trail.pop()]
+                        i, budget, mark = 0, budget - 1, len(trail)
+                    else:
+                        if not self.tainted:
+                            self.tainted = self._applies(goal, *source(goal))
+                        bucket, tail = (), None
+                # take the goal's next alternative; with none left, pop
+                # the newest choice point and take its next one instead
+                while True:
                     n = len(bucket)
                     while i < n:
                         clause = bucket[i]
                         i += 1
-                        frame = {}
+                        frame: dict[int, Term] = {}
                         if store.unify_atoms(clause.head, goal, frame,
                                              counter):
                             body = rename_apart(clause, frame, counter)
@@ -332,15 +315,26 @@ class Resolver:
                         while len(trail) > mark:
                             del bindings[trail.pop()]
                     else:
-                        if tail is not None:
-                            body = next(tail, None)
+                        body = next(tail, None) if tail is not None else None
                         if body is None:
-                            stack.pop()
+                            if not stack:
+                                return
+                            goal, bucket, i, tail, rest, budget, mark = (
+                                stack.pop())
+                            if len(stack) < wheight:
+                                # backtracking past the watched goal: watch
+                                # the goal resumed instead, as it was when
+                                # selected
+                                wgoal, wrest, wheight, wmark = (
+                                    goal, rest, len(stack), mark)
+                                self.pairs = MAX_PAIRS
+                            while len(trail) > mark:
+                                del bindings[trail.pop()]
                             continue
                     if i < n or tail is not None:
-                        stack[-1] = (goal, bucket, i, tail, rest, budget, mark)
-                    else:
-                        stack.pop()  # that was the last alternative
+                        stack.append((goal, bucket, i, tail, rest, budget,
+                                      mark))
+                    break
                 steps = self.steps
                 if steps >= max_steps:
                     self.tainted = self.stopped = True

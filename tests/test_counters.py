@@ -95,7 +95,13 @@ def _conformance(kind):
     (lambda capsys: _json(["run", "--depth", "8000", LOOP], capsys),
      (47, 47)),
     (lambda capsys: _conformance("lazy_eager"), (283, 274)),
-], ids=["add_chain", "loop", "conformance_lazy_eager"])
+    # the meta-proof's own tries too: background and adopted clauses and
+    # metarule instance heads, with the candidate checks after each proof
+    (lambda capsys: _json(["learn", "conditionals"], capsys), (7_156, 6_199)),
+    (lambda capsys: _json(["chain", "lazy_eager", "pairs", "lists",
+                           "conditionals"], capsys), (9_421, 8_200)),
+], ids=["add_chain", "loop", "conformance_lazy_eager", "learn_conditionals",
+        "chain"])
 def test_head_unifications(run, tries, capsys, monkeypatch):
     counts = Counter()
     unify_atoms = Store.unify_atoms

@@ -261,6 +261,23 @@ def test_budget_stop_leaves_no_hypothesis_adopted():
     assert engine.adopted and not any(engine.adopted.values())
 
 
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_closing_the_search_leaves_no_hypothesis_adopted(name, k):
+    # closed after its k-th hypothesis (or its last, where it has fewer),
+    # the meta-proof drops every adopted instance, whether its tail waits
+    # on the resolver's stack or was the one being drawn, and the store is
+    # as it was
+    spec = builtin_scenario(name)
+    engine = _Engine(spec, [e.goal for e in spec.positives()])
+    search = engine.hypotheses(range(1, spec.options.max_clauses + 1))
+    assert list(itertools.islice(search, k))
+    search.close()
+    assert engine.hypothesis == engine.invented == {}
+    assert not any(engine.adopted.values())
+    assert engine.store.bindings == {} and engine.store.trail == []
+
+
 def test_meta_prove_runs_under_the_budget():
     spec = _budget(builtin_scenario("pairs"), 20)
     goals = [e.goal for e in spec.positives()]

@@ -124,25 +124,25 @@ def test_apply_metasub_bare_const(value, clause):
 
 def test_enumerate_in_pool_order():
     restr = {}
-    out = list(enumerate_bindings(STEP2L, restr, POOLS))
+    out = list(enumerate_bindings(STEP2L, restr, POOLS, (), None))
     assert [b["H"] for b in out] == [symbol("pair", 2)]  # only arity-2 func
 
 
 def test_enumerate_respects_restriction():
     restr = {"Q": symbol("right", 3)}
-    out = list(enumerate_bindings(UNPACK2, restr, POOLS))
+    out = list(enumerate_bindings(UNPACK2, restr, POOLS, (), None))
     assert out  # P x H x Q combinations survive
     assert all(b["Q"] == symbol("right", 3) for b in out)
 
 
 def test_head_pred_candidates_come_from_head_pool():
-    outs = list(enumerate_bindings(UNPACK2, {}, POOLS))
+    outs = list(enumerate_bindings(UNPACK2, {}, POOLS, (), None))
     assert {b["P"] for b in outs} == {symbol("step", 2)}
     assert {b["Q"] for b in outs} == {symbol("left", 3), symbol("right", 3)}
 
 
 def test_const_candidates_include_ints():
-    outs = list(enumerate_bindings(VALUE0, {}, POOLS))
+    outs = list(enumerate_bindings(VALUE0, {}, POOLS, (), None))
     assert [b["C"] for b in outs] == [symbol("true", 0), 7]
 
 

@@ -170,6 +170,8 @@ SCENARIO_ERRORS = [
      ScenarioError, "max_clauses at line 11 needs a positive integer", None),
     (_HEAD + _EXAMPLE + "%% options\n\n\nspeed(3).\n", ScenarioError,
      "unknown option 'speed' at line 12", None),
+    (_HEAD + _EXAMPLE + "%% options\nmax_clauses(3).\n\nmax_clauses(8).\n",
+     ScenarioError, "duplicate option max_clauses at line 12", None),
     ("%% background\n" + _LIBRARY + "%% head\nstep/2.\n\nstep/2.\n"
      + _EXAMPLE, ScenarioError,
      "duplicate head predicate step/2 at line 7", None),

@@ -496,21 +496,27 @@ def test_run_restores_the_store_with_lone_and_shared_buckets():
 
 
 def test_deterministic_derivation_holds_no_choice_points():
-    # the first argument picks one clause at each of 20,000 steps, so
-    # each goal takes its last alternative and leaves nothing behind
-    p = _program("count(z).\ncount(s(N)) :- count(N).")
+    # at each of 20,000 steps the first argument picks one clause, or a
+    # bucket of two whose first fails on the second argument, so each goal
+    # takes its last alternative and leaves nothing behind
     t = const("z")
     for _ in range(20000):
         t = mk("s", t)
-    goal = Compound(symbol("count", 1), (t,))
-    tracemalloc.start()
-    try:
-        out = solve(p, goal, SolveConfig(depth_limit=30000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.proved and out.steps == 20001
-    assert peak < 1_000_000
+    for text, args in [
+        ("count(z).\ncount(s(N)) :- count(N).", (t,)),
+        ("walk(z,b).\nwalk(s(N),a) :- walk(N,a).\n"
+         "walk(s(N),b) :- walk(N,b).", (t, const("b"))),
+    ]:
+        p = _program(text)
+        goal = Compound(p.clauses[0].head.functor, args)
+        tracemalloc.start()
+        try:
+            out = solve(p, goal, SolveConfig(depth_limit=30000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.proved and out.steps == 20001, text
+        assert peak < 1_000_000, text
 
 
 def test_builtin_clause_clash_rejected():
