@@ -386,14 +386,16 @@ def step_once(t: Term, strategy: str = "lazy") -> Optional[Term]:
 def reference_eval(t: Term,
                    config: OracleConfig = OracleConfig()) -> Union[Term, _Bottom]:
     """Big-step result by iterated small steps: the final value, BOTTOM when
-    fuel runs out, StuckTermError when evaluation wedges."""
+    fuel runs out on a term that can still step, StuckTermError when
+    evaluation wedges, within the fuel or at its end."""
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}")
     chain = eval_chain(t, config)
     last = chain[-1]
     if is_value(last):
         return last
-    if len(chain) > config.fuel:
+    if (len(chain) > config.fuel
+            and step_once(last, config.strategy) is not None):
         return BOTTOM
     raise StuckTermError(print_term(last))
 

@@ -68,7 +68,7 @@ the budget is an instance of a proof of ``q(t, R)`` of the same length,
 so when the search is complete and every answer binds ``R`` to a ground
 term, ``q(t, w)`` is provable exactly when ``w`` is one of them.  So an
 exhaustive search stops, incomplete, at the first answer that still
-holds a variable (a cyclic binding, which `restrict` leaves as a
+holds a variable (a cyclic binding, which `Store.resolve` leaves as a
 variable, among them): such an answer stands for infinitely many ground
 ones and answers no ground question.  An unbound ``R`` prunes no branch
 that a ground ``w`` would, so such a search can also be far larger than
@@ -118,7 +118,6 @@ from .terms import (
     Term,
     Var,
     rename_apart,
-    restrict,
     term_vars,
 )
 
@@ -429,13 +428,15 @@ def solve(program: Program, query: Compound,
     qvars = term_vars(query)
     # renamed clause variables must not collide with negative query ids
     resolver = Resolver(builtins, FreshVars(start=-min([0, *qvars])))
+    store = resolver.store
     answers: list[Subst] = []
     limit = config.max_solutions
     for _ in resolver.run([query], config.depth_limit,
                           resolver.program_source(program), loop_check=True):
         if not answers and config.step_ratio is not None:
             resolver.max_steps = config.step_ratio * resolver.steps
-        answer = restrict(resolver.store.bindings, qvars)
+        answer = {vid: store.resolve(Var(vid)) for vid in qvars
+                  if vid in store.bindings}
         answers.append(answer)
         if (len(answers) >= limit if limit is not None
                 else (len(answer) < len(qvars)

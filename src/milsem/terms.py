@@ -44,17 +44,17 @@ Every clause `select` gives is still tried through `Store.unify_atoms`.
 
 The search engines bind variables destructively through a `Store` and
 undo on backtracking with its trail, instead of copying substitution dicts.
-Stored bindings may contain chains (X -> Y, Y -> t); `Store.resolve` and
-`restrict` follow them fully, building a copy of every compound they
-pass.  Unification does not occurs-check, so a binding like X -> f(X) can
-exist in a store; deep resolution guards against looping on such bindings
-by leaving the offending variable in place, and `Store.unify` unifies two
-such terms as rational trees, visiting each pair of compounds it reaches
-through a binding once.  `Store.resolve_ground` is the deep dereference
-for a term that should be ground, as a builtin's input must be: it walks
-the term once, shares each subterm that no binding changes instead of
-copying it, and gives None at the first unbound or cyclic variable, where
-`resolve` would have left a variable in its result.
+Stored bindings may contain chains (X -> Y, Y -> t); `Store.resolve`, the
+one deep dereference, follows a chain in a loop, recurses only into
+compound arguments, and shares each subterm that no binding changes
+instead of copying it.  Unification does not occurs-check, so a binding
+like X -> f(X) can exist in a store; `resolve` guards against looping on
+such bindings by leaving the offending variable in place, as it leaves an
+unbound one, and `Store.unify` unifies two such terms as rational trees,
+visiting each pair of compounds it reaches through a binding once.
+`Store.resolve_ground` is the same walk for a term that should be ground,
+as a builtin's input must be: it gives None where `resolve` leaves a
+variable.
 """
 
 from __future__ import annotations
@@ -282,16 +282,17 @@ class Store:
         return t
 
     def resolve(self, t: Term) -> Term:
-        """Deep dereference.  Cyclic bindings (unification has no occurs
-        check) are tolerated: the looping variable is left in place."""
-        return _resolve(self.bindings, t, ())
+        """Deep dereference, sharing each subterm that no binding changes.
+        Cyclic bindings (unification has no occurs check) are tolerated:
+        the looping variable is left in place."""
+        return _resolve(self.bindings, t, [], [])
 
     def resolve_ground(self, t: Term) -> Optional[Term]:
         """`resolve` for a term that should be ground: its value when that
-        holds no variable, else None, at the first unbound or cyclic
-        variable met.  A subterm that no binding changes is shared, not
-        copied."""
-        return _ground(self.bindings, t, set())
+        holds no variable, else None."""
+        left: list[Var] = []
+        t = _resolve(self.bindings, t, [], left)
+        return None if left else t
 
     def unify(self, a: Term, b: Term) -> bool:
         bindings, trail = self.bindings, self.trail
@@ -405,57 +406,44 @@ class Store:
                 i, end, step = len(hargs) - 1, -1, -1
 
 
-def _resolve(bindings: Mapping[int, Term], t: Term, path: tuple[int, ...]) -> Term:
-    while isinstance(t, Var):
-        if t.id in path:
-            return t  # cyclic binding, leave the variable
-        nxt = bindings.get(t.id)
-        if nxt is None:
-            return t
-        path = path + (t.id,)
-        t = nxt
-    if isinstance(t, Compound) and t.args:
-        return Compound(t.functor, tuple(_resolve(bindings, a, path) for a in t.args))
-    return t
-
-
-def _ground(bindings: Mapping[int, Term], t: Term,
-            path: set[int]) -> Optional[Term]:
-    """`Store.resolve_ground` below the variables in ``path``, those whose
-    values are being resolved."""
-    if type(t) is Var:
+def _resolve(bindings: Mapping[int, Term], t: Term, path: list[int],
+             left: list[Var]) -> Term:
+    """`Store.resolve` below the variables in ``path``, those whose values
+    are being resolved, with each unbound or cyclic variable it leaves in
+    place appended to ``left``.  Only a compound argument recurses."""
+    n = 0  # the ids this call put on ``path``
+    while type(t) is Var:
         vid = t.id
         nxt = bindings.get(vid)
         if nxt is None or vid in path:
-            return None
-        path.add(vid)
-        t = _ground(bindings, nxt, path)
-        path.discard(vid)
-        return t
-    if type(t) is not Compound:
-        return t
-    args = t.args
-    new = None  # the resolved arguments, once one differs
-    for i, a in enumerate(args):
-        kind = type(a)
-        if kind is Int or kind is Compound and not a.args:
-            continue
-        r = _ground(bindings, a, path)
-        if r is None:
-            return None
-        if r is not a:
-            if new is None:
-                new = list(args)
-            new[i] = r
-    return t if new is None else Compound(t.functor, tuple(new))
+            if n:
+                del path[-n:]
+            left.append(t)
+            return t
+        t = nxt
+        if type(t) is not Int:  # an Int holds no variable to meet again
+            path.append(vid)
+            n += 1
+    if type(t) is Compound:
+        args = t.args
+        new = None  # the resolved arguments, once one differs
+        for i, a in enumerate(args):
+            kind = type(a)
+            if kind is Int or kind is Compound and not a.args:
+                continue
+            r = _resolve(bindings, a, path, left)
+            if r is not a:
+                if new is None:
+                    new = list(args)
+                new[i] = r
+        if new is not None:
+            t = Compound(t.functor, tuple(new))
+    if n:
+        del path[-n:]
+    return t
 
 
 Subst = dict[int, Term]
-
-
-def restrict(s: Mapping[int, Term], vids: Iterable[int]) -> Subst:
-    """The substitution narrowed to the given variables, fully resolved."""
-    return {vid: _resolve(s, Var(vid), ()) for vid in vids if vid in s}
 
 
 # ------------------------------------------------------------

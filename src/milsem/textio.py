@@ -186,6 +186,26 @@ class _Parser:
         self.pos += 1
         return t
 
+    def integer(self, what: str = "") -> int:
+        """The next token, which must be an integer, as an int; ``what``
+        names it in the error when it is not one.  One with more digits
+        than `int` converts is an error too."""
+        t = self.expect("0", what)
+        try:
+            return int(t)
+        except ValueError:
+            raise self.error_at(self.pos - 1,
+                                "integer too long to read") from None
+
+    def arity(self) -> int:
+        """The next token, which must be an arity: an integer of 0 or
+        more."""
+        n = self.integer("an arity")
+        if n < 0:
+            self.pos -= 1
+            raise self.found(("an arity",))
+        return n
+
     def accept(self, tok: str) -> bool:
         if self.toks[self.pos] == tok:
             self.pos += 1
@@ -215,8 +235,7 @@ class _Parser:
             self.pos += 1
             return self.fresh() if t == "_" else var(t)
         if kind == "0":
-            self.pos += 1
-            return Int(int(t))
+            return Int(self.integer())
         raise self.found(("a term",))
 
     def literal(self) -> Compound:
@@ -240,9 +259,9 @@ class _Parser:
     def symbol_decl(self) -> Symbol:
         name = self.expect("a", "a symbol name")
         self.expect("/")
-        arity = self.expect("0", "an arity")
+        arity = self.arity()
         self.expect(".")
-        return symbol(name, int(arity))
+        return symbol(name, arity)
 
     # ---- metarules ----
 
@@ -294,7 +313,7 @@ class _Parser:
         name = self.expect("A", "a metavariable name")
         arity = -1  # inferred from use
         if self.accept("/"):
-            arity = int(self.expect("0", "an arity"))
+            arity = self.arity()
         self.expect(")")
         if kind == CONST:
             arity = 0
@@ -337,8 +356,7 @@ class _Parser:
                 return MetaVar(t)
             return self.fresh() if t == "_" else var(t)
         if kind == "0":
-            self.pos += 1
-            return Int(int(t))
+            return Int(self.integer())
         raise self.found(("a template term",))
 
     def end(self) -> None:

@@ -639,6 +639,17 @@ def test_check_corpus_parse_error_names_its_line(tmp_path, capsys):
     assert "at line 3, column 6" in capsys.readouterr().err
 
 
+def test_check_term_stuck_at_the_fuel_boundary_is_stuck(tmp_path, capsys):
+    # one step to fst(lit(1)), which no rule steps: stuck, not diverging,
+    # even when that step spends the last unit of fuel
+    corpus = tmp_path / "stuck.terms"
+    corpus.write_text("app(lam(x,fst(var(x))),lit(1))\n")
+    for fuel in ("1", "2"):
+        assert main(["check", str(CHAIN_PL), str(corpus),
+                     "--fuel", fuel]) == 0
+    assert "diverges" not in capsys.readouterr().out
+
+
 def test_check_unknown_corpus_exits_2(capsys):
     assert main(["check", "nope.pl", "pairs"]) == 2
     assert main(["learn", "pairs", "--json"]) == 0  # driver still healthy
@@ -690,6 +701,12 @@ def test_run_non_decimal_digit_exits_2(capsys):
     assert main(["run", "lit(²)"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: term: unexpected character '²'")
+
+
+def test_run_integer_too_long_to_convert_exits_2(capsys):
+    assert main(["run", "lit(" + "1" * 5000 + ")"]) == 2
+    assert capsys.readouterr().err == (
+        "error: term: integer too long to read at line 1, column 5\n")
 
 
 def test_run_decimal_digits_of_any_script_are_integers(capsys):

@@ -417,17 +417,20 @@ def test_reference_eval_at_the_fuel_boundary(strategy):
     two_steps = "add(add(lit(1),lit(2)),lit(3))"
     assert at(two_steps, 2) == parse_term("lit(6)")
     assert at(two_steps, 1) is BOTTOM
-    # one step, then stuck: the last unit finds no rule, and without it
-    # the fuel runs out first
+    # one step, then stuck: stuck whether the last unit finds no rule or
+    # the fuel runs out on the stuck term, which no rule can step
     stuck = "app(lam(x,fst(var(x))),lit(1))"
-    with pytest.raises(StuckTermError, match=r"^fst\(lit\(1\)\)$"):
-        at(stuck, 2)
-    assert at(stuck, 1) is BOTTOM
-    # fuel running out on a divergent term, and a value at no fuel
+    for fuel in (2, 1):
+        with pytest.raises(StuckTermError, match=r"^fst\(lit\(1\)\)$"):
+            at(stuck, fuel)
+    # fuel running out on a divergent term, a value at no fuel, and a
+    # term that can step or is stuck at no fuel
     assert at("app(lam(x,app(var(x),var(x))),lam(x,app(var(x),var(x))))",
               3) is BOTTOM
     assert at("lit(1)", 0) == parse_term("lit(1)")
-    assert at("fst(lit(1))", 0) is BOTTOM
+    assert at(two_steps, 0) is BOTTOM
+    with pytest.raises(StuckTermError, match=r"^fst\(lit\(1\)\)$"):
+        at("fst(lit(1))", 0)
 
 
 def test_eval_chain():
@@ -560,7 +563,7 @@ def ref_outcome(t, strategy, fuel):
         left -= 1
     if ref_is_value(chain[-1]):
         return chain[-1]
-    if len(chain) > fuel:
+    if len(chain) > fuel and ref_step_once(chain[-1], strategy) is not None:
         return BOTTOM
     return "stuck", print_term(chain[-1])
 

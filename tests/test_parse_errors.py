@@ -15,6 +15,7 @@ from milsem.scenario import (
     builtin_scenario_names,
     parse_scenario,
 )
+from milsem.terms import Int
 from milsem.textio import (
     ParseError,
     data_dir,
@@ -39,6 +40,9 @@ TERM_ERRORS = [
     ("f(a,\n  %c\n", "unexpected end of input", 3, 1, ("a term",)),
     ("a²(b) ½", "unexpected character '½'", 1, 7, ()),
     ("\tf(a, %c\n\r  b", "unexpected end of input", 2, 5, (")",)),
+    # more digits than int() converts (4,300 since CPython 3.10.7)
+    pytest.param(("lit(" + "1" * 5000 + ")", "integer too long to read", 1, 5,
+                  ()), id="integer of 5,000 digits"),
 ]
 
 CLAUSE_ERRORS = [
@@ -62,6 +66,8 @@ METARULE_ERRORS = [
     ("rule(m).", "found 'rule'", 1, 1, ("metarule",)),
     ("metarule(m, [func(H/x)], ([step,A] :- [])).", "found 'x'", 1, 21,
      ("an arity",)),
+    ("metarule(m, [func(H/-2)], ([step,[H,A,B],C] :- [])).", "found '-2'", 1,
+     21, ("an arity",)),
     ("metarule(m, [], ([step,[f,A]] :- [[step, ²]])).",
      "unexpected character '²'", 1, 42, ()),
     ("metarule(m, [func(H/2)], ([step,A,B] :- [])).",
@@ -91,6 +97,9 @@ CORPUS_ERRORS = [
     ("\xa0\nlit(1)", "unexpected character '\\xa0'", 1, 1, ()),
     ("\x1f% c\nlit(1)", "unexpected character '\\x1f'", 1, 1, ()),
     ("\xa0lit(1)", "unexpected character '\\xa0'", 1, 1, ()),
+    pytest.param(("lit(1)\nlit(-" + "1" * 4301 + ")",
+                  "integer too long to read", 2, 5, ()),
+                 id="integer of 4,301 digits"),
 ]
 
 
@@ -140,6 +149,7 @@ def test_corpus_line_ends(text, terms):
 def test_terms_that_parse():
     assert parse_term("Ωx") == parse_term("Ωx.")
     assert parse_term("f(a) %c") == parse_term("f(a)")
+    assert parse_term("-" + "9" * 4300) == Int(-int("9" * 4300))
 
 
 # ---- scenario files ----
@@ -154,6 +164,12 @@ SCENARIO_ERRORS = [
      + "%% head\nstep/2.\n" + _EXAMPLE, ScenarioError,
      "include(core(x)). at line 4: the background section takes only "
      "include(core(full)), include(core(lazy)), include(core(eager))", None),
+    # an arity is an integer of 0 or more
+    ("%% background\n" + _LIBRARY + "%% head\nstep/2.\nfoo/-1.\n" + _EXAMPLE,
+     ParseError, "found '-1' at line 6, column 5 (expected an arity)",
+     (6, 5)),
+    (_HEAD + "%% functions\nbar/-3.\n" + _EXAMPLE, ParseError,
+     "found '-3' at line 8, column 5 (expected an arity)", (8, 5)),
     ("%% background\n%% metarules\n\ninclude(core(full)).\n%% head\n"
      "step/2.\n" + _EXAMPLE, ScenarioError,
      "include(core(full)). at line 4: the metarules section takes only "

@@ -22,7 +22,6 @@ from milsem.terms import (
     mk,
     rename_apart,
     rename_term,
-    restrict,
     symbol,
     term_vars,
     var,
@@ -264,12 +263,11 @@ def test_store_nested_marks():
     assert store.walk(var("N1")) == var("N1")
 
 
-def test_restrict_resolves_chains():
+def test_resolve_follows_chains():
     store = Store()
     assert store.unify(var("C1"), var("C2"))
     assert store.unify(var("C2"), Int(9))
-    out = restrict(store.bindings, [var("C1").id])
-    assert out == {var("C1").id: Int(9)}
+    assert store.resolve(var("C1")) == Int(9)
 
 
 # ---- renaming ----
@@ -612,6 +610,24 @@ _store_terms = _compounds(st.one_of(
     st.sampled_from(["a", "b"]).map(const)))
 
 
+def _ref_resolve(bindings, t, path):
+    """The copying deep dereference `Store.resolve` replaced, kept as its
+    oracle: ``path`` holds the variables whose values are being
+    resolved."""
+    while isinstance(t, Var):
+        if t.id in path:
+            return t  # cyclic binding, leave the variable
+        nxt = bindings.get(t.id)
+        if nxt is None:
+            return t
+        path = path + (t.id,)
+        t = nxt
+    if isinstance(t, Compound) and t.args:
+        return Compound(t.functor,
+                        tuple(_ref_resolve(bindings, a, path) for a in t.args))
+    return t
+
+
 @given(st.dictionaries(st.sampled_from([v.id for v in _STORE_VARS]),
                        _store_terms, max_size=4),
        _store_terms)
@@ -620,15 +636,29 @@ def test_resolve_ground_is_resolve_of_a_ground_value(bindings, t):
     for vid, value in bindings.items():
         store.bindings[vid] = value
         store.trail.append(vid)
-    ref = store.resolve(t)
+    ref = _ref_resolve(store.bindings, t, ())
     got = store.resolve_ground(t)
     event(f"ground: {got is not None}, cyclic: {_cyclic(store)}")
+    assert store.resolve(t) == ref
     if term_vars(ref):
         assert got is None
     else:
         assert got == ref
-    if not term_vars(t):
-        assert got is t  # nothing to resolve: shared, not copied
+    if not set(term_vars(t)) & store.bindings.keys():
+        # nothing to resolve: shared, not copied
+        assert store.resolve(t) is t
+        assert got is None or got is t
+
+
+def test_resolve_follows_a_chain_longer_than_the_recursion_limit():
+    store, n = Store(), 5000
+    for i in range(1, n):
+        store.bindings[-i] = Var(-i - 1)
+        store.trail.append(-i)
+    store.bindings[-n] = Int(7)
+    store.trail.append(-n)
+    assert store.resolve(Var(-1)) == Int(7)
+    assert store.resolve_ground(Var(-1)) == Int(7)
 
 
 # ---- program indexing ----
