@@ -34,6 +34,7 @@ from .solver import DEFAULT_DEPTH, BuiltinError, SolveConfig, Verdict, solve
 from .terms import Clause, Compound, FreshVars, Program, mk, rename_term
 from .textio import (
     ParseError,
+    PrintError,
     parse_clauses,
     parse_term,
     print_clause,
@@ -355,8 +356,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if payload is not None:
             _emit_json({**payload, "command": args.command, "exit": code})
         return code
-    except (CliError, ScenarioError, ParseError, BuiltinError, OSError,
-            RecursionError) as exc:
+    except (CliError, ScenarioError, ParseError, PrintError, BuiltinError,
+            OSError, RecursionError) as exc:
         if isinstance(exc, RecursionError):
             exc = "a term is nested too deeply for the recursion limit"
         print(f"error: {exc}", file=sys.stderr)

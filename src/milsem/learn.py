@@ -326,18 +326,14 @@ class _Engine:
 
     def _metarules(self, pred: Symbol,
                    key: object) -> tuple[tuple[int, Metarule], ...]:
-        """The metarules, in spec order and with their positions, whose head
-        is ``pred`` or a predicate metavariable of its arity, and whose
-        first head argument fits a goal argument with index key ``key``:
-        the only ones `match_head` can lay over such a goal."""
+        """The metarules, in spec order and with their positions, that
+        `fits_key` lays over a goal of ``pred`` whose first argument has
+        index key ``key``: the only ones `match_head` can apply."""
         rules = self.by_key.get((pred, key))
         if rules is None:
             rules = self.by_key[pred, key] = tuple(
                 (i, m) for i, m in enumerate(self.spec.metarules)
-                if (m.head.functor is pred
-                    or (m.head_pred_meta is not None
-                        and len(m.head.args) == pred.arity))
-                and (key is None or fits_key(m.head.args[0], key)))
+                if fits_key(m, pred, key))
         return rules
 
     def _instances(self, goal: Compound, rules: Sequence[tuple[int, Metarule]],

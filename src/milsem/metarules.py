@@ -17,8 +17,10 @@ Metavariables are declared alongside the template with a kind and arity:
 * ``const(C)``   an arity-0 symbol or an integer literal.
 
 Instantiation is goal-directed.  `match_head` lays the head template over
-the current goal, which pins down most metavariables (a function
-metavariable over a goal subterm ``pair(a,b)`` can only become ``pair``).
+the current goal with the same walk as every template term, a bare
+``const`` metavariable ``C`` read as ``[C]``; that pins down most
+metavariables (a function metavariable over a goal subterm ``pair(a,b)``
+can only become ``pair``).
 `enumerate_bindings` then fills in whatever is left from the pools, in
 pool order, and `apply_metasub` builds the clause.  The learner's clause
 source keeps only instantiations whose head unifies with the goal.
@@ -109,20 +111,18 @@ class Metarule:
                     f"and as {kind}/{arity}")
             usage[mv.name] = (kind, arity)
 
-        def walk_term(t: TTerm) -> None:
+        def walk(t: TTerm, kind: str) -> None:
+            # a metavariable functor is a PRED in a literal, a FUNC below
             if isinstance(t, MetaVar):
                 see(t, CONST, 0)
             elif isinstance(t, TComp):
                 if isinstance(t.functor, MetaVar):
-                    see(t.functor, FUNC, len(t.args))
+                    see(t.functor, kind, len(t.args))
                 for a in t.args:
-                    walk_term(a)
+                    walk(a, FUNC)
 
         for a in (head, *self.body):
-            if isinstance(a.functor, MetaVar):
-                see(a.functor, PRED, len(a.args))
-            for t in a.args:
-                walk_term(t)
+            walk(a, PRED)
 
         resolved: list[Decl] = []
         for d in decls:
@@ -174,9 +174,10 @@ def _restrict(restr: dict[str, Binding], name: str, value: Binding) -> bool:
 
 
 def _match_term(tt: TTerm, g: Term, store: Store, restr: dict[str, Binding]) -> bool:
-    """Pin metavariables by laying the template over the goal term.
-    Conservative: unconstrained where the goal is a variable; the final
-    head unification is still authoritative."""
+    """Pin metavariables by laying the template over the goal term, a bare
+    const metavariable ``C`` read as ``[C]``.  Conservative: unconstrained
+    where the goal is a variable; the final head unification is still
+    authoritative."""
     g = store.walk(g)
     if isinstance(tt, Var):
         return True
@@ -184,66 +185,48 @@ def _match_term(tt: TTerm, g: Term, store: Store, restr: dict[str, Binding]) -> 
         return True  # goal open here, nothing to pin down
     if isinstance(tt, Int):
         return isinstance(g, Int) and g.value == tt.value
-    if isinstance(tt, MetaVar):  # bare const position
-        if isinstance(g, Int):
-            return _restrict(restr, tt.name, g.value)
-        if isinstance(g, Compound) and not g.args:
-            return _restrict(restr, tt.name, g.functor)
-        return False
-    assert isinstance(tt, TComp)
-    f = tt.functor
+    f, targs = (tt, ()) if isinstance(tt, MetaVar) else tt
     if isinstance(f, MetaVar):
-        if isinstance(g, Int) and not tt.args:
+        if isinstance(g, Int) and not targs:
             return _restrict(restr, f.name, g.value)
-        if not isinstance(g, Compound) or len(g.args) != len(tt.args):
+        if not isinstance(g, Compound) or len(g.args) != len(targs):
             return False
         if not _restrict(restr, f.name, g.functor):
             return False
-        return all(_match_term(a, b, store, restr) for a, b in zip(tt.args, g.args))
-    if not isinstance(g, Compound) or g.functor is not f:
+    elif not isinstance(g, Compound) or g.functor is not f:
         return False
-    return all(_match_term(a, b, store, restr) for a, b in zip(tt.args, g.args))
+    for a, b in zip(targs, g.args):
+        if not _match_term(a, b, store, restr):
+            return False
+    return True
 
 
 def match_head(m: Metarule, goal: Compound,
                store: Store) -> Optional[dict[str, Binding]]:
-    """The metavariables that matching the head template against the goal
-    pins, with their values, or None when the metarule cannot apply to
-    this goal at all."""
+    """The metavariables that laying the head template over the goal pins,
+    with their values, or None when the metarule cannot apply to this goal
+    at all."""
     restr: dict[str, Binding] = {}
-    head = m.head
-    if isinstance(head.functor, MetaVar):
-        restr[head.functor.name] = goal.functor
-    elif head.functor is not goal.functor:
-        return None
-    if len(head.args) != len(goal.args):
-        return None
-    for tt, g in zip(head.args, goal.args):
-        if not _match_term(tt, g, store, restr):
-            return None
-    return restr
+    return restr if _match_term(m.head, goal, store, restr) else None
 
 
-def fits_key(tt: TTerm, key: Binding) -> bool:
-    """Whether `match_head` can lay a head template argument over a goal
-    argument whose index key is ``key``: whether it lies over a term of
-    that key whose own arguments are unbound."""
-    probe = (Int(key) if type(key) is int
-             else Compound(key, (Var(0),) * key.arity))
-    return _match_term(tt, probe, Store(), {})
+def fits_key(m: Metarule, pred: Symbol, key: object) -> bool:
+    """Whether `match_head` can lay the head of ``m`` over a goal of
+    ``pred`` whose first argument has index key ``key`` (None when it is
+    unbound or absent): over such a goal with every other argument, and
+    the first argument's own arguments, unbound."""
+    args = [Var(0)] * pred.arity
+    if key is not None:
+        args[0] = (Int(key) if type(key) is int
+                   else Compound(key, (Var(0),) * key.arity))
+    return _match_term(m.head, Compound(pred, tuple(args)), Store(), {})
 
 
 def _inst_term(t: TTerm, b: Mapping[str, Binding]) -> Term:
     if isinstance(t, (Var, Int)):
         return t
-    if isinstance(t, MetaVar):
-        v = b[t.name]
-        if isinstance(v, int):
-            return Int(v)
-        return Compound(v, ())
-    assert isinstance(t, TComp)
-    args = tuple(_inst_term(a, b) for a in t.args)
-    f = t.functor
+    f, targs = (t, ()) if isinstance(t, MetaVar) else t
+    args = tuple(_inst_term(a, b) for a in targs)
     if isinstance(f, MetaVar):
         v = b[f.name]
         if isinstance(v, int):

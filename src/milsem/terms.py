@@ -285,13 +285,13 @@ class Store:
         """Deep dereference, sharing each subterm that no binding changes.
         Cyclic bindings (unification has no occurs check) are tolerated:
         the looping variable is left in place."""
-        return _resolve(self.bindings, t, [], [])
+        return _resolve(self.bindings, t, {}, [])
 
     def resolve_ground(self, t: Term) -> Optional[Term]:
         """`resolve` for a term that should be ground: its value when that
         holds no variable, else None."""
         left: list[Var] = []
-        t = _resolve(self.bindings, t, [], left)
+        t = _resolve(self.bindings, t, {}, left)
         return None if left else t
 
     def unify(self, a: Term, b: Term) -> bool:
@@ -406,23 +406,23 @@ class Store:
                 i, end, step = len(hargs) - 1, -1, -1
 
 
-def _resolve(bindings: Mapping[int, Term], t: Term, path: list[int],
+def _resolve(bindings: Mapping[int, Term], t: Term, path: dict[int, None],
              left: list[Var]) -> Term:
     """`Store.resolve` below the variables in ``path``, those whose values
     are being resolved, with each unbound or cyclic variable it leaves in
-    place appended to ``left``.  Only a compound argument recurses."""
+    place appended to ``left``.  Only a compound argument recurses.
+    ``path`` is a stack with constant-time membership: a dict whose keys
+    are pushed in order and popped from its end."""
     n = 0  # the ids this call put on ``path``
     while type(t) is Var:
         vid = t.id
         nxt = bindings.get(vid)
         if nxt is None or vid in path:
-            if n:
-                del path[-n:]
             left.append(t)
-            return t
+            break
         t = nxt
         if type(t) is not Int:  # an Int holds no variable to meet again
-            path.append(vid)
+            path[vid] = None
             n += 1
     if type(t) is Compound:
         args = t.args
@@ -439,7 +439,8 @@ def _resolve(bindings: Mapping[int, Term], t: Term, path: list[int],
         if new is not None:
             t = Compound(t.functor, tuple(new))
     if n:
-        del path[-n:]
+        for _ in range(n):
+            path.popitem()
     return t
 
 

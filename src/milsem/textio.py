@@ -41,6 +41,7 @@ parsing.  Variables minted by renaming print as ``_v<n>``.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Optional, Union
 
 from .metarules import (
@@ -433,11 +434,21 @@ def data_dir(folder: str):
 # ============================================================
 
 
+class PrintError(ValueError):
+    """A term that cannot be printed: it holds an integer with more digits
+    than Python converts to a string."""
+
+
 def print_term(t: Term) -> str:
     if isinstance(t, Var):
         return var_name(t)
     if isinstance(t, Int):
-        return str(t.value)
+        try:
+            return str(t.value)
+        except ValueError:
+            raise PrintError(
+                f"a value holds an integer too long to print (over "
+                f"{sys.get_int_max_str_digits()} digits)") from None
     if not t.args:
         return t.functor.name
     return t.functor.name + "(" + ",".join(print_term(a) for a in t.args) + ")"

@@ -709,6 +709,31 @@ def test_run_integer_too_long_to_convert_exits_2(capsys):
         "error: term: integer too long to read at line 1, column 5\n")
 
 
+# the sum of two legal 4,300-digit literals has 4,301 digits, more than
+# `int` converts to a string
+NINES = "9" * 4300
+LONG_SUM = f"add(lit({NINES}),lit({NINES}))"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_run_value_too_long_to_print_exits_2(capsys, flags):
+    assert main(["run", LONG_SUM, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a value holds an integer too long to print "
+                   "(over 4300 digits)\n")
+
+
+def test_check_of_a_value_too_long_to_print_still_passes(tmp_path, capsys):
+    # nothing prints the sum when the rules agree with the interpreter
+    rules = tmp_path / "rules.pl"
+    rules.write_text("value(nil).\n")
+    corpus = tmp_path / "long.terms"
+    corpus.write_text(LONG_SUM + "\n")
+    assert main(["check", str(rules), str(corpus), "--base", "full"]) == 0
+    capsys.readouterr()
+
+
 def test_run_decimal_digits_of_any_script_are_integers(capsys):
     assert main(["run", "lit(٣)"]) == 0
     assert capsys.readouterr().out == "lit(3)\n"

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -659,6 +660,20 @@ def test_resolve_follows_a_chain_longer_than_the_recursion_limit():
     store.trail.append(-n)
     assert store.resolve(Var(-1)) == Int(7)
     assert store.resolve_ground(Var(-1)) == Int(7)
+
+
+
+def test_resolve_follows_a_long_chain_in_linear_time():
+    # the cycle test is a constant-time lookup per link: a quadratic one
+    # takes about 13 s for these 50,000 links on CPython 3.11
+    store, n = Store(), 50_000
+    for i in range(1, n):
+        store.bindings[-i] = Var(-i - 1)
+    store.bindings[-n] = Int(7)
+    start = time.perf_counter()
+    assert store.resolve(Var(-1)) == Int(7)
+    assert store.resolve_ground(Var(-1)) == Int(7)
+    assert time.perf_counter() - start < 2.0
 
 
 # ---- program indexing ----
