@@ -36,7 +36,7 @@ carry over from cap to cap.  Each example is proved under a fresh depth
 budget.  The engine also keeps the metarule instances it builds, keyed by
 metarule, the metavariables the goal pins, the invented predicates and the
 tentative name for the next one, so a goal met again, at this cap or a
-later one, reuses them, each with the index entry and the invented
+later one, reuses them, each with its head key and the invented
 predicates its adoption needs; the memo is the engine's, so each call
 starts empty and frees it on return.
 The meta-proof is the solver's resolution with a different clause
@@ -100,11 +100,9 @@ from .terms import (
     Clause,
     Compound,
     FreshVars,
-    IndexEntry,
     Program,
     Symbol,
     Term,
-    index_entry,
     index_key,
     rename_apart,
     rename_term,
@@ -115,9 +113,10 @@ Trace = Optional[Callable[[str], None]]
 
 _INVENTED = re.compile(r"^pred_(\d+)$")
 
-# a metarule instance as the engine's memo keeps it: its metasub, its
-# clause, the clause's index entry and the invented predicates it introduces
-Instance = tuple[Metasub, Clause, IndexEntry, tuple[Symbol, ...]]
+# a metarule instance as the engine's memo and adopted lists keep it: its
+# metasub, its clause, the `index_key` of the clause head's first argument
+# (None where the head has none) and the invented predicates it introduces
+Instance = tuple[Metasub, Clause, object, tuple[Symbol, ...]]
 
 
 class Hypothesis(NamedTuple):
@@ -195,20 +194,20 @@ def _core(bk: Sequence[Clause], candidate: Hypothesis, example: Example,
           ) -> tuple[list[tuple[Metasub, Clause]], Outcome]:
     """A subset of a candidate that an example still rejects monotonely,
     and the outcome that rejects it, found by dropping each clause in turn
-    for good when the rest are still so rejected.  A candidate rejected by
+    for good when the rest still get the candidate's verdict or a proof:
+    for a monotone rejection, a rejection again.  A candidate rejected by
     a proof keeps only subsets that are still proved, so its core holds at
     every depth bound rather than being one the bound merely cut.  By
     monotonicity no single clause of the result can be dropped: a subset
     of a set that escaped the rejection escapes it too."""
-    proved = out.verdict is Verdict.PROVED
+    keep = (out.verdict, Verdict.PROVED)
     core = list(zip(candidate.metasubs, candidate.clauses))
     for pair in list(core):
         rest = [p for p in core if p is not pair]
         program = Program(tuple(bk) + tuple(c for _, c in rest))
         _, rest_out = check_example(program, example, depth_limit=depth_limit,
                                     builtins=builtins)
-        if (rest_out.verdict is Verdict.PROVED if proved
-                else _monotone(example, rest_out)):
+        if rest_out.verdict in keep:
             core, out = rest, rest_out
     return core, out
 
@@ -220,14 +219,15 @@ def _core(bk: Sequence[Clause], candidate: Hypothesis, example: Example,
 
 def _instance(m: Metarule, binding: dict[str, Binding],
               tentative: Optional[str]) -> Instance:
-    """The instance of a metarule under a full binding, with the invented
-    predicates it introduces: those named ``tentative``."""
-    msub = Metasub(m.name, tuple((d.name, binding[d.name]) for d in m.decls))
+    """The instance of a metarule under a full binding, given in
+    declaration order, with the invented predicates it introduces: those
+    named ``tentative``."""
     clause = apply_metasub(m, binding)
     new_preds = tuple(dict.fromkeys(
-        b for _n, b in msub.bindings
+        b for b in binding.values()
         if isinstance(b, Symbol) and b.name == tentative))
-    return msub, clause, index_entry(clause), new_preds
+    key = index_key(clause.head.args[0]) if clause.head.args else None
+    return Metasub(m.name, tuple(binding.items())), clause, key, new_preds
 
 
 class _Engine:
@@ -236,7 +236,8 @@ class _Engine:
 
     Its clause source's tail is None where no metarule's head fits the
     goal's predicate and first argument, so such a goal builds no
-    generator; the instances in its memo carry their adoption data."""
+    generator; the instances in its memo carry their adoption data, and
+    its adopted lists hold those same records."""
 
     __slots__ = ("spec", "resolver", "store", "background",
                  "pools", "head_preds", "goals", "trace",
@@ -259,8 +260,8 @@ class _Engine:
         self.trace = trace
         self.size_cap = 0
         self.hypothesis: dict[Metasub, Clause] = {}
-        # index entries of the adopted clauses, by head predicate
-        self.adopted: dict[Symbol, list[IndexEntry]] = {}
+        # the adopted instances, by head predicate
+        self.adopted: dict[Symbol, list[Instance]] = {}
         self.invented: dict[Symbol, None] = {}
         self.invent_from = invented_base(spec.bk)
         # metasub -> the rest of each core holding it
@@ -278,32 +279,6 @@ class _Engine:
         # `enumerate_bindings` gives for them
         self.memo: dict[tuple, list[Instance]] = {}
 
-    # ---- bookkeeping ----
-
-    def _adopt(self, msub: Metasub, clause: Clause, entry: IndexEntry,
-               new_preds: tuple[Symbol, ...],
-               frame: dict[int, Term]) -> Iterator[Sequence[Compound]]:
-        """The renamed body of a metarule instance whose head unified with
-        the goal, the instance adopted into the hypothesis while the body
-        is being proved."""
-        self.stats.metasubs_tried += 1
-        self.hypothesis[msub] = clause
-        adopted = self.adopted.setdefault(clause.head.functor, [])
-        adopted.append(entry)
-        self.invented.update(dict.fromkeys(new_preds))
-        if self.trace:
-            self.trace("  + " + print_clause(clause))
-        try:
-            yield rename_apart(clause, frame, self.resolver.counter)
-            if self.trace:
-                self.trace("  - backtrack")
-        finally:
-            # also when the search is abandoned inside the body
-            self.hypothesis.popitem()
-            adopted.pop()
-            for p in new_preds:
-                del self.invented[p]
-
     # ---- the clause source ----
 
     def clauses(self, goal: Compound) -> tuple[Sequence[Clause], Tail]:
@@ -319,7 +294,7 @@ class _Engine:
             return bucket, None
         key = index_key(self.store.walk(goal.args[0])) if goal.args else None
         if adopted:
-            bucket = bucket + tuple([c for c, k in adopted
+            bucket = bucket + tuple([c for _, c, k, _ in adopted
                                      if k is None or key is None or k == key])
         rules = self._metarules(pred, key) if may_grow else ()
         return bucket, self._instances(goal, rules) if rules else None
@@ -339,7 +314,9 @@ class _Engine:
     def _instances(self, goal: Compound, rules: Sequence[tuple[int, Metarule]],
                    ) -> Iterator[Sequence[Compound]]:
         """The renamed bodies of the instances of ``rules`` whose heads
-        unify with the goal, each adopted while it is being proved.
+        unify with the goal, each adopted here, into the hypothesis, its
+        predicate's adopted list and the invented predicates, while its
+        body is being proved.
 
         The pools are fixed for the engine, so a metarule's instances are
         fixed by the metavariables `match_head` pins, the invented
@@ -366,7 +343,8 @@ class _Engine:
                     _instance(m, binding, tentative)
                     for binding in enumerate_bindings(m, restr, self.pools,
                                                       invented, tentative)]
-            for msub, clause, entry, new_preds in instances:
+            for inst in instances:
+                msub, clause, _, new_preds = inst
                 if msub in self.hypothesis:
                     continue  # identical clause already adopted, reuse covers it
                 if any(rest <= self.hypothesis.keys()
@@ -382,8 +360,23 @@ class _Engine:
                         # adopted, counted or traced
                         yield ()
                     else:
-                        yield from self._adopt(msub, clause, entry,
-                                               new_preds, frame)
+                        stats.metasubs_tried += 1
+                        self.hypothesis[msub] = clause
+                        adopted = self.adopted.setdefault(goal.functor, [])
+                        adopted.append(inst)
+                        self.invented.update(dict.fromkeys(new_preds))
+                        if self.trace:
+                            self.trace("  + " + print_clause(clause))
+                        try:
+                            yield rename_apart(clause, frame, counter)
+                            if self.trace:
+                                self.trace("  - backtrack")
+                        finally:
+                            # also when the search is abandoned inside the body
+                            self.hypothesis.popitem()
+                            adopted.pop()
+                            for p in new_preds:
+                                del self.invented[p]
                 store.undo(mark)
 
     # ---- the search ----

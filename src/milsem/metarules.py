@@ -112,9 +112,10 @@ class Metarule:
             usage[mv.name] = (kind, arity)
 
         def walk(t: TTerm, kind: str) -> None:
-            # a metavariable functor is a PRED in a literal, a FUNC below
+            # a metavariable functor is a PRED in a literal, a FUNC below,
+            # and a bare metavariable ``C`` is read as ``[C]``
             if isinstance(t, MetaVar):
-                see(t, CONST, 0)
+                see(t, FUNC, 0)
             elif isinstance(t, TComp):
                 if isinstance(t.functor, MetaVar):
                     see(t.functor, kind, len(t.args))

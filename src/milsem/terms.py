@@ -514,14 +514,6 @@ def index_key(t: Term) -> object:
     return None
 
 
-IndexEntry = tuple[Clause, object]
-
-
-def index_entry(c: Clause) -> IndexEntry:
-    """A clause with the index key of its head's first argument."""
-    return c, index_key(c.head.args[0]) if c.head.args else None
-
-
 Bucket = tuple[Clause, ...]
 # the buckets of one level: by key, every clause, and the clauses filed
 # under every key, for a goal key that no clause is filed under
@@ -614,7 +606,8 @@ class Program:
             by_pred.setdefault(c.head.functor, []).append(c)
         closed: dict[Symbol, tuple[object, ...]] = {}
         for pred, cs in by_pred.items():
-            keys = [index_entry(c)[1] for c in cs]
+            keys = [index_key(c.head.args[0]) if c.head.args else None
+                    for c in cs]
             if pred not in open_preds and None not in keys:
                 closed[pred] = tuple(dict.fromkeys(keys))
         self._buckets = {pred: _bucket_table(cs, closed)

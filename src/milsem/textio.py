@@ -23,7 +23,8 @@ written so, a term also as ``f(t1, ..., tn)`` when ``f`` is a name.
 Inside a template, an uppercase name is a metavariable exactly when it is
 declared; otherwise it is an ordinary first-order variable.  Declarations
 are ``pred(P/2)``, ``func(H/2)`` and ``const(C)``; the arity may be left
-off and is then inferred from use.
+off and is then inferred from use, and a const's arity, if written, must
+be 0.
 
 One compiled pattern is the lexer for terms, clauses, metarules and
 scenario sections: ``findall`` gives the token strings, and a token's
@@ -316,8 +317,6 @@ class _Parser:
         if self.accept("/"):
             arity = self.arity()
         self.expect(")")
-        if kind == CONST:
-            arity = 0
         return Decl(name, kind, arity)
 
     def _template_list(self, declared: set[str]) -> TComp:

@@ -32,7 +32,6 @@ from milsem.terms import (
     Program,
     Symbol,
     Var,
-    index_entry,
     index_key,
     symbol,
 )
@@ -278,6 +277,28 @@ def test_closing_the_search_leaves_no_hypothesis_adopted(name, k):
     assert engine.store.bindings == {} and engine.store.trail == []
 
 
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_adopted_lists_hold_the_memos_records_of_the_hypothesis(name, k):
+    # at each hypothesis the search yields, mid-search, the adopted lists
+    # hold one record for each of the hypothesis's metasubs, and that
+    # record is the memo's own
+    spec = builtin_scenario(name)
+    engine = _Engine(spec, [e.goal for e in spec.positives()])
+    search = engine.hypotheses(range(1, spec.options.max_clauses + 1))
+    hyp = None
+    for hyp in itertools.islice(search, k):
+        records = [inst for adopted in engine.adopted.values()
+                   for inst in adopted]
+        assert len(records) == len(engine.hypothesis) == hyp.size
+        assert {ms for ms, *_ in records} == engine.hypothesis.keys()
+        memo = {id(inst) for instances in engine.memo.values()
+                for inst in instances}
+        assert all(id(inst) in memo for inst in records)
+    search.close()
+    assert hyp is not None
+
+
 def test_meta_prove_runs_under_the_budget():
     spec = _budget(builtin_scenario("pairs"), 20)
     goals = [e.goal for e in spec.positives()]
@@ -486,15 +507,16 @@ def test_metarule_index_leaves_out_only_what_match_head_rejects(data):
     for i, m in enumerate(spec.metarules):
         if i not in kept:
             assert match_head(m, goal, store) is None, m.name
-    # each memo entry carries the index entry and invented predicates
-    # of its clause
+    # each memo entry carries the head key and invented predicates of its
+    # clause
     engine.size_cap = data.draw(st.integers(1, 3))
     for _ in engine._instances(goal, engine._metarules(goal.functor, key)):
         pass
     assert engine.hypothesis == engine.invented == {}
     for (_, _, _, tentative), instances in engine.memo.items():
-        for msub, clause, entry, new_preds in instances:
-            assert entry == index_entry(clause)
+        for msub, clause, key, new_preds in instances:
+            assert key == (index_key(clause.head.args[0]) if clause.head.args
+                           else None)
             assert new_preds == tuple(dict.fromkeys(
                 b for _, b in msub.bindings
                 if isinstance(b, Symbol) and b.name == tentative))

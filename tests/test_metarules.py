@@ -321,6 +321,26 @@ def test_bare_const_is_read_as_a_listed_one(bare, listed, goals):
         assert apply_metasub(a, binding) == apply_metasub(b, binding)
 
 
+@pytest.mark.parametrize("decls, bare, listed, goals", [
+    ("[const(C)]", "[step,[pair,C,A],[C]]", "[step,[pair,[C],A],[C]]",
+     ("step(pair(true,x),true)", "step(pair(3,x),3)", "step(pair(3,x),true)",
+      "step(pair(X,x),Y)", "step(X,Y)")),
+    ("[func(H/0)]", "[step,[pair,H,A],A]", "[step,[pair,[H],A],A]",
+     ("step(pair(true,x),x)", "step(pair(3,x),x)", "step(pair(f(a),x),x)",
+      "step(pair(X,x),x)", "step(X,x)")),
+])
+def test_every_spelling_of_a_nullary_metavariable_reads_alike(
+        decls, bare, listed, goals):
+    # validation, like matching, reads a bare ``C`` as ``[C]``: written
+    # both ways in one rule, or bare for a func, it parses as listed
+    [a] = parse_metarules(f"metarule(a, {decls}, ({bare} :- [])).")
+    [b] = parse_metarules(f"metarule(a, {decls}, ({listed} :- [])).")
+    assert a.decls == b.decls
+    for goal in goals:
+        g = parse_term(goal)
+        assert match_head(a, g, Store()) == match_head(b, g, Store()), goal
+
+
 # ---- applying metasubs ----
 
 def test_apply_metasub_step2l():

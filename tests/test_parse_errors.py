@@ -78,6 +78,8 @@ METARULE_ERRORS = [
      "metarule m: H declared arity 3 but used with arity 2", 1, 1, ()),
     ("metarule(m, [const(C)], ([step,[C,A],B] :- [])).",
      "metarule m: C declared const but used as func", 1, 1, ()),
+    ("metarule(m, [const(C/2)], ([value,[C]] :- [])).",
+     "metarule m: C declared arity 2 but used with arity 0", 1, 1, ()),
     ("metarule(m, [], ([step,)] :- [])).", "found ')'", 1, 24,
      ("a template term",)),
 ]
