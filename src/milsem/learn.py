@@ -328,7 +328,7 @@ class _Engine:
         complete a core, depends on the hypothesis and is asked
         at each use."""
         resolver, store, stats = self.resolver, self.store, self.stats
-        counter = resolver.counter
+        counter, cores = resolver.counter, self.cores
         invented = tuple(self.invented)
         tentative = (f"pred_{self.invent_from + len(invented) + 1}"
                      if len(self.hypothesis) + 1 < self.size_cap else None)
@@ -347,8 +347,8 @@ class _Engine:
                 msub, clause, _, new_preds = inst
                 if msub in self.hypothesis:
                     continue  # identical clause already adopted, reuse covers it
-                if any(rest <= self.hypothesis.keys()
-                       for rest in self.cores.get(msub, ())):
+                if msub in cores and any(rest <= self.hypothesis.keys()
+                                         for rest in cores[msub]):
                     stats.pruned += 1  # would complete a core
                     continue
                 frame: dict[int, Term] = {}
@@ -364,7 +364,8 @@ class _Engine:
                         self.hypothesis[msub] = clause
                         adopted = self.adopted.setdefault(goal.functor, [])
                         adopted.append(inst)
-                        self.invented.update(dict.fromkeys(new_preds))
+                        if new_preds:
+                            self.invented.update(dict.fromkeys(new_preds))
                         if self.trace:
                             self.trace("  + " + print_clause(clause))
                         try:

@@ -31,6 +31,7 @@ search.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -248,10 +249,12 @@ def _is_app_step(c: Clause) -> bool:
     return c.head.functor is S_STEP and _is(c.head.args[0], S_APP)
 
 
+@functools.cache
 def base_clauses(strategy: str = "full") -> tuple[Clause, ...]:
     """The core rules.  'full' keeps the call-by-name application rules;
     'lazy' and 'eager' leave application behaviour to be learned and are
-    otherwise identical."""
+    otherwise identical.  Built once per process and shared: the clauses
+    are immutable terms fixed by the source."""
     if strategy not in CORES:
         raise ValueError(f"unknown strategy {strategy!r}")
     clauses = tuple(parse_clauses(BASE_BK_SRC))
@@ -269,8 +272,10 @@ metarule(value0, [const(C)], ([value,[C]] :- [])).
 """
 
 
+@functools.cache
 def metarule_library() -> tuple[Metarule, ...]:
-    """The metarules shared by two or more bundled scenarios' hypotheses."""
+    """The metarules shared by two or more bundled scenarios' hypotheses.
+    Built once per process and shared, as `base_clauses` is."""
     return tuple(parse_metarules(METARULES_SRC))
 
 

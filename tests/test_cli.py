@@ -656,6 +656,49 @@ def test_check_unknown_corpus_exits_2(capsys):
     capsys.readouterr()
 
 
+# ---- many calls in one process ----
+# The calls share the core and the metarule library, which objectlang
+# builds once per process; each call must still start from the defaults,
+# whatever the calls before it gave or failed on.
+
+
+def test_an_option_is_back_at_its_default_in_the_next_call(capsys):
+    assert main(["run", "var(a)", "--base", "none"]) == 2  # no rules at all
+    capsys.readouterr()
+    assert main(["run", "var(a)"]) == 0  # the full core again
+    assert capsys.readouterr().out == "var(a)\n"
+    for argv, strategy in ((["--strategy", "eager"], "eager"), ([], "lazy")):
+        assert main(["check", str(CHAIN_PL), "pairs", *argv, "--json"]) == 0
+        assert _json_payload(capsys)["strategy"] == strategy
+
+
+def test_a_step_budget_is_gone_in_the_next_call(capsys):
+    assert main(["learn", "conditionals", "--max-steps", "1000",
+                 "--json"]) == 3
+    assert _json_payload(capsys)["status"] == "budget"
+    assert main(["learn", "conditionals", "--json"]) == 0
+    assert _json_payload(capsys)["status"] == "found"
+
+
+def test_a_usage_error_leaves_the_next_call_working(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "var(a)", "--base", "lazy_eager"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lazy_eager'" in capsys.readouterr().err
+    assert main(["run", "var(a)", "--json"]) == 0
+    assert _json_payload(capsys)["value"] == "var(a)"
+
+
+def test_two_calls_give_the_same_payload(capsys):
+    payloads = []
+    for _ in range(2):
+        assert main(["learn", "conditionals", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["stats"]["elapsed"] = 0
+        payloads.append(json.dumps(payload, indent=2, sort_keys=True))
+    assert payloads[0] == payloads[1]
+
+
 # ---- limits ----
 
 

@@ -6,6 +6,7 @@ import pytest
 from milsem.learn import learn
 from milsem.objectlang import (
     BASE_BK_SRC,
+    CORES,
     METARULES_SRC,
     base_clauses,
     metarule_library,
@@ -19,7 +20,7 @@ from milsem.scenario import (
     parse_scenario,
 )
 from milsem.terms import symbol
-from milsem.textio import _Parser, parse_metarules, print_clause
+from milsem.textio import _Parser, parse_clauses, parse_metarules, print_clause
 from test_acceptance import lazy_variant
 
 GOOD = """\
@@ -191,6 +192,23 @@ def test_includes_expand_in_place():
         == ["mine"] + [m.name for m in metarule_library()]
 
 
+@pytest.mark.parametrize("strategy", CORES)
+def test_the_core_is_built_once_and_equals_a_fresh_parse(strategy):
+    core = base_clauses(strategy)
+    assert base_clauses(strategy) is core
+    fresh = parse_clauses(BASE_BK_SRC)
+    if strategy != "full":  # lazy and eager leave application to learning
+        fresh = [c for c in fresh
+                 if not print_clause(c).startswith("step(app(")]
+    assert core == tuple(fresh)
+
+
+def test_the_library_is_built_once_and_equals_a_fresh_parse():
+    library = metarule_library()
+    assert metarule_library() is library
+    assert library == tuple(parse_metarules(METARULES_SRC))
+
+
 # ---- bundled files ----
 
 def test_bundled_scenarios_all_parse():
@@ -243,6 +261,18 @@ def test_bundled_scenario_includes_the_one_core_and_library(name):
     # the shared definitions are not copied back into the file
     assert not set(lines) & set(METARULES_SRC.splitlines())
     assert not set(lines) & set(BASE_BK_SRC.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_CORES))
+def test_a_scenario_parsed_after_the_others_is_as_when_parsed_first(name):
+    # empty the caches so that this parse is the one that fills them
+    base_clauses.cache_clear()
+    metarule_library.cache_clear()
+    first = builtin_scenario(name)
+    for other in builtin_scenario_names():
+        builtin_scenario(other)
+    again = builtin_scenario(name)
+    assert (again.bk, again.metarules) == (first.bk, first.metarules)
 
 
 # named variants of a bundled scenario whose hypotheses may use a metarule

@@ -285,6 +285,10 @@ def test_solve_stops_at_the_first_answer_that_is_not_ground():
     assert outs.answers == [{y: const("a")}, {}] and not outs.complete
     outs = solve(_program("p(a).\np(b)."), parse_term("p(Y)"), ALL)
     assert len(outs.answers) == 2 and outs.complete
+    # nor is a cyclic binding, which resolving leaves as a variable: the
+    # search stops there and never reaches p(a,a)
+    outs = solve(_program("p(X,f(X)).\np(a,a)."), parse_term("p(Y,Y)"), ALL)
+    assert outs.answers == [{y: mk("f", var("Y"))}] and not outs.complete
 
 
 def test_solve_stops_at_a_multiple_of_the_first_proofs_steps():
