@@ -66,11 +66,27 @@ bound, not only where the bound cut it.  A positive that is
 not proved, or a non-terminating example that fails finitely, may be
 mended by adding clauses, so those rejections say nothing about larger
 hypotheses and leave no core.
+
+The meta-proof proves the positives one after another, and at each size
+cap it keeps a table, in the manner of OLDT resolution (Tamaki & Sato,
+1986) but of failures only: each goal index ``i`` and set of adopted
+metasubs from which the search of goals ``i`` onwards ended with no
+hypothesis and the step budget not spent.  Reaching a pair in the table
+again at that cap, it skips the search.  The skip is exact, for four
+reasons.  The examples are renamed apart and adopted clauses hold no
+store variables, so the search from goal ``i`` on depends only on the cap
+and the clause set, which also fixes the invented predicates and the
+tentative name.  The order the clauses were adopted in changes only the
+order of that exhaustive search, not whether it yields anything.  Cores
+only grow, and a new core only prunes.  And within a cap the taint flag
+only turns on, so a search that set it left it set, and the skip that
+stands for it need not set it again.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 import time
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
@@ -85,7 +101,7 @@ from .metarules import (
     match_head,
 )
 from .objectlang import default_builtins
-from .scenario import DEMANDS, Example, ScenarioSpec
+from .scenario import DEMANDS, Example, ScenarioError, ScenarioSpec
 from .solver import (
     DEFAULT_DEPTH,
     BuiltinTable,
@@ -157,13 +173,22 @@ class LearnResult(NamedTuple):
 
 
 def invented_base(clauses: Sequence[Clause]) -> int:
-    """Highest ``pred_<n>`` already taken, so invention continues after it."""
+    """Highest ``pred_<n>`` already taken, so invention continues after it.
+    A number written with as many digits as `int` converts to a string, or
+    more, is a ScenarioError: the names after it could not be written."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     hi = 0
     for c in clauses:
         for a in (c.head, *c.body):
             m = _INVENTED.match(a.functor.name)
             if m:
-                hi = max(hi, int(m.group(1)))
+                digits = m.group(1)
+                if limit and len(digits) >= limit:
+                    raise ScenarioError(
+                        f"predicate pred_{digits[:8]}.../{a.functor.arity} "
+                        f"has a {len(digits)}-digit number, too long to "
+                        f"invent predicates after")
+                hi = max(hi, int(digits))
     return hi
 
 
@@ -243,7 +268,7 @@ class _Engine:
                  "pools", "head_preds", "goals", "trace",
                  "size_cap", "hypothesis", "adopted", "invented",
                  "invent_from", "cores", "depth_rejected", "stats",
-                 "by_key", "memo")
+                 "by_key", "memo", "failed")
 
     def __init__(self, spec: ScenarioSpec, goals: Sequence[Compound],
                  trace: Trace = None) -> None:
@@ -263,7 +288,10 @@ class _Engine:
         # the adopted instances, by head predicate
         self.adopted: dict[Symbol, list[Instance]] = {}
         self.invented: dict[Symbol, None] = {}
-        self.invent_from = invented_base(spec.bk)
+        try:
+            self.invent_from = invented_base(spec.bk)
+        except ScenarioError as exc:
+            raise ScenarioError(f"scenario {spec.name}: {exc}") from None
         # metasub -> the rest of each core holding it
         self.cores: dict[Metasub, list[frozenset[Metasub]]] = {}
         # whether a candidate was rejected by a check the depth bound cut
@@ -278,6 +306,9 @@ class _Engine:
         # (metarule position, pins, invented, tentative) -> the instances
         # `enumerate_bindings` gives for them
         self.memo: dict[tuple, list[Instance]] = {}
+        # (goal index, adopted metasubs) of each search from that goal on
+        # that found nothing at this size cap
+        self.failed: set[tuple[int, frozenset[Metasub]]] = set()
 
     # ---- the clause source ----
 
@@ -394,6 +425,7 @@ class _Engine:
             if self.trace:
                 self.trace(f"size cap {n}")
             self.resolver.tainted = False
+            self.failed.clear()
             yield from self._prove(0)
             cut = cut or self.resolver.tainted
             if self.resolver.stopped:
@@ -408,11 +440,22 @@ class _Engine:
             yield Hypothesis(tuple(self.hypothesis),
                              tuple(self.hypothesis.values()))
             return
-        for _ in self.resolver.run([self.goals[i]],
-                                   self.spec.options.depth_limit, self.clauses):
-            yield from self._prove(i + 1)
-            if self.resolver.stopped:
+        resolver = self.resolver
+        key = (i, frozenset(self.hypothesis))
+        if key in self.failed:
+            if self.trace:
+                self.trace(f"  no proof from positive {i} on, as before")
+            return
+        found = False
+        for _ in resolver.run([self.goals[i]],
+                              self.spec.options.depth_limit, self.clauses):
+            for h in self._prove(i + 1):
+                found = True
+                yield h
+            if resolver.stopped:
                 return  # the budget is spent: resume no choice point
+        if not (found or resolver.stopped):
+            self.failed.add(key)
 
     def accepts(self, candidate: Hypothesis) -> bool:
         """Whether a candidate treats every example as its tag demands.  A

@@ -260,13 +260,16 @@ def test_learn_budget_stop_says_where(capsys):
 
 
 def test_chain_task_has_its_own_budget(capsys):
-    # pairs alone takes 144 meta-steps, and 1,456 after lazy_eager's rules
-    assert main(["chain", "lazy_eager", "pairs", "--max-steps", "1455",
-                 "--json"]) == 3
+    # pairs alone takes 144 meta-steps, and more after lazy_eager's rules:
+    # one step less than that cost stops pairs, and only pairs
+    assert main(["chain", "lazy_eager", "pairs", "--json"]) == 0
+    cost = _json_payload(capsys)["tasks"][1]["stats"]["meta_steps"]
+    assert main(["chain", "lazy_eager", "pairs", "--max-steps",
+                 str(cost - 1), "--json"]) == 3
     payload = _json_payload(capsys)
     tasks = payload["tasks"]
     assert [t["status"] for t in tasks] == ["found", "budget"]
-    assert tasks[1]["stats"]["meta_steps"] == 1455
+    assert tasks[1]["stats"]["meta_steps"] == cost - 1
     assert payload["failed_task"] == 1
     assert payload["combined_size"] == 0
 
@@ -765,6 +768,26 @@ def test_run_value_too_long_to_print_exits_2(capsys, flags):
     assert out == ""
     assert err == ("error: a value holds an integer too long to print "
                    "(over 4300 digits)\n")
+
+
+# a background `pred_<n>` whose number has as many digits as `int` converts
+# to a string, or more: 4,400 nines cannot be read as a number, and the
+# name after 4,300 nines could not be written
+@pytest.mark.parametrize("digits", [4300, 4400])
+@pytest.mark.parametrize("command", [["learn"], ["chain", "lazy_eager"]],
+                         ids=["learn", "chain"])
+def test_invented_name_too_long_to_follow_exits_2(tmp_path, capsys, command,
+                                                  digits):
+    bundled = ROOT / "src" / "milsem" / "data" / "scenarios" / "pairs.pls"
+    path = tmp_path / "long.pls"
+    path.write_text(bundled.read_text().replace(
+        "%% background\n", f"%% background\npred_{'9' * digits}(a).\n"))
+    assert main([*command, str(path), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: scenario long: predicate pred_99999999.../1 has a "
+                   f"{digits}-digit number, too long to invent predicates "
+                   f"after\n")
 
 
 def test_check_of_a_value_too_long_to_print_still_passes(tmp_path, capsys):

@@ -8,7 +8,10 @@ leave the search as it is (an index, a cache, a cheaper unifier) must
 leave these bytes as they are; the sha256 digests below turn that into a
 test.  They were recorded before the learner started offering a metarule
 only to goals whose first argument its head can fit, and that change left
-them as they were.
+them as they were.  The digests of `learn conditionals` and of the chain
+were recorded again when the meta-proof started skipping a search from
+an example on that had already found nothing at the same size cap with
+the same clauses, which the trace shows as a line of its own.
 
 `run --json` gives the solver's answer and its step count, so the same
 holds for the solver: the digests of its payloads on every bundled corpus
@@ -37,11 +40,11 @@ TRACE_SHA256 = {
     ("learn", "lists"):
         "f5e295de90e4854517579dabef30a29fcb674de981ede04956d725e410e19186",
     ("learn", "conditionals"):
-        "92e247447e5e6ca3f0b6ed051e945ba35230b3ddaf7797abb06e93545d3128ef",
+        "a419d3b65d4718ddd1c148e38ad641af6b3337d5328651463b7a3ad306789464",
     ("learn", "lazy_eager"):
         "1df451dd55cd7abe988e93891dd58a31052784f1ae302584a0c7aa495cf74259",
     ("chain", *CHAIN):
-        "2fea3d861815e5a782fd67ca91ca76970fb7fa2a6b9b4ed60c1aa1d07e5cd2d1",
+        "ce1dc80c103cfbd70208ed4c4e3ad8af8882dd8d09fd4eac39acbeb7c34450de",
 }
 
 

@@ -3,7 +3,7 @@ tasks, and the bundled scenarios that are cheap enough to learn here."""
 
 import gc
 import itertools
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -750,3 +750,95 @@ def test_learn_agrees_with_the_unpruned_search(make, found):
     res = learn(spec)
     assert (expected is not None, res.ok) == (found, found)
     assert res.hypothesis == expected
+
+
+# ---- the failure table ----
+
+CHAIN = ("lazy_eager", "pairs", "lists", "conditionals")
+TABLE_SPECS = (*builtin_scenario_names(), *(f"chain_{n}" for n in CHAIN))
+# at depths 11 and 13 `conditionals` skips searches the depth bound cut
+DEPTHS = (1, 3, 5, 7, 11, 13, None)
+
+
+@cache
+def _table_specs():
+    """Every bundled scenario, and the README chain's four tasks, each
+    with the background it learns against in the chain."""
+    specs = {n: builtin_scenario(n) for n in builtin_scenario_names()}
+    seq = learn_seq([specs[n] for n in CHAIN])
+    assert seq.ok
+    induced = ()
+    for name, (_, res) in zip(CHAIN, seq.results):
+        specs[f"chain_{name}"] = specs[name]._replace(
+            bk=specs[name].bk + induced)
+        induced += res.hypothesis.clauses
+    return specs
+
+
+def _at_depth(spec, depth):
+    return spec if depth is None else spec._replace(
+        options=spec.options._replace(depth_limit=depth))
+
+
+class _NeverHit(set):
+    """A failure table that is filled as the engine's is, and never hits."""
+
+    def __contains__(self, key):
+        return False
+
+
+_ENGINE_INIT = _Engine.__init__
+
+
+def _untabled_init(self, *args, **kwargs):
+    """`_Engine.__init__`, giving the engine a table that never hits."""
+    _ENGINE_INIT(self, *args, **kwargs)
+    self.failed = _NeverHit()
+
+
+def _run(spec):
+    """The first 100 hypotheses of the meta-proof at each size cap, each
+    with the taint flag as it was yielded, and the flag after each cap;
+    the meta-steps these took; and `learn`'s result and meta-steps."""
+    engine = _Engine(spec, [e.goal for e in spec.positives()])
+    hyps = []
+    for cap in range(1, spec.options.max_clauses + 1):
+        search = engine.hypotheses([cap])
+        hyps += [(h, engine.resolver.tainted)
+                 for h in itertools.islice(search, 100)]
+        search.close()
+        hyps.append((cap, engine.resolver.tainted))
+    res = learn(spec)
+    return (hyps, engine.resolver.steps,
+            (res.status, res.hypothesis, res.stats.candidates,
+             res.stats.size_reached), res.stats.meta_steps)
+
+
+def _assert_the_table_is_exact(spec):
+    hyps, steps, result, meta_steps = _run(spec)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Engine, "__init__", _untabled_init)
+        hyps0, steps0, result0, meta_steps0 = _run(spec)
+    assert hyps == hyps0
+    assert steps <= steps0
+    assert result == result0
+    assert meta_steps <= meta_steps0
+
+
+@pytest.mark.parametrize("depth", DEPTHS, ids=str)
+@pytest.mark.parametrize("name", TABLE_SPECS)
+def test_the_failure_table_skips_only_searches_that_find_nothing(name, depth):
+    # a search from an example on that found nothing at this size cap with
+    # these clauses finds nothing again: skipping it drops meta-steps and
+    # nothing else
+    _assert_the_table_is_exact(_at_depth(_table_specs()[name], depth))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_failure_table_is_exact_in_any_example_order(data):
+    spec = _table_specs()[data.draw(st.sampled_from(TABLE_SPECS))]
+    examples = data.draw(st.permutations(spec.examples))
+    spec = _at_depth(spec._replace(examples=tuple(examples)),
+                     data.draw(st.sampled_from(DEPTHS)))
+    _assert_the_table_is_exact(spec)
